@@ -43,7 +43,6 @@ from .presentations import (
 )
 from .quotient import (
     MatchVerdict,
-    canonicalize,
     expected_kac_target,
     ideal_membership_bounded,
     match_presentations,

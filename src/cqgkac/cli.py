@@ -105,10 +105,29 @@ def _certificate_json(gen, cert, rnd, equations):
     }
 
 
+def _check_options(*, lp_degree: int, membership_bound: int, dim: int) -> None:
+    """Reject option values no stage can use."""
+    for field, value, least in (
+        ("lp_degree", lp_degree, 0),
+        ("membership_bound", membership_bound, 0),
+        ("dim", dim, 1),
+    ):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(field, f"expected an integer >= {least}, got {value!r}")
+
+
 def run(spec: BlockSpec, verb: str, *, lp_degree: int = 0, membership_bound: int = 4,
         seed: int = 0, dim: int = 1):
-    """Run a verb over a block spec; returns (exit code, report dict)."""
+    """Run a verb over a block spec; returns (exit code, report dict).
+
+    Invalid options give EXIT_CONFIG and the message under "error".
+    """
     report = {"input": config_json(spec), "verb": verb}
+    try:
+        _check_options(lp_degree=lp_degree, membership_bound=membership_bound, dim=dim)
+    except ConfigError as exc:
+        report["error"] = str(exc)
+        return EXIT_CONFIG, report
     timings = {}
     code = EXIT_OK
 
@@ -313,6 +332,9 @@ def main(argv=None) -> int:
         seed=args.seed,
         dim=args.dim,
     )
+    if code == EXIT_CONFIG:
+        print(report["error"], file=sys.stderr)
+        return code
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,10 +2,13 @@
 
 The coproduct acts on a letter at position (j,k) by the matrix formula
 over the factor's fundamental matrix, so eliminated positions contribute
-their substituted expressions.  Coassociativity and the counit laws hold
-exactly in the free algebra; antipode laws and coproduct-invariance of the
-relations are verified modulo the relation ideal at a degree bound and
-reported pass / inconclusive (a bound exhaustion is never called a fail).
+their substituted expressions.  The counit laws hold exactly in the free
+algebra.  Coassociativity holds there too, except where eliminated
+positions only agree modulo self-paired reality relations; then it is
+checked modulo the relation ideal.  Antipode laws and coproduct-invariance
+of the relations are verified modulo the relation ideal at a degree bound
+and reported pass / inconclusive (a bound exhaustion is never called a
+fail).
 
 Also here: the central morphism onto the order-two group algebra and its
 Hopf kernel, for presentations over the standard symplectic form.
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgElement, GeneratorId, Word, word_adjoint, word_key, word_label
+from .linalg import WordIndex
 from .presentations import Presentation, symplectic_matrix
 from .quotient import bounded_ideal_echelon
 
@@ -181,30 +185,15 @@ def antipode(P: Presentation, a: AlgElement) -> AlgElement:
     return out
 
 
-def _tensor3_left(P: Presentation, t: TensorElement) -> dict:
+def _coassociator(P: Presentation, delta: TensorElement) -> dict:
+    """(Δ ⊗ id)(delta) − (id ⊗ Δ)(delta) over word triples, zeros dropped."""
     out = {}
-    for (w1, w2), c in t.terms():
+    for (w1, w2), c in delta.terms():
         for (a, b), c2 in _word_coproduct(P, w1).terms():
-            key = (a, b, w2)
-            s = out.get(key, 0) + c * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _tensor3_right(P: Presentation, t: TensorElement) -> dict:
-    out = {}
-    for (w1, w2), c in t.terms():
+            out[(a, b, w2)] = out.get((a, b, w2), 0) + c * c2
         for (a, b), c2 in _word_coproduct(P, w2).terms():
-            key = (w1, a, b)
-            s = out.get(key, 0) + c * c2
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
+            out[(w1, a, b)] = out.get((w1, a, b), 0) - c * c2
+    return {key: c for key, c in out.items() if c}
 
 
 def _presentation_letters(P: Presentation):
@@ -236,75 +225,72 @@ class HopfReport:
 
 
 def hopf_axiom_check(P: Presentation, bound: int = 4) -> HopfReport:
-    """Exact coassociativity/counit checks on the generators, antipode laws
-    and coproduct-invariance of the relations modulo the relation ideal at
-    the given degree bound."""
-    coassoc = True
-    counit_ok = True
-    for g in P.generators:
-        delta = _letter_coproduct(P, g)
-        if _tensor3_left(P, delta) != _tensor3_right(P, delta):
-            coassoc = False
-        left = AlgElement.zero()
-        right = AlgElement.zero()
-        for (w1, w2), c in delta.terms():
-            left = left + AlgElement.word(w2, c * counit(P, AlgElement.word(w1)))
-            right = right + AlgElement.word(w1, c * counit(P, AlgElement.word(w2)))
-        if left != AlgElement.generator(g) or right != AlgElement.generator(g):
-            counit_ok = False
+    """Coassociativity/counit checks on the generators, antipode laws and
+    coproduct-invariance of the relations modulo the relation ideal at
+    the given degree bound.
 
+    Coassociativity is compared exactly in the free algebra first; where
+    the two sides differ, the difference is projected slot by slot onto
+    the normal forms of the bounded ideal, and it holds if that is zero.
+    """
     letters = _presentation_letters(P)
+    index = WordIndex(letters)
     ideal = bounded_ideal_echelon(P.relations, letters, bound)
 
+    coassoc = True
+    counit_ok = True
     antipode_report = {}
     for g in P.generators:
         delta = _letter_coproduct(P, g)
+        diff = _coassociator(P, delta)
+        if diff:
+            coassoc = coassoc and _in_ideal_tensor(ideal, index, diff.items())
         eps = counit(P, AlgElement.generator(g))
+        left = AlgElement.zero()
+        right = AlgElement.zero()
         lhs = AlgElement.scalar(-eps)
         rhs = AlgElement.scalar(-eps)
         for (w1, w2), c in delta.terms():
+            left = left + AlgElement.word(w2, c * counit(P, AlgElement.word(w1)))
+            right = right + AlgElement.word(w1, c * counit(P, AlgElement.word(w2)))
             lhs = lhs + antipode(P, AlgElement.word(w1, c)) * AlgElement.word(w2)
             rhs = rhs + AlgElement.word(w1, c) * antipode(P, AlgElement.word(w2))
+        if left != AlgElement.generator(g) or right != AlgElement.generator(g):
+            counit_ok = False
         ok = all(
-            x.is_zero() or (x.degree() <= bound and ideal.contains(dict(x.terms())))
+            x.is_zero() or (x.degree() <= bound and ideal.contains(index.row(x.terms())))
             for x in (lhs, rhs)
         )
         antipode_report[g.label()] = "pass" if ok else "inconclusive"
 
     relation_report = {}
     for i, r in enumerate(P.relations):
-        relation_report[i] = (
-            "pass" if _coproduct_preserves(P, r, ideal) else "inconclusive"
-        )
+        preserved = _in_ideal_tensor(ideal, index, coproduct(P, r).terms())
+        relation_report[i] = "pass" if preserved else "inconclusive"
     return HopfReport(coassoc, counit_ok, antipode_report, relation_report, bound)
 
 
-def _coproduct_preserves(P: Presentation, r: AlgElement, ideal) -> bool:
-    """Whether the coproduct of a relation lies in rels x 1 + 1 x rels,
-    decided at the ideal's bound.
+def _in_ideal_tensor(ideal, index: WordIndex, terms) -> bool:
+    """Whether a tensor of words lies in the sum, over its slots, of
+    A ⊗ … ⊗ I ⊗ … ⊗ A, with I the bounded ideal.
 
-    Left tensor factors are reduced to normal form modulo the bounded
-    ideal; what remains must have every right part in the ideal.
+    Applies the ideal's normal-form map to one slot after another; the
+    result is zero exactly on that sum, because the normal-form map is a
+    linear projection with kernel I.  For Δ(r) this decides
+    Δ(r) ∈ I ⊗ A + A ⊗ I.
     """
-    t = coproduct(P, r)
-    by_right = {}
-    for (w1, w2), c in t.terms():
-        row = by_right.setdefault(w2, {})
-        s = row.get(w1, 0) + c
-        if s:
-            row[w1] = s
-        elif w1 in row:
-            del row[w1]
-    by_left = {}
-    for w2, row in by_right.items():
-        for w1, c in ideal.residue(row).items():
-            col = by_left.setdefault(w1, {})
-            s = col.get(w2, 0) + c
-            if s:
-                col[w2] = s
-            elif w2 in col:
-                del col[w2]
-    return all(ideal.contains(col) for col in by_left.values())
+    t = {tuple(index.encode(w) for w in key): c for key, c in terms}
+    slots = len(next(iter(t))) if t else 0
+    for slot in range(slots):
+        rows = {}
+        for key, c in t.items():
+            rows.setdefault(key[:slot] + key[slot + 1:], {})[key[slot]] = c
+        t = {
+            rest[:slot] + (col,) + rest[slot:]: c
+            for rest, row in rows.items()
+            for col, c in ideal.residue(row).items()
+        }
+    return not t
 
 
 @dataclass(frozen=True)

@@ -1,64 +1,203 @@
-"""Small exact linear-algebra helpers over arbitrary sparse coordinates.
+"""Exact sparse row echelon over the integers, and integer word columns.
 
-Rows are dicts mapping hashable coordinates to nonzero Fractions.  The
-echelon structure picks the least coordinate (under a caller-supplied key)
-as pivot, which keeps every reduction deterministic.
+Rows are dicts mapping a column to a nonzero coefficient.  Callers may pass
+`int` or `Fraction` coefficients; inside `SparseEchelon` every row is an
+integer vector, and every stored pivot row is primitive (content 1) with a
+positive lead.  A row is stored once its lead is found: it is reduced up to
+its lead, and later columns may still be pivot columns.
+
+Column order.  The lead of a row is its least column.  Columns are compared
+directly, or through the `key=` the echelon was made with: the key maps each
+caller coordinate to a sortable token, injectively, and the tokens are the
+internal columns.  The bounded ideal uses integer columns from `WordIndex`,
+whose numeric order is the `word_key` order of the words, so no key is
+needed there.
+
+Reduction is fraction-free.  To clear column c of a row r against the pivot
+p with lead c, put g = gcd(p_c, r_c) and replace r by (p_c/g)·r − (r_c/g)·p.
+The factor p_c/g is positive and is multiplied into an accumulated scale S.
+Leads come off a heap of the row's columns.  Every step is exact integer
+arithmetic.
+
+Why `residue` is exact and linear.  When no pivot column is left, the
+integer vector R satisfies R/S = x − (a combination of pivot rows), and R
+vanishes on every pivot column.  x + span has exactly one such vector,
+because a nonzero vector of the span has its lead on a pivot column.  So
+R/S, returned as `Fraction`s, is the normal form of x.  It does not depend
+on the scales picked along the way or on the order in which the rows were
+inserted, and it is linear in x.  It is zero exactly when x is in the span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
-def row_sub_scaled(row: dict, other: dict, factor: Fraction) -> dict:
-    """row - factor * other, dropping zero entries."""
-    out = dict(row)
-    for k, v in other.items():
-        s = out.get(k, 0) - factor * v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
+class WordIndex:
+    """Integer column ids of the words over a finite alphabet, in
+    `word_key` order.
+
+    The words of length L take the ids offset(L) .. offset(L+1) − 1, where
+    offset(L) = n^0 + … + n^(L−1) for n letters.  Within a length, a word
+    reads as base-n digits over the sorted letters.  So ids cover words of
+    every length, and id order is length first, then letterwise.
+    """
+
+    def __init__(self, letters):
+        self.letters = tuple(sorted(set(letters)))
+        self.n = len(self.letters)
+        self.digit = {g: i for i, g in enumerate(self.letters)}
+        self._offsets = [0]
+
+    def offset(self, length: int) -> int:
+        """The id of the least word of the given length."""
+        offsets = self._offsets
+        while len(offsets) <= length:
+            offsets.append(offsets[-1] + self.n ** (len(offsets) - 1))
+        return offsets[length]
+
+    def value(self, w) -> int:
+        """The word read as base-n digits; its rank among words of its length."""
+        v = 0
+        try:
+            for g in w:
+                v = v * self.n + self.digit[g]
+        except KeyError as exc:
+            raise ValueError(f"letter {exc.args[0]!r} is not in the index alphabet") from None
+        return v
+
+    def encode(self, w) -> int:
+        return self.offset(len(w)) + self.value(w)
+
+    def decode(self, i: int):
+        if i < 0 or (self.n == 0 and i > 0):
+            raise ValueError(f"no word has id {i}")
+        length = 0
+        while self.offset(length + 1) <= i:
+            length += 1
+        v = i - self.offset(length)
+        out = []
+        for _ in range(length):
+            v, d = divmod(v, self.n)
+            out.append(self.letters[d])
+        return tuple(reversed(out))
+
+    def row(self, terms) -> dict:
+        """A (word, coefficient) sequence as a row over word ids."""
+        return {self.encode(w): c for w, c in terms}
 
 
 class SparseEchelon:
-    """Incremental row echelon form with exact rational arithmetic."""
+    """Incremental row echelon form, fraction-free over the integers.
+
+    `pivots` maps each lead column to its stored primitive integer row.
+    """
 
     def __init__(self, key=None):
-        self.key = key or (lambda c: c)
+        self.key = key
         self.pivots = {}
+        self._coords = {}  # token -> caller coordinate, when a key is set
+
+    def _integer_row(self, row: dict):
+        """(vec, den) with vec an integer row over column tokens and
+        row = vec/den."""
+        den = lcm(*(c.denominator for c in row.values()))
+        vec = {}
+        for col, c in row.items():
+            if c:
+                if self.key is not None:
+                    token = self.key(col)
+                    self._coords[token] = col
+                    col = token
+                vec[col] = c.numerator * (den // c.denominator)
+        return vec, den
+
+    def _reduce(self, vec: dict, stop_at_free: bool = False):
+        """Clear the pivot columns of vec in place; returns (scale, lead).
+
+        Afterwards vec/scale is the normal form of the input vec, and lead
+        is its least column (None when vec is zero).  With stop_at_free the
+        reduction ends at the lead instead, so only the columns before it
+        are cleared.
+        """
+        pivots = self.pivots
+        heap = list(vec)
+        heapify(heap)
+        scale = 1
+        last = free = None
+        while heap:
+            c = heappop(heap)
+            if c == last:
+                continue
+            last = c
+            rc = vec.get(c)
+            if rc is None:
+                continue
+            p = pivots.get(c)
+            if p is None:
+                # columns pop in increasing order, and later pivots only
+                # touch larger columns: the first free column is the lead
+                if free is None:
+                    free = c
+                    if stop_at_free:
+                        break
+                continue
+            lead = p[c]
+            g = gcd(lead, rc)
+            if g != lead:
+                a = lead // g
+                for k in vec:
+                    vec[k] *= a
+                scale *= a
+            b = rc // g
+            # the lead entry itself cancels to zero here
+            for k, v in p.items():
+                s = vec.get(k)
+                if s is None:
+                    vec[k] = -b * v
+                    heappush(heap, k)
+                else:
+                    s -= b * v
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
+        return scale, free
 
     def residue(self, row: dict) -> dict:
-        """Full normal form of a row modulo the span of the inserted rows.
+        """Normal form of a row modulo the span of the inserted rows.
 
-        Linear in the row, and zero exactly on the span; irreducible
-        coordinates are frozen in increasing order.
+        Exact `Fraction` coefficients; linear in the row and zero exactly
+        on the span.
         """
-        row = dict(row)
-        out = {}
-        while row:
-            lead = min(row, key=self.key)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                out[lead] = row.pop(lead)
-            else:
-                row = row_sub_scaled(row, pivot, row[lead])
-        return out
+        vec, den = self._integer_row(row)
+        scale, _ = self._reduce(vec)
+        den *= scale
+        if self.key is None:
+            return {c: Fraction(v, den) for c, v in vec.items()}
+        return {self._coords[t]: Fraction(v, den) for t, v in vec.items()}
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it was independent."""
-        row = self.residue(row)
-        if not row:
+        vec, _ = self._integer_row(row)
+        _, lead = self._reduce(vec, stop_at_free=True)
+        if lead is None:
             return False
-        lead = min(row, key=self.key)
-        inv = 1 / row[lead]
-        self.pivots[lead] = {k: inv * v for k, v in row.items()}
+        g = gcd(*vec.values())
+        if vec[lead] < 0:
+            g = -g
+        if g != 1:
+            vec = {k: v // g for k, v in vec.items()}
+        self.pivots[lead] = vec
         return True
 
     def contains(self, row: dict) -> bool:
         """Whether the row lies in the span of the inserted rows."""
-        return not self.residue(row)
+        vec, _ = self._integer_row(row)
+        _, free = self._reduce(vec, stop_at_free=True)
+        return free is None
 
     def rank(self) -> int:
         return len(self.pivots)

@@ -37,22 +37,7 @@ class ResidualReport:
 
 
 def _opnorm(m: np.ndarray) -> float:
-    try:
-        return float(np.linalg.norm(m, 2))
-    except np.linalg.LinAlgError:
-        # power iteration on m^H m as a fallback
-        v = np.ones(m.shape[1], dtype=complex)
-        v /= np.linalg.norm(v)
-        h = m.conj().T @ m
-        value = 0.0
-        for _ in range(200):
-            v = h @ v
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                return 0.0
-            v /= norm
-            value = norm
-        return float(np.sqrt(value))
+    return float(np.linalg.norm(m, 2))
 
 
 def _word_value(assignment: NumAssignment, w) -> np.ndarray:

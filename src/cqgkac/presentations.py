@@ -433,10 +433,8 @@ def build_presentation(spec: BlockSpec, label: str = "") -> Presentation:
         p = build_universal_unitary(m, label=label)
     else:
         p = build_universal_orthogonal(m, label=label)
-    return Presentation(
-        p.generators, p.relations, p.fundamentals, p.qmatrices, p.fmatrices,
-        spec=spec, eliminated=p.eliminated, label=p.label,
-    )
+    p.spec = spec
+    return p
 
 
 def unitary_label(Q: ScalarMatrix) -> str:

@@ -1,20 +1,28 @@
-"""Quotients by zero-sent generators, canonical relation sets, expected
-Kac-quotient targets, and presentation matching.
+"""Quotients by zero-sent generators, expected Kac-quotient targets,
+presentation matching, and the bounded two-sided relation ideal.
 
 Matching is exact by default: after the structural renaming both relation
 sets are canonicalized and compared as sets.  When that fails, a bounded
 ideal-membership fallback checks that every unmatched relation of one side
 reduces to zero against the other side's relations.
+
+The bounded ideal of degree d is the span of the words-times-relations
+w·r·w' with |w| + deg r + |w'| <= d, over the relations and their
+adjoints.  Its rows live on the integer word columns of a `WordIndex` over
+the given letters, so column order is `word_key` order.  Each row is built
+by concatenation: the id of w·v·w' is computed from the ids of its parts,
+and its coefficients are the relation's primitive integer coefficients.
+The rows go into one fraction-free `SparseEchelon`; membership and normal
+forms are exact (see `linalg`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
-from .algebra import AlgElement, GeneratorId, ScalarMatrix, word_key
-from .linalg import SparseEchelon
+from .algebra import AlgElement, GeneratorId, ScalarMatrix
+from .linalg import SparseEchelon, WordIndex
 from .presentations import (
     BlockSpec,
     Presentation,
@@ -43,14 +51,6 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
         spec=P.spec,
         eliminated=P.eliminated,
         label=P.label,
-    )
-
-
-def canonicalize(P: Presentation) -> Presentation:
-    """Renormalize, deduplicate and sort the relation list."""
-    return Presentation(
-        P.generators, P.relations, P.fundamentals, P.qmatrices, P.fmatrices,
-        spec=P.spec, eliminated=P.eliminated, label=P.label,
     )
 
 
@@ -163,14 +163,26 @@ def _letters_of(elements):
     return letters
 
 
-def _words_up_to(letters, max_len):
-    for length in range(max_len + 1):
-        yield from itertools.product(letters, repeat=length)
+def _primitive_terms(index: WordIndex, r: AlgElement):
+    """(length, base-n value, coefficient) per word of r, with the
+    coefficients scaled to coprime integers."""
+    den = lcm(*(c.denominator for _w, c in r.terms()))
+    ints = {w: c.numerator * (den // c.denominator) for w, c in r.terms()}
+    g = gcd(*ints.values())
+    return [(len(w), index.value(w), c // g) for w, c in ints.items()]
 
 
 def bounded_ideal_echelon(rels, letters, d: int) -> SparseEchelon:
-    """Echelon basis of the two-sided ideal of `rels` truncated at degree d."""
-    ech = SparseEchelon(key=word_key)
+    """Echelon basis of the two-sided ideal of `rels` truncated at degree d.
+
+    Columns are the ids of `WordIndex(letters)`; every relation letter must
+    be among `letters`.  Rows are tried in the order: relation, left word,
+    right word, with words of each length in `itertools.product` order
+    over `letters`.
+    """
+    index = WordIndex(letters)
+    n = index.n
+    ech = SparseEchelon()
     closed = []
     seen = set()
     for r in rels:
@@ -179,21 +191,32 @@ def bounded_ideal_echelon(rels, letters, d: int) -> SparseEchelon:
             if key not in seen:
                 seen.add(key)
                 closed.append(s)
+    digits = [index.digit[g] for g in letters]
+    values = [[0]]  # base-n values of the words of each length, in product order
     for r in closed:
         room = d - r.degree()
         if room < 0:
             continue
-        for left in _words_up_to(letters, room):
-            for right in _words_up_to(letters, room - len(left)):
-                prod = AlgElement.word(left) * r * AlgElement.word(right)
-                ech.add(dict(prod.terms()))
+        while len(values) <= room:
+            values.append([v * n + x for v in values[-1] for x in digits])
+        terms = _primitive_terms(index, r)
+        for a in range(room + 1):
+            for left in values[a]:
+                for b in range(room - a + 1):
+                    shift = n ** b
+                    heads = [
+                        (index.offset(a + length + b) + (left * n ** length + v) * shift, c)
+                        for length, v, c in terms
+                    ]
+                    for right in values[b]:
+                        ech.add({head + right: c for head, c in heads})
     return ech
 
 
 def ideal_membership_bounded(x: AlgElement, rels, d: int) -> bool:
     """Whether x lies in the span of w * r * w' with total degree <= d.
 
-    One-sided: False only means "not found at this bound".  Exact rational
+    One-sided: False only means "not found at this bound".  Exact integer
     linear algebra over the word basis; monotone in d.
     """
     if x.is_zero():
@@ -202,4 +225,4 @@ def ideal_membership_bounded(x: AlgElement, rels, d: int) -> bool:
         raise ValueError(f"degree bound {d} is below the element degree {x.degree()}")
     letters = _letters_of(list(rels) + [x])
     ech = bounded_ideal_echelon(rels, letters, d)
-    return ech.contains(dict(x.terms()))
+    return ech.contains(WordIndex(letters).row(x.terms()))

@@ -96,6 +96,41 @@ def test_hopf_check_inconclusive_exit_two(tmp_path):
     assert report["hopf"]["coassociativity"] is True
 
 
+def test_hopf_check_case_one_passes(tmp_path):
+    path = _write(tmp_path, {"kind": "case-I", "blocks": [{"q": "1/2", "m": 1}], "trailing": 1})
+    out = tmp_path / "report.json"
+    assert cli.main(["hopf-check", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["hopf"]["coassociativity"] is True
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--membership-bound", "-1"),
+    ("--dim", "0"),
+    ("--dim", "-3"),
+    ("--lp-degree", "-1"),
+])
+def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
+    path = _write(tmp_path, ONE_BLOCK)
+    assert cli.main(["report", "--config", path, option, value]) == 1
+    field = option[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"config field {field!r}:")
+
+
+@pytest.mark.parametrize("options", [
+    {"membership_bound": -1},
+    {"dim": 0},
+    {"dim": -2},
+    {"lp_degree": -1},
+    {"dim": True},
+])
+def test_run_rejects_invalid_options(options):
+    code, report = cli.run(cli.parse_config(ONE_BLOCK), "report", **options)
+    assert code == cli.EXIT_CONFIG
+    (field,) = options
+    assert report["error"].startswith(f"config field {field!r}:")
+    assert "hopf" not in report and "numeric" not in report
+
+
 def test_hopf_check_passes_at_default_bound(tmp_path):
     path = _write(tmp_path, ONE_BLOCK)
     assert cli.main(["hopf-check", "--config", path, "--out", str(tmp_path / "r.json")]) == 0

@@ -103,6 +103,18 @@ def test_coassociativity_exact_on_universal_unitary():
         assert report.coassociativity and report.counit
 
 
+def test_coassociativity_modulo_reality_relations_on_case_one():
+    # the trailing block's (D x id)D and (id x D)D differ in the free algebra
+    # by u(3,3) against u(3,3)*, equal modulo its reality relation
+    for spec, bound in (
+        (k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1), 4),
+        (k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=2), 1),
+    ):
+        p = k.build_presentation(spec)
+        report = k.hopf_axiom_check(p, bound=bound)
+        assert report.coassociativity and report.counit
+
+
 def test_flip_involutive():
     p = _u2()
     t = k.coproduct(p, letter(0, 0) * letter(1, 1))

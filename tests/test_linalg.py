@@ -1,0 +1,164 @@
+"""Differential and property tests for the integer echelon kernel and the
+word-to-column index."""
+
+import itertools
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cqgkac as k
+from cqgkac.algebra import AlgElement, word_key
+from cqgkac.hopf import _presentation_letters
+from cqgkac.linalg import SparseEchelon, WordIndex
+from cqgkac.quotient import bounded_ideal_echelon
+
+from conftest import gen, one_block_spec
+
+
+class ReferenceEchelon:
+    """Reduced row echelon form over Fraction, by plain Gauss-Jordan."""
+
+    def __init__(self, key=lambda c: c):
+        self.key = key
+        self.rows = {}  # pivot column -> row with 1 there and 0 on other pivots
+
+    def residue(self, row):
+        out = {c: F(v) for c, v in row.items() if v}
+        for p, prow in self.rows.items():
+            f = out.get(p)
+            if f:
+                for c, v in prow.items():
+                    out[c] = out.get(c, 0) - f * v
+                out = {c: v for c, v in out.items() if v}
+        return out
+
+    def add(self, row):
+        r = self.residue(row)
+        if not r:
+            return False
+        lead = min(r, key=self.key)
+        r = {c: v / r[lead] for c, v in r.items()}
+        for p, prow in self.rows.items():
+            f = prow.get(lead)
+            if f:
+                self.rows[p] = {c: v for c in prow.keys() | r.keys()
+                                if (v := prow.get(c, 0) - f * r.get(c, 0))}
+        self.rows[lead] = r
+        return True
+
+
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+rows = st.dictionaries(st.integers(0, 11), coefficients, max_size=6)
+row_lists = st.lists(rows, max_size=12)
+
+
+def _combine(a, x, y):
+    out = {c: a * x.get(c, 0) + y.get(c, 0) for c in x.keys() | y.keys()}
+    return {c: v for c, v in out.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists, rows)
+def test_echelon_matches_reference_gauss_jordan(inserted, probe):
+    ech, ref = SparseEchelon(), ReferenceEchelon()
+    for row in inserted:
+        assert ech.add(row) == ref.add(row)
+    assert ech.rank() == len(ref.rows)
+    assert set(ech.pivots) == set(ref.rows)
+    for row in inserted + [probe]:
+        assert ech.residue(row) == ref.residue(row)
+        assert ech.contains(row) == (not ref.residue(row))
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_lists, rows)
+def test_caller_key_orders_the_columns(inserted, probe):
+    # string coordinates, ordered from the largest number down
+    def key(c):
+        return -int(c)
+
+    ech, ref = SparseEchelon(key=key), ReferenceEchelon(key=key)
+    for row in inserted + [probe]:
+        row = {str(c): v for c, v in row.items()}
+        assert ech.add(row) == ref.add(row)
+    assert set(ech.pivots) == {key(c) for c in ref.rows}
+    probe = {str(c): v for c, v in probe.items()}
+    assert ech.residue(probe) == ref.residue(probe)
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_lists, rows, rows, coefficients)
+def test_residue_is_linear(inserted, x, y, a):
+    ech = SparseEchelon()
+    for row in inserted:
+        ech.add(row)
+    rx, ry = ech.residue(x), ech.residue(y)
+    assert ech.residue(_combine(a, x, y)) == _combine(a, rx, ry)
+    assert all(c not in ech.pivots for c in rx)
+
+
+def test_stored_pivot_rows_are_primitive_integer_rows():
+    ech = SparseEchelon()
+    ech.add({0: F(2, 3), 1: F(4, 9), 5: F(-2)})
+    ech.add({1: F(-1, 2), 3: 6})
+    assert set(ech.pivots) == {0, 1}
+    for lead, row in ech.pivots.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(isinstance(v, int) for v in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_word_index_round_trips_and_keeps_word_order(n):
+    letters = [gen(0, j, star) for j in range(2) for star in (False, True)][:n]
+    index = WordIndex(reversed(letters))
+    words = [w for length in range(4) for w in itertools.product(letters, repeat=length)]
+    ids = [index.encode(w) for w in words]
+    assert [index.decode(i) for i in ids] == words
+    assert sorted(set(ids)) == ids == sorted(ids, key=lambda i: word_key(index.decode(i)))
+    assert ids == list(range(len(ids)))
+
+
+def test_word_index_rejects_foreign_letters_and_ids():
+    index = WordIndex([gen(0, 0)])
+    with pytest.raises(ValueError):
+        index.encode((gen(1, 1),))
+    with pytest.raises(ValueError):
+        WordIndex([]).decode(1)
+
+
+def test_bounded_ideal_rows_equal_word_products():
+    # rows built from integer ids span what the AlgElement products span
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    letters = _presentation_letters(p)
+    index = WordIndex(letters)
+    ech = bounded_ideal_echelon(p.relations, letters, 3)
+    ref = ReferenceEchelon()
+    for r in p.relations:
+        for s in (r, r.adjoint()):
+            room = 3 - s.degree()
+            for a in range(room + 1):
+                for left in itertools.product(letters, repeat=a):
+                    for b in range(room - a + 1):
+                        for right in itertools.product(letters, repeat=b):
+                            prod = AlgElement.word(left) * s * AlgElement.word(right)
+                            ref.add(index.row(prod.terms()))
+                            assert ech.contains(index.row(prod.terms()))
+    assert ech.rank() == len(ref.rows)
+    assert set(ech.pivots) == set(ref.rows)
+
+
+@pytest.mark.parametrize(
+    "spec, rank",
+    [
+        (one_block_spec(F(1, 2), 1, 1), 286),
+        (k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1), 7571),
+    ],
+)
+def test_bounded_ideal_ranks_at_bound_four(spec, rank):
+    p = k.build_presentation(spec)
+    assert bounded_ideal_echelon(p.relations, _presentation_letters(p), 4).rank() == rank
+
