@@ -21,7 +21,7 @@ def rat(x) -> Fraction:
     """Parse an int, Fraction or "p/q" string into an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
@@ -30,6 +30,27 @@ def rat(x) -> Fraction:
 
 def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def add_terms(acc: dict, terms) -> dict:
+    """Add (key, coefficient) pairs into `acc` in place and return it.
+
+    A key whose sum reaches zero is deleted.  Surviving keys keep their
+    place and new keys go last, so the order of first appearance is kept.
+    A new key stores its coefficient as given, with no addition to zero.
+    """
+    for key, c in terms:
+        old = acc.get(key)
+        if old is None:
+            if c:
+                acc[key] = c
+        else:
+            s = old + c
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return acc
 
 
 class GeneratorId(NamedTuple):
@@ -83,13 +104,22 @@ class AlgElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[w] = c
-        self._terms = clean
+        self._terms = add_terms({}, ((w, Fraction(c)) for w, c in terms.items())) if terms else {}
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "AlgElement":
+        """Adopt a dict of nonzero Fractions without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def sum(cls, elements) -> "AlgElement":
+        """The sum of the elements, accumulated in one dict."""
+        acc = {}
+        for e in elements:
+            add_terms(acc, e._terms.items())
+        return cls._wrap(acc)
 
     @classmethod
     def zero(cls) -> "AlgElement":
@@ -133,61 +163,34 @@ class AlgElement:
     def __add__(self, other):
         if not isinstance(other, AlgElement):
             return NotImplemented
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            elif w in terms:
-                del terms[w]
-        out = AlgElement.__new__(AlgElement)
-        out._terms = terms
-        return out
+        return AlgElement._wrap(add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = AlgElement.__new__(AlgElement)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return AlgElement._wrap({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, AlgElement):
             return NotImplemented
-        terms = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                s = terms.get(w, 0) + c1 * c2
-                if s:
-                    terms[w] = s
-                elif w in terms:
-                    del terms[w]
-        out = AlgElement.__new__(AlgElement)
-        out._terms = terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return AlgElement._wrap(add_terms({}, (
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self._terms.items()
+            for w2, c2 in other._terms.items()
+        )))
 
     def scale(self, c) -> "AlgElement":
         c = Fraction(c)
         if not c:
             return AlgElement.zero()
-        out = AlgElement.__new__(AlgElement)
-        out._terms = {w: c * v for w, v in self._terms.items()}
-        return out
+        return AlgElement._wrap({w: c * v for w, v in self._terms.items()})
 
     def adjoint(self) -> "AlgElement":
         """The *-operation; coefficients stay (all scalars are real)."""
-        out = AlgElement.__new__(AlgElement)
-        out._terms = {word_adjoint(w): c for w, c in self._terms.items()}
-        return out
+        return AlgElement._wrap({word_adjoint(w): c for w, c in self._terms.items()})
 
     def substitute(self, sigma: dict) -> "AlgElement":
         """*-homomorphic extension of a map on plain letters.
@@ -195,7 +198,7 @@ class AlgElement:
         Starred letters substitute via the adjoint of the image; letters
         absent from sigma map to themselves.  Images are AlgElements.
         """
-        result = AlgElement.zero()
+        acc = {}
         for w, c in self._terms.items():
             factor = AlgElement.scalar(c)
             for g in w:
@@ -207,8 +210,8 @@ class AlgElement:
                 factor = factor * image
                 if factor.is_zero():
                     break
-            result = result + factor
-        return result
+            add_terms(acc, factor._terms.items())
+        return AlgElement._wrap(acc)
 
     def sort_key(self):
         """Deterministic total order key on elements."""
@@ -257,11 +260,6 @@ class AlgMatrix:
         self._entries = entries
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "AlgMatrix":
-        z = AlgElement.zero()
-        return cls([[z] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "AlgMatrix":
         one, zero = AlgElement.one(), AlgElement.zero()
         return cls([[one if j == k else zero for k in range(n)] for j in range(n)])
@@ -278,25 +276,14 @@ class AlgMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for j in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = AlgElement.zero()
-                for l in range(self.cols):
-                    acc = acc + self._entries[j][l] * other._entries[l][k]
-                row.append(acc)
-            out.append(row)
-        return AlgMatrix(out)
-
-    def __add__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
         return AlgMatrix(
             [
-                [self._entries[j][k] + other._entries[j][k] for k in range(self.cols)]
+                [
+                    AlgElement.sum(
+                        self._entries[j][l] * other._entries[l][k] for l in range(self.cols)
+                    )
+                    for k in range(other.cols)
+                ]
                 for j in range(self.rows)
             ]
         )
@@ -395,29 +382,14 @@ class ScalarMatrix:
             ]
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, ScalarMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in subtraction")
-        return ScalarMatrix(
-            [
-                [self._entries[j][k] - other._entries[j][k] for k in range(self.cols)]
-                for j in range(self.rows)
-            ]
-        )
-
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix(
             [[self._entries[j][k] for j in range(self.rows)] for k in range(self.cols)]
         )
 
-    def conj(self) -> "ScalarMatrix":
-        # identity on rational matrices; kept explicit for layout symmetry
-        return self
-
     def star(self) -> "ScalarMatrix":
-        return self.conj().transpose()
+        """Conjugate transpose, which is the transpose over the rationals."""
+        return self.transpose()
 
     def is_diagonal(self) -> bool:
         return all(

@@ -2,9 +2,9 @@
 
 Verbs: build, kac, match, hopf-check, numeric, report.  The block spec
 comes from a JSON config; rationals are serialized as "p/q" strings so the
-round trip stays exact.  Exit codes: 0 success/matched, 1 configuration
-error, 2 derivation left undetermined or inconclusive items, 3 target
-mismatch.
+round trip stays exact.  Exit codes: 0 success/matched (and --help), 1
+usage or configuration error, 2 derivation left undetermined or
+inconclusive items, 3 target mismatch.
 """
 
 from __future__ import annotations
@@ -35,10 +35,25 @@ class ConfigError(Exception):
         self.field = field
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_unknown(doc: dict, known, prefix: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+
+
 def parse_config(data) -> BlockSpec:
-    """Validate a config document and build the block spec."""
+    """Validate a config document and build the block spec.
+
+    Unknown fields and booleans in integer fields are errors, so a typo
+    never silently builds a different spec.
+    """
     if not isinstance(data, dict):
         raise ConfigError("<root>", "expected a JSON object")
+    _reject_unknown(data, ("kind", "blocks", "trailing", "epsilon"), "")
     kind = data.get("kind")
     if not isinstance(kind, str):
         raise ConfigError("kind", "missing or not a string")
@@ -49,6 +64,7 @@ def parse_config(data) -> BlockSpec:
     for i, item in enumerate(raw_blocks):
         if not isinstance(item, dict):
             raise ConfigError(f"blocks[{i}]", "expected an object with q and m")
+        _reject_unknown(item, ("q", "m"), f"blocks[{i}].")
         try:
             q = rat(item["q"])
         except KeyError:
@@ -56,14 +72,14 @@ def parse_config(data) -> BlockSpec:
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ConfigError(f"blocks[{i}].q", str(exc)) from None
         m = item.get("m", 1)
-        if not isinstance(m, int):
+        if not _is_int(m):
             raise ConfigError(f"blocks[{i}].m", "expected an integer")
         blocks.append((q, m))
     trailing = data.get("trailing", 0)
-    if not isinstance(trailing, int):
+    if not _is_int(trailing):
         raise ConfigError("trailing", "expected an integer")
     epsilon = data.get("epsilon", 1)
-    if epsilon not in (-1, 1):
+    if not _is_int(epsilon) or epsilon not in (-1, 1):
         raise ConfigError("epsilon", "expected -1 or 1")
     try:
         return BlockSpec(kind, tuple(blocks), trailing=trailing, epsilon=epsilon)
@@ -105,26 +121,21 @@ def _certificate_json(gen, cert, rnd, equations):
     }
 
 
-def _check_options(*, lp_degree: int, membership_bound: int, dim: int) -> None:
+def _check_options(*, membership_bound: int, dim: int) -> None:
     """Reject option values no stage can use."""
-    for field, value, least in (
-        ("lp_degree", lp_degree, 0),
-        ("membership_bound", membership_bound, 0),
-        ("dim", dim, 1),
-    ):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    for field, value, least in (("membership_bound", membership_bound, 0), ("dim", dim, 1)):
+        if not _is_int(value) or value < least:
             raise ConfigError(field, f"expected an integer >= {least}, got {value!r}")
 
 
-def run(spec: BlockSpec, verb: str, *, lp_degree: int = 0, membership_bound: int = 4,
-        seed: int = 0, dim: int = 1):
+def run(spec: BlockSpec, verb: str, *, membership_bound: int = 4, seed: int = 0, dim: int = 1):
     """Run a verb over a block spec; returns (exit code, report dict).
 
     Invalid options give EXIT_CONFIG and the message under "error".
     """
     report = {"input": config_json(spec), "verb": verb}
     try:
-        _check_options(lp_degree=lp_degree, membership_bound=membership_bound, dim=dim)
+        _check_options(membership_bound=membership_bound, dim=dim)
     except ConfigError as exc:
         report["error"] = str(exc)
         return EXIT_CONFIG, report
@@ -147,7 +158,7 @@ def run(spec: BlockSpec, verb: str, *, lp_degree: int = 0, membership_bound: int
     kac_report = final = None
     if verb in ("kac", "match", "report"):
         start = time.perf_counter()
-        kac_report, final = kac_fixpoint(presentation, degree=lp_degree)
+        kac_report, final = kac_fixpoint(presentation)
         timings["kac"] = time.perf_counter() - start
         report["kac"] = {
             "forced": [g.label() for g in kac_report.forced],
@@ -278,8 +289,17 @@ def _summary(report) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG; argparse's own 2 would read as
+    "undetermined"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqgkac",
         description=(
             "Build universal unitary/orthogonal quantum-group presentations, "
@@ -292,8 +312,6 @@ def main(argv=None) -> int:
     common.add_argument("--out", help="write the JSON report here")
     common.add_argument("--membership-bound", type=int, default=4,
                         help="degree bound for ideal-membership checks")
-    common.add_argument("--lp-degree", type=int, default=0,
-                        help="extra word degree when tracing relations")
     common.add_argument("--seed", type=int, default=0, help="seed for the numeric search")
     common.add_argument("--dim", type=int, default=1,
                         help="representation dimension for the numeric search")
@@ -327,7 +345,6 @@ def main(argv=None) -> int:
     code, report = run(
         spec,
         args.verb,
-        lp_degree=args.lp_degree,
         membership_bound=args.membership_bound,
         seed=args.seed,
         dim=args.dim,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorId, Word, word_adjoint, word_key, word_label
+from .algebra import AlgElement, GeneratorId, Word, add_terms, word_adjoint, word_key, word_label
 from .linalg import WordIndex
 from .presentations import Presentation, symplectic_matrix
 from .quotient import bounded_ideal_echelon
@@ -31,13 +31,14 @@ class TensorElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for pair, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[pair] = c
-        self._terms = clean
+        self._terms = add_terms({}, ((p, Fraction(c)) for p, c in terms.items())) if terms else {}
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "TensorElement":
+        """Adopt a dict of nonzero Fractions without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls):
@@ -45,66 +46,36 @@ class TensorElement:
 
     @classmethod
     def of(cls, a: AlgElement, b: AlgElement) -> "TensorElement":
-        out = {}
-        for w1, c1 in a.terms():
-            for w2, c2 in b.terms():
-                out[(w1, w2)] = out.get((w1, w2), 0) + c1 * c2
-        return cls(out)
+        return cls._wrap(add_terms({}, (
+            ((w1, w2), c1 * c2) for w1, c1 in a.terms() for w2, c2 in b.terms()
+        )))
 
     def terms(self):
         return self._terms.items()
 
-    def is_zero(self):
-        return not self._terms
-
     def __add__(self, other):
-        out = dict(self._terms)
-        for pair, c in other._terms.items():
-            s = out.get(pair, 0) + c
-            if s:
-                out[pair] = s
-            elif pair in out:
-                del out[pair]
-        t = TensorElement.__new__(TensorElement)
-        t._terms = out
-        return t
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+        return TensorElement._wrap(add_terms(dict(self._terms), other._terms.items()))
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                pair = (a1 + a2, b1 + b2)
-                s = out.get(pair, 0) + c1 * c2
-                if s:
-                    out[pair] = s
-                elif pair in out:
-                    del out[pair]
-        t = TensorElement.__new__(TensorElement)
-        t._terms = out
-        return t
+        return TensorElement._wrap(add_terms({}, (
+            ((a1 + a2, b1 + b2), c1 * c2)
+            for (a1, b1), c1 in self._terms.items()
+            for (a2, b2), c2 in other._terms.items()
+        )))
 
     def scale(self, c):
         c = Fraction(c)
-        t = TensorElement.__new__(TensorElement)
-        t._terms = {pair: c * v for pair, v in self._terms.items()} if c else {}
-        return t
+        return TensorElement._wrap({pair: c * v for pair, v in self._terms.items()} if c else {})
 
     def flip(self) -> "TensorElement":
-        t = TensorElement.__new__(TensorElement)
-        t._terms = {(b, a): c for (a, b), c in self._terms.items()}
-        return t
+        return TensorElement._wrap({(b, a): c for (a, b), c in self._terms.items()})
 
     def adjoint(self) -> "TensorElement":
-        t = TensorElement.__new__(TensorElement)
-        t._terms = {
+        return TensorElement._wrap({
             (word_adjoint(a), word_adjoint(b)): c for (a, b), c in self._terms.items()
-        }
-        return t
+        })
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self._terms == other._terms
@@ -127,9 +98,10 @@ def _layout_entry(P: Presentation, g: GeneratorId) -> None:
 def _letter_coproduct(P: Presentation, g: GeneratorId) -> TensorElement:
     _layout_entry(P, g)
     mat = P.fundamentals[g.factor]
-    out = TensorElement.zero()
+    acc = {}
     for l in range(mat.rows):
-        out = out + TensorElement.of(mat.entry(g.row, l), mat.entry(l, g.col))
+        add_terms(acc, TensorElement.of(mat.entry(g.row, l), mat.entry(l, g.col)).terms())
+    out = TensorElement._wrap(acc)
     return out.adjoint() if g.star else out
 
 
@@ -142,10 +114,10 @@ def _word_coproduct(P: Presentation, w: Word) -> TensorElement:
 
 def coproduct(P: Presentation, a: AlgElement) -> TensorElement:
     """Unital *-homomorphic extension of U |-> U x U."""
-    out = TensorElement.zero()
+    acc = {}
     for w, c in a.terms():
-        out = out + _word_coproduct(P, w).scale(c)
-    return out
+        add_terms(acc, ((pair, c * v) for pair, v in _word_coproduct(P, w).terms()))
+    return TensorElement._wrap(acc)
 
 
 def counit(P: Presentation, a: AlgElement) -> Fraction:
@@ -176,24 +148,22 @@ def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
 def antipode(P: Presentation, a: AlgElement) -> AlgElement:
     """Anti-multiplicative with letter (j,k) |-> adjoint of letter (k,j);
     starred letters pick up the Q-twist so S respects the relations."""
-    out = AlgElement.zero()
-    for w, c in a.terms():
+    def image(w, c):
         factor = AlgElement.scalar(c)
         for g in reversed(w):
             factor = factor * _letter_antipode(P, g)
-        out = out + factor
-    return out
+        return factor
+
+    return AlgElement.sum(image(w, c) for w, c in a.terms())
 
 
 def _coassociator(P: Presentation, delta: TensorElement) -> dict:
     """(Δ ⊗ id)(delta) − (id ⊗ Δ)(delta) over word triples, zeros dropped."""
     out = {}
     for (w1, w2), c in delta.terms():
-        for (a, b), c2 in _word_coproduct(P, w1).terms():
-            out[(a, b, w2)] = out.get((a, b, w2), 0) + c * c2
-        for (a, b), c2 in _word_coproduct(P, w2).terms():
-            out[(w1, a, b)] = out.get((w1, a, b), 0) - c * c2
-    return {key: c for key, c in out.items() if c}
+        add_terms(out, (((a, b, w2), c * c2) for (a, b), c2 in _word_coproduct(P, w1).terms()))
+        add_terms(out, (((w1, a, b), -c * c2) for (a, b), c2 in _word_coproduct(P, w2).terms()))
+    return out
 
 
 def _presentation_letters(P: Presentation):
@@ -245,16 +215,20 @@ def hopf_axiom_check(P: Presentation, bound: int = 4) -> HopfReport:
         diff = _coassociator(P, delta)
         if diff:
             coassoc = coassoc and _in_ideal_tensor(ideal, index, diff.items())
-        eps = counit(P, AlgElement.generator(g))
-        left = AlgElement.zero()
-        right = AlgElement.zero()
-        lhs = AlgElement.scalar(-eps)
-        rhs = AlgElement.scalar(-eps)
-        for (w1, w2), c in delta.terms():
-            left = left + AlgElement.word(w2, c * counit(P, AlgElement.word(w1)))
-            right = right + AlgElement.word(w1, c * counit(P, AlgElement.word(w2)))
-            lhs = lhs + antipode(P, AlgElement.word(w1, c)) * AlgElement.word(w2)
-            rhs = rhs + AlgElement.word(w1, c) * antipode(P, AlgElement.word(w2))
+        terms = delta.terms()
+        eps = AlgElement.scalar(counit(P, AlgElement.generator(g)))
+        left = AlgElement.sum(
+            AlgElement.word(w2, c * counit(P, AlgElement.word(w1))) for (w1, w2), c in terms
+        )
+        right = AlgElement.sum(
+            AlgElement.word(w1, c * counit(P, AlgElement.word(w2))) for (w1, w2), c in terms
+        )
+        lhs = AlgElement.sum([-eps, *(
+            antipode(P, AlgElement.word(w1, c)) * AlgElement.word(w2) for (w1, w2), c in terms
+        )])
+        rhs = AlgElement.sum([-eps, *(
+            AlgElement.word(w1, c) * antipode(P, AlgElement.word(w2)) for (w1, w2), c in terms
+        )])
         if left != AlgElement.generator(g) or right != AlgElement.generator(g):
             counit_ok = False
         ok = all(
@@ -351,17 +325,13 @@ def central_morphism_check(P: Presentation, morphism: MorphismSpec = None) -> bo
     n = mat.rows
     for j in range(n):
         for k in range(n):
-            lhs = [AlgElement.zero(), AlgElement.zero()]
-            rhs = [AlgElement.zero(), AlgElement.zero()]
-            for l in range(n):
-                zl = gamma.apply(mat.entry(j, l))
-                lhs[0] = lhs[0] + mat.entry(l, k).scale(zl[0])
-                lhs[1] = lhs[1] + mat.entry(l, k).scale(zl[1])
-                zr = gamma.apply(mat.entry(l, k))
-                rhs[0] = rhs[0] + mat.entry(j, l).scale(zr[0])
-                rhs[1] = rhs[1] + mat.entry(j, l).scale(zr[1])
-            if lhs != rhs:
-                return False
+            zl = [gamma.apply(mat.entry(j, l)) for l in range(n)]
+            zr = [gamma.apply(mat.entry(l, k)) for l in range(n)]
+            for part in (0, 1):
+                lhs = AlgElement.sum(mat.entry(l, k).scale(zl[l][part]) for l in range(n))
+                rhs = AlgElement.sum(mat.entry(j, l).scale(zr[l][part]) for l in range(n))
+                if lhs != rhs:
+                    return False
     return True
 
 
@@ -370,9 +340,9 @@ def hopf_kernel_membership(P: Presentation, b: AlgElement,
     """Whether (gamma x id) Delta(b) = 1 x b after the t^2 = 1 reduction."""
     _require_symplectic(P)
     gamma = morphism or default_central_morphism(P)
-    parts = [AlgElement.zero(), AlgElement.zero()]
-    for (w1, w2), c in coproduct(P, b).terms():
-        z = gamma.apply(AlgElement.word(w1))
-        parts[0] = parts[0] + AlgElement.word(w2, c * z[0])
-        parts[1] = parts[1] + AlgElement.word(w2, c * z[1])
-    return parts[1].is_zero() and parts[0] == b
+    images = [(w2, c, gamma.apply(AlgElement.word(w1))) for (w1, w2), c in coproduct(P, b).terms()]
+    unit, t = (
+        AlgElement.sum(AlgElement.word(w2, c * z[part]) for w2, c, z in images)
+        for part in (0, 1)
+    )
+    return t.is_zero() and unit == b

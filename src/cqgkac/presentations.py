@@ -365,7 +365,7 @@ def build_universal_orthogonal(F: ScalarMatrix, factor: int = 0, label: str = ""
     if F.rows != F.cols:
         raise ValueError("F must be square")
     n = F.rows
-    prod = F * F.conj()
+    prod = F * F
     if prod == ScalarMatrix.identity(n):
         pass
     elif prod == ScalarMatrix.identity(n).scale(-1):

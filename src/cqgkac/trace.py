@@ -14,11 +14,12 @@ repeat until no generator dies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorId, Word, rat_str, word_adjoint, word_key, word_label
+from .algebra import (
+    AlgElement, GeneratorId, Word, add_terms, rat_str, word_adjoint, word_key, word_label,
+)
 from .presentations import Presentation
 from .quotient import quotient_by_zero
 from .simplex import Infeasible, Unbounded, solve_lp_max
@@ -81,33 +82,11 @@ class TraceExpr:
 
     def __init__(self, constant=0, re=None, im=None):
         self.constant = Fraction(constant)
-        self.re = {s: c for s, c in (re or {}).items() if c}
-        self.im = {s: c for s, c in (im or {}).items() if c}
+        self.re = add_terms({}, (re or {}).items())
+        self.im = add_terms({}, (im or {}).items())
 
     def is_zero(self) -> bool:
         return not self.constant and not self.re and not self.im
-
-    def __add__(self, other):
-        re, im = dict(self.re), dict(self.im)
-        for target, source in ((re, other.re), (im, other.im)):
-            for s, c in source.items():
-                v = target.get(s, 0) + c
-                if v:
-                    target[s] = v
-                elif s in target:
-                    del target[s]
-        return TraceExpr(self.constant + other.constant, re, im)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TraceExpr(
-            c * self.constant,
-            {s: c * v for s, v in self.re.items()},
-            {s: c * v for s, v in self.im.items()},
-        )
 
     def __eq__(self, other):
         return (
@@ -132,16 +111,16 @@ def trace_of(a: AlgElement) -> TraceExpr:
     """Formal trace of an element: words collapse to cyclic symbols, the
     unit word feeds the constant (tr(1) = 1)."""
     constant = Fraction(0)
-    re, im = {}, {}
+    re, im = [], []
     for w, c in a.terms():
         if not w:
             constant += c
             continue
         sym, sign = cyclic_canonical(w)
-        re[sym] = re.get(sym, 0) + c
+        re.append((sym, c))
         if not sym.selfadjoint:
-            im[sym] = im.get(sym, 0) + sign * c
-    return TraceExpr(constant, re, im)
+            im.append((sym, sign * c))
+    return TraceExpr(constant, add_terms({}, re), add_terms({}, im))
 
 
 @dataclass(frozen=True)
@@ -206,22 +185,13 @@ def _eliminate_free(eqs: TraceEquationSet):
         pc = pivot.coeffs[sym]
         for rid in holders[1:]:
             row = rows[rid]
-            f = row.coeffs[sym] / pc
-            for s, v in pivot.coeffs.items():
-                nv = row.coeffs.get(s, 0) - f * v
-                if nv:
-                    row.coeffs[s] = nv
-                    if s not in eqs.nonneg:
-                        occurrences.setdefault(s, set()).add(rid)
-                elif s in row.coeffs:
-                    del row.coeffs[s]
-            row.const -= f * pivot.const
-            for k, v in pivot.combo.items():
-                nv = row.combo.get(k, 0) - f * v
-                if nv:
-                    row.combo[k] = nv
-                elif k in row.combo:
-                    del row.combo[k]
+            f = -row.coeffs[sym] / pc
+            add_terms(row.coeffs, ((s, f * v) for s, v in pivot.coeffs.items()))
+            for s in pivot.coeffs:
+                if s in row.coeffs and s not in eqs.nonneg:
+                    occurrences.setdefault(s, set()).add(rid)
+            row.const += f * pivot.const
+            add_terms(row.combo, ((k, f * v) for k, v in pivot.combo.items()))
     out = []
     for rid in sorted(rows):
         row = rows[rid]
@@ -233,28 +203,17 @@ def _eliminate_free(eqs: TraceEquationSet):
     return tuple(out)
 
 
-def derive_trace_equations(P: Presentation, degree: int = 0) -> TraceEquationSet:
-    """Trace every relation; real and imaginary parts become separate
-    equations.  `degree` > 0 additionally traces relation * word products
-    up to that word length (the default 0 suffices for the standard
-    derivations)."""
-    letters = []
-    for g in P.generators:
-        letters.append(g)
-        letters.append(g.adjoint())
+def derive_trace_equations(P: Presentation) -> TraceEquationSet:
+    """Trace every relation once; its real and imaginary parts become
+    separate equations with provenance rel[i].  The nonnegative index holds
+    tr[g g*] for every generator g."""
     equations = []
     for i, r in enumerate(P.relations):
-        items = [(f"rel[{i}]", r)]
-        if degree > 0:
-            for length in range(1, degree + 1):
-                for w in itertools.product(letters, repeat=length):
-                    items.append((f"rel[{i}]*{word_label(w)}", r * AlgElement.word(w)))
-        for prov, elem in items:
-            t = trace_of(elem)
-            if t.constant or t.re:
-                equations.append(TraceEquation("re", t.constant, dict(t.re), prov))
-            if t.im:
-                equations.append(TraceEquation("im", Fraction(0), dict(t.im), prov))
+        t = trace_of(r)
+        if t.constant or t.re:
+            equations.append(TraceEquation("re", t.constant, t.re, f"rel[{i}]"))
+        if t.im:
+            equations.append(TraceEquation("im", Fraction(0), t.im, f"rel[{i}]"))
     nonneg = {generator_symbol(g) for g in P.generators}
     return TraceEquationSet(equations, nonneg)
 
@@ -270,24 +229,27 @@ class Certificate:
     coefficients: dict  # TraceSymbol -> Fraction, the resulting combination
 
 
-def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> bool:
-    """Recombine the cited equations and re-check every sign condition.
-
-    Independent of the LP path: raises CertificateError on any failure.
-    """
+def _recombine(eqs: TraceEquationSet, multipliers):
+    """(constant, coefficients) of the sum of mult * equation over the
+    (equation index, mult) pairs; only real-part equations may be cited."""
     const = Fraction(0)
     coeffs = {}
-    for idx, mult in cert.multipliers:
+    for idx, mult in multipliers:
         eq = eqs.equations[idx]
         if eq.part != "re":
             raise CertificateError(f"equation {idx} is not a real-part equation")
         const += mult * eq.constant
-        for s, c in eq.coeffs.items():
-            v = coeffs.get(s, 0) + mult * c
-            if v:
-                coeffs[s] = v
-            elif s in coeffs:
-                del coeffs[s]
+        add_terms(coeffs, ((s, mult * c) for s, c in eq.coeffs.items()))
+    return const, coeffs
+
+
+def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> bool:
+    """Recombine the cited equations and re-check every sign condition.
+
+    Reads only the multipliers and the equations, never the LP: raises
+    CertificateError on any failure.
+    """
+    const, coeffs = _recombine(eqs, cert.multipliers)
     if const != cert.constant or coeffs != cert.coefficients:
         raise CertificateError("stored combination does not match the recombination")
     if const != 0:
@@ -323,26 +285,10 @@ def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
         return None
     combo = {}
     for mult, row in zip(res.dual, rows):
-        if not mult:
-            continue
-        for idx, m in row.combo.items():
-            v = combo.get(idx, 0) + mult * m
-            if v:
-                combo[idx] = v
-            elif idx in combo:
-                del combo[idx]
-    const = Fraction(0)
-    coeffs = {}
-    for idx, mult in combo.items():
-        eq = eqs.equations[idx]
-        const += mult * eq.constant
-        for s, cc in eq.coeffs.items():
-            v = coeffs.get(s, 0) + mult * cc
-            if v:
-                coeffs[s] = v
-            elif s in coeffs:
-                del coeffs[s]
-    cert = Certificate(target, tuple(sorted(combo.items())), const, coeffs)
+        if mult:
+            add_terms(combo, ((idx, mult * m) for idx, m in row.combo.items()))
+    multipliers = tuple(sorted(combo.items()))
+    cert = Certificate(target, multipliers, *_recombine(eqs, multipliers))
     verify_certificate(cert, eqs)
     return cert
 
@@ -380,10 +326,12 @@ class KacReport:
         return len(self.rounds)
 
 
-def kac_fixpoint(P: Presentation, degree: int = 0, max_rounds: int = 20):
+def kac_fixpoint(P: Presentation):
     """Iterate derive -> force -> quotient until no generator dies.
 
-    Sound by construction: every actual tracial state satisfies the derived
+    Every round but the last removes at least one generator, so the loop
+    ends after at most (number of generators + 1) rounds.  Sound by
+    construction: every actual tracial state satisfies the derived
     equations, so certified symbols genuinely vanish and the quotient stays
     above the Kac quotient.  Returns (KacReport, final presentation).
     """
@@ -394,8 +342,8 @@ def kac_fixpoint(P: Presentation, degree: int = 0, max_rounds: int = 20):
         )
     rounds = []
     current = P
-    while len(rounds) < max_rounds:
-        eqs = derive_trace_equations(current, degree)
+    while True:
+        eqs = derive_trace_equations(current)
         forced, undetermined = [], []
         for g in current.generators:
             try:

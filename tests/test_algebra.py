@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import cqgkac as k
-from cqgkac.algebra import AlgElement, AlgMatrix, ScalarMatrix, ShapeError, word_adjoint
+from cqgkac.algebra import (
+    AlgElement, AlgMatrix, ScalarMatrix, ShapeError, add_terms, word_adjoint,
+)
 
 from conftest import gen, letter, random_element
 
@@ -35,6 +37,14 @@ def test_elem_mul_single_words():
 
 def test_elem_mul_unit_word_scalars():
     assert AlgElement.scalar(2) * letter(0, 1).scale(F(3, 2)) == letter(0, 1).scale(3)
+
+
+def test_add_terms_drops_zeros_and_keeps_first_appearance_order():
+    acc = {"a": F(1), "b": F(2)}
+    out = add_terms(acc, [("c", F(3)), ("a", F(-1)), ("b", F(1)), ("z", F(0)), ("a", F(5))])
+    assert out is acc
+    # "a" cancelled and came back, so it moves last; "b" keeps its place
+    assert list(acc.items()) == [("b", F(3)), ("c", F(3)), ("a", F(5))]
 
 
 def test_elem_mul_distributes():

@@ -40,6 +40,43 @@ def test_config_errors_point_at_fields():
     assert err.value.field == "blocks"
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({**ONE_BLOCK, "blocks": [{"q": "1/2", "m": True}]}, "blocks[0].m"),
+    ({**ONE_BLOCK, "blocks": [{"q": True, "m": 1}]}, "blocks[0].q"),
+    ({**ONE_BLOCK, "epsilon": True}, "epsilon"),
+    ({"kind": "case-I", "blocks": [{"q": "1/2", "m": 1}], "trailing": True}, "trailing"),
+    ({"kind": "case-I", "blocks": [{"q": "1/2", "m": 1}], "trailng": 1}, "trailng"),
+    ({"kind": "unitary", "blocks": [{"q": "1", "m": 2, "mult": 3}]}, "blocks[0].mult"),
+])
+def test_config_rejects_booleans_and_unknown_fields(doc, field):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(doc)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--frobnicate"],
+    ["report", "--dim", "x"],
+    ["report", "--lp-degree", "1"],
+    ["transmogrify"],
+])
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    path = _write(tmp_path, ONE_BLOCK)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", path])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "usage:" in text and "--lp-degree" not in text
+
+
 def test_match_verb_exit_zero(tmp_path):
     path = _write(tmp_path, ONE_BLOCK)
     out = tmp_path / "report.json"
@@ -107,7 +144,6 @@ def test_hopf_check_case_one_passes(tmp_path):
     ("--membership-bound", "-1"),
     ("--dim", "0"),
     ("--dim", "-3"),
-    ("--lp-degree", "-1"),
 ])
 def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
     path = _write(tmp_path, ONE_BLOCK)
@@ -120,7 +156,7 @@ def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
     {"membership_bound": -1},
     {"dim": 0},
     {"dim": -2},
-    {"lp_degree": -1},
+    {"membership_bound": True},
     {"dim": True},
 ])
 def test_run_rejects_invalid_options(options):

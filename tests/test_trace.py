@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -165,6 +166,85 @@ def test_forced_zero_one_block_certificate():
     assert k.verify_certificate(cert, eqs)
     assert cert.coefficients[target] > 0
     assert cert.constant == 0
+
+
+def _restamp(cert, eqs, multipliers):
+    """The certificate with new multipliers and the stored combination
+    recomputed to match them, so only the later checks can object."""
+    constant, coefficients = F(0), {}
+    for idx, mult in multipliers:
+        eq = eqs.equations[idx]
+        constant += mult * eq.constant
+        for s, c in eq.coeffs.items():
+            coefficients[s] = coefficients.get(s, 0) + mult * c
+    coefficients = {s: c for s, c in coefficients.items() if c}
+    return dataclasses.replace(
+        cert, multipliers=tuple(multipliers), constant=constant, coefficients=coefficients
+    )
+
+
+def _one_block_certificate():
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    eqs = k.derive_trace_equations(p)
+    return k.forced_zero(eqs, k.generator_symbol(gen(1, 0))), eqs
+
+
+def _index(eqs, part, predicate):
+    return next(
+        i for i, e in enumerate(eqs.equations) if e.part == part and predicate(e)
+    )
+
+
+def test_verify_rejects_imaginary_part_equation():
+    cert, eqs = _one_block_certificate()
+    im = _index(eqs, "im", lambda e: True)
+    bad = dataclasses.replace(cert, multipliers=cert.multipliers + ((im, F(1)),))
+    with pytest.raises(k.CertificateError, match="not a real-part equation"):
+        k.verify_certificate(bad, eqs)
+
+
+@pytest.mark.parametrize("field", ["constant", "coefficients"])
+def test_verify_rejects_stored_combination_mismatch(field):
+    cert, eqs = _one_block_certificate()
+    value = F(1) if field == "constant" else {cert.target: 2 * cert.coefficients[cert.target]}
+    bad = dataclasses.replace(cert, **{field: value})
+    with pytest.raises(k.CertificateError, match="does not match the recombination"):
+        k.verify_certificate(bad, eqs)
+
+
+def test_verify_rejects_nonzero_constant():
+    cert, eqs = _one_block_certificate()
+    idx = _index(eqs, "re", lambda e: e.constant)
+    bad = _restamp(cert, eqs, cert.multipliers + ((idx, F(1)),))
+    assert bad.constant
+    with pytest.raises(k.CertificateError, match="nonzero constant"):
+        k.verify_certificate(bad, eqs)
+
+
+def test_verify_rejects_surviving_free_symbol():
+    cert, eqs = _one_block_certificate()
+    idx = _index(
+        eqs, "re", lambda e: not e.constant and any(s not in eqs.nonneg for s in e.coeffs)
+    )
+    bad = _restamp(cert, eqs, cert.multipliers + ((idx, F(1)),))
+    with pytest.raises(k.CertificateError, match="free symbol .* survives"):
+        k.verify_certificate(bad, eqs)
+
+
+def test_verify_rejects_negative_coefficient():
+    cert, eqs = _one_block_certificate()
+    bad = _restamp(cert, eqs, [(idx, -mult) for idx, mult in cert.multipliers])
+    with pytest.raises(k.CertificateError, match="negative coefficient"):
+        k.verify_certificate(bad, eqs)
+
+
+def test_verify_rejects_target_not_positive():
+    cert, eqs = _one_block_certificate()
+    other = k.generator_symbol(gen(0, 0))
+    assert other in eqs.nonneg and other not in cert.coefficients
+    bad = dataclasses.replace(cert, target=other)
+    with pytest.raises(k.CertificateError, match="does not appear positively"):
+        k.verify_certificate(bad, eqs)
 
 
 def test_forced_zero_case_two_off_diagonal():
