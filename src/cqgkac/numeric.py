@@ -49,6 +49,15 @@ def _word_value(assignment: NumAssignment, w) -> np.ndarray:
     return value
 
 
+def _relation_values(P: Presentation, assignment: NumAssignment):
+    n = assignment.dim
+    for r in P.relations:
+        acc = np.zeros((n, n), dtype=complex)
+        for w, c in r.terms():
+            acc = acc + float(c) * _word_value(assignment, w)
+        yield acc
+
+
 def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
     """Operator-norm residual of every relation under the assignment."""
     needed = {g.plain() for r in P.relations for g in r.letters()}
@@ -60,12 +69,7 @@ def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
     for g, m in assignment.matrices.items():
         if m.shape != (n, n):
             raise ValueError(f"matrix for {g.label()} has shape {m.shape}, expected {(n, n)}")
-    residuals = []
-    for r in P.relations:
-        acc = np.zeros((n, n), dtype=complex)
-        for w, c in r.terms():
-            acc = acc + float(c) * _word_value(assignment, w)
-        residuals.append(_opnorm(acc))
+    residuals = [_opnorm(acc) for acc in _relation_values(P, assignment)]
     top = max(residuals, default=0.0)
     return ResidualReport(tuple(residuals), top, ACCEPT_TOL)
 
@@ -131,12 +135,8 @@ def _unpack(P: Presentation, n: int, x: np.ndarray) -> NumAssignment:
 
 
 def _residual_vector(P: Presentation, n: int, x: np.ndarray) -> np.ndarray:
-    assignment = _unpack(P, n, x)
     out = []
-    for r in P.relations:
-        acc = np.zeros((n, n), dtype=complex)
-        for w, c in r.terms():
-            acc = acc + float(c) * _word_value(assignment, w)
+    for acc in _relation_values(P, _unpack(P, n, x)):
         out.append(acc.real.ravel())
         out.append(acc.imag.ravel())
     return np.concatenate(out) if out else np.zeros(0)

@@ -34,6 +34,14 @@ from .algebra import (
 KINDS = ("unitary", "one-block", "case-I", "case-II")
 
 
+class SpecError(ValueError):
+    """A block-spec field that fails validation; `field` names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class Block:
     """One eigenvalue block: parameter q with multiplicity m."""
@@ -47,7 +55,8 @@ class BlockSpec:
     """Block description of a standard-form matrix.
 
     unitary   : blocks give the distinct eigenvalues of Q, ascending.
-    one-block : a single antidiagonal block with 0 < q < 1 and a sign.
+    one-block : a single antidiagonal block with 0 < q < 1 and a sign
+                epsilon; the other kinds keep epsilon = +1.
     case-I    : antidiagonal 2x2 blocks with 0 < q_1 < ... < q_r < 1,
                 then an identity block of size `trailing`.
     case-II   : antidiagonal blocks with a sign, 0 < q_1 < ... < q_r <= 1;
@@ -61,46 +70,43 @@ class BlockSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+            raise SpecError("kind", f"unknown kind {self.kind!r}; expected one of {KINDS}")
         blocks = tuple(Block(rat(b.q if isinstance(b, Block) else b[0]),
                              int(b.m if isinstance(b, Block) else b[1]))
                        for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
+        signs = (-1, 1) if self.kind == "one-block" else (1,)
+        if self.epsilon not in signs:
+            raise SpecError("epsilon", f"{self.kind} spec takes epsilon in {signs}")
         if any(b.m < 1 for b in blocks):
-            raise ValueError("block multiplicities must be >= 1")
+            raise SpecError("blocks", "block multiplicities must be >= 1")
         qs = [b.q for b in blocks]
         if any(q <= 0 for q in qs):
-            raise ValueError("block parameters must be positive")
+            raise SpecError("blocks", "block parameters must be positive")
         if any(a >= b for a, b in zip(qs, qs[1:])):
-            raise ValueError("block parameters must be strictly increasing")
+            raise SpecError("blocks", "block parameters must be strictly increasing")
+        if self.trailing and self.kind != "case-I":
+            raise SpecError("trailing", f"{self.kind} spec takes no trailing block")
         if self.kind == "unitary":
             if not blocks:
-                raise ValueError("unitary spec needs at least one eigenvalue block")
-            if self.trailing:
-                raise ValueError("unitary spec takes no trailing block")
+                raise SpecError("blocks", "unitary spec needs at least one eigenvalue block")
         elif self.kind == "one-block":
             if len(blocks) != 1:
-                raise ValueError("one-block spec takes exactly one block")
+                raise SpecError("blocks", "one-block spec takes exactly one block")
             if qs[0] >= 1:
-                raise ValueError("one-block parameter must satisfy 0 < q < 1")
-            if self.epsilon not in (-1, 1):
-                raise ValueError("epsilon must be -1 or +1")
-            if self.trailing:
-                raise ValueError("one-block spec takes no trailing block")
+                raise SpecError("blocks", "one-block parameter must satisfy 0 < q < 1")
         elif self.kind == "case-I":
             if any(q >= 1 for q in qs):
-                raise ValueError("case-I parameters must satisfy q < 1")
+                raise SpecError("blocks", "case-I parameters must satisfy q < 1")
             if self.trailing < 0:
-                raise ValueError("trailing size must be >= 0")
+                raise SpecError("trailing", "trailing size must be >= 0")
             if not blocks and not self.trailing:
-                raise ValueError("empty case-I spec")
+                raise SpecError("blocks", "empty case-I spec")
         elif self.kind == "case-II":
             if not blocks:
-                raise ValueError("case-II spec needs at least one block")
+                raise SpecError("blocks", "case-II spec needs at least one block")
             if any(q > 1 for q in qs):
-                raise ValueError("case-II parameters must satisfy q <= 1")
-            if self.trailing:
-                raise ValueError("case-II spec takes no trailing block")
+                raise SpecError("blocks", "case-II parameters must satisfy q <= 1")
 
     @property
     def size(self) -> int:

@@ -54,6 +54,33 @@ def test_config_rejects_booleans_and_unknown_fields(doc, field):
     assert err.value.field == field
 
 
+CASE_I = {"kind": "case-I", "blocks": [{"q": "1/2", "m": 1}]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({**CASE_I, "kind": "foo"}, "kind"),
+    ({**CASE_I, "trailing": -1}, "trailing"),
+    ({"kind": "unitary", "blocks": [{"q": "1", "m": 2}], "trailing": 1}, "trailing"),
+    ({**CASE_I, "epsilon": -1}, "epsilon"),
+    ({**CASE_I, "trailing": 1, "epsilon": -1}, "epsilon"),
+    ({**CASE_I, "epsilon": 1}, "epsilon"),
+    ({"kind": "unitary", "blocks": [{"q": "1", "m": 2}], "epsilon": -1}, "epsilon"),
+    ({"kind": "case-II", "blocks": [{"q": "1/2", "m": 1}], "epsilon": 1}, "epsilon"),
+])
+def test_config_errors_name_kind_trailing_epsilon(doc, field):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(doc)
+    assert err.value.field == field
+
+
+def test_epsilon_on_case_one_is_a_config_error(tmp_path, capsys):
+    # a sign on case-I used to build F Fbar = -I (or a traceback with a
+    # trailing block) and still report a plain case-I match
+    for doc in ({**CASE_I, "epsilon": -1}, {**CASE_I, "trailing": 1, "epsilon": -1}):
+        assert cli.main(["match", "--config", _write(tmp_path, doc)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config field 'epsilon':")
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--frobnicate"],
     ["report", "--dim", "x"],
@@ -120,13 +147,23 @@ def test_mismatch_exit_three(tmp_path, monkeypatch):
     assert cli.main(["match", "--config", path]) == 3
 
 
-def test_hopf_check_inconclusive_exit_two(tmp_path):
+def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
+    # drop the last relation of one-block q=1/2,
+    # u(1,1) u(2,1)* + 1/4 u(2,1)* u(1,1): the rest no longer carries the
+    # antipode laws or its own coproducts, so those items stay inconclusive
+    real = cli.build_presentation
+
+    def truncated(spec):
+        p = real(spec)
+        return k.Presentation(
+            p.generators, p.relations[:-1], p.fundamentals, p.qmatrices, p.fmatrices,
+            spec=p.spec, eliminated=p.eliminated, label=p.label,
+        )
+
+    monkeypatch.setattr(cli, "build_presentation", truncated)
     path = _write(tmp_path, ONE_BLOCK)
     out = tmp_path / "report.json"
-    # bound 1 is below the relation degree, so nothing can be concluded
-    code = cli.main([
-        "hopf-check", "--config", path, "--membership-bound", "1", "--out", str(out)
-    ])
+    code = cli.main(["hopf-check", "--config", path, "--out", str(out)])
     assert code == 2
     report = json.loads(out.read_text())
     assert report["verdict"] == "hopf axioms inconclusive"

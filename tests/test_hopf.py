@@ -79,40 +79,56 @@ def test_letters_outside_layout_rejected():
 
 def test_hopf_axioms_rank_one():
     p = k.build_universal_unitary(ScalarMatrix.identity(1))
-    report = k.hopf_axiom_check(p, bound=2)
+    report = k.hopf_axiom_check(p)
     assert report.all_pass
 
 
 def test_hopf_axioms_symplectic_with_relation_invariance():
     p = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    report = k.hopf_axiom_check(p, bound=4)
+    report = k.hopf_axiom_check(p)
     assert report.all_pass
     assert set(report.relations.values()) == {"pass"}
 
 
 def test_hopf_axioms_twisted_unitary():
     p = k.build_universal_unitary(ScalarMatrix.diagonal([F(1, 4), F(4)]))
-    report = k.hopf_axiom_check(p, bound=4)
+    report = k.hopf_axiom_check(p)
     assert report.all_pass
 
 
 def test_coassociativity_exact_on_universal_unitary():
     for n in (1, 2, 3):
         p = k.build_universal_unitary(ScalarMatrix.identity(n))
-        report = k.hopf_axiom_check(p, bound=2)
+        report = k.hopf_axiom_check(p)
         assert report.coassociativity and report.counit
 
 
 def test_coassociativity_modulo_reality_relations_on_case_one():
     # the trailing block's (D x id)D and (id x D)D differ in the free algebra
     # by u(3,3) against u(3,3)*, equal modulo its reality relation
-    for spec, bound in (
-        (k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1), 4),
-        (k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=2), 1),
+    for spec in (
+        k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
+        k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=2),
     ):
         p = k.build_presentation(spec)
-        report = k.hopf_axiom_check(p, bound=bound)
+        report = k.hopf_axiom_check(p)
         assert report.coassociativity and report.counit
+        assert report.all_pass
+
+
+@pytest.mark.parametrize("spec", [
+    one_block_spec(F(1, 2), 1, 1),
+    one_block_spec(F(1, 2), 2, -1),
+    k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2))),
+    k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
+    k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))),
+])
+def test_hopf_degree_is_derived_from_the_items(spec):
+    # every item of a builder presentation is quadratic, so the ideal is
+    # truncated at degree 2 whatever the size
+    report = k.hopf_axiom_check(k.build_presentation(spec))
+    assert report.bound == 2
+    assert report.all_pass
 
 
 def test_flip_involutive():

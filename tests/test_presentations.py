@@ -39,6 +39,20 @@ def test_block_spec_validation():
         k.BlockSpec("sporadic", ((F(1, 2), 1),))
 
 
+@pytest.mark.parametrize("kind, blocks, trailing", [
+    ("case-I", ((F(1, 2), 1),), 0),
+    ("case-I", ((F(1, 2), 1),), 1),
+    ("unitary", ((F(1), 2),), 0),
+    ("case-II", ((F(1, 2), 1),), 0),
+])
+def test_block_spec_refuses_a_sign_outside_one_block(kind, blocks, trailing):
+    # standard_form_matrix would take a case-I sign as the sign of F,
+    # giving F Fbar = -I, while the other kinds would drop it silently
+    with pytest.raises(ValueError) as err:
+        k.BlockSpec(kind, blocks, trailing=trailing, epsilon=-1)
+    assert err.value.field == "epsilon"
+
+
 def test_eigenvalue_profile_case_one():
     spec = k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1)
     prof = k.eigenvalue_profile(k.standard_form_matrix(spec))
