@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Verbs: build, kac, match, hopf-check, numeric, report.  The block spec
-comes from a JSON config; rationals are serialized as "p/q" strings so the
-round trip stays exact.  Exit codes: 0 success/matched (and --help), 1
+Verbs: build, kac, match, hopf-check, numeric, report.  Options: --config
+(the block-spec JSON), --out (write the report there and print a summary),
+--seed (an integer >= 0, the numeric search's start) and --dim (an integer
+>= 1, the numeric search's representation dimension).  No option sets a
+degree: Kac, match and Hopf work at the degrees of their inputs.  The block
+spec comes from a JSON config; rationals are serialized as "p/q" strings so
+the round trip stays exact.  Exit codes: 0 success/matched (and --help), 1
 usage or configuration error, 2 derivation left undetermined or
 inconclusive items, 3 target mismatch.
 """
@@ -124,21 +128,34 @@ def _certificate_json(gen, cert, rnd, equations):
     }
 
 
-def _check_options(*, membership_bound: int, dim: int) -> None:
-    """Reject option values no stage can use."""
-    for field, value, least in (("membership_bound", membership_bound, 0), ("dim", dim, 1)):
+VERBS = {
+    "build": "emit the presentation",
+    "kac": "run the Kac fixpoint derivation",
+    "match": "derive and compare against the free-product target",
+    "hopf-check": "verify the Hopf structure modulo the relation ideal",
+    "numeric": "classical-point and representation-search checks",
+    "report": "all stages",
+}
+
+
+def _check_options(*, verb: str, seed: int, dim: int) -> None:
+    """Reject verbs and option values no stage can use."""
+    if verb not in VERBS:
+        raise ConfigError("verb", f"expected one of {', '.join(VERBS)}, got {verb!r}")
+    for field, value, least in (("seed", seed, 0), ("dim", dim, 1)):
         if not _is_int(value) or value < least:
             raise ConfigError(field, f"expected an integer >= {least}, got {value!r}")
 
 
-def run(spec: BlockSpec, verb: str, *, membership_bound: int = 4, seed: int = 0, dim: int = 1):
+def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
     """Run a verb over a block spec; returns (exit code, report dict).
 
-    Invalid options give EXIT_CONFIG and the message under "error".
+    An unknown verb or an invalid option gives EXIT_CONFIG and the message
+    under "error".
     """
     report = {"input": config_json(spec), "verb": verb}
     try:
-        _check_options(membership_bound=membership_bound, dim=dim)
+        _check_options(verb=verb, seed=seed, dim=dim)
     except ConfigError as exc:
         report["error"] = str(exc)
         return EXIT_CONFIG, report
@@ -198,7 +215,7 @@ def run(spec: BlockSpec, verb: str, *, membership_bound: int = 4, seed: int = 0,
             report["verdict"] = f"mismatch vs {target.label} (survivor sets differ)"
             code = EXIT_MISMATCH
         else:
-            verdict = match_presentations(final, target, renaming, membership_bound)
+            verdict = match_presentations(final, target, renaming)
             report["match"] = {
                 "matched": verdict.matched,
                 "mode": verdict.mode,
@@ -313,20 +330,11 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the block-spec JSON")
     common.add_argument("--out", help="write the JSON report here")
-    common.add_argument("--membership-bound", type=int, default=4,
-                        help="degree bound for the match fallback's ideal-membership check")
     common.add_argument("--seed", type=int, default=0, help="seed for the numeric search")
     common.add_argument("--dim", type=int, default=1,
                         help="representation dimension for the numeric search")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, blurb in (
-        ("build", "emit the presentation"),
-        ("kac", "run the Kac fixpoint derivation"),
-        ("match", "derive and compare against the free-product target"),
-        ("hopf-check", "verify the Hopf structure modulo the relation ideal"),
-        ("numeric", "classical-point and representation-search checks"),
-        ("report", "all stages"),
-    ):
+    for verb, blurb in VERBS.items():
         sub.add_parser(verb, parents=[common], help=blurb)
     args = parser.parse_args(argv)
 
@@ -345,13 +353,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
-    code, report = run(
-        spec,
-        args.verb,
-        membership_bound=args.membership_bound,
-        seed=args.seed,
-        dim=args.dim,
-    )
+    code, report = run(spec, args.verb, seed=args.seed, dim=args.dim)
     if code == EXIT_CONFIG:
         print(report["error"], file=sys.stderr)
         return code

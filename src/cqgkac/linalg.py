@@ -6,12 +6,10 @@ integer vector, and every stored pivot row is primitive (content 1) with a
 positive lead.  A row is stored once its lead is found: it is reduced up to
 its lead, and later columns may still be pivot columns.
 
-Column order.  The lead of a row is its least column.  Columns are compared
-directly, or through the `key=` the echelon was made with: the key maps each
-caller coordinate to a sortable token, injectively, and the tokens are the
-internal columns.  The bounded ideal uses integer columns from `WordIndex`,
-whose numeric order is the `word_key` order of the words, so no key is
-needed there.
+Column order.  Columns are integers, and the lead of a row is its least
+column.  Callers pick the order through the ids they give: the bounded ideal
+uses `WordIndex`, whose numeric order is the `word_key` order of the words,
+and the trace layer numbers free symbols before nonnegative ones.
 
 Reduction is fraction-free.  To clear column c of a row r against the pivot
 p with lead c, put g = gcd(p_c, r_c) and replace r by (p_c/g)·r − (r_c/g)·p.
@@ -95,23 +93,13 @@ class SparseEchelon:
     `pivots` maps each lead column to its stored primitive integer row.
     """
 
-    def __init__(self, key=None):
-        self.key = key
+    def __init__(self):
         self.pivots = {}
-        self._coords = {}  # token -> caller coordinate, when a key is set
 
     def _integer_row(self, row: dict):
-        """(vec, den) with vec an integer row over column tokens and
-        row = vec/den."""
+        """(vec, den) with vec an integer row and row = vec/den."""
         den = lcm(*(c.denominator for c in row.values()))
-        vec = {}
-        for col, c in row.items():
-            if c:
-                if self.key is not None:
-                    token = self.key(col)
-                    self._coords[token] = col
-                    col = token
-                vec[col] = c.numerator * (den // c.denominator)
+        vec = {col: c.numerator * (den // c.denominator) for col, c in row.items() if c}
         return vec, den
 
     def _reduce(self, vec: dict, stop_at_free: bool = False):
@@ -175,9 +163,7 @@ class SparseEchelon:
         vec, den = self._integer_row(row)
         scale, _ = self._reduce(vec)
         den *= scale
-        if self.key is None:
-            return {c: Fraction(v, den) for c, v in vec.items()}
-        return {self._coords[t]: Fraction(v, den) for t, v in vec.items()}
+        return {c: Fraction(v, den) for c, v in vec.items()}
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it was independent."""

@@ -1,10 +1,9 @@
 """Quotients by zero-sent generators, expected Kac-quotient targets,
 presentation matching, and the bounded two-sided relation ideal.
 
-Matching is exact by default: after the structural renaming both relation
-sets are canonicalized and compared as sets.  When that fails, a bounded
-ideal-membership fallback checks that every unmatched relation of one side
-reduces to zero against the other side's relations.
+Matching is exact: after the structural renaming both relation sets are
+canonicalized and compared as sets.  Relations left on either side are
+reported, and the match fails.
 
 The bounded ideal of degree d is the span of the words-times-relations
 w·r·w' with |w| + deg r + |w'| <= d, over the relations and their
@@ -123,10 +122,8 @@ class MatchVerdict:
     unmatched_target: tuple
 
 
-def match_presentations(P: Presentation, T: Presentation, renaming,
-                        membership_bound: int = 4) -> MatchVerdict:
-    """Compare relation sets under a renaming; fall back to bounded
-    ideal membership in both directions if the sets differ."""
+def match_presentations(P: Presentation, T: Presentation, renaming) -> MatchVerdict:
+    """Compare the canonical relation sets of P, renamed, and T."""
     if set(renaming) != P.generator_set():
         raise ValueError("renaming is not total on the derived generators")
     if sorted(renaming.values()) != sorted(set(renaming.values())):
@@ -139,16 +136,8 @@ def match_presentations(P: Presentation, T: Presentation, renaming,
     target_keys = {r.sort_key(): r for r in T.relations}
     only_derived = tuple(derived_keys[k] for k in sorted(derived_keys.keys() - target_keys.keys()))
     only_target = tuple(target_keys[k] for k in sorted(target_keys.keys() - derived_keys.keys()))
-    if not only_derived and not only_target:
-        return MatchVerdict(True, "exact-set", dict(renaming), (), ())
-    ok = all(
-        ideal_membership_bounded(r, T.relations, max(membership_bound, r.degree()))
-        for r in only_derived
-    ) and all(
-        ideal_membership_bounded(r, renamed, max(membership_bound, r.degree()))
-        for r in only_target
-    )
-    return MatchVerdict(ok, "bounded-ideal", dict(renaming), only_derived, only_target)
+    matched = not only_derived and not only_target
+    return MatchVerdict(matched, "exact-set", dict(renaming), only_derived, only_target)
 
 
 def _letters_of(elements):

@@ -1,12 +1,19 @@
 """Formal tracial-state calculus over a presentation.
 
-Applying a tracial state to every relation yields exact linear equations
-between trace symbols (cyclic word classes, split into real and imaginary
-unknowns).  Symbols of the form tr[g g*] are nonnegative.  A generator g is
-certified to lie in the Kac ideal when an exact LP proves the maximum of
-its symbol over the equation polytope is zero; the dual multipliers give a
-nonnegative combination of equations that any tracial state must satisfy,
-which is stored and re-verified independently of the solver.
+Applying a tracial state to a relation gives a formal trace over cyclic
+word classes, with real and imaginary parts.  Only real parts become
+equations: the imaginary parts form a homogeneous system in unknowns no
+real part mentions, which Im = 0 always solves.  Symbols of the form
+tr[g g*] are nonnegative; the others are free.  The free symbols are
+eliminated exactly by one `linalg.SparseEchelon` whose columns put them
+first, so the rows led by a nonnegative symbol carry none, and extra
+columns record each row as a combination of the equations.
+
+A generator g is certified to lie in the Kac ideal when an exact LP proves
+the maximum of its symbol over the reduced rows is zero; the dual
+multipliers give a nonnegative combination of equations that any tracial
+state must satisfy, which is stored and re-verified independently of the
+solver.
 
 The Kac quotient is reached by a fixpoint loop: derive, force, quotient,
 repeat until no generator dies.
@@ -20,6 +27,7 @@ from fractions import Fraction
 from .algebra import (
     AlgElement, GeneratorId, Word, add_terms, rat_str, word_adjoint, word_key, word_label,
 )
+from .linalg import SparseEchelon
 from .presentations import Presentation
 from .quotient import quotient_by_zero
 from .simplex import Infeasible, Unbounded, solve_lp_max
@@ -125,9 +133,8 @@ def trace_of(a: AlgElement) -> TraceExpr:
 
 @dataclass(frozen=True)
 class TraceEquation:
-    """One linear equation (= 0) over trace unknowns of a single part."""
+    """One linear equation (= 0) over the real parts of trace unknowns."""
 
-    part: str  # "re" or "im"
     constant: Fraction
     coeffs: dict
     provenance: str
@@ -143,14 +150,11 @@ class TraceEquationSet:
         self.nonneg = frozenset(nonneg)
         self._reduced = None
 
-    def real_indices(self):
-        return [i for i, e in enumerate(self.equations) if e.part == "re"]
-
     def reduced(self):
-        """Real-part rows with every free symbol eliminated exactly.
+        """Independent rows with every free symbol eliminated exactly.
 
-        Each surviving row keeps its expression as a combination of the
-        original equations, so LP duals translate back to certificates.
+        Each row keeps its expression as a combination of the original
+        equations, so LP duals translate back to certificates.
         """
         if self._reduced is None:
             self._reduced = _eliminate_free(self)
@@ -159,61 +163,56 @@ class TraceEquationSet:
 
 @dataclass
 class _Row:
-    coeffs: dict  # TraceSymbol -> Fraction, nonneg symbols only after reduction
+    coeffs: dict  # nonneg TraceSymbol -> Fraction
     const: Fraction
     combo: dict  # original equation index -> Fraction
 
 
 def _eliminate_free(eqs: TraceEquationSet):
-    rows = {}
-    occurrences = {}
-    for i in eqs.real_indices():
-        e = eqs.equations[i]
-        row = _Row(dict(e.coeffs), e.constant, {i: Fraction(1)})
-        rid = len(rows)
-        rows[rid] = row
-        for s in row.coeffs:
-            if s not in eqs.nonneg:
-                occurrences.setdefault(s, set()).add(rid)
-    for sym in sorted(occurrences, key=TraceSymbol.sort_key):
-        holders = sorted(occurrences.get(sym, ()))
-        holders = [r for r in holders if r in rows and sym in rows[r].coeffs]
-        if not holders:
-            continue
-        pid = holders[0]
-        pivot = rows.pop(pid)
-        pc = pivot.coeffs[sym]
-        for rid in holders[1:]:
-            row = rows[rid]
-            f = -row.coeffs[sym] / pc
-            add_terms(row.coeffs, ((s, f * v) for s, v in pivot.coeffs.items()))
-            for s in pivot.coeffs:
-                if s in row.coeffs and s not in eqs.nonneg:
-                    occurrences.setdefault(s, set()).add(rid)
-            row.const += f * pivot.const
-            add_terms(row.combo, ((k, f * v) for k, v in pivot.combo.items()))
+    """Echelon the equations over the columns: free symbols, nonneg
+    symbols, the constant, then one column per equation recording the
+    combination.  Leads are least columns, so a row led by a nonneg symbol
+    carries no free symbol; a lead on the constant is a contradiction, a
+    lead on an equation column a dependent equation."""
+    symbols = sorted(
+        {s for e in eqs.equations for s in e.coeffs},
+        key=lambda s: (s in eqs.nonneg, s.sort_key()),
+    )
+    column = {s: j for j, s in enumerate(symbols)}
+    const = len(symbols)
+    ech = SparseEchelon()
+    for i, e in enumerate(eqs.equations):
+        row = {column[s]: c for s, c in e.coeffs.items()}
+        row[const] = e.constant
+        row[const + 1 + i] = 1
+        ech.add(row)
+    if const in ech.pivots:
+        raise Infeasible("trace equations are inconsistent")
+    first_nonneg = sum(s not in eqs.nonneg for s in symbols)
     out = []
-    for rid in sorted(rows):
-        row = rows[rid]
-        if not row.coeffs:
-            if row.const:
-                raise Infeasible("trace equations are inconsistent")
+    for lead in sorted(ech.pivots):
+        if not first_nonneg <= lead < const:
             continue
-        out.append(row)
+        vec = ech.pivots[lead]
+        out.append(_Row(
+            {symbols[j]: Fraction(v) for j, v in vec.items() if j < const},
+            Fraction(vec.get(const, 0)),
+            {j - const - 1: Fraction(v) for j, v in vec.items() if j > const},
+        ))
     return tuple(out)
 
 
 def derive_trace_equations(P: Presentation) -> TraceEquationSet:
-    """Trace every relation once; its real and imaginary parts become
-    separate equations with provenance rel[i].  The nonnegative index holds
-    tr[g g*] for every generator g."""
+    """Trace every relation once; its real part becomes an equation with
+    provenance rel[i].  Imaginary parts are left out: they have constant 0
+    and only Im-unknowns of non-self-adjoint classes, which no real part
+    and no nonneg symbol tr[g g*] mentions, so Im = 0 always solves them.
+    The nonnegative index holds tr[g g*] for every generator g."""
     equations = []
     for i, r in enumerate(P.relations):
         t = trace_of(r)
         if t.constant or t.re:
-            equations.append(TraceEquation("re", t.constant, t.re, f"rel[{i}]"))
-        if t.im:
-            equations.append(TraceEquation("im", Fraction(0), t.im, f"rel[{i}]"))
+            equations.append(TraceEquation(t.constant, t.re, f"rel[{i}]"))
     nonneg = {generator_symbol(g) for g in P.generators}
     return TraceEquationSet(equations, nonneg)
 
@@ -231,13 +230,13 @@ class Certificate:
 
 def _recombine(eqs: TraceEquationSet, multipliers):
     """(constant, coefficients) of the sum of mult * equation over the
-    (equation index, mult) pairs; only real-part equations may be cited."""
+    (equation index, mult) pairs; each index must name an equation."""
     const = Fraction(0)
     coeffs = {}
     for idx, mult in multipliers:
+        if not 0 <= idx < len(eqs.equations):
+            raise CertificateError(f"equation {idx} is out of range")
         eq = eqs.equations[idx]
-        if eq.part != "re":
-            raise CertificateError(f"equation {idx} is not a real-part equation")
         const += mult * eq.constant
         add_terms(coeffs, ((s, mult * c) for s, c in eq.coeffs.items()))
     return const, coeffs

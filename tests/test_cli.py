@@ -86,6 +86,7 @@ def test_epsilon_on_case_one_is_a_config_error(tmp_path, capsys):
     ["report", "--dim", "x"],
     ["report", "--lp-degree", "1"],
     ["transmogrify"],
+    ["report", "--membership-bound", "4"],
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv):
     path = _write(tmp_path, ONE_BLOCK)
@@ -101,7 +102,7 @@ def test_help_exits_zero(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    assert "usage:" in text and "--lp-degree" not in text
+    assert "usage:" in text and "--lp-degree" not in text and "--membership-bound" not in text
 
 
 def test_match_verb_exit_zero(tmp_path):
@@ -178,9 +179,9 @@ def test_hopf_check_case_one_passes(tmp_path):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--membership-bound", "-1"),
     ("--dim", "0"),
     ("--dim", "-3"),
+    ("--seed", "-1"),
 ])
 def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
     path = _write(tmp_path, ONE_BLOCK)
@@ -190,11 +191,12 @@ def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
 
 
 @pytest.mark.parametrize("options", [
-    {"membership_bound": -1},
+    {"seed": -1},
     {"dim": 0},
     {"dim": -2},
-    {"membership_bound": True},
+    {"seed": True},
     {"dim": True},
+    {"seed": 1.0},
 ])
 def test_run_rejects_invalid_options(options):
     code, report = cli.run(cli.parse_config(ONE_BLOCK), "report", **options)
@@ -202,6 +204,13 @@ def test_run_rejects_invalid_options(options):
     (field,) = options
     assert report["error"].startswith(f"config field {field!r}:")
     assert "hopf" not in report and "numeric" not in report
+
+
+def test_run_rejects_unknown_verb():
+    code, report = cli.run(cli.parse_config(ONE_BLOCK), "frobnicate")
+    assert code == cli.EXIT_CONFIG
+    assert report["error"].startswith("config field 'verb':")
+    assert "sizes" not in report and "verdict" not in report
 
 
 def test_hopf_check_passes_at_default_bound(tmp_path):

@@ -24,23 +24,20 @@ def _rotation_oracle(w):
     return m2, -1
 
 
-def real_equation_row(eq):
-    row = {("re", s): c for s, c in eq.coeffs.items()}
-    if eq.constant:
-        row[("const",)] = eq.constant
-    return row
-
-
-def _coord_key(c):
-    return (0,) if c == ("const",) else (1, c[1].sort_key())
+CONST = "const"
 
 
 def span_echelon(eqs):
-    ech = SparseEchelon(key=_coord_key)
+    """Echelon of the equations, and the integer id of each coordinate: the
+    constant first, then the symbols in sort_key order."""
+    symbols = {s for eq in eqs.equations for s in eq.coeffs} | eqs.nonneg
+    ids = {CONST: 0}
+    for s in sorted(symbols, key=TraceSymbol.sort_key):
+        ids[s] = len(ids)
+    ech = SparseEchelon()
     for eq in eqs.equations:
-        if eq.part == "re":
-            ech.add(real_equation_row(eq))
-    return ech
+        ech.add({ids[s]: c for s, c in {**eq.coeffs, CONST: eq.constant}.items()})
+    return ech, ids
 
 
 def test_cyclic_canonical_length_two_rotation():
@@ -120,9 +117,9 @@ def test_one_block_equations_contain_paper_combination():
     # (1 - q^4) tr[c* c] lies in the span of the traced relations
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     eqs = k.derive_trace_equations(p)
-    ech = span_echelon(eqs)
+    ech, ids = span_echelon(eqs)
     target = k.generator_symbol(gen(1, 0))
-    assert ech.contains({("re", target): F(15, 16)})
+    assert ech.contains({ids[target]: F(15, 16)})
 
 
 def test_identity_q_has_no_certificate():
@@ -134,8 +131,6 @@ def test_identity_q_has_no_certificate():
     # satisfies every real equation, so the LP optimum is at least 1/2
     half = {k.generator_symbol(g): F(1, 2) for g in p.generators}
     for eq in eqs.equations:
-        if eq.part != "re":
-            continue
         value = eq.constant + sum(
             c * half.get(s, F(0)) for s, c in eq.coeffs.items()
         )
@@ -150,11 +145,12 @@ def test_case_one_difference_combination_in_span():
     (xq,) = [gen(*pos) for pos in d.positions("X[1]")]
     (rq,) = [gen(*pos) for pos in d.positions("R[1]")]
     q = F(1, 2)
+    ech, ids = span_echelon(eqs)
     row = {
-        ("re", k.generator_symbol(xq)): 1 + q**2,
-        ("re", k.generator_symbol(rq)): -(1 + q**-2),
+        ids[k.generator_symbol(xq)]: 1 + q**2,
+        ids[k.generator_symbol(rq)]: -(1 + q**-2),
     }
-    assert span_echelon(eqs).contains(row)
+    assert ech.contains(row)
 
 
 def test_forced_zero_one_block_certificate():
@@ -168,16 +164,21 @@ def test_forced_zero_one_block_certificate():
     assert cert.constant == 0
 
 
-def _restamp(cert, eqs, multipliers):
-    """The certificate with new multipliers and the stored combination
-    recomputed to match them, so only the later checks can object."""
+def _combine(eqs, multipliers):
+    """(constant, coefficients) of the sum of mult * equation."""
     constant, coefficients = F(0), {}
     for idx, mult in multipliers:
         eq = eqs.equations[idx]
         constant += mult * eq.constant
         for s, c in eq.coeffs.items():
             coefficients[s] = coefficients.get(s, 0) + mult * c
-    coefficients = {s: c for s, c in coefficients.items() if c}
+    return constant, {s: c for s, c in coefficients.items() if c}
+
+
+def _restamp(cert, eqs, multipliers):
+    """The certificate with new multipliers and the stored combination
+    recomputed to match them, so only the later checks can object."""
+    constant, coefficients = _combine(eqs, multipliers)
     return dataclasses.replace(
         cert, multipliers=tuple(multipliers), constant=constant, coefficients=coefficients
     )
@@ -189,18 +190,19 @@ def _one_block_certificate():
     return k.forced_zero(eqs, k.generator_symbol(gen(1, 0))), eqs
 
 
-def _index(eqs, part, predicate):
-    return next(
-        i for i, e in enumerate(eqs.equations) if e.part == part and predicate(e)
-    )
+def _index(eqs, predicate):
+    return next(i for i, e in enumerate(eqs.equations) if predicate(e))
 
 
-def test_verify_rejects_imaginary_part_equation():
+def test_verify_rejects_equation_index_out_of_range():
     cert, eqs = _one_block_certificate()
-    im = _index(eqs, "im", lambda e: True)
-    bad = dataclasses.replace(cert, multipliers=cert.multipliers + ((im, F(1)),))
-    with pytest.raises(k.CertificateError, match="not a real-part equation"):
-        k.verify_certificate(bad, eqs)
+    n = len(eqs.equations)
+    past_end = dataclasses.replace(cert, multipliers=cert.multipliers + ((n, F(1)),))
+    # negative indices would wrap onto the same equations and recombine
+    negative = _restamp(cert, eqs, [(idx - n, mult) for idx, mult in cert.multipliers])
+    for bad in (past_end, negative):
+        with pytest.raises(k.CertificateError, match="out of range"):
+            k.verify_certificate(bad, eqs)
 
 
 @pytest.mark.parametrize("field", ["constant", "coefficients"])
@@ -214,7 +216,7 @@ def test_verify_rejects_stored_combination_mismatch(field):
 
 def test_verify_rejects_nonzero_constant():
     cert, eqs = _one_block_certificate()
-    idx = _index(eqs, "re", lambda e: e.constant)
+    idx = _index(eqs, lambda e: e.constant)
     bad = _restamp(cert, eqs, cert.multipliers + ((idx, F(1)),))
     assert bad.constant
     with pytest.raises(k.CertificateError, match="nonzero constant"):
@@ -223,9 +225,7 @@ def test_verify_rejects_nonzero_constant():
 
 def test_verify_rejects_surviving_free_symbol():
     cert, eqs = _one_block_certificate()
-    idx = _index(
-        eqs, "re", lambda e: not e.constant and any(s not in eqs.nonneg for s in e.coeffs)
-    )
+    idx = _index(eqs, lambda e: not e.constant and any(s not in eqs.nonneg for s in e.coeffs))
     bad = _restamp(cert, eqs, cert.multipliers + ((idx, F(1)),))
     with pytest.raises(k.CertificateError, match="free symbol .* survives"):
         k.verify_certificate(bad, eqs)
@@ -245,6 +245,30 @@ def test_verify_rejects_target_not_positive():
     bad = dataclasses.replace(cert, target=other)
     with pytest.raises(k.CertificateError, match="does not appear positively"):
         k.verify_certificate(bad, eqs)
+
+
+@pytest.mark.parametrize("spec", [
+    one_block_spec(F(1, 2), 2, -1),
+    k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=1),
+    k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))),
+    k.BlockSpec("unitary", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 1))),
+], ids=["one-block", "case-I", "case-II", "unitary"])
+def test_reduced_rows_are_independent_recombinations(spec):
+    eqs = k.derive_trace_equations(k.build_presentation(spec))
+    rows = eqs.reduced()
+    assert rows
+    ech, ids = span_echelon(eqs)
+    independent = SparseEchelon()
+    for row in rows:
+        assert set(row.coeffs) <= eqs.nonneg
+        assert _combine(eqs, row.combo.items()) == (row.const, row.coeffs)
+        # each row is independent of the ones before it
+        assert independent.add({ids[s]: c for s, c in {**row.coeffs, CONST: row.const}.items()})
+    # and span the part of the equations' span with no free symbol
+    free = SparseEchelon()
+    for eq in eqs.equations:
+        free.add({ids[s]: c for s, c in eq.coeffs.items() if s not in eqs.nonneg})
+    assert len(rows) == ech.rank() - free.rank()
 
 
 def test_forced_zero_case_two_off_diagonal():
