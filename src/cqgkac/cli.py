@@ -189,13 +189,14 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
                 for g, cert, rnd in kac_report.certificates
             ],
         }
+        kac_verdict = (
+            f"forced {len(kac_report.forced)} generators in {kac_report.iterations} rounds"
+        )
         if kac_report.undetermined:
             code = EXIT_UNDETERMINED
-        if verb == "kac":
-            report["verdict"] = (
-                f"forced {len(kac_report.forced)} generators "
-                f"in {kac_report.iterations} rounds"
-            )
+            report["verdict"] = f"{kac_verdict}; {len(kac_report.undetermined)} undetermined"
+        elif verb == "kac":
+            report["verdict"] = kac_verdict
 
     if verb in ("match", "report") and code == EXIT_OK:
         start = time.perf_counter()
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -359,8 +360,12 @@ def main(argv=None) -> int:
         return code
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(_summary(report))
     else:
         print(text)

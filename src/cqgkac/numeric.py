@@ -18,6 +18,7 @@ from .presentations import Presentation
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
+SEARCH_STEPS = 150
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def _as_array(m) -> np.ndarray:
     )
 
 
-def classical_point(P: Presentation, V, tol: float = ACCEPT_TOL) -> NumAssignment:
+def classical_point(P: Presentation, V) -> NumAssignment:
     """One-dimensional evaluation at a scalar matrix V.
 
     V must be numerically unitary; orthogonal-type presentations also need
@@ -97,14 +98,14 @@ def classical_point(P: Presentation, V, tol: float = ACCEPT_TOL) -> NumAssignmen
         raise ValueError(f"V has shape {V.shape}, expected {(n, n)}")
     eye = np.eye(n)
     defect = max(_opnorm(V @ V.conj().T - eye), _opnorm(V.conj().T @ V - eye))
-    if defect > tol:
-        raise ValueError(f"V is not unitary: defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > ACCEPT_TOL:
+        raise ValueError(f"V is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}")
     f = P.fmatrices[tag]
     if f is not None:
         fa = _as_array(f)
         fi = _as_array(f.inverse())
         defect = _opnorm(V - fa @ V.conj() @ fi)
-        if defect > tol:
+        if defect > ACCEPT_TOL:
             raise ValueError(
                 f"V fails the reality condition V = F conj(V) F^-1: defect {defect:.3e}"
             )
@@ -113,9 +114,9 @@ def classical_point(P: Presentation, V, tol: float = ACCEPT_TOL) -> NumAssignmen
         qi = _as_array(P.qmatrices[tag].inverse())
         w = q @ V.conj() @ qi
         defect = max(_opnorm(w @ w.conj().T - eye), _opnorm(w.conj().T @ w - eye))
-        if defect > tol:
+        if defect > ACCEPT_TOL:
             raise ValueError(
-                f"Q conj(V) Q^-1 is not unitary: defect {defect:.3e} exceeds {tol:.1e}"
+                f"Q conj(V) Q^-1 is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}"
             )
     matrices = {
         g: np.array([[V[g.row, g.col]]], dtype=complex) for g in P.generators
@@ -142,7 +143,7 @@ def _residual_vector(P: Presentation, n: int, x: np.ndarray) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def rep_search(P: Presentation, n: int, seed: int, max_iter: int = 150):
+def rep_search(P: Presentation, n: int, seed: int):
     """Damped Gauss-Newton least-squares search for an n-dimensional
     representation; deterministic per seed.
 
@@ -162,7 +163,7 @@ def rep_search(P: Presentation, n: int, seed: int, max_iter: int = 150):
     lam = 1e-3
     h = 1e-7
     residual = _residual_vector(P, n, x)
-    for _ in range(max_iter):
+    for _ in range(SEARCH_STEPS):
         report = eval_residual(P, _unpack(P, n, x))
         if report.max_residual < SEARCH_TOL:
             return _unpack(P, n, x)

@@ -11,9 +11,9 @@ factor.  Builders produce:
     (the unitary relations plus the reality relation U = F Ubar F^-1),
   * free products (disjoint generators, union of relations).
 
-For monomial F the reality relation makes half the generators redundant;
-they are eliminated eagerly and the fundamental matrix keeps the
-substituted expressions in their places.
+F must be monomial, as every standard form is.  The reality relation then
+makes half the generators redundant; they are eliminated eagerly and the
+fundamental matrix keeps the substituted expressions in their places.
 """
 
 from __future__ import annotations
@@ -210,8 +210,6 @@ class Presentation:
     qmatrices    : factor tag -> the diagonal Q of that factor.
     fmatrices    : factor tag -> F for orthogonal factors, else None.
     spec         : the BlockSpec the presentation was built from, if any.
-    eliminated   : whether redundant generators were eliminated (always
-                   true except for orthogonal builds with non-monomial F).
     """
 
     __slots__ = (
@@ -221,19 +219,17 @@ class Presentation:
         "qmatrices",
         "fmatrices",
         "spec",
-        "eliminated",
         "label",
     )
 
     def __init__(self, generators, relations, fundamentals, qmatrices,
-                 fmatrices, spec=None, eliminated=True, label=""):
+                 fmatrices, spec=None, label=""):
         self.generators = tuple(sorted(generators))
         self.relations = canonicalize_relations(relations)
         self.fundamentals = dict(fundamentals)
         self.qmatrices = dict(qmatrices)
         self.fmatrices = dict(fmatrices)
         self.spec = spec
-        self.eliminated = eliminated
         self.label = label
 
     @property
@@ -257,10 +253,10 @@ class Presentation:
                 f"{len(self.generators)} generators, {len(self.relations)} relations)")
 
 
-def generator_matrix(n: int, factor: int = 0, name: str = "u") -> AlgMatrix:
+def generator_matrix(n: int) -> AlgMatrix:
     return AlgMatrix(
         [
-            [AlgElement.generator(GeneratorId(factor, name, j, k)) for k in range(n)]
+            [AlgElement.generator(GeneratorId(0, "u", j, k)) for k in range(n)]
             for j in range(n)
         ]
     )
@@ -290,7 +286,7 @@ def _unitarity_relations(u: AlgMatrix, q: ScalarMatrix):
     return out
 
 
-def build_universal_unitary(Q: ScalarMatrix, factor: int = 0, label: str = "") -> Presentation:
+def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     """Presentation of the universal unitary algebra of a diagonal Q."""
     if Q.rows != Q.cols:
         raise ValueError("Q must be square")
@@ -299,59 +295,45 @@ def build_universal_unitary(Q: ScalarMatrix, factor: int = 0, label: str = "") -
     if any(Q.entry(j, j) <= 0 for j in range(Q.rows)):
         raise ValueError("Q must be positive")
     n = Q.rows
-    u = generator_matrix(n, factor)
-    gens = [GeneratorId(factor, "u", j, k) for j in range(n) for k in range(n)]
+    u = generator_matrix(n)
+    gens = [GeneratorId(0, "u", j, k) for j in range(n) for k in range(n)]
     rels = _unitarity_relations(u, Q)
     return Presentation(
-        gens, rels, {factor: u}, {factor: Q}, {factor: None},
-        label=label or unitary_label(Q),
+        gens, rels, {0: u}, {0: Q}, {0: None},
+        label=unitary_label(Q),
     )
 
 
-def _monomial_data(F: ScalarMatrix):
-    """(pi, f) with F[j, pi(j)] = f_j the unique nonzero of row j."""
-    pi, f = [], []
-    for j in range(F.rows):
-        cols = [k for k in range(F.cols) if F.entry(j, k)]
-        if len(cols) != 1:
-            raise ValueError("matrix is not monomial")
-        pi.append(cols[0])
-        f.append(F.entry(j, cols[0]))
-    return pi, f
-
-
-def reality_substitution(P: Presentation, F: ScalarMatrix):
+def reality_substitution(F: ScalarMatrix):
     """Resolve the reality relation of a monomial F into a substitution.
 
-    Expands the entries of U - F Ubar F^-1 on the raw generator matrix.
-    Each entry pairs position (j,k) with (pi(j), pi(k)); of every pair the
-    position with the smaller (column, row) is kept and the partner maps to
-    scalar * kept*.  Self-paired entries stay as hermitian-type relations.
+    Expands the entries of U - F Ubar F^-1 on the generator matrix.  Each
+    entry pairs position (j,k) with (pi(j), pi(k)), where F[j, pi(j)] is
+    the nonzero of row j; of every pair the position with the smaller
+    (column, row) is kept and the partner maps to scalar * kept*.
+    Self-paired positions are kept, and their entries stay as
+    hermitian-type relations.
 
     Returns (sigma, kept) where sigma sends each redundant plain generator
     to its expression over the kept ones.
     """
     if not F.is_monomial():
         raise ValueError("reality substitution needs a monomial matrix")
-    (tag,) = P.factor_tags
     n = F.rows
-    u = generator_matrix(n, tag)
+    u = generator_matrix(n)
     h = u - F.embed() * u.bar() * F.inverse().embed()
-    pi, _ = _monomial_data(F)
+    pi = [next(k for k in range(n) if F.entry(j, k)) for j in range(n)]
     sigma = {}
     kept = []
     for j in range(n):
         for k in range(n):
+            g = GeneratorId(0, "u", j, k)
             pj, pk = pi[j], pi[k]
-            if (pj, pk) == (j, k):
-                kept.append(GeneratorId(tag, "u", j, k))
-                continue
-            if (k, j) < (pk, pj):
-                kept.append(GeneratorId(tag, "u", j, k))
+            if (k, j) <= (pk, pj):
+                kept.append(g)
                 continue
             entry = h.entry(j, k)
-            g = GeneratorId(tag, "u", j, k)
-            partner = GeneratorId(tag, "u", pj, pk, star=True)
+            partner = GeneratorId(0, "u", pj, pk, star=True)
             scalar = -entry.coefficient((partner,))
             expected = AlgElement.generator(g) - AlgElement.word((partner,), scalar)
             if entry.coefficient((g,)) != 1 or entry != expected:
@@ -360,16 +342,17 @@ def reality_substitution(P: Presentation, F: ScalarMatrix):
     return sigma, sorted(kept)
 
 
-def build_universal_orthogonal(F: ScalarMatrix, factor: int = 0, label: str = "") -> Presentation:
+def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     """Presentation of the universal orthogonal algebra of F.
 
-    Requires F Fbar = +I or -I exactly.  For monomial F the redundant
-    generators are eliminated eagerly; otherwise all N^2 generators and the
-    verbatim reality relations are kept (and the Kac pipeline refuses such
-    presentations).
+    Requires a monomial F, as every standard form is, with F Fbar = +I or
+    -I exactly; non-monomial F is refused.  The redundant generators are
+    eliminated eagerly.
     """
     if F.rows != F.cols:
         raise ValueError("F must be square")
+    if not F.is_monomial():
+        raise ValueError("non-monomial F is unsupported; reduce F to a standard form first")
     n = F.rows
     prod = F * F
     if prod == ScalarMatrix.identity(n):
@@ -379,26 +362,15 @@ def build_universal_orthogonal(F: ScalarMatrix, factor: int = 0, label: str = ""
     else:
         raise ValueError(f"F Fbar must be +I or -I; got {prod!r}")
     q = F.star() * F
-    u = generator_matrix(n, factor)
+    u = generator_matrix(n)
     rels = _unitarity_relations(u, q)
     h = u - F.embed() * u.bar() * F.inverse().embed()
     rels.extend(h.entries())
-    label = label or orthogonal_label(F)
-    if not F.is_monomial():
-        gens = [GeneratorId(factor, "u", j, k) for j in range(n) for k in range(n)]
-        return Presentation(
-            gens, rels, {factor: u}, {factor: q}, {factor: F},
-            eliminated=False, label=label,
-        )
-    raw = Presentation(
-        [GeneratorId(factor, "u", j, k) for j in range(n) for k in range(n)],
-        [], {factor: u}, {factor: q}, {factor: F}, label=label,
-    )
-    sigma, kept = reality_substitution(raw, F)
+    sigma, kept = reality_substitution(F)
     reduced = [r.substitute(sigma) for r in rels]
     return Presentation(
-        kept, reduced, {factor: u.substitute(sigma)}, {factor: q}, {factor: F},
-        label=label,
+        kept, reduced, {0: u.substitute(sigma)}, {0: q}, {0: F},
+        label=orthogonal_label(F),
     )
 
 
@@ -428,17 +400,18 @@ def free_product(parts) -> Presentation:
     label = " * ".join(p.label or "?" for p in parts)
     return Presentation(
         gens, rels, fundamentals, qmats, fmats,
-        eliminated=all(p.eliminated for p in parts), label=label,
+        label=label,
     )
 
 
-def build_presentation(spec: BlockSpec, label: str = "") -> Presentation:
-    """Build the presentation described by a block spec."""
+def build_presentation(spec: BlockSpec) -> Presentation:
+    """Build the presentation of a block spec's standard-form matrix,
+    labelled by `unitary_label` or `orthogonal_label`."""
     m = standard_form_matrix(spec)
     if spec.kind == "unitary":
-        p = build_universal_unitary(m, label=label)
+        p = build_universal_unitary(m)
     else:
-        p = build_universal_orthogonal(m, label=label)
+        p = build_universal_orthogonal(m)
     p.spec = spec
     return p
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .algebra import AlgElement, GeneratorId, ScalarMatrix
+from .algebra import AlgElement, AlgMatrix, GeneratorId, ScalarMatrix
 from .linalg import SparseEchelon, WordIndex
 from .presentations import (
     BlockSpec,
@@ -35,20 +35,25 @@ from .presentations import (
 
 
 def quotient_by_zero(P: Presentation, gens) -> Presentation:
-    """Send the listed generators (and their adjoints) to zero."""
+    """Send the listed generators (and their adjoints) to zero: drop every
+    word containing one of their letters, then re-canonicalize."""
     gens = {g.plain() for g in gens}
     unknown = gens - P.generator_set()
     if unknown:
         raise ValueError(f"unknown generators: {sorted(g.label() for g in unknown)}")
-    sigma = {g: AlgElement.zero() for g in gens}
+    dead = gens | {g.adjoint() for g in gens}
+
+    def keep(e):
+        return AlgElement({w: c for w, c in e.terms() if dead.isdisjoint(w)})
+
     return Presentation(
         [g for g in P.generators if g not in gens],
-        [r.substitute(sigma) for r in P.relations],
-        {t: m.substitute(sigma) for t, m in P.fundamentals.items()},
+        [keep(r) for r in P.relations],
+        {t: AlgMatrix([[keep(m.entry(j, k)) for k in range(m.cols)] for j in range(m.rows)])
+         for t, m in P.fundamentals.items()},
         P.qmatrices,
         P.fmatrices,
         spec=P.spec,
-        eliminated=P.eliminated,
         label=P.label,
     )
 

@@ -1,9 +1,9 @@
 """Formal tracial-state calculus over a presentation.
 
 Applying a tracial state to a relation gives a formal trace over cyclic
-word classes, with real and imaginary parts.  Only real parts become
-equations: the imaginary parts form a homogeneous system in unknowns no
-real part mentions, which Im = 0 always solves.  Symbols of the form
+word classes.  Only its real part is built and becomes an equation: the
+imaginary parts form a homogeneous system in unknowns no real part
+mentions, which Im = 0 always solves.  Symbols of the form
 tr[g g*] are nonnegative; the others are free.  The free symbols are
 eliminated exactly by one `linalg.SparseEchelon` whose columns put them
 first, so the rows led by a nonnegative symbol carry none, and extra
@@ -84,24 +84,23 @@ def generator_symbol(g: GeneratorId) -> TraceSymbol:
 
 
 class TraceExpr:
-    """constant + sum Re-coefficients + i * sum Im-coefficients."""
+    """The real part of a formal trace: constant + sum of coefficients
+    times the real parts of the symbols."""
 
-    __slots__ = ("constant", "re", "im")
+    __slots__ = ("constant", "re")
 
-    def __init__(self, constant=0, re=None, im=None):
+    def __init__(self, constant=0, re=None):
         self.constant = Fraction(constant)
         self.re = add_terms({}, (re or {}).items())
-        self.im = add_terms({}, (im or {}).items())
 
     def is_zero(self) -> bool:
-        return not self.constant and not self.re and not self.im
+        return not self.constant and not self.re
 
     def __eq__(self, other):
         return (
             isinstance(other, TraceExpr)
             and self.constant == other.constant
             and self.re == other.re
-            and self.im == other.im
         )
 
     def __repr__(self):
@@ -110,25 +109,21 @@ class TraceExpr:
             parts.append(rat_str(self.constant))
         for s in sorted(self.re, key=TraceSymbol.sort_key):
             parts.append(f"{rat_str(self.re[s])} {s.label()}")
-        for s in sorted(self.im, key=TraceSymbol.sort_key):
-            parts.append(f"{rat_str(self.im[s])} Im{s.label()}")
         return " + ".join(parts) if parts else "0"
 
 
 def trace_of(a: AlgElement) -> TraceExpr:
-    """Formal trace of an element: words collapse to cyclic symbols, the
-    unit word feeds the constant (tr(1) = 1)."""
+    """Real part of the formal trace of an element: words collapse to
+    cyclic symbols, the unit word feeds the constant (tr(1) = 1)."""
     constant = Fraction(0)
-    re, im = [], []
+    re = []
     for w, c in a.terms():
         if not w:
             constant += c
             continue
-        sym, sign = cyclic_canonical(w)
+        sym, _ = cyclic_canonical(w)
         re.append((sym, c))
-        if not sym.selfadjoint:
-            im.append((sym, sign * c))
-    return TraceExpr(constant, add_terms({}, re), add_terms({}, im))
+    return TraceExpr(constant, add_terms({}, re))
 
 
 @dataclass(frozen=True)
@@ -334,11 +329,6 @@ def kac_fixpoint(P: Presentation):
     equations, so certified symbols genuinely vanish and the quotient stays
     above the Kac quotient.  Returns (KacReport, final presentation).
     """
-    if not P.eliminated:
-        raise ValueError(
-            "presentation still carries unresolved reality relations "
-            "(non-monomial F); the Kac derivation only handles eliminated forms"
-        )
     rounds = []
     current = P
     while True:

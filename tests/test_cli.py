@@ -6,6 +6,8 @@ import pytest
 import cqgkac as k
 import cqgkac.cli as cli
 
+from conftest import undetermined_presentation
+
 
 def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -135,6 +137,35 @@ def test_bad_config_exit_one(tmp_path):
     assert cli.main(["match", "--config", str(broken)]) == 1
 
 
+def test_non_utf8_config_exit_one(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(ONE_BLOCK).encode("utf-16"))  # starts ff fe
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert cli.main(["build", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config is not valid JSON:")
+
+
+def test_unwritable_out_exit_one(tmp_path, capsys):
+    path = _write(tmp_path, ONE_BLOCK)
+    out = tmp_path / "absent" / "report.json"
+    assert cli.main(["build", "--config", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report:")
+    assert not captured.out
+
+
+@pytest.mark.parametrize("verb", ["kac", "match"])
+def test_undetermined_exits_two_with_verdict(monkeypatch, verb):
+    monkeypatch.setattr(cli, "build_presentation", undetermined_presentation)
+    code, report = cli.run(cli.parse_config(ONE_BLOCK), verb)
+    assert code == 2
+    assert report["kac"]["undetermined"] == ["tr[u(1,1) u(1,1)*]", "tr[u(1,2) u(1,2)*]",
+                                             "tr[u(1,3) u(1,3)*]"]
+    assert report["kac"]["forced"] == []
+    assert "match" not in report
+    assert report["verdict"] == "forced 0 generators in 1 rounds; 3 undetermined"
+
+
 def test_mismatch_exit_three(tmp_path, monkeypatch):
     # doctor the expected target so the honest derivation cannot match it
     real = cli.expected_kac_target
@@ -158,7 +189,7 @@ def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
         p = real(spec)
         return k.Presentation(
             p.generators, p.relations[:-1], p.fundamentals, p.qmatrices, p.fmatrices,
-            spec=p.spec, eliminated=p.eliminated, label=p.label,
+            spec=p.spec, label=p.label,
         )
 
     monkeypatch.setattr(cli, "build_presentation", truncated)

@@ -164,8 +164,7 @@ def test_standard_forms_have_exact_reality_product():
 def test_reality_substitution_one_block():
     spec = one_block_spec(F(1, 2), 1, 1)
     f = k.standard_form_matrix(spec)
-    raw = k.build_universal_unitary(f.star() * f)
-    sigma, kept = k.reality_substitution(raw, f)
+    sigma, kept = k.reality_substitution(f)
     assert kept == [gen(0, 0), gen(1, 0)]
     assert sigma == {
         gen(0, 1): letter(1, 0, star=True).scale(F(1, 4)),
@@ -175,8 +174,7 @@ def test_reality_substitution_one_block():
 
 def test_reality_substitution_symplectic_matches_hand_expansion():
     f = k.symplectic_matrix(1)
-    raw = k.build_universal_unitary(f.star() * f)
-    sigma, kept = k.reality_substitution(raw, f)
+    sigma, kept = k.reality_substitution(f)
     # oracle: expand F bar(U) F^-1 on the raw generator matrix directly
     u = k.AlgMatrix([[letter(0, 0), letter(0, 1)], [letter(1, 0), letter(1, 1)]])
     image = f.embed() * u.bar() * f.inverse().embed()
@@ -203,8 +201,7 @@ def test_reality_substitution_annihilates_reality_entries():
         k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
     ):
         f = k.standard_form_matrix(spec)
-        raw = k.build_universal_unitary(f.star() * f)
-        sigma, kept = k.reality_substitution(raw, f)
+        sigma, kept = k.reality_substitution(f)
         n = f.rows
         u = k.AlgMatrix(
             [[letter(j, c) for c in range(n)] for j in range(n)]

@@ -56,6 +56,34 @@ def test_quotient_composition_examples():
     assert seq.generators == joint.generators
 
 
+def _quotient_by_substitution(p, gens):
+    """Reference: send the generators to zero with the general substitute."""
+    sigma = {g: AlgElement.zero() for g in gens}
+    return k.Presentation(
+        [g for g in p.generators if g not in sigma],
+        [r.substitute(sigma) for r in p.relations],
+        {t: m.substitute(sigma) for t, m in p.fundamentals.items()},
+        p.qmatrices, p.fmatrices, spec=p.spec, label=p.label,
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2))),
+    one_block_spec(F(1, 2), 2, -1),
+    k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
+    k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
+])
+def test_quotient_by_zero_equals_substitution_by_zero(spec):
+    p = k.build_presentation(spec)
+    rng = random.Random(5)
+    for _ in range(20):
+        gens = rng.sample(p.generators, rng.randint(1, len(p.generators)))
+        q, ref = k.quotient_by_zero(p, gens), _quotient_by_substitution(p, gens)
+        assert q.generators == ref.generators
+        assert q.relations == ref.relations
+        assert q.fundamentals == ref.fundamentals
+
+
 def test_canonicalize_scales_and_dedupes():
     r = letter(0, 0) * letter(0, 0) - AlgElement.one()
     doubled = r.scale(2)

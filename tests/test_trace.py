@@ -9,7 +9,7 @@ from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
 from cqgkac.trace import TraceSymbol
 
-from conftest import gen, letter, one_block_spec, random_element
+from conftest import gen, letter, one_block_spec, random_element, undetermined_presentation
 
 
 def _rotation_oracle(w):
@@ -82,7 +82,7 @@ def test_trace_of_commutator_vanishes():
 
 def test_trace_of_unit():
     t = k.trace_of(AlgElement.one())
-    assert t.constant == 1 and not t.re and not t.im
+    assert t.constant == 1 and not t.re
 
 
 def test_trace_of_unitarity_entry():
@@ -99,7 +99,19 @@ def test_trace_of_unitarity_entry():
         k.generator_symbol(gen(0, 0)): F(1),
         k.generator_symbol(gen(1, 0)): F(1),
     }
-    assert not t.im
+
+
+def _imaginary_part(a):
+    """Im tr(a) over the symbols, from cyclic_canonical: tr(w*) is the
+    conjugate of tr(w), so sign -1 flips the imaginary part, and a class
+    closed under * has a real trace.  The unit word is such a class, so a
+    constant would show up here under the unit symbol."""
+    im = {}
+    for w, c in a.terms():
+        sym, sign = k.cyclic_canonical(w)
+        if not sym.selfadjoint:
+            im[sym] = im.get(sym, 0) + sign * c
+    return {s: c for s, c in im.items() if c}
 
 
 def test_trace_adjoint_negates_imaginary_part():
@@ -110,7 +122,34 @@ def test_trace_adjoint_negates_imaginary_part():
         t, ts = k.trace_of(a), k.trace_of(a.adjoint())
         assert ts.constant == t.constant
         assert ts.re == t.re
-        assert ts.im == {s: -c for s, c in t.im.items()}
+        assert _imaginary_part(a.adjoint()) == {s: -c for s, c in _imaginary_part(a).items()}
+
+
+@pytest.mark.parametrize("spec", [
+    k.BlockSpec("unitary", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 1))),
+    one_block_spec(F(1, 2), 2, -1),
+    k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
+    k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
+])
+def test_imaginary_trace_parts_are_homogeneous(spec):
+    # Im tr(r) = 0 over the relations is a linear system in the unknowns
+    # Im tr[s], apart from the real unknowns the equations and the LP use.
+    # With no constant it is homogeneous, so Im = 0 solves it whatever the
+    # real parts are; self-adjoint classes (the unit and every nonnegative
+    # tr[g g*] among them) have real traces and must not appear in it
+    p = k.build_presentation(spec)
+    nonneg = k.derive_trace_equations(p).nonneg
+    unit, _ = k.cyclic_canonical(())
+    mentioned = 0
+    for r in p.relations:
+        im = _imaginary_part(r)
+        assert unit not in im
+        for s in im:
+            w = s.word
+            assert word_adjoint(w) not in {w[i:] + w[:i] for i in range(len(w))}
+            assert s not in nonneg
+        mentioned += len(im)
+    assert mentioned  # the check is not vacuous on this spec
 
 
 def test_one_block_equations_contain_paper_combination():
@@ -329,12 +368,11 @@ def test_kac_fixpoint_unitary_cross_blocks():
     assert verdict.matched
 
 
-def test_kac_fixpoint_refuses_unresolved_reality():
+def test_orthogonal_build_refuses_non_monomial_f():
     f = ScalarMatrix([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]])
-    p = k.build_universal_orthogonal(f)
-    assert not p.eliminated
-    with pytest.raises(ValueError):
-        k.kac_fixpoint(p)
+    assert f * f == ScalarMatrix.identity(2)
+    with pytest.raises(ValueError, match="non-monomial F is unsupported"):
+        k.build_universal_orthogonal(f)
 
 
 def test_lp_never_unbounded_on_engine_presentations():
@@ -349,6 +387,21 @@ def test_lp_never_unbounded_on_engine_presentations():
         eqs = k.derive_trace_equations(p)
         for g in p.generators:
             k.forced_zero(eqs, k.generator_symbol(g))  # must not raise
+
+
+def test_undetermined_on_unbounded_and_absent_symbols():
+    p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
+    eqs = k.derive_trace_equations(p)
+    in_rows = {s for row in eqs.reduced() for s in row.coeffs}
+    symbols = [k.generator_symbol(g) for g in p.generators]
+    # the first two reach the LP, which is unbounded; the third is absent
+    assert [s in in_rows for s in symbols] == [True, True, False]
+    for s in symbols:
+        with pytest.raises(k.Undetermined):
+            k.forced_zero(eqs, s)
+    report, final = k.kac_fixpoint(p)
+    assert report.undetermined == symbols
+    assert not report.forced and report.iterations == 1 and final is p
 
 
 def test_forced_generators_vanish_at_block_diagonal_classical_points():
