@@ -34,7 +34,6 @@ class NumAssignment:
 class ResidualReport:
     residuals: tuple
     max_residual: float
-    tolerance: float
 
 
 def _opnorm(m: np.ndarray) -> float:
@@ -72,7 +71,7 @@ def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
             raise ValueError(f"matrix for {g.label()} has shape {m.shape}, expected {(n, n)}")
     residuals = [_opnorm(acc) for acc in _relation_values(P, assignment)]
     top = max(residuals, default=0.0)
-    return ResidualReport(tuple(residuals), top, ACCEPT_TOL)
+    return ResidualReport(tuple(residuals), top)
 
 
 def _as_array(m) -> np.ndarray:

@@ -304,10 +304,16 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     )
 
 
+def _reality_matrix(F: ScalarMatrix) -> AlgMatrix:
+    """U - F Ubar F^-1 on the generator matrix: the reality relation."""
+    u = generator_matrix(F.rows)
+    return u - F.embed() * u.bar() * F.inverse().embed()
+
+
 def reality_substitution(F: ScalarMatrix):
     """Resolve the reality relation of a monomial F into a substitution.
 
-    Expands the entries of U - F Ubar F^-1 on the generator matrix.  Each
+    Reads the entries of U - F Ubar F^-1 on the generator matrix.  Each
     entry pairs position (j,k) with (pi(j), pi(k)), where F[j, pi(j)] is
     the nonzero of row j; of every pair the position with the smaller
     (column, row) is kept and the partner maps to scalar * kept*.
@@ -319,9 +325,12 @@ def reality_substitution(F: ScalarMatrix):
     """
     if not F.is_monomial():
         raise ValueError("reality substitution needs a monomial matrix")
+    return _resolve_reality(F, _reality_matrix(F))
+
+
+def _resolve_reality(F: ScalarMatrix, h: AlgMatrix):
+    """`reality_substitution` from an already expanded reality matrix h."""
     n = F.rows
-    u = generator_matrix(n)
-    h = u - F.embed() * u.bar() * F.inverse().embed()
     pi = [next(k for k in range(n) if F.entry(j, k)) for j in range(n)]
     sigma = {}
     kept = []
@@ -353,20 +362,16 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
         raise ValueError("F must be square")
     if not F.is_monomial():
         raise ValueError("non-monomial F is unsupported; reduce F to a standard form first")
-    n = F.rows
+    eye = ScalarMatrix.identity(F.rows)
     prod = F * F
-    if prod == ScalarMatrix.identity(n):
-        pass
-    elif prod == ScalarMatrix.identity(n).scale(-1):
-        pass
-    else:
+    if prod != eye and prod != eye.scale(-1):
         raise ValueError(f"F Fbar must be +I or -I; got {prod!r}")
     q = F.star() * F
-    u = generator_matrix(n)
+    u = generator_matrix(F.rows)
     rels = _unitarity_relations(u, q)
-    h = u - F.embed() * u.bar() * F.inverse().embed()
+    h = _reality_matrix(F)
     rels.extend(h.entries())
-    sigma, kept = reality_substitution(F)
+    sigma, kept = _resolve_reality(F, h)
     reduced = [r.substitute(sigma) for r in rels]
     return Presentation(
         kept, reduced, {0: u.substitute(sigma)}, {0: q}, {0: F},

@@ -3,7 +3,9 @@
 Solves  maximize c.x  subject to  A x = b, x >= 0  over Fractions with a
 two-phase dense tableau and Bland's rule (no cycling).  Alongside the
 optimum it returns exact dual multipliers, one per constraint row, which
-downstream code turns into positivity certificates.
+downstream code turns into positivity certificates.  An unbounded program
+raises `Unbounded` carrying a recession ray d: d >= 0, A d = 0 and
+c.d > 0, read off the entering column that no row bounds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from fractions import Fraction
 
 
 class Unbounded(Exception):
-    """The objective is unbounded above on the feasible region."""
+    """The objective is unbounded above on the feasible region; `ray` is a
+    direction d >= 0 with A d = 0 and c.d > 0."""
+
+    def __init__(self, message, ray):
+        super().__init__(message)
+        self.ray = ray
 
 
 class Infeasible(Exception):
@@ -44,7 +51,8 @@ def solve_lp_max(a_rows, b, c) -> LPResult:
         raise ValueError("ragged constraint matrix")
     if m == 0:
         if any(v > 0 for v in c):
-            raise Unbounded("no constraints bound a positive objective")
+            raise Unbounded("no constraints bound a positive objective",
+                            [Fraction(int(v > 0)) for v in c])
         return LPResult(Fraction(0), [Fraction(0)] * n, [])
 
     # orient rows so the right-hand side is nonnegative
@@ -90,7 +98,13 @@ def solve_lp_max(a_rows, b, c) -> LPResult:
                     if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
                         best, leaving = ratio, r
             if leaving is None:
-                raise Unbounded("no leaving row for entering column")
+                # raising the entering variable moves each basic one by
+                # -tab[r][entering] >= 0 and keeps A x = b
+                ray = [Fraction(int(j == entering)) for j in range(n)]
+                for r in range(m):
+                    if basis[r] < n:
+                        ray[basis[r]] = -tab[r][entering]
+                raise Unbounded("no leaving row for entering column", ray)
             pivot(leaving, entering)
 
     def _basic_duals(obj):

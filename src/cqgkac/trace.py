@@ -9,11 +9,16 @@ eliminated exactly by one `linalg.SparseEchelon` whose columns put them
 first, so the rows led by a nonnegative symbol carry none, and extra
 columns record each row as a combination of the equations.
 
-A generator g is certified to lie in the Kac ideal when an exact LP proves
-the maximum of its symbol over the reduced rows is zero; the dual
-multipliers give a nonnegative combination of equations that any tracial
-state must satisfy, which is stored and re-verified independently of the
-solver.
+A generator g is certified to lie in the Kac ideal when the reduced rows
+bound its symbol by zero.  One round decides every generator with a few
+exact LPs over a shrinking candidate set (Freund, Roundy & Todd 1985):
+maximise the sum of the candidates' symbols; drop the candidates that a
+recession ray leaves unbounded (undetermined) or that a feasible point
+keeps positive; once the optimum is zero, its dual multipliers are one
+nonnegative combination of equations, positive on every remaining
+candidate, that any tracial state must satisfy.  Each forced generator
+stores that combination as its own certificate, re-verified independently
+of the solver.
 
 The Kac quotient is reached by a fixpoint loop: derive, force, quotient,
 repeat until no generator dies.
@@ -85,13 +90,14 @@ def generator_symbol(g: GeneratorId) -> TraceSymbol:
 
 class TraceExpr:
     """The real part of a formal trace: constant + sum of coefficients
-    times the real parts of the symbols."""
+    times the real parts of the symbols, accumulated once from the
+    (symbol, coefficient) pairs `re`."""
 
     __slots__ = ("constant", "re")
 
-    def __init__(self, constant=0, re=None):
+    def __init__(self, constant=0, re=()):
         self.constant = Fraction(constant)
-        self.re = add_terms({}, (re or {}).items())
+        self.re = add_terms({}, re)
 
     def is_zero(self) -> bool:
         return not self.constant and not self.re
@@ -123,7 +129,7 @@ def trace_of(a: AlgElement) -> TraceExpr:
             continue
         sym, _ = cyclic_canonical(w)
         re.append((sym, c))
-    return TraceExpr(constant, add_terms({}, re))
+    return TraceExpr(constant, re)
 
 
 @dataclass(frozen=True)
@@ -258,33 +264,62 @@ def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> bool:
     return True
 
 
-def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
-    """Certificate that the target symbol is zero, or None if a tracial
-    state may keep it positive.  Raises Undetermined when the reduced
-    system leaves the target unbounded."""
-    if target not in eqs.nonneg:
-        raise ValueError(f"{target.label()} is not in the nonnegative index")
+def _shared_certificates(eqs: TraceEquationSet, targets):
+    """({target: Certificate}, undetermined set) for nonnegative targets.
+
+    The candidates are the targets the reduced rows mention; the rest are
+    undetermined.  Each pass maximises the sum of the candidates' symbols.
+    Candidates positive on the recession ray of an unbounded sum are
+    unbounded alone, so undetermined; candidates positive at a positive
+    optimum can stay positive, so dropped.  At optimum zero the dual is one
+    nonnegative combination of equations, positive on every candidate left,
+    and each of them gets it as a re-verified certificate.
+    """
     rows = eqs.reduced()
     variables = sorted({s for row in rows for s in row.coeffs}, key=TraceSymbol.sort_key)
-    if target not in set(variables):
-        raise Undetermined(target.label())
+    column = {v: j for j, v in enumerate(variables)}
+    undetermined = {t for t in targets if t not in column}
+    candidates = [t for t in targets if t in column]
     a = [[row.coeffs.get(v, Fraction(0)) for v in variables] for row in rows]
     b = [-row.const for row in rows]
-    c = [Fraction(int(v == target)) for v in variables]
-    try:
-        res = solve_lp_max(a, b, c)
-    except Unbounded:
-        raise Undetermined(target.label()) from None
-    if res.value > 0:
-        return None
-    combo = {}
-    for mult, row in zip(res.dual, rows):
-        if mult:
-            add_terms(combo, ((idx, mult * m) for idx, m in row.combo.items()))
-    multipliers = tuple(sorted(combo.items()))
-    cert = Certificate(target, multipliers, *_recombine(eqs, multipliers))
-    verify_certificate(cert, eqs)
-    return cert
+    while candidates:
+        c = [Fraction(0)] * len(variables)
+        for t in candidates:
+            c[column[t]] = Fraction(1)
+        try:
+            res = solve_lp_max(a, b, c)
+        except Unbounded as exc:
+            unbounded = {t for t in candidates if exc.ray[column[t]] > 0}
+            undetermined |= unbounded
+            candidates = [t for t in candidates if t not in unbounded]
+            continue
+        if res.value > 0:
+            candidates = [t for t in candidates if res.solution[column[t]] == 0]
+            continue
+        combo = {}
+        for mult, row in zip(res.dual, rows):
+            if mult:
+                add_terms(combo, ((idx, mult * m) for idx, m in row.combo.items()))
+        multipliers = tuple(sorted(combo.items()))
+        const, coeffs = _recombine(eqs, multipliers)
+        certs = {t: Certificate(t, multipliers, const, coeffs) for t in candidates}
+        for cert in certs.values():
+            verify_certificate(cert, eqs)
+        return certs, undetermined
+    return {}, undetermined
+
+
+def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
+    """Certificate that the target symbol is zero, or None if a tracial
+    state may keep it positive: the one-target case of the shared round.
+    Raises Undetermined when the reduced system leaves the target
+    unbounded or does not mention it."""
+    if target not in eqs.nonneg:
+        raise ValueError(f"{target.label()} is not in the nonnegative index")
+    certs, undetermined = _shared_certificates(eqs, [target])
+    if undetermined:
+        raise Undetermined(target.label())
+    return certs.get(target)
 
 
 @dataclass(frozen=True)
@@ -323,8 +358,10 @@ class KacReport:
 def kac_fixpoint(P: Presentation):
     """Iterate derive -> force -> quotient until no generator dies.
 
-    Every round but the last removes at least one generator, so the loop
-    ends after at most (number of generators + 1) rounds.  Sound by
+    Each round decides every generator by one shared certificate, which
+    all the round's forced generators cite.  Every round but the last
+    removes at least one generator, so the loop ends after at most
+    (number of generators + 1) rounds.  Sound by
     construction: every actual tracial state satisfies the derived
     equations, so certified symbols genuinely vanish and the quotient stays
     above the Kac quotient.  Returns (KacReport, final presentation).
@@ -333,16 +370,11 @@ def kac_fixpoint(P: Presentation):
     current = P
     while True:
         eqs = derive_trace_equations(current)
-        forced, undetermined = [], []
-        for g in current.generators:
-            try:
-                cert = forced_zero(eqs, generator_symbol(g))
-            except Undetermined:
-                undetermined.append(generator_symbol(g))
-                continue
-            if cert is not None:
-                forced.append((g, cert))
-        rounds.append(KacRound(eqs, tuple(forced), tuple(undetermined)))
+        symbols = [generator_symbol(g) for g in current.generators]
+        certs, undecided = _shared_certificates(eqs, symbols)
+        forced = tuple((g, certs[s]) for g, s in zip(current.generators, symbols) if s in certs)
+        undetermined = tuple(s for s in symbols if s in undecided)
+        rounds.append(KacRound(eqs, forced, undetermined))
         if not forced:
             break
         current = quotient_by_zero(current, [g for g, _ in forced])

@@ -85,3 +85,41 @@ def test_random_instances_have_valid_duals():
         assert res.value >= sum(ci * xi for ci, xi in zip(c, point))
         solved += 1
     assert solved > 50
+
+
+def _assert_recession_ray(a, c, ray):
+    assert len(ray) == len(c)
+    assert all(d >= 0 for d in ray)
+    for row in a:
+        assert sum(v * d for v, d in zip(row, ray)) == 0
+    assert sum(ci * d for ci, d in zip(c, ray)) > 0
+
+
+@pytest.mark.parametrize("a, b, c", [
+    ([], [], [F(0), F(2)]),  # no rows at all
+    ([[F(0), F(1)]], [F(1)], [F(1), F(0)]),  # a free column
+    ([[F(1), F(-1)]], [F(1)], [F(1), F(0)]),  # the basic x1 grows with x2
+    ([[F(1), F(-1), F(0)], [F(0), F(1), F(-1)]], [F(-1), F(2)], [F(0), F(0), F(1)]),
+])
+def test_unbounded_carries_a_recession_ray(a, b, c):
+    with pytest.raises(Unbounded) as err:
+        solve_lp_max(a, b, c)
+    _assert_recession_ray(a, c, err.value.ray)
+
+
+def test_random_unbounded_instances_carry_recession_rays():
+    rng = random.Random(14)
+    unbounded = 0
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        n = rng.randint(2, 5)
+        point = [F(rng.randint(0, 3)) for _ in range(n)]
+        a = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+        b = [sum(row[j] * point[j] for j in range(n)) for row in a]
+        c = [F(rng.randint(-1, 2)) for _ in range(n)]
+        try:
+            solve_lp_max(a, b, c)
+        except Unbounded as err:
+            _assert_recession_ray(a, c, err.ray)
+            unbounded += 1
+    assert unbounded > 50

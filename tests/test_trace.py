@@ -3,10 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
+from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac.trace import TraceSymbol
 
 from conftest import gen, letter, one_block_spec, random_element, undetermined_presentation
@@ -420,3 +423,109 @@ def test_forced_generators_vanish_at_block_diagonal_classical_points():
     assert k.eval_residual(p, point).max_residual <= 1e-10
     for g in report.forced:
         assert abs(point.matrices[g][0, 0]) == 0.0
+
+
+def _reference_decision(eqs, symbol):
+    """The per-generator decision: maximise this one symbol over the
+    reduced rows by its own LP.  'forced' at optimum 0, 'alive' above it,
+    'undetermined' when the LP is unbounded or the rows do not mention it."""
+    rows = eqs.reduced()
+    variables = sorted({s for row in rows for s in row.coeffs}, key=TraceSymbol.sort_key)
+    if symbol not in variables:
+        return "undetermined"
+    a = [[row.coeffs.get(v, F(0)) for v in variables] for row in rows]
+    b = [-row.const for row in rows]
+    c = [F(int(v == symbol)) for v in variables]
+    try:
+        res = solve_lp_max(a, b, c)
+    except Unbounded:
+        return "undetermined"
+    return "forced" if res.value == 0 else "alive"
+
+
+def _assert_shared_rounds_match_reference(p):
+    report, _ = k.kac_fixpoint(p)
+    generators = list(p.generators)
+    for rnd in report.rounds:
+        eqs = rnd.equations
+        decision = {g: _reference_decision(eqs, k.generator_symbol(g)) for g in generators}
+        forced = [g for g, _ in rnd.forced]
+        assert set(forced) == {g for g in generators if decision[g] == "forced"}
+        assert list(rnd.undetermined) == [
+            k.generator_symbol(g) for g in generators if decision[g] == "undetermined"
+        ]
+        # one certificate per round, cited by every generator it forces
+        assert len({cert.multipliers for _, cert in rnd.forced}) <= 1
+        for g, cert in rnd.forced:
+            assert cert.target == k.generator_symbol(g)
+            assert k.verify_certificate(cert, eqs)
+        generators = [g for g in generators if g not in set(forced)]
+    return report
+
+
+LADDER = {
+    "one-block-1/2x1": one_block_spec(F(1, 2), 1, 1),
+    "one-block-1/2x2-eps-1": one_block_spec(F(1, 2), 2, -1),
+    "unitary-1/4x1-1x2": k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2))),
+    "unitary-1/4-1/2-1": k.BlockSpec("unitary", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 1))),
+    "case-I-1/2+1": k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
+    "case-II-1/3-1/2": k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))),
+    "case-II-1/2-1": k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
+}
+
+
+@pytest.mark.parametrize("spec", LADDER.values(), ids=LADDER.keys())
+def test_shared_certificate_matches_per_generator_lps_on_ladder(spec):
+    report = _assert_shared_rounds_match_reference(k.build_presentation(spec))
+    assert report.forced and not report.undetermined
+
+
+def test_shared_certificate_matches_per_generator_lps_when_undetermined():
+    p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
+    report = _assert_shared_rounds_match_reference(p)
+    assert len(report.undetermined) == 3
+
+
+def test_shared_round_separates_unbounded_forced_and_alive():
+    # tr[u11 u11*] = tr[u12 u12*] is unbounded, tr[u13 u13*] = 0 is forced
+    # and tr[u14 u14*] = 1 stays positive: the summed LP is unbounded first,
+    # then positive, then zero, and only the ray's support is undetermined
+    spec = one_block_spec(F(1, 2), 1, 1)
+    base = k.build_presentation(spec)
+    u = [gen(0, c) for c in range(4)]
+    norm = [AlgElement.word((g, g.adjoint())) for g in u]
+    rels = [norm[0] - norm[1], norm[2], norm[3] - AlgElement.one()]
+    p = k.Presentation(u, rels, base.fundamentals, base.qmatrices, base.fmatrices,
+                       spec=spec, label=base.label)
+    report = _assert_shared_rounds_match_reference(p)
+    assert [g for g, _ in report.rounds[0].forced] == [u[2]]
+    assert report.undetermined == [k.generator_symbol(g) for g in u[:2]]
+    assert report.iterations == 2
+
+
+QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
+@st.composite
+def small_specs(draw):
+    """Valid BlockSpecs of all four kinds with N <= 6, the total block
+    multiplicity drawn first so that small and large specs both occur."""
+    kind = draw(st.sampled_from(("unitary", "one-block", "case-I", "case-II")))
+    trailing = draw(st.integers(0, 6)) if kind == "case-I" else 0
+    cap = 6 if kind == "unitary" else (6 - trailing) // 2
+    total = draw(st.integers(0 if trailing else 1, cap))
+    count = 1 if kind == "one-block" else draw(st.integers(min(total, 1), min(total, 3)))
+    pool = QS if kind in ("unitary", "case-II") else QS[:-1]
+    qs = sorted(draw(st.sets(st.sampled_from(pool), min_size=count, max_size=count)))
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=count - 1,
+                               max_size=count - 1))) if count > 1 else []
+    ms = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    epsilon = draw(st.sampled_from((1, -1))) if kind == "one-block" else 1
+    return k.BlockSpec(kind, tuple(zip(qs, ms)), trailing=trailing, epsilon=epsilon)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_specs())
+def test_shared_certificate_matches_per_generator_lps_on_small_specs(spec):
+    assert spec.size <= 6
+    _assert_shared_rounds_match_reference(k.build_presentation(spec))
