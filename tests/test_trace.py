@@ -480,26 +480,21 @@ def test_shared_certificate_matches_per_generator_lps_on_ladder(spec):
     assert report.forced and not report.undetermined
 
 
-def test_shared_certificate_matches_per_generator_lps_when_undetermined():
-    p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
-    report = _assert_shared_rounds_match_reference(p)
-    assert len(report.undetermined) == 3
-
-
-def test_shared_round_separates_unbounded_forced_and_alive():
-    # tr[u11 u11*] = tr[u12 u12*] is unbounded, tr[u13 u13*] = 0 is forced
-    # and tr[u14 u14*] = 1 stays positive: the summed LP is unbounded first,
-    # then positive, then zero, and only the ray's support is undetermined
+def test_shared_round_separates_unbounded_forced_alive_and_absent():
+    # tr[u11 u11*] = tr[u12 u12*] is unbounded, tr[u13 u13*] = 0 is forced,
+    # tr[u14 u14*] = 1 stays positive and u15 is in no relation: the summed
+    # LP is unbounded first, then positive, then zero, and only the ray's
+    # support and the absent symbol are undetermined
     spec = one_block_spec(F(1, 2), 1, 1)
     base = k.build_presentation(spec)
-    u = [gen(0, c) for c in range(4)]
+    u = [gen(0, c) for c in range(5)]
     norm = [AlgElement.word((g, g.adjoint())) for g in u]
     rels = [norm[0] - norm[1], norm[2], norm[3] - AlgElement.one()]
     p = k.Presentation(u, rels, base.fundamentals, base.qmatrices, base.fmatrices,
                        spec=spec, label=base.label)
     report = _assert_shared_rounds_match_reference(p)
     assert [g for g, _ in report.rounds[0].forced] == [u[2]]
-    assert report.undetermined == [k.generator_symbol(g) for g in u[:2]]
+    assert report.undetermined == [k.generator_symbol(u[i]) for i in (0, 1, 4)]
     assert report.iterations == 2
 
 
