@@ -1,6 +1,8 @@
 """Exact engine for universal unitary/orthogonal quantum-group algebra
-presentations, their Kac quotients via trace-positivity certificates, and
-numeric representation witnesses."""
+presentations, their Kac quotients via trace-positivity certificates, exact
+characters that witness the generators that survive, and numeric
+representation witnesses.  The dimension-1 witness is an exact character;
+the seed steers only the float search at dimension >= 2."""
 
 from .algebra import (
     AlgElement,
@@ -25,7 +27,19 @@ from .hopf import (
     hopf_axiom_check,
     hopf_kernel_membership,
 )
-from .numeric import NumAssignment, ResidualReport, classical_point, eval_residual, rep_search
+from .numeric import (
+    CharacterCover,
+    CharacterError,
+    NumAssignment,
+    ResidualReport,
+    characters,
+    check_dim,
+    classical_point,
+    eval_residual,
+    rep_search,
+    verify_character,
+    witness_characters,
+)
 from .presentations import (
     Block,
     BlockDecomposition,

@@ -2,8 +2,11 @@
 
 Verbs: build, kac, match, hopf-check, numeric, report.  Options: --config
 (the block-spec JSON), --out (write the report there and print a summary),
---seed (an integer >= 0, the numeric search's start) and --dim (an integer
->= 1, the numeric search's representation dimension).  No option sets a
+--seed (an integer >= 0, the start of the numeric search at dimension >= 2)
+and --dim (an integer >= 1, the numeric witness's representation
+dimension).  At dimension 1 the witness is an exact character and the seed
+is unused; a dimension whose search Jacobian is too large is refused as a
+configuration error.  No option sets a
 degree: Kac, match and Hopf work at the degrees of their inputs.  The block
 spec comes from a JSON config; rationals are serialized as "p/q" strings so
 the round trip stays exact.  Exit codes: 0 success/matched (and --help), 1
@@ -22,7 +25,7 @@ import numpy as np
 
 from .algebra import rat, rat_str
 from .hopf import central_morphism_check, hopf_axiom_check
-from .numeric import classical_point, eval_residual, rep_search
+from .numeric import check_dim, classical_point, eval_residual, rep_search, witness_characters
 from .presentations import BlockSpec, SpecError, build_presentation
 from .quotient import expected_kac_target, match_presentations
 from .trace import kac_fixpoint
@@ -151,7 +154,22 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
     """Run a verb over a block spec; returns (exit code, report dict).
 
     An unknown verb or an invalid option gives EXIT_CONFIG and the message
-    under "error".
+    under "error".  `report` adds a "survivors" section: exact characters
+    (see `numeric.witness_characters`) nonzero on the generators the Kac
+    layer leaves alive,
+
+        "survivors": {
+            "characters": [V, ...],   # N x N signed permutation matrices,
+                                      # lists of int rows, each re-verified
+            "witnesses": {"u(j,k)": i, ...},  # survivor -> index of a
+                                              # character nonzero on it
+            "unwitnessed": ["u(j,k)", ...],   # survivors none reached
+            "candidates": n,          # candidates drawn from the enumeration
+        }
+
+    A character is a tracial state and a finite-dimensional representation,
+    so each witness proves its generator survives in the Kac and the RFD
+    quotient.
     """
     report = {"input": config_json(spec), "verb": verb}
     try:
@@ -166,6 +184,12 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
     presentation = build_presentation(spec)
     timings["build"] = time.perf_counter() - start
     report["sizes"] = presentation.sizes
+    if verb in ("numeric", "report"):
+        try:
+            check_dim(presentation, dim)
+        except ValueError as exc:
+            report["error"] = str(ConfigError("dim", str(exc)))
+            return EXIT_CONFIG, report
 
     if verb == "build":
         report["presentation"] = {
@@ -236,6 +260,17 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
                 report["verdict"] = f"mismatch vs {target.label}"
                 code = EXIT_MISMATCH
         timings["match"] = time.perf_counter() - start
+
+    if verb == "report":
+        start = time.perf_counter()
+        cover = witness_characters(presentation, final.generators)
+        report["survivors"] = {
+            "characters": [[list(row) for row in V] for V in cover.characters],
+            "witnesses": {g.label(): i for g, i in sorted(cover.witness.items())},
+            "unwitnessed": [g.label() for g in cover.uncovered],
+            "candidates": cover.tried,
+        }
+        timings["survivors"] = time.perf_counter() - start
 
     if verb in ("hopf-check", "report"):
         start = time.perf_counter()
@@ -331,9 +366,11 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the block-spec JSON")
     common.add_argument("--out", help="write the JSON report here")
-    common.add_argument("--seed", type=int, default=0, help="seed for the numeric search")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for the numeric search at --dim >= 2")
     common.add_argument("--dim", type=int, default=1,
-                        help="representation dimension for the numeric search")
+                        help="representation dimension of the numeric witness; "
+                             "1 gives an exact character")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, blurb in VERBS.items():
         sub.add_parser(verb, parents=[common], help=blurb)

@@ -1,24 +1,45 @@
-"""Numeric witnesses for presentations.
+"""Numeric witnesses for presentations, and exact characters.
 
-Floating point lives only here; the symbolic layer stays exact.  Residuals
-certify that a matrix assignment approximately satisfies every relation;
-classical points evaluate the fundamental matrix at a scalar matrix; a
-damped Gauss-Newton search looks for small finite-dimensional
-representations.  Acceptance threshold 1e-10, search threshold 1e-8.
+A character is a one-dimensional *-representation.  The characters here
+send the fundamental matrix to a signed permutation matrix V that commutes
+with Q (F*F for the orthogonal kinds) and, for the orthogonal kinds, with
+F.  They are enumerated in a fixed order with no randomness: the identity
+(the counit), then each transposition inside an eigenvalue class of Q
+together with its F-partner transposition, then the half-swap
+[[0, I], [-I, 0]] of a class that F maps onto itself (the q = 1 block of
+case II), then the transpositions again with the signs F asks for.  There
+are at most N^2 + 1 candidates, never all of the signed permutations.
+`verify_character` re-checks each one exactly over the integers, reading
+only the presentation and V.  A character nonzero on a generator witnesses
+that the generator survives in every quotient that keeps a character,
+the Kac and the RFD quotient among them.
+
+Floating point lives only in the rest of this module.  Residuals certify
+that a matrix assignment approximately satisfies every relation; classical
+points evaluate the fundamental matrix at a scalar matrix.  At dimension 1
+`rep_search` returns the first verified character; from dimension 2 on it
+runs a damped Gauss-Newton search, the only place the seed is used.
+Acceptance threshold 1e-10, search threshold 1e-8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
-from .algebra import GeneratorId
 from .presentations import Presentation
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
 SEARCH_STEPS = 150
+# Largest dense Jacobian, in cells (1 MB of floats), that the search at
+# dimension >= 2 may build; each step costs one residual evaluation per
+# column.  Dimension 2 on a 9-generator, 24-relation spec needs 13,824.
+JACOBIAN_CELLS_MAX = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,13 @@ def _as_array(m) -> np.ndarray:
     )
 
 
+def _single_factor(P: Presentation):
+    if len(P.factor_tags) != 1:
+        raise ValueError("expected a single-factor presentation")
+    (tag,) = P.factor_tags
+    return tag
+
+
 def classical_point(P: Presentation, V) -> NumAssignment:
     """One-dimensional evaluation at a scalar matrix V.
 
@@ -88,9 +116,7 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     V = F conj(V) F^-1, unitary-type ones need Q conj(V) Q^-1 unitary.
     Rejections carry the violated condition and its measured defect.
     """
-    if len(P.factor_tags) != 1:
-        raise ValueError("classical points need a single-factor presentation")
-    (tag,) = P.factor_tags
+    tag = _single_factor(P)
     n = P.fundamentals[tag].rows
     V = np.asarray(V, dtype=complex)
     if V.shape != (n, n):
@@ -117,10 +143,164 @@ def classical_point(P: Presentation, V) -> NumAssignment:
             raise ValueError(
                 f"Q conj(V) Q^-1 is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}"
             )
-    matrices = {
-        g: np.array([[V[g.row, g.col]]], dtype=complex) for g in P.generators
-    }
-    return NumAssignment(1, matrices)
+    return _point(P, V)
+
+
+def _point(P: Presentation, V) -> NumAssignment:
+    return NumAssignment(
+        1, {g: np.array([[V[g.row][g.col]]], dtype=complex) for g in P.generators}
+    )
+
+
+class CharacterError(Exception):
+    """A character failed exact re-verification."""
+
+
+def _value(element, V):
+    """The element evaluated at u(j,k) -> V[j][k]; V is real, so u(j,k)*
+    goes to the same entry."""
+    total = Fraction(0)
+    for w, c in element.terms():
+        for g in w:
+            c *= V[g.row][g.col]
+            if not c:
+                break
+        total += c
+    return total
+
+
+def verify_character(P: Presentation, V) -> bool:
+    """Check exactly that u(j,k) -> V[j][k] is a character of P.
+
+    V must be an N x N signed permutation matrix of integers, N the size of
+    P's one fundamental matrix.  Every relation must vanish at V, and every
+    entry of the fundamental matrix (whose eliminated positions are
+    expressions in the kept generators) must evaluate to V's entry.  Reads
+    only P and V, never the enumerator: raises CharacterError naming the
+    failing rel[i] or position.
+    """
+    u = P.fundamental(_single_factor(P))
+    n = u.rows
+    if len(V) != n or any(len(row) != n for row in V):
+        raise CharacterError(f"V is not {n}x{n}")
+    for row in V:
+        if any(isinstance(x, bool) or not isinstance(x, Integral) for x in row):
+            raise CharacterError("V has a non-integer entry")
+    for line in (*V, *zip(*V)):
+        if sorted(abs(x) for x in line) != [0] * (n - 1) + [1]:
+            raise CharacterError("V is not a signed permutation matrix")
+    for i, r in enumerate(P.relations):
+        value = _value(r, V)
+        if value:
+            raise CharacterError(f"rel[{i}] evaluates to {value}, not 0")
+    for j in range(n):
+        for k in range(n):
+            if _value(u.entry(j, k), V) != V[j][k]:
+                raise CharacterError(f"fundamental entry ({j + 1},{k + 1}) differs from V")
+    return True
+
+
+def _candidates(P: Presentation):
+    """Signed permutation matrices in enumeration order, each once.
+
+    The F-partner of a transposition (a b) is (pi(a) pi(b)), where F[j,
+    pi(j)] is the nonzero of row j (pi is the identity for the unitary
+    kind).  Signs start at +1; the signs F asks for keep +1 on the smaller
+    index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
+    = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
+    """
+    tag = _single_factor(P)
+    q, f = P.qmatrices[tag], P.fmatrices[tag]
+    n = q.rows
+    pi = [next(k for k in range(n) if f.entry(j, k)) for j in range(n)] if f else list(range(n))
+    classes = {}
+    for j in range(n):
+        classes.setdefault(q.entry(j, j), []).append(j)
+
+    def matrix(perm, signs):
+        return tuple(tuple(signs[j] if k == perm[j] else 0 for k in range(n)) for j in range(n))
+
+    def f_signs(perm):
+        signs = [1] * n
+        for r in range(n):
+            if r < pi[r] and f.entry(perm[r], pi[perm[r]]) * f.entry(r, pi[r]) < 0:
+                signs[pi[r]] = -1
+        return signs
+
+    transpositions = []
+    for members in classes.values():
+        for a, b in combinations(members, 2):
+            perm = list(range(n))
+            perm[a], perm[b] = b, a
+            if {pi[a], pi[b]} != {a, b}:
+                perm[pi[a]], perm[pi[b]] = pi[b], pi[a]
+            transpositions.append(perm)
+    plus = [1] * n
+    stages = [(list(range(n)), plus)]
+    stages += [(perm, plus) for perm in transpositions]
+    for members in classes.values():
+        if any(pi[j] != j for j in members) and {pi[j] for j in members} == set(members):
+            half = [pi[j] if j in members else j for j in range(n)]
+            stages.append((half, f_signs(half)))
+    if f is not None:
+        stages += [(perm, f_signs(perm)) for perm in transpositions]
+    seen = set()
+    for perm, signs in stages:
+        V = matrix(perm, signs)
+        if V not in seen:
+            seen.add(V)
+            yield V
+
+
+def characters(P: Presentation):
+    """The candidates that pass verify_character, in enumeration order; the
+    identity (the counit) comes first."""
+    for V in _candidates(P):
+        try:
+            verify_character(P, V)
+        except CharacterError:
+            continue
+        yield V
+
+
+@dataclass(frozen=True)
+class CharacterCover:
+    """Characters witnessing the wanted generators.
+
+    characters : verified signed permutation matrices (tuples of int rows),
+                 each nonzero on a wanted generator no earlier one reached.
+    witness    : wanted generator -> index of the character nonzero on it.
+    uncovered  : wanted generators no candidate reached, sorted.
+    tried      : candidates drawn from the enumeration.
+    """
+
+    characters: tuple
+    witness: dict
+    uncovered: tuple
+    tried: int
+
+
+def witness_characters(P: Presentation, wanted) -> CharacterCover:
+    """Enumerate until every wanted generator has a character nonzero on
+    it; a candidate zero on every wanted generator still uncovered is not
+    verified."""
+    left = set(wanted)
+    found, witness, tried = [], {}, 0
+    for V in _candidates(P):
+        if not left:
+            break
+        tried += 1
+        hits = {g for g in left if V[g.row][g.col]}
+        if not hits:
+            continue
+        try:
+            verify_character(P, V)
+        except CharacterError:
+            continue
+        witness.update((g, len(found)) for g in hits)
+        left -= hits
+        found.append(V)
+    return CharacterCover(tuple(found), witness, tuple(sorted(left)), tried)
 
 
 def _unpack(P: Presentation, n: int, x: np.ndarray) -> NumAssignment:
@@ -142,15 +322,35 @@ def _residual_vector(P: Presentation, n: int, x: np.ndarray) -> np.ndarray:
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def rep_search(P: Presentation, n: int, seed: int):
-    """Damped Gauss-Newton least-squares search for an n-dimensional
-    representation; deterministic per seed.
-
-    Returns an assignment only when the independent residual check passes
-    below the search threshold; budget exhaustion returns None.
-    """
+def check_dim(P: Presentation, n: int) -> None:
+    """Refuse a dimension the search cannot run: n < 1, or n >= 2 with a
+    dense Jacobian of (2 n^2 relations) x (2 n^2 generators) cells above
+    JACOBIAN_CELLS_MAX.  Dimension 1 builds no Jacobian."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    cells = (2 * n * n) ** 2 * len(P.relations) * len(P.generators)
+    if n > 1 and cells > JACOBIAN_CELLS_MAX:
+        raise ValueError(
+            f"dimension {n} needs a {cells}-cell Jacobian for {len(P.generators)} "
+            f"generators and {len(P.relations)} relations, above {JACOBIAN_CELLS_MAX}"
+        )
+
+
+def rep_search(P: Presentation, n: int, seed: int):
+    """An n-dimensional representation, or None when none was found.
+
+    n = 1 returns the first verified character (exact, so its residual is
+    0 up to rounding; the seed is unused), for single-factor presentations
+    only.  n >= 2 runs a damped Gauss-Newton least-squares search from a
+    start drawn from the seed, deterministic per seed: it returns an
+    assignment only when the independent residual check passes below the
+    search threshold, and None when its budget runs out.  `check_dim`
+    refuses n before anything is allocated.
+    """
+    check_dim(P, n)
+    if n == 1:
+        V = next(characters(P), None)
+        return None if V is None else _point(P, V)
     rng = np.random.default_rng(seed)
     gens = P.generators
     start = []

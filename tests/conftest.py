@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+from hypothesis import strategies as st
+
 import cqgkac as k
 
 
@@ -34,3 +36,24 @@ def undetermined_presentation(spec):
     rel = k.AlgElement.word((u[0], u[0].adjoint())) - k.AlgElement.word((u[1], u[1].adjoint()))
     return k.Presentation(u, [rel], p.fundamentals, p.qmatrices, p.fmatrices,
                           spec=p.spec, label=p.label)
+
+
+QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
+@st.composite
+def small_specs(draw):
+    """Valid BlockSpecs of all four kinds with N <= 6, the total block
+    multiplicity drawn first so that small and large specs both occur."""
+    kind = draw(st.sampled_from(("unitary", "one-block", "case-I", "case-II")))
+    trailing = draw(st.integers(0, 6)) if kind == "case-I" else 0
+    cap = 6 if kind == "unitary" else (6 - trailing) // 2
+    total = draw(st.integers(0 if trailing else 1, cap))
+    count = 1 if kind == "one-block" else draw(st.integers(min(total, 1), min(total, 3)))
+    pool = QS if kind in ("unitary", "case-II") else QS[:-1]
+    qs = sorted(draw(st.sets(st.sampled_from(pool), min_size=count, max_size=count)))
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=count - 1,
+                               max_size=count - 1))) if count > 1 else []
+    ms = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    epsilon = draw(st.sampled_from((1, -1))) if kind == "one-block" else 1
+    return k.BlockSpec(kind, tuple(zip(qs, ms)), trailing=trailing, epsilon=epsilon)

@@ -212,6 +212,7 @@ def test_hopf_check_case_one_passes(tmp_path):
 @pytest.mark.parametrize("option, value", [
     ("--dim", "0"),
     ("--dim", "-3"),
+    ("--dim", "600"),
     ("--seed", "-1"),
 ])
 def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
@@ -225,6 +226,7 @@ def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
     {"seed": -1},
     {"dim": 0},
     {"dim": -2},
+    {"dim": 600},
     {"seed": True},
     {"dim": True},
     {"seed": 1.0},

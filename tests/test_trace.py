@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
@@ -12,7 +11,14 @@ from cqgkac.linalg import SparseEchelon
 from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac.trace import TraceSymbol
 
-from conftest import gen, letter, one_block_spec, random_element, undetermined_presentation
+from conftest import (
+    gen,
+    letter,
+    one_block_spec,
+    random_element,
+    small_specs,
+    undetermined_presentation,
+)
 
 
 def _rotation_oracle(w):
@@ -496,27 +502,6 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     assert [g for g, _ in report.rounds[0].forced] == [u[2]]
     assert report.undetermined == [k.generator_symbol(u[i]) for i in (0, 1, 4)]
     assert report.iterations == 2
-
-
-QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
-
-
-@st.composite
-def small_specs(draw):
-    """Valid BlockSpecs of all four kinds with N <= 6, the total block
-    multiplicity drawn first so that small and large specs both occur."""
-    kind = draw(st.sampled_from(("unitary", "one-block", "case-I", "case-II")))
-    trailing = draw(st.integers(0, 6)) if kind == "case-I" else 0
-    cap = 6 if kind == "unitary" else (6 - trailing) // 2
-    total = draw(st.integers(0 if trailing else 1, cap))
-    count = 1 if kind == "one-block" else draw(st.integers(min(total, 1), min(total, 3)))
-    pool = QS if kind in ("unitary", "case-II") else QS[:-1]
-    qs = sorted(draw(st.sets(st.sampled_from(pool), min_size=count, max_size=count)))
-    cuts = sorted(draw(st.sets(st.integers(1, total - 1), min_size=count - 1,
-                               max_size=count - 1))) if count > 1 else []
-    ms = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-    epsilon = draw(st.sampled_from((1, -1))) if kind == "one-block" else 1
-    return k.BlockSpec(kind, tuple(zip(qs, ms)), trailing=trailing, epsilon=epsilon)
 
 
 @settings(max_examples=15, deadline=None)
