@@ -226,10 +226,10 @@ def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
     {"seed": -1},
     {"dim": 0},
     {"dim": -2},
-    {"dim": 600},
     {"seed": True},
     {"dim": True},
     {"seed": 1.0},
+    {"dim": 600},
 ])
 def test_run_rejects_invalid_options(options):
     code, report = cli.run(cli.parse_config(ONE_BLOCK), "report", **options)
@@ -287,7 +287,12 @@ def test_report_schema_fields():
     )
     code, report = cli.run(spec, "report")
     assert code == 0
-    for key in ("input", "sizes", "kac", "match", "hopf", "numeric", "timings", "verdict"):
+    for key in ("input", "sizes", "kac", "match", "survivors", "hopf", "numeric", "timings",
+                "verdict"):
         assert key in report
     assert set(report["kac"]) == {"forced", "rounds", "undetermined", "certificates"}
+    survivors = report["survivors"]
+    assert set(survivors) == {"characters", "witnesses", "unwitnessed", "candidates"}
+    assert set(survivors["witnesses"]) == set(report["match"]["renaming"])
+    assert survivors["unwitnessed"] == []
     assert {"matched", "mode", "target", "renaming"} <= set(report["match"])

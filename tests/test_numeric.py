@@ -124,11 +124,17 @@ def test_rep_search_deterministic():
         assert np.array_equal(a.matrices[g], b.matrices[g])
 
 
-def test_rep_search_refuses_an_oversized_jacobian_before_allocating():
+def test_rep_search_refuses_an_oversized_jacobian_before_allocating(monkeypatch):
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+
+    def no_start(seed):
+        raise AssertionError("the search drew a start point")
+
+    monkeypatch.setattr(np.random, "default_rng", no_start)
     # (2 * 600^2)^2 * 6 relations * 2 generators cells: 45 TiB of floats
     with pytest.raises(ValueError, match=r"Jacobian .* above"):
         k.rep_search(p, 600, seed=0)
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         k.check_dim(p, 0)
     # dimension 1 builds no Jacobian, however many cells one would have
@@ -140,6 +146,12 @@ def test_rep_search_refuses_an_oversized_jacobian_before_allocating():
     k.check_dim(p, largest)
     with pytest.raises(ValueError, match="Jacobian"):
         k.check_dim(p, largest + 1)
+
+
+def _scalar_point(p, V):
+    """u(j,k) -> V[j][k] with none of classical_point's prechecks."""
+    return NumAssignment(1, {g: np.array([[V[g.row][g.col]]], dtype=complex)
+                             for g in p.generators})
 
 
 def _verify_fails(p, V, match):
@@ -178,9 +190,7 @@ def test_verify_character_names_the_relation_a_cross_class_swap_breaks():
     # the float residuals agree: rel[i] is the first relation V breaks
     residuals = k.eval_residual(p, k.classical_point(p, np.eye(3))).residuals
     assert not any(residuals)
-    point = NumAssignment(1, {g: np.array([[V[g.row][g.col]]], dtype=complex)
-                              for g in p.generators})
-    residuals = k.eval_residual(p, point).residuals
+    residuals = k.eval_residual(p, _scalar_point(p, V)).residuals
     assert not any(residuals[:i]) and residuals[i] > 0.1
 
 
@@ -190,9 +200,7 @@ def test_verify_character_checks_the_eliminated_entries():
     # image of the fundamental matrix
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     V = [[1, 0], [0, -1]]
-    point = NumAssignment(1, {g: np.array([[V[g.row][g.col]]], dtype=complex)
-                              for g in p.generators})
-    assert k.eval_residual(p, point).max_residual == 0.0
+    assert k.eval_residual(p, _scalar_point(p, V)).max_residual == 0.0
     _verify_fails(p, V, r"fundamental entry \(2,2\)")
 
 
