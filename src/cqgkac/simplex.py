@@ -1,16 +1,31 @@
 """Exact rational simplex for small equality-form linear programs.
 
-Solves  maximize c.x  subject to  A x = b, x >= 0  over Fractions with a
-two-phase dense tableau and Bland's rule (no cycling).  Alongside the
-optimum it returns exact dual multipliers, one per constraint row, which
-downstream code turns into positivity certificates.  An unbounded program
-raises `Unbounded` carrying a recession ray d: d >= 0, A d = 0 and
-c.d > 0, read off the entering column that no row bounds.
+Solves  maximize c.x  subject to  A x = b, x >= 0  with a two-phase dense
+tableau and Bland's rule (no cycling).  Alongside the optimum it returns
+exact dual multipliers, one per constraint row, which downstream code
+turns into positivity certificates.  An unbounded program raises
+`Unbounded` carrying a recession ray d: d >= 0, A d = 0 and c.d > 0, read
+off the entering column that no row bounds.
+
+The tableau holds Python ints, fraction-free (Bareiss 1968): the rational
+tableau is T / d for an integer matrix T and one integer d > 0, the
+determinant of the current basis up to sign.  A pivot on (r, k) with
+p = T[r][k] sets T[i][j] = (p T[i][j] - T[i][k] T[r][j]) / d for i != r
+and then d = p; every T[i][j] is a minor of the starting tableau, so the
+division is exact.  The start clears every denominator of A and b with
+one common D rather than a scale per row: a row scale would reweight the
+artificials in the phase-1 objective and so change Bland's path and the
+duals, while one D scales every artificial alike and every pivot, basis,
+dual and ray comes out as in the rational tableau.  The objective row,
+d times the reduced costs (with c cleared by its own denominator), is a
+row of the tableau and takes the same update, so no pivot recomputes the
+reduced costs from the basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class Unbounded(Exception):
@@ -40,7 +55,10 @@ def solve_lp_max(a_rows, b, c) -> LPResult:
 
     Returns the optimum, a primal solution, and dual multipliers y with
     y.b = value and (y A)_j >= c_j for every column j.  Dual entries for
-    redundant (dependent) rows are zero.
+    redundant (dependent) rows are zero.  Every returned number, ray
+    entries included, is a Fraction.  The work is done on the integer
+    tableau of the module docstring; the answers are read back as
+    Fraction(entry, d) and then rescaled by D and by c's denominator.
     """
     m = len(a_rows)
     n = len(c)
@@ -55,73 +73,68 @@ def solve_lp_max(a_rows, b, c) -> LPResult:
                             [Fraction(int(v > 0)) for v in c])
         return LPResult(Fraction(0), [Fraction(0)] * n, [])
 
-    # orient rows so the right-hand side is nonnegative
-    sign = []
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-            sign.append(Fraction(-1))
-        else:
-            sign.append(Fraction(1))
-
-    # tableau columns: n originals then m artificials
-    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    # one common denominator D clears A and b; a row scale of -D instead of
+    # D orients a row so that its right-hand side is nonnegative
+    den = lcm(*(v.denominator for row in [*a, b] for v in row))
+    scale = [den if v >= 0 else -den for v in b]
+    # tableau columns: n originals, m artificials, right-hand side
+    tab = [[scale[i] * v.numerator // v.denominator for v in a[i]]
+           + [int(i == j) for j in range(m)] + [scale[i] * b[i].numerator // b[i].denominator]
+           for i in range(m)]
     basis = [n + i for i in range(m)]
+    d = 1
 
-    def pivot(row, col):
-        inv = 1 / tab[row][col]
-        tab[row] = [inv * v for v in tab[row]]
-        for r in range(m):
-            if r != row and tab[r][col]:
-                f = tab[r][col]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[row])]
+    def pivot(row, col, obj):
+        # Bareiss step on every other row, the objective row included; a
+        # negative pivot (only when driving out an artificial) first
+        # negates its row, which negates the whole new tableau and keeps d > 0
+        nonlocal d
+        prow = tab[row]
+        if prow[col] < 0:
+            prow[:] = [-x for x in prow]
+        p = prow[col]
+        for t in tab + [obj]:
+            if t is not prow:
+                f = t[col]
+                t[:] = [(p * x - f * y) // d for x, y in zip(t, prow)]
+        d = p
         basis[row] = col
 
-    def run(obj, cols):
-        # Bland's rule: least eligible column enters, least basis index leaves
+    def objective_row(weights):
+        # d times the reduced costs of the current basis
+        out = [d * w for w in weights] + [0]
+        for r in range(m):
+            out = [x - weights[basis[r]] * y for x, y in zip(out, tab[r])]
+        return out
+
+    def run(obj):
+        # Bland's rule: least original column with positive reduced cost
+        # enters; the least ratio leaves, ties to the least basis index
         while True:
-            entering = None
-            for j in cols:
-                if j in basis:
-                    continue
-                reduced = obj[j] - sum(obj[basis[r]] * tab[r][j] for r in range(m))
-                if reduced > 0:
-                    entering = j
-                    break
+            entering = next((j for j in range(n) if obj[j] > 0), None)
             if entering is None:
                 return
-            leaving, best = None, None
-            for r in range(m):
-                if tab[r][entering] > 0:
-                    ratio = tab[r][-1] / tab[r][entering]
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                        best, leaving = ratio, r
-            if leaving is None:
+            rows = [r for r in range(m) if tab[r][entering] > 0]
+            if not rows:
                 # raising the entering variable moves each basic one by
-                # -tab[r][entering] >= 0 and keeps A x = b
+                # -tab[r][entering] / d >= 0 and keeps A x = b
                 ray = [Fraction(int(j == entering)) for j in range(n)]
                 for r in range(m):
                     if basis[r] < n:
-                        ray[basis[r]] = -tab[r][entering]
+                        ray[basis[r]] = Fraction(-tab[r][entering], d)
                 raise Unbounded("no leaving row for entering column", ray)
-            pivot(leaving, entering)
-
-    def _basic_duals(obj):
-        # with an identity-start tableau the artificial columns hold B^-1,
-        # so y = c_B B^-1 falls out of them
-        out = []
-        for j in range(m):
-            out.append(sum(obj[basis[r]] * tab[r][n + j] for r in range(m)))
-        return out
-
-    def objective_value(obj):
-        return sum(obj[basis[r]] * tab[r][-1] for r in range(m))
+            leaving = rows[0]
+            for r in rows[1:]:  # ratios compared by cross-multiplication
+                lhs = tab[r][-1] * tab[leaving][entering]
+                rhs = tab[leaving][-1] * tab[r][entering]
+                if lhs < rhs or lhs == rhs and basis[r] < basis[leaving]:
+                    leaving = r
+            pivot(leaving, entering, obj)
 
     # phase 1: drive the artificials out
-    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    run(obj1, range(n))
-    if objective_value(obj1) != 0:
+    obj1 = objective_row([0] * n + [-1] * m)
+    run(obj1)
+    if obj1[-1] != 0:
         raise Infeasible("phase-1 optimum below zero")
     dropped = set()
     for r in range(m):
@@ -130,19 +143,19 @@ def solve_lp_max(a_rows, b, c) -> LPResult:
             if col is None:
                 dropped.add(r)  # dependent row; keep in tableau, it stays inert
             else:
-                pivot(r, col)
+                pivot(r, col, obj1)
 
-    # phase 2: the real objective over the original columns
-    obj2 = c + [Fraction(0)] * m
-    run(obj2, range(n))
-    value = objective_value(obj2)
+    # phase 2: the real objective, cleared by its own denominator
+    den_c = lcm(*(v.denominator for v in c))
+    obj2 = objective_row([v.numerator * den_c // v.denominator for v in c] + [0] * m)
+    run(obj2)
+    value = Fraction(-obj2[-1], d * den_c)
     x = [Fraction(0)] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tab[r][-1]
-    y_adj = _basic_duals(obj2)
-    for r in dropped:
-        y_adj[r] = Fraction(0)
-    # undo the row reorientation
-    dual = [sign[i] * y_adj[i] for i in range(m)]
+            x[basis[r]] = Fraction(tab[r][-1], d)
+    # with an identity-start tableau the artificial columns hold d B^-1, so
+    # the objective row there is -d c_B B^-1: the dual of the scaled rows
+    dual = [Fraction(0) if i in dropped else Fraction(-scale[i] * obj2[n + i], d * den_c)
+            for i in range(m)]
     return LPResult(value, x, dual)
