@@ -11,8 +11,8 @@ The tableau holds Python ints, fraction-free (Bareiss 1968): the rational
 tableau is T / d for an integer matrix T and one integer d > 0, the
 determinant of the current basis up to sign.  A pivot on (r, k) with
 p = T[r][k] sets T[i][j] = (p T[i][j] - T[i][k] T[r][j]) / d for i != r
-and then d = p; every T[i][j] is a minor of the starting tableau, so the
-division is exact.  The start clears every denominator of A and b with
+and then d = p; every T[i][j] is, up to sign, a minor of the starting
+tableau, so the division is exact.  The start clears every denominator of A and b with
 one common D rather than a scale per row: a row scale would reweight the
 artificials in the phase-1 objective and so change Bland's path and the
 duals, while one D scales every artificial alike and every pivot, basis,
