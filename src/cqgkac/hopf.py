@@ -294,9 +294,7 @@ class MorphismSpec:
 
 
 def _require_symplectic(P: Presentation) -> int:
-    if len(P.factor_tags) != 1:
-        raise ValueError("expected a single-factor presentation")
-    (tag,) = P.factor_tags
+    tag = P.single_tag()
     f = P.fmatrices[tag]
     n = P.fundamentals[tag].rows
     if f is None or n % 2 or f != symplectic_matrix(n // 2):

@@ -102,13 +102,6 @@ def _as_array(m) -> np.ndarray:
     )
 
 
-def _single_factor(P: Presentation):
-    if len(P.factor_tags) != 1:
-        raise ValueError("expected a single-factor presentation")
-    (tag,) = P.factor_tags
-    return tag
-
-
 def classical_point(P: Presentation, V) -> NumAssignment:
     """One-dimensional evaluation at a scalar matrix V.
 
@@ -116,7 +109,7 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     V = F conj(V) F^-1, unitary-type ones need Q conj(V) Q^-1 unitary.
     Rejections carry the violated condition and its measured defect.
     """
-    tag = _single_factor(P)
+    tag = P.single_tag()
     n = P.fundamentals[tag].rows
     V = np.asarray(V, dtype=complex)
     if V.shape != (n, n):
@@ -179,7 +172,7 @@ def verify_character(P: Presentation, V) -> bool:
     only P and V, never the enumerator: raises CharacterError naming the
     failing rel[i] or position.
     """
-    u = P.fundamental(_single_factor(P))
+    u = P.fundamental()
     n = u.rows
     if len(V) != n or any(len(row) != n for row in V):
         raise CharacterError(f"V is not {n}x{n}")
@@ -209,7 +202,7 @@ def _candidates(P: Presentation):
     index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
     = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
     """
-    tag = _single_factor(P)
+    tag = P.single_tag()
     q, f = P.qmatrices[tag], P.fmatrices[tag]
     n = q.rows
     pi = [next(k for k in range(n) if f.entry(j, k)) for j in range(n)] if f else list(range(n))

@@ -12,8 +12,11 @@ factor.  Builders produce:
   * free products (disjoint generators, union of relations).
 
 F must be monomial, as every standard form is.  The reality relation then
-makes half the generators redundant; they are eliminated eagerly and the
-fundamental matrix keeps the substituted expressions in their places.
+is the closed-form substitution u(j,k) = F[j,pi(j)] F^-1[pi(k),k]
+u(pi(j),pi(k))*, which makes half the generators redundant.  They are
+substituted into the generator matrix once, every relation is expanded
+once over that substituted matrix, and the fundamental matrix keeps the
+substituted expressions in their places.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .algebra import (
 )
 
 KINDS = ("unitary", "one-block", "case-I", "case-II")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SpecError(ValueError):
@@ -72,19 +79,21 @@ class BlockSpec:
         if self.kind not in KINDS:
             raise SpecError("kind", f"unknown kind {self.kind!r}; expected one of {KINDS}")
         blocks = tuple(Block(rat(b.q if isinstance(b, Block) else b[0]),
-                             int(b.m if isinstance(b, Block) else b[1]))
+                             b.m if isinstance(b, Block) else b[1])
                        for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         signs = (-1, 1) if self.kind == "one-block" else (1,)
-        if self.epsilon not in signs:
+        if not _is_int(self.epsilon) or self.epsilon not in signs:
             raise SpecError("epsilon", f"{self.kind} spec takes epsilon in {signs}")
-        if any(b.m < 1 for b in blocks):
-            raise SpecError("blocks", "block multiplicities must be >= 1")
+        if any(not _is_int(b.m) or b.m < 1 for b in blocks):
+            raise SpecError("blocks", "block multiplicities must be integers >= 1")
         qs = [b.q for b in blocks]
         if any(q <= 0 for q in qs):
             raise SpecError("blocks", "block parameters must be positive")
         if any(a >= b for a, b in zip(qs, qs[1:])):
             raise SpecError("blocks", "block parameters must be strictly increasing")
+        if not _is_int(self.trailing) or self.trailing < 0:
+            raise SpecError("trailing", "trailing size must be an integer >= 0")
         if self.trailing and self.kind != "case-I":
             raise SpecError("trailing", f"{self.kind} spec takes no trailing block")
         if self.kind == "unitary":
@@ -98,8 +107,6 @@ class BlockSpec:
         elif self.kind == "case-I":
             if any(q >= 1 for q in qs):
                 raise SpecError("blocks", "case-I parameters must satisfy q < 1")
-            if self.trailing < 0:
-                raise SpecError("trailing", "trailing size must be >= 0")
             if not blocks and not self.trailing:
                 raise SpecError("blocks", "empty case-I spec")
         elif self.kind == "case-II":
@@ -243,10 +250,16 @@ class Presentation:
     def generator_set(self):
         return set(self.generators)
 
+    def single_tag(self):
+        """The factor tag of a single-factor presentation; ValueError on a
+        free product of several factors."""
+        if len(self.fundamentals) != 1:
+            raise ValueError("expected a single-factor presentation")
+        (tag,) = self.fundamentals
+        return tag
+
     def fundamental(self, tag=None) -> AlgMatrix:
-        if tag is None:
-            (tag,) = self.factor_tags
-        return self.fundamentals[tag]
+        return self.fundamentals[self.single_tag() if tag is None else tag]
 
     def __repr__(self):
         return (f"Presentation({self.label or 'anonymous'}: "
@@ -304,50 +317,36 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     )
 
 
-def _reality_matrix(F: ScalarMatrix) -> AlgMatrix:
-    """U - F Ubar F^-1 on the generator matrix: the reality relation."""
-    u = generator_matrix(F.rows)
-    return u - F.embed() * u.bar() * F.inverse().embed()
-
-
 def reality_substitution(F: ScalarMatrix):
-    """Resolve the reality relation of a monomial F into a substitution.
+    """The reality relation U = F Ubar F^-1 of a monomial F as a substitution.
 
-    Reads the entries of U - F Ubar F^-1 on the generator matrix.  Each
-    entry pairs position (j,k) with (pi(j), pi(k)), where F[j, pi(j)] is
-    the nonzero of row j; of every pair the position with the smaller
-    (column, row) is kept and the partner maps to scalar * kept*.
-    Self-paired positions are kept, and their entries stay as
-    hermitian-type relations.
+    Entry (j,k) of the relation reads, in closed form,
+
+        u(j,k) = F[j,pi(j)] F^-1[pi(k),k] u(pi(j),pi(k))*,
+
+    pairing position (j,k) with (pi(j), pi(k)).  Of every pair the
+    position with the smaller (column, row) is kept and the partner maps
+    to that scalar times the kept letter's adjoint.  Self-paired positions
+    are kept, and their entries stay as hermitian-type relations.
 
     Returns (sigma, kept) where sigma sends each redundant plain generator
     to its expression over the kept ones.
     """
     if not F.is_monomial():
         raise ValueError("reality substitution needs a monomial matrix")
-    return _resolve_reality(F, _reality_matrix(F))
-
-
-def _resolve_reality(F: ScalarMatrix, h: AlgMatrix):
-    """`reality_substitution` from an already expanded reality matrix h."""
     n = F.rows
     pi = [next(k for k in range(n) if F.entry(j, k)) for j in range(n)]
+    fi = F.inverse()
     sigma = {}
     kept = []
-    for j in range(n):
-        for k in range(n):
+    for j, pj in enumerate(pi):
+        for k, pk in enumerate(pi):
             g = GeneratorId(0, "u", j, k)
-            pj, pk = pi[j], pi[k]
             if (k, j) <= (pk, pj):
                 kept.append(g)
-                continue
-            entry = h.entry(j, k)
-            partner = GeneratorId(0, "u", pj, pk, star=True)
-            scalar = -entry.coefficient((partner,))
-            expected = AlgElement.generator(g) - AlgElement.word((partner,), scalar)
-            if entry.coefficient((g,)) != 1 or entry != expected:
-                raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {entry}")
-            sigma[g] = AlgElement.word((partner,), scalar)
+            else:
+                partner = GeneratorId(0, "u", pj, pk, star=True)
+                sigma[g] = AlgElement.word((partner,), F.entry(j, pj) * fi.entry(pk, k))
     return sigma, sorted(kept)
 
 
@@ -355,8 +354,10 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     """Presentation of the universal orthogonal algebra of F.
 
     Requires a monomial F, as every standard form is, with F Fbar = +I or
-    -I exactly; non-monomial F is refused.  The redundant generators are
-    eliminated eagerly.
+    -I exactly; non-monomial F is refused.  Every relation is expanded once
+    over the generator matrix u with the reality substitution applied; a
+    reality entry of u left nonzero off the self-paired positions raises
+    RuntimeError.
     """
     if F.rows != F.cols:
         raise ValueError("F must be square")
@@ -367,14 +368,18 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     if prod != eye and prod != eye.scale(-1):
         raise ValueError(f"F Fbar must be +I or -I; got {prod!r}")
     q = F.star() * F
-    u = generator_matrix(F.rows)
+    sigma, kept = reality_substitution(F)
+    u = generator_matrix(F.rows).substitute(sigma)
     rels = _unitarity_relations(u, q)
-    h = _reality_matrix(F)
+    h = u - F.embed() * u.bar() * F.inverse().embed()
+    for j in range(F.rows):
+        for k in range(F.rows):
+            # (j,k) pairs with itself exactly when F[j,j] and F[k,k] are nonzero
+            if not (F.entry(j, j) and F.entry(k, k)) and not h.entry(j, k).is_zero():
+                raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h.entry(j, k)}")
     rels.extend(h.entries())
-    sigma, kept = _resolve_reality(F, h)
-    reduced = [r.substitute(sigma) for r in rels]
     return Presentation(
-        kept, reduced, {0: u.substitute(sigma)}, {0: q}, {0: F},
+        kept, rels, {0: u}, {0: q}, {0: F},
         label=orthogonal_label(F),
     )
 
@@ -504,8 +509,7 @@ def block_decompose(P: Presentation, spec: BlockSpec = None) -> BlockDecompositi
     spec = spec or P.spec
     if spec is None:
         raise ValueError("no block spec available for decomposition")
-    (tag,) = P.factor_tags
-    u = P.fundamentals[tag]
+    u = P.fundamental()
     if u.rows != spec.size:
         raise ValueError(
             f"layout mismatch: matrix is {u.rows}x{u.cols}, spec says N={spec.size}"

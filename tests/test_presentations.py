@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix
-from cqgkac.presentations import Block, normalize_relation
+import cqgkac.presentations as presentations
+from cqgkac.presentations import SpecError, canonicalize_relations, normalize_relation
 
-from conftest import gen, letter, one_block_spec
+from conftest import gen, letter, one_block_spec, small_specs
 
 
 def test_standard_form_case_one():
@@ -37,6 +39,18 @@ def test_block_spec_validation():
         k.BlockSpec("one-block", ((F(1, 2), 1),), epsilon=2)
     with pytest.raises(ValueError):
         k.BlockSpec("sporadic", ((F(1, 2), 1),))
+    # ill-typed fields are refused, not coerced: m=1.5 once became m=1 and
+    # trailing=1.5 gave size 3.5
+    for kwargs, field in [
+        (dict(kind="case-II", blocks=((F(1, 2), 1.5),)), "blocks"),
+        (dict(kind="case-II", blocks=((F(1, 2), True),)), "blocks"),
+        (dict(kind="case-I", blocks=((F(1, 2), 1),), trailing=1.5), "trailing"),
+        (dict(kind="case-I", blocks=((F(1, 2), 1),), trailing=True), "trailing"),
+        (dict(kind="one-block", blocks=((F(1, 2), 1),), epsilon=True), "epsilon"),
+    ]:
+        with pytest.raises(SpecError) as err:
+            k.BlockSpec(**kwargs)
+        assert err.value.field == field
 
 
 @pytest.mark.parametrize("kind, blocks, trailing", [
@@ -294,3 +308,57 @@ def test_eigenvalue_profiles_match_displayed_lists():
     spec2 = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
     prof2 = k.eigenvalue_profile(k.standard_form_matrix(spec2))
     assert prof2 == [(F(1, 4), 1), (F(1), 2), (F(4), 1)]
+
+
+def test_single_factor_views_refuse_a_free_product():
+    spec = one_block_spec(F(1, 2), 1, 1)
+    fp = k.free_product([k.build_presentation(spec), k.build_presentation(spec)])
+    with pytest.raises(ValueError, match="expected a single-factor presentation"):
+        fp.fundamental()
+    with pytest.raises(ValueError, match="expected a single-factor presentation"):
+        k.block_decompose(fp, spec)
+    assert fp.fundamental(1).rows == 2
+
+
+def _expand_then_substitute(f):
+    """The builder's earlier algorithm: every identity expanded over the raw
+    generator matrix, then the reality substitution applied to each
+    relation and to the matrix."""
+    n = f.rows
+    u = k.AlgMatrix([[letter(j, c) for c in range(n)] for j in range(n)])
+    q = f.star() * f
+    eye = k.AlgMatrix.identity(n)
+    ut, ub = u.transpose(), u.bar()
+    qe, qi = q.embed(), q.inverse().embed()
+    mats = [
+        u * u.star() - eye,
+        u.star() * u - eye,
+        ut * qe * ub * qi - eye,
+        qe * ub * qi * ut - eye,
+        u - f.embed() * ub * f.inverse().embed(),
+    ]
+    sigma, kept = k.reality_substitution(f)
+    rels = [e.substitute(sigma) for m in mats for e in m.entries()]
+    return kept, canonicalize_relations(rels), u.substitute(sigma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_specs().filter(lambda s: s.kind != "unitary"))
+def test_builder_matches_expand_then_substitute_on_small_specs(spec):
+    p = k.build_presentation(spec)
+    kept, rels, u = _expand_then_substitute(k.standard_form_matrix(spec))
+    assert p.generators == tuple(kept)
+    assert [r.sort_key() for r in p.relations] == [r.sort_key() for r in rels]
+    assert p.fundamental() == u
+
+
+def test_a_wrong_reality_scalar_is_caught(monkeypatch):
+    spec = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
+    f = k.standard_form_matrix(spec)
+    sigma, kept = k.reality_substitution(f)
+    g = next(iter(sigma))
+    wrong = dict(sigma)
+    wrong[g] = sigma[g].scale(2)
+    monkeypatch.setattr(presentations, "reality_substitution", lambda F: (wrong, kept))
+    with pytest.raises(RuntimeError, match="unresolvable reality entry"):
+        k.build_universal_orthogonal(f)
