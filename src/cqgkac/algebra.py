@@ -17,11 +17,16 @@ class ShapeError(ValueError):
     """Raised on dimension-incompatible matrix operations."""
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rat(x) -> Fraction:
     """Parse an int, Fraction or "p/q" string into an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if is_int(x):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .algebra import rat, rat_str
+from .algebra import is_int, rat, rat_str
 from .hopf import central_morphism_check, hopf_axiom_check
 from .numeric import check_dim, classical_point, eval_residual, rep_search, witness_characters
 from .presentations import BlockSpec, SpecError, build_presentation
@@ -40,10 +40,6 @@ class ConfigError(Exception):
     def __init__(self, field, message):
         super().__init__(f"config field {field!r}: {message}")
         self.field = field
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _reject_unknown(doc: dict, known, prefix: str) -> None:
@@ -79,14 +75,14 @@ def parse_config(data) -> BlockSpec:
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ConfigError(f"blocks[{i}].q", str(exc)) from None
         m = item.get("m", 1)
-        if not _is_int(m):
+        if not is_int(m):
             raise ConfigError(f"blocks[{i}].m", "expected an integer")
         blocks.append((q, m))
     trailing = data.get("trailing", 0)
-    if not _is_int(trailing):
+    if not is_int(trailing):
         raise ConfigError("trailing", "expected an integer")
     epsilon = data.get("epsilon", 1)
-    if not _is_int(epsilon) or epsilon not in (-1, 1):
+    if not is_int(epsilon) or epsilon not in (-1, 1):
         raise ConfigError("epsilon", "expected -1 or 1")
     try:
         spec = BlockSpec(kind, tuple(blocks), trailing=trailing, epsilon=epsilon)
@@ -146,7 +142,7 @@ def _check_options(*, verb: str, seed: int, dim: int) -> None:
     if verb not in VERBS:
         raise ConfigError("verb", f"expected one of {', '.join(VERBS)}, got {verb!r}")
     for field, value, least in (("seed", seed, 0), ("dim", dim, 1)):
-        if not _is_int(value) or value < least:
+        if not is_int(value) or value < least:
             raise ConfigError(field, f"expected an integer >= {least}, got {value!r}")
 
 

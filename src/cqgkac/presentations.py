@@ -29,16 +29,13 @@ from .algebra import (
     AlgMatrix,
     GeneratorId,
     ScalarMatrix,
+    is_int,
     rat,
     rat_str,
     word_key,
 )
 
 KINDS = ("unitary", "one-block", "case-I", "case-II")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SpecError(ValueError):
@@ -83,19 +80,21 @@ class BlockSpec:
                        for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         signs = (-1, 1) if self.kind == "one-block" else (1,)
-        if not _is_int(self.epsilon) or self.epsilon not in signs:
+        if not is_int(self.epsilon) or self.epsilon not in signs:
             raise SpecError("epsilon", f"{self.kind} spec takes epsilon in {signs}")
-        if any(not _is_int(b.m) or b.m < 1 for b in blocks):
-            raise SpecError("blocks", "block multiplicities must be integers >= 1")
+        if not all(is_int(b.m) for b in blocks):
+            raise SpecError("blocks", "block multiplicities must be integers")
+        if any(b.m < 1 for b in blocks):
+            raise SpecError("blocks", "block multiplicities must be >= 1")
         qs = [b.q for b in blocks]
         if any(q <= 0 for q in qs):
             raise SpecError("blocks", "block parameters must be positive")
         if any(a >= b for a, b in zip(qs, qs[1:])):
             raise SpecError("blocks", "block parameters must be strictly increasing")
-        if not _is_int(self.trailing) or self.trailing < 0:
-            raise SpecError("trailing", "trailing size must be an integer >= 0")
         if self.trailing and self.kind != "case-I":
             raise SpecError("trailing", f"{self.kind} spec takes no trailing block")
+        if not is_int(self.trailing):
+            raise SpecError("trailing", "trailing size must be an integer")
         if self.kind == "unitary":
             if not blocks:
                 raise SpecError("blocks", "unitary spec needs at least one eigenvalue block")
@@ -107,6 +106,8 @@ class BlockSpec:
         elif self.kind == "case-I":
             if any(q >= 1 for q in qs):
                 raise SpecError("blocks", "case-I parameters must satisfy q < 1")
+            if self.trailing < 0:
+                raise SpecError("trailing", "trailing size must be >= 0")
             if not blocks and not self.trailing:
                 raise SpecError("blocks", "empty case-I spec")
         elif self.kind == "case-II":
