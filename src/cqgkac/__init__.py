@@ -8,7 +8,6 @@ from .algebra import (
     AlgElement,
     AlgMatrix,
     GeneratorId,
-    Rational,
     ScalarMatrix,
     ShapeError,
     rat,

@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-Rational = Fraction
-
 
 class ShapeError(ValueError):
     """Raised on dimension-incompatible matrix operations."""
@@ -264,66 +262,8 @@ class AlgMatrix:
         self.cols = cols
         self._entries = entries
 
-    @classmethod
-    def identity(cls, n: int) -> "AlgMatrix":
-        one, zero = AlgElement.one(), AlgElement.zero()
-        return cls([[one if j == k else zero for k in range(n)] for j in range(n)])
-
     def entry(self, j: int, k: int) -> AlgElement:
         return self._entries[j][k]
-
-    def entries(self):
-        for row in self._entries:
-            yield from row
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return AlgMatrix(
-            [
-                [
-                    AlgElement.sum(
-                        self._entries[j][l] * other._entries[l][k] for l in range(self.cols)
-                    )
-                    for k in range(other.cols)
-                ]
-                for j in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in subtraction")
-        return AlgMatrix(
-            [
-                [self._entries[j][k] - other._entries[j][k] for k in range(self.cols)]
-                for j in range(self.rows)
-            ]
-        )
-
-    def transpose(self) -> "AlgMatrix":
-        return AlgMatrix(
-            [[self._entries[j][k] for j in range(self.rows)] for k in range(self.cols)]
-        )
-
-    def star(self) -> "AlgMatrix":
-        """Conjugate transpose: entrywise adjoint plus transposition."""
-        return AlgMatrix(
-            [
-                [self._entries[j][k].adjoint() for j in range(self.rows)]
-                for k in range(self.cols)
-            ]
-        )
-
-    def bar(self) -> "AlgMatrix":
-        """Entrywise adjoint without transposition: bar(M) = star(M)^t."""
-        return AlgMatrix(
-            [[e.adjoint() for e in row] for row in self._entries]
-        )
 
     def substitute(self, sigma: dict) -> "AlgMatrix":
         return AlgMatrix([[e.substitute(sigma) for e in row] for row in self._entries])
@@ -436,12 +376,6 @@ class ScalarMatrix:
                     f = work[r][col]
                     work[r] = [a - f * b for a, b in zip(work[r], work[col])]
         return ScalarMatrix([row[n:] for row in work])
-
-    def embed(self) -> AlgMatrix:
-        """View as an AlgMatrix with scalar entries."""
-        return AlgMatrix(
-            [[AlgElement.scalar(e) for e in row] for row in self._entries]
-        )
 
     def scale(self, c) -> "ScalarMatrix":
         c = Fraction(c)

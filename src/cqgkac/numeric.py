@@ -31,7 +31,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .presentations import Presentation
+from .presentations import Presentation, _monomial_decode
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -205,7 +205,7 @@ def _candidates(P: Presentation):
     tag = P.single_tag()
     q, f = P.qmatrices[tag], P.fmatrices[tag]
     n = q.rows
-    pi = [next(k for k in range(n) if f.entry(j, k)) for j in range(n)] if f else list(range(n))
+    pi, d = _monomial_decode(f) if f else (list(range(n)), None)
     classes = {}
     for j in range(n):
         classes.setdefault(q.entry(j, j), []).append(j)
@@ -216,7 +216,7 @@ def _candidates(P: Presentation):
     def f_signs(perm):
         signs = [1] * n
         for r in range(n):
-            if r < pi[r] and f.entry(perm[r], pi[perm[r]]) * f.entry(r, pi[r]) < 0:
+            if r < pi[r] and d[perm[r]] * d[r] < 0:
                 signs[pi[r]] = -1
         return signs
 

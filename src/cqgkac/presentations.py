@@ -11,12 +11,20 @@ factor.  Builders produce:
     (the unitary relations plus the reality relation U = F Ubar F^-1),
   * free products (disjoint generators, union of relations).
 
-F must be monomial, as every standard form is.  The reality relation then
-is the closed-form substitution u(j,k) = F[j,pi(j)] F^-1[pi(k),k]
-u(pi(j),pi(k))*, which makes half the generators redundant.  They are
-substituted into the generator matrix once, every relation is expanded
-once over that substituted matrix, and the fundamental matrix keeps the
-substituted expressions in their places.
+F must be monomial, as every standard form is: row j holds one nonzero
+d_j = F[j,pi(j)], and Q = F*F is diagonal.  Every relation entry is then
+a one-index sum, written down directly:
+
+  (U U* - I)[j,k]            = sum_a u(j,a) u(k,a)* - delta(j,k)
+  (U* U - I)[j,k]            = sum_a u(a,j)* u(a,k) - delta(j,k)
+  (U^t Q Ubar Q^-1 - I)[j,k] = sum_a (Q_a/Q_k) u(a,j) u(a,k)* - delta(j,k)
+  (Q Ubar Q^-1 U^t - I)[j,k] = sum_a (Q_j/Q_a) u(j,a)* u(k,a) - delta(j,k)
+  (U - F Ubar F^-1)[j,k]     = u(j,k) - (d_j/d_k) u(pi(j),pi(k))*
+
+The reality entries make half the generators redundant.  They are
+substituted into the generator matrix once, every entry is written over
+that substituted matrix, and the fundamental matrix keeps the substituted
+expressions in their places.
 """
 
 from __future__ import annotations
@@ -165,6 +173,14 @@ def symplectic_matrix(m: int) -> ScalarMatrix:
     return standard_form_matrix(BlockSpec("case-II", ((Fraction(1), m),)))
 
 
+def _monomial_decode(F: ScalarMatrix):
+    """(pi, d) of a monomial F: row j holds its one nonzero d[j] in column
+    pi[j]."""
+    n = F.rows
+    pi = [next(k for k in range(n) if F.entry(j, k)) for j in range(n)]
+    return pi, [F.entry(j, pj) for j, pj in enumerate(pi)]
+
+
 def eigenvalue_profile(F: ScalarMatrix):
     """Eigenvalues of F*F with multiplicities, ascending.
 
@@ -173,11 +189,9 @@ def eigenvalue_profile(F: ScalarMatrix):
     """
     if not F.is_monomial():
         raise ValueError("eigenvalue profile needs a monomial matrix")
-    q = F.star() * F
     counts = {}
-    for j in range(q.rows):
-        v = q.entry(j, j)
-        counts[v] = counts.get(v, 0) + 1
+    for v in _monomial_decode(F)[1]:
+        counts[v * v] = counts.get(v * v, 0) + 1
     return sorted(counts.items())
 
 
@@ -280,24 +294,32 @@ def _unitarity_relations(u: AlgMatrix, q: ScalarMatrix):
     """Entries of the four defining identities for U and its Q-twist.
 
     U U* = I = U* U and U^t Q Ubar Q^-1 = I = Q Ubar Q^-1 U^t; the second
-    pair states unitarity of F Ubar F^-1 rewritten through Q = F*F.
+    pair states unitarity of F Ubar F^-1 rewritten through Q = F*F.  With
+    Q diagonal, entry (j,k) of each is a sum over one index a:
+
+        sum_a u(j,a) u(k,a)*,  sum_a u(a,j)* u(a,k),
+        sum_a (Q_a/Q_k) u(a,j) u(a,k)*,  sum_a (Q_j/Q_a) u(j,a)* u(k,a),
+
+    each minus delta(j,k); returned identity by identity, each row-major.
+    The twisted pair reads t = Q Ubar Q^-1, t(j,k) = (Q_j/Q_k) u(j,k)*.
     """
     n = u.rows
-    eye = AlgMatrix.identity(n)
-    qe = q.embed()
-    qi = q.inverse().embed()
-    ut = u.transpose()
-    ub = u.bar()
-    mats = [
-        u * u.star() - eye,
-        u.star() * u - eye,
-        ut * qe * ub * qi - eye,
-        qe * ub * qi * ut - eye,
+    e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
+    s = [[x.adjoint() for x in row] for row in e]
+    d = [q.entry(j, j) for j in range(n)]
+    t = [[x.scale(d[j] / d[k]) for k, x in enumerate(row)] for j, row in enumerate(s)]
+    entries = (
+        lambda j, k: (e[j][a] * s[k][a] for a in range(n)),
+        lambda j, k: (s[a][j] * e[a][k] for a in range(n)),
+        lambda j, k: (e[a][j] * t[a][k] for a in range(n)),
+        lambda j, k: (t[j][a] * e[k][a] for a in range(n)),
+    )
+    return [
+        AlgElement.sum(entry(j, k)) - AlgElement.scalar(int(j == k))
+        for entry in entries
+        for j in range(n)
+        for k in range(n)
     ]
-    out = []
-    for m in mats:
-        out.extend(m.entries())
-    return out
 
 
 def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
@@ -323,7 +345,7 @@ def reality_substitution(F: ScalarMatrix):
 
     Entry (j,k) of the relation reads, in closed form,
 
-        u(j,k) = F[j,pi(j)] F^-1[pi(k),k] u(pi(j),pi(k))*,
+        u(j,k) = (d_j/d_k) u(pi(j),pi(k))*,   d_j = F[j,pi(j)],
 
     pairing position (j,k) with (pi(j), pi(k)).  Of every pair the
     position with the smaller (column, row) is kept and the partner maps
@@ -335,9 +357,7 @@ def reality_substitution(F: ScalarMatrix):
     """
     if not F.is_monomial():
         raise ValueError("reality substitution needs a monomial matrix")
-    n = F.rows
-    pi = [next(k for k in range(n) if F.entry(j, k)) for j in range(n)]
-    fi = F.inverse()
+    pi, d = _monomial_decode(F)
     sigma = {}
     kept = []
     for j, pj in enumerate(pi):
@@ -347,7 +367,7 @@ def reality_substitution(F: ScalarMatrix):
                 kept.append(g)
             else:
                 partner = GeneratorId(0, "u", pj, pk, star=True)
-                sigma[g] = AlgElement.word((partner,), F.entry(j, pj) * fi.entry(pk, k))
+                sigma[g] = AlgElement.word((partner,), d[j] / d[k])
     return sigma, sorted(kept)
 
 
@@ -355,10 +375,10 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     """Presentation of the universal orthogonal algebra of F.
 
     Requires a monomial F, as every standard form is, with F Fbar = +I or
-    -I exactly; non-monomial F is refused.  Every relation is expanded once
-    over the generator matrix u with the reality substitution applied; a
-    reality entry of u left nonzero off the self-paired positions raises
-    RuntimeError.
+    -I exactly; non-monomial F is refused.  Every relation entry is written
+    in closed form over the generator matrix u with the reality
+    substitution applied; a reality entry of u left nonzero off the
+    self-paired positions raises RuntimeError.
     """
     if F.rows != F.cols:
         raise ValueError("F must be square")
@@ -372,13 +392,13 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     sigma, kept = reality_substitution(F)
     u = generator_matrix(F.rows).substitute(sigma)
     rels = _unitarity_relations(u, q)
-    h = u - F.embed() * u.bar() * F.inverse().embed()
-    for j in range(F.rows):
-        for k in range(F.rows):
-            # (j,k) pairs with itself exactly when F[j,j] and F[k,k] are nonzero
-            if not (F.entry(j, j) and F.entry(k, k)) and not h.entry(j, k).is_zero():
-                raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h.entry(j, k)}")
-    rels.extend(h.entries())
+    pi, d = _monomial_decode(F)
+    for j, pj in enumerate(pi):
+        for k, pk in enumerate(pi):
+            h = u.entry(j, k) - u.entry(pj, pk).adjoint().scale(d[j] / d[k])
+            if (pj, pk) != (j, k) and not h.is_zero():
+                raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
+            rels.append(h)
     return Presentation(
         kept, rels, {0: u}, {0: q}, {0: F},
         label=orthogonal_label(F),

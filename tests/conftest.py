@@ -57,3 +57,30 @@ def small_specs(draw):
     ms = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
     epsilon = draw(st.sampled_from((1, -1))) if kind == "one-block" else 1
     return k.BlockSpec(kind, tuple(zip(qs, ms)), trailing=trailing, epsilon=epsilon)
+
+
+def dense(m):
+    """A matrix as a list of AlgElement rows: a ScalarMatrix with its
+    entries as constants, or a list of rows as it is."""
+    if isinstance(m, k.ScalarMatrix):
+        return [[k.AlgElement.scalar(m.entry(j, c)) for c in range(m.cols)] for j in range(m.rows)]
+    return m
+
+
+def dense_product(*factors):
+    """The product of the factors, left to right, by the dense formula
+    (AB)[j,c] = sum_l A[j,l] B[l,c]; each factor is read by `dense`."""
+    out = dense(factors[0])
+    for f in map(dense, factors[1:]):
+        out = [[k.AlgElement.sum(row[l] * f[l][c] for l in range(len(f)))
+                for c in range(len(f[0]))] for row in out]
+    return out
+
+
+def bar(m):
+    """Entrywise adjoint of a list of rows."""
+    return [[e.adjoint() for e in row] for row in m]
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]

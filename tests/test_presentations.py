@@ -8,7 +8,7 @@ from cqgkac.algebra import AlgElement, ScalarMatrix
 import cqgkac.presentations as presentations
 from cqgkac.presentations import SpecError, canonicalize_relations, normalize_relation
 
-from conftest import gen, letter, one_block_spec, small_specs
+from conftest import bar, dense_product, gen, letter, one_block_spec, small_specs, transpose
 
 
 def test_standard_form_case_one():
@@ -190,10 +190,10 @@ def test_reality_substitution_symplectic_matches_hand_expansion():
     f = k.symplectic_matrix(1)
     sigma, kept = k.reality_substitution(f)
     # oracle: expand F bar(U) F^-1 on the raw generator matrix directly
-    u = k.AlgMatrix([[letter(0, 0), letter(0, 1)], [letter(1, 0), letter(1, 1)]])
-    image = f.embed() * u.bar() * f.inverse().embed()
+    u = [[letter(0, 0), letter(0, 1)], [letter(1, 0), letter(1, 1)]]
+    image = dense_product(f, bar(u), f.inverse())
     for g, value in sigma.items():
-        assert value == image.entry(g.row, g.col)
+        assert value == image[g.row][g.col]
     assert sigma == {
         gen(0, 1): -letter(1, 0, star=True),
         gen(1, 1): letter(0, 0, star=True),
@@ -217,15 +217,13 @@ def test_reality_substitution_annihilates_reality_entries():
         f = k.standard_form_matrix(spec)
         sigma, kept = k.reality_substitution(f)
         n = f.rows
-        u = k.AlgMatrix(
-            [[letter(j, c) for c in range(n)] for j in range(n)]
-        )
-        h = u - f.embed() * u.bar() * f.inverse().embed()
+        u = [[letter(j, c) for c in range(n)] for j in range(n)]
+        conj = dense_product(f, bar(u), f.inverse())
         kept_set = set(kept)
         pi = [next(col for col in range(n) if f.entry(row, col)) for row in range(n)]
         for j in range(n):
             for c in range(n):
-                entry = h.entry(j, c).substitute(sigma)
+                entry = (u[j][c] - conj[j][c]).substitute(sigma)
                 if (pi[j], pi[c]) != (j, c):
                     assert entry.is_zero()
                 else:
@@ -320,33 +318,39 @@ def test_single_factor_views_refuse_a_free_product():
     assert fp.fundamental(1).rows == 2
 
 
-def _expand_then_substitute(f):
-    """The builder's earlier algorithm: every identity expanded over the raw
-    generator matrix, then the reality substitution applied to each
-    relation and to the matrix."""
-    n = f.rows
-    u = k.AlgMatrix([[letter(j, c) for c in range(n)] for j in range(n)])
-    q = f.star() * f
-    eye = k.AlgMatrix.identity(n)
-    ut, ub = u.transpose(), u.bar()
-    qe, qi = q.embed(), q.inverse().embed()
+def _expand_then_substitute(spec):
+    """The builder's earlier algorithm: every identity expanded as a dense
+    product over the raw generator matrix, then the reality substitution
+    applied to each relation and to the matrix.  A unitary spec expands
+    only the four unitarity identities over its Q."""
+    m = k.standard_form_matrix(spec)
+    n = m.rows
+    u = [[letter(j, c) for c in range(n)] for j in range(n)]
+    ub, ut = bar(u), transpose(u)
+    q = m if spec.kind == "unitary" else m.star() * m
     mats = [
-        u * u.star() - eye,
-        u.star() * u - eye,
-        ut * qe * ub * qi - eye,
-        qe * ub * qi * ut - eye,
-        u - f.embed() * ub * f.inverse().embed(),
+        dense_product(u, transpose(ub)),
+        dense_product(transpose(ub), u),
+        dense_product(ut, q, ub, q.inverse()),
+        dense_product(q, ub, q.inverse(), ut),
     ]
-    sigma, kept = k.reality_substitution(f)
-    rels = [e.substitute(sigma) for m in mats for e in m.entries()]
-    return kept, canonicalize_relations(rels), u.substitute(sigma)
+    rels = [e - AlgElement.scalar(int(j == c))
+            for mat in mats for j, row in enumerate(mat) for c, e in enumerate(row)]
+    if spec.kind == "unitary":
+        sigma, kept = {}, [gen(j, c) for j in range(n) for c in range(n)]
+    else:
+        conj = dense_product(m, ub, m.inverse())
+        rels += [u[j][c] - conj[j][c] for j in range(n) for c in range(n)]
+        sigma, kept = k.reality_substitution(m)
+    rels = [r.substitute(sigma) for r in rels]
+    return kept, canonicalize_relations(rels), k.AlgMatrix(u).substitute(sigma)
 
 
-@settings(max_examples=25, deadline=None)
-@given(small_specs().filter(lambda s: s.kind != "unitary"))
+@settings(max_examples=40, deadline=None)
+@given(small_specs())
 def test_builder_matches_expand_then_substitute_on_small_specs(spec):
     p = k.build_presentation(spec)
-    kept, rels, u = _expand_then_substitute(k.standard_form_matrix(spec))
+    kept, rels, u = _expand_then_substitute(spec)
     assert p.generators == tuple(kept)
     assert [r.sort_key() for r in p.relations] == [r.sort_key() for r in rels]
     assert p.fundamental() == u

@@ -1,12 +1,13 @@
-"""Answer digest of `cqgkac.cli.run(spec, "match")` over every small spec.
+"""Answer digests of `cqgkac.cli.run` over every small spec.
 
 Enumerates every valid BlockSpec with N <= 6 and block parameters in
-{1/4, 1/3, 1/2, 2/3, 1}, runs `match` on each, and prints the spec count
-per kind and one SHA-256 over the reports, each serialized with
-`json.dumps(report, sort_keys=True)` after its `timings` are removed and
-ended by a newline.
-Two checkouts that print the same digest gave the same answers, byte for
-byte, on every spec.
+{1/4, 1/3, 1/2, 2/3, 1}, runs `match` and `build` on each, and prints the
+spec count per kind and one SHA-256 per verb over its reports, each
+serialized with `json.dumps(report, sort_keys=True)` after its `timings`
+are removed and ended by a newline.
+Two checkouts that print the same `sha256` (match) digest gave the same
+answers, byte for byte, on every spec; the same `build sha256` digest
+means they built the same generators and relations.
 
     python tools/sweep.py
 
@@ -66,16 +67,18 @@ def specs():
 
 
 def main():
-    digest = hashlib.sha256()
+    digests = {"match": hashlib.sha256(), "build": hashlib.sha256()}
     kinds = Counter()
     start = time.perf_counter()
     for spec in specs():
-        _, report = run(spec, "match")
-        report.pop("timings", None)
-        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+        for verb, digest in digests.items():
+            _, report = run(spec, verb)
+            report.pop("timings", None)
+            digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
         kinds[spec.kind] += 1
     print(f"specs: {sum(kinds.values())} ({', '.join(f'{n} {k}' for k, n in kinds.items())})")
-    print(f"sha256: {digest.hexdigest()}")
+    print(f"sha256: {digests['match'].hexdigest()}")
+    print(f"build sha256: {digests['build'].hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
 
 
