@@ -24,7 +24,6 @@ from .hopf import (
     coproduct,
     counit,
     hopf_axiom_check,
-    hopf_kernel_membership,
 )
 from .numeric import (
     CharacterCover,

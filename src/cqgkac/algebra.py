@@ -57,14 +57,14 @@ def add_terms(acc: dict, terms) -> dict:
 
 
 class GeneratorId(NamedTuple):
-    """A letter of the free *-algebra: one matrix coefficient or its adjoint.
+    """A letter of the free *-algebra: one coefficient u(row,col) of a
+    fundamental matrix, or its adjoint.
 
-    The field order gives the global letter order: factor tag, family name,
-    position, then star (plain < star).
+    The field order gives the global letter order: factor tag, position,
+    then star (plain < star).
     """
 
     factor: int
-    name: str
     row: int
     col: int
     star: bool = False
@@ -78,7 +78,7 @@ class GeneratorId(NamedTuple):
     def label(self) -> str:
         head = f"{self.factor}." if self.factor else ""
         tail = "*" if self.star else ""
-        return f"{head}{self.name}({self.row + 1},{self.col + 1}){tail}"
+        return f"{head}u({self.row + 1},{self.col + 1}){tail}"
 
 
 Word = tuple  # tuple[GeneratorId, ...]; () is the unit

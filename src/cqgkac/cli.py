@@ -292,7 +292,7 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
 
     if verb in ("numeric", "report"):
         start = time.perf_counter()
-        n = presentation.fundamental().rows
+        n = presentation.u.rows
         identity_point = classical_point(presentation, np.eye(n))
         identity_residual = eval_residual(presentation, identity_point).max_residual
         found = rep_search(presentation, dim, seed)

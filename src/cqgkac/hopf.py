@@ -1,17 +1,18 @@
 """Coproduct, counit and antipode on presented CQG algebras.
 
 The coproduct acts on a letter at position (j,k) by the matrix formula
-over the factor's fundamental matrix, so eliminated positions contribute
-their substituted expressions.  The counit laws hold exactly in the free
-algebra.  Coassociativity holds there too, except where eliminated
-positions only agree modulo self-paired reality relations.  It, the
-antipode laws and coproduct-invariance of the relations are decided modulo
-the relation ideal truncated at the degree D of the longest word they
-contain: identities like Δ(R_jk) = Σ u_ja u_kb* ⊗ R_ab + R_jk ⊗ 1 put each
-item in I_D ⊗ A + A ⊗ I_D.  Items outside that sum are inconclusive.
+over the presentation's fundamental matrix, so eliminated positions
+contribute their substituted expressions.  The counit laws hold exactly
+in the free algebra.  Coassociativity holds there too, except where
+eliminated positions only agree modulo self-paired reality relations.
+It, the antipode laws and coproduct-invariance of the relations are
+decided modulo the relation ideal truncated at the degree D of the
+longest word they contain: identities like
+Δ(R_jk) = Σ u_ja u_kb* ⊗ R_ab + R_jk ⊗ 1 put each item in
+I_D ⊗ A + A ⊗ I_D.  Items outside that sum are inconclusive.
 
-Also here: the central morphism onto the order-two group algebra and its
-Hopf kernel, for presentations over the standard symplectic form.
+Also here: the central morphism onto the order-two group algebra, for
+presentations over the standard symplectic form.
 """
 
 from __future__ import annotations
@@ -85,18 +86,19 @@ class TensorElement:
         )
 
 
-def _layout_entry(P: Presentation, g: GeneratorId) -> None:
-    mat = P.fundamentals.get(g.factor)
-    if mat is None or not (0 <= g.row < mat.rows and 0 <= g.col < mat.cols):
+def _layout_entry(P: Presentation, g: GeneratorId):
+    """P's fundamental matrix; ValueError unless g is one of its letters."""
+    u = P.u
+    if g.factor or u is None or not (0 <= g.row < u.rows and 0 <= g.col < u.cols):
         raise ValueError(f"letter {g.label()} lies outside the fundamental layout")
+    return u
 
 
 def _letter_coproduct(P: Presentation, g: GeneratorId) -> TensorElement:
-    _layout_entry(P, g)
-    mat = P.fundamentals[g.factor]
+    u = _layout_entry(P, g)
     acc = {}
-    for l in range(mat.rows):
-        add_terms(acc, TensorElement.of(mat.entry(g.row, l), mat.entry(l, g.col)).terms())
+    for l in range(u.rows):
+        add_terms(acc, TensorElement.of(u.entry(g.row, l), u.entry(l, g.col)).terms())
     out = TensorElement._wrap(acc)
     return out.adjoint() if g.star else out
 
@@ -131,14 +133,12 @@ def counit(P: Presentation, a: AlgElement) -> Fraction:
 
 
 def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
-    _layout_entry(P, g)
-    mirror = P.fundamentals[g.factor].entry(g.col, g.row)
+    mirror = _layout_entry(P, g).entry(g.col, g.row)
     if not g.star:
         return mirror.adjoint()
     # starred letters carry the twist S(Ubar) = Q^-1 U^t Q; at Q = I this
     # is the plain mirror letter
-    q = P.qmatrices[g.factor]
-    return mirror.scale(q.entry(g.col, g.col) / q.entry(g.row, g.row))
+    return mirror.scale(P.q.entry(g.col, g.col) / P.q.entry(g.row, g.row))
 
 
 def antipode(P: Presentation, a: AlgElement) -> AlgElement:
@@ -293,13 +293,10 @@ class MorphismSpec:
         return (total[0], total[1])
 
 
-def _require_symplectic(P: Presentation) -> int:
-    tag = P.single_tag()
-    f = P.fmatrices[tag]
-    n = P.fundamentals[tag].rows
-    if f is None or n % 2 or f != symplectic_matrix(n // 2):
+def _require_symplectic(P: Presentation) -> None:
+    f = P.f
+    if f is None or f.rows % 2 or f != symplectic_matrix(f.rows // 2):
         raise ValueError("expected a presentation over the standard symplectic form")
-    return tag
 
 
 def default_central_morphism(P: Presentation) -> MorphismSpec:
@@ -313,9 +310,9 @@ def default_central_morphism(P: Presentation) -> MorphismSpec:
 def central_morphism_check(P: Presentation, morphism: MorphismSpec = None) -> bool:
     """Whether (gamma x id) Delta equals (gamma x id) flip Delta on every
     fundamental position."""
-    tag = _require_symplectic(P)
+    _require_symplectic(P)
     gamma = morphism or default_central_morphism(P)
-    mat = P.fundamentals[tag]
+    mat = P.u
     n = mat.rows
     for j in range(n):
         for k in range(n):
@@ -328,15 +325,3 @@ def central_morphism_check(P: Presentation, morphism: MorphismSpec = None) -> bo
                     return False
     return True
 
-
-def hopf_kernel_membership(P: Presentation, b: AlgElement,
-                           morphism: MorphismSpec = None) -> bool:
-    """Whether (gamma x id) Delta(b) = 1 x b after the t^2 = 1 reduction."""
-    _require_symplectic(P)
-    gamma = morphism or default_central_morphism(P)
-    images = [(w2, c, gamma.apply(AlgElement.word(w1))) for (w1, w2), c in coproduct(P, b).terms()]
-    unit, t = (
-        AlgElement.sum(AlgElement.word(w2, c * z[part]) for w2, c, z in images)
-        for part in (0, 1)
-    )
-    return t.is_zero() and unit == b

@@ -109,8 +109,7 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     V = F conj(V) F^-1, unitary-type ones need Q conj(V) Q^-1 unitary.
     Rejections carry the violated condition and its measured defect.
     """
-    tag = P.single_tag()
-    n = P.fundamentals[tag].rows
+    n = P.u.rows
     V = np.asarray(V, dtype=complex)
     if V.shape != (n, n):
         raise ValueError(f"V has shape {V.shape}, expected {(n, n)}")
@@ -118,18 +117,17 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     defect = max(_opnorm(V @ V.conj().T - eye), _opnorm(V.conj().T @ V - eye))
     if defect > ACCEPT_TOL:
         raise ValueError(f"V is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}")
-    f = P.fmatrices[tag]
-    if f is not None:
-        fa = _as_array(f)
-        fi = _as_array(f.inverse())
+    if P.f is not None:
+        fa = _as_array(P.f)
+        fi = _as_array(P.f.inverse())
         defect = _opnorm(V - fa @ V.conj() @ fi)
         if defect > ACCEPT_TOL:
             raise ValueError(
                 f"V fails the reality condition V = F conj(V) F^-1: defect {defect:.3e}"
             )
     else:
-        q = _as_array(P.qmatrices[tag])
-        qi = _as_array(P.qmatrices[tag].inverse())
+        q = _as_array(P.q)
+        qi = _as_array(P.q.inverse())
         w = q @ V.conj() @ qi
         defect = max(_opnorm(w @ w.conj().T - eye), _opnorm(w.conj().T @ w - eye))
         if defect > ACCEPT_TOL:
@@ -172,7 +170,7 @@ def verify_character(P: Presentation, V) -> bool:
     only P and V, never the enumerator: raises CharacterError naming the
     failing rel[i] or position.
     """
-    u = P.fundamental()
+    u = P.u
     n = u.rows
     if len(V) != n or any(len(row) != n for row in V):
         raise CharacterError(f"V is not {n}x{n}")
@@ -202,8 +200,7 @@ def _candidates(P: Presentation):
     index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
     = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
     """
-    tag = P.single_tag()
-    q, f = P.qmatrices[tag], P.fmatrices[tag]
+    q, f = P.q, P.f
     n = q.rows
     pi, d = _monomial_decode(f) if f else (list(range(n)), None)
     classes = {}
@@ -333,12 +330,13 @@ def rep_search(P: Presentation, n: int, seed: int):
     """An n-dimensional representation, or None when none was found.
 
     n = 1 returns the first verified character (exact, so its residual is
-    0 up to rounding; the seed is unused), for single-factor presentations
-    only.  n >= 2 runs a damped Gauss-Newton least-squares search from a
-    start drawn from the seed, deterministic per seed: it returns an
-    assignment only when the independent residual check passes below the
-    search threshold, and None when its budget runs out.  `check_dim`
-    refuses n before anything is allocated.
+    0 up to rounding; the seed is unused), for a presentation with a
+    fundamental matrix (not a free product).  n >= 2 runs a damped
+    Gauss-Newton least-squares search from a start drawn from the seed,
+    deterministic per seed: it returns an assignment only when the
+    independent residual check passes below the search threshold, and None
+    when its budget runs out.  `check_dim` refuses n before anything is
+    allocated.
     """
     check_dim(P, n)
     if n == 1:

@@ -2,14 +2,15 @@
 CQG algebras.
 
 A presentation stores the kept (plain) generators, a canonicalized relation
-list (every relation asserted = 0), and one fundamental matrix per free
-factor.  Builders produce:
+list (every relation asserted = 0), and, for one quantum group, its
+fundamental matrix, Q and F.  Builders produce:
 
   * the universal unitary algebra of a positive diagonal matrix Q
     (relations: U and the Q-twisted conjugate of U are unitary),
   * the universal orthogonal algebra of an invertible F with F Fbar = +-I
     (the unitary relations plus the reality relation U = F Ubar F^-1),
-  * free products (disjoint generators, union of relations).
+  * free products (disjoint generators, union of relations; no
+    fundamental matrix).
 
 F must be monomial, as every standard form is: row j holds one nonzero
 d_j = F[j,pi(j)], and Q = F*F is diagonal.  Every relation entry is then
@@ -225,38 +226,26 @@ def canonicalize_relations(rels):
 class Presentation:
     """A finitely presented *-algebra with CQG bookkeeping.
 
-    generators   : kept plain GeneratorIds, sorted.
-    relations    : canonicalized AlgElements, each asserted = 0.
-    fundamentals : factor tag -> fundamental matrix (kept generators in
-                   their positions, eliminated positions substituted).
-    qmatrices    : factor tag -> the diagonal Q of that factor.
-    fmatrices    : factor tag -> F for orthogonal factors, else None.
-    spec         : the BlockSpec the presentation was built from, if any.
+    generators : kept plain GeneratorIds, sorted.
+    relations  : canonicalized AlgElements, each asserted = 0.
+    u          : the fundamental matrix (kept generators in their
+                 positions, eliminated positions substituted); None for a
+                 free product, which keeps only generators and relations.
+    q          : the diagonal Q; None for a free product.
+    f          : F for the orthogonal kind, else None.
+    spec       : the BlockSpec the presentation was built from, if any.
     """
 
-    __slots__ = (
-        "generators",
-        "relations",
-        "fundamentals",
-        "qmatrices",
-        "fmatrices",
-        "spec",
-        "label",
-    )
+    __slots__ = ("generators", "relations", "u", "q", "f", "spec", "label")
 
-    def __init__(self, generators, relations, fundamentals, qmatrices,
-                 fmatrices, spec=None, label=""):
+    def __init__(self, generators, relations, u, q, f=None, spec=None, label=""):
         self.generators = tuple(sorted(generators))
         self.relations = canonicalize_relations(relations)
-        self.fundamentals = dict(fundamentals)
-        self.qmatrices = dict(qmatrices)
-        self.fmatrices = dict(fmatrices)
+        self.u = u
+        self.q = q
+        self.f = f
         self.spec = spec
         self.label = label
-
-    @property
-    def factor_tags(self):
-        return sorted(self.fundamentals)
 
     @property
     def sizes(self):
@@ -264,17 +253,6 @@ class Presentation:
 
     def generator_set(self):
         return set(self.generators)
-
-    def single_tag(self):
-        """The factor tag of a single-factor presentation; ValueError on a
-        free product of several factors."""
-        if len(self.fundamentals) != 1:
-            raise ValueError("expected a single-factor presentation")
-        (tag,) = self.fundamentals
-        return tag
-
-    def fundamental(self, tag=None) -> AlgMatrix:
-        return self.fundamentals[self.single_tag() if tag is None else tag]
 
     def __repr__(self):
         return (f"Presentation({self.label or 'anonymous'}: "
@@ -284,7 +262,7 @@ class Presentation:
 def generator_matrix(n: int) -> AlgMatrix:
     return AlgMatrix(
         [
-            [AlgElement.generator(GeneratorId(0, "u", j, k)) for k in range(n)]
+            [AlgElement.generator(GeneratorId(0, j, k)) for k in range(n)]
             for j in range(n)
         ]
     )
@@ -332,12 +310,9 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
         raise ValueError("Q must be positive")
     n = Q.rows
     u = generator_matrix(n)
-    gens = [GeneratorId(0, "u", j, k) for j in range(n) for k in range(n)]
+    gens = [GeneratorId(0, j, k) for j in range(n) for k in range(n)]
     rels = _unitarity_relations(u, Q)
-    return Presentation(
-        gens, rels, {0: u}, {0: Q}, {0: None},
-        label=unitary_label(Q),
-    )
+    return Presentation(gens, rels, u, Q, label=unitary_label(Q))
 
 
 def reality_substitution(F: ScalarMatrix):
@@ -362,11 +337,11 @@ def reality_substitution(F: ScalarMatrix):
     kept = []
     for j, pj in enumerate(pi):
         for k, pk in enumerate(pi):
-            g = GeneratorId(0, "u", j, k)
+            g = GeneratorId(0, j, k)
             if (k, j) <= (pk, pj):
                 kept.append(g)
             else:
-                partner = GeneratorId(0, "u", pj, pk, star=True)
+                partner = GeneratorId(0, pj, pk, star=True)
                 sigma[g] = AlgElement.word((partner,), d[j] / d[k])
     return sigma, sorted(kept)
 
@@ -399,40 +374,30 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
             if (pj, pk) != (j, k) and not h.is_zero():
                 raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
             rels.append(h)
-    return Presentation(
-        kept, rels, {0: u}, {0: q}, {0: F},
-        label=orthogonal_label(F),
-    )
+    return Presentation(kept, rels, u, q, F, label=orthogonal_label(F))
 
 
 def free_product(parts) -> Presentation:
-    """Disjoint union of generators and union of relations, retagged."""
+    """Disjoint union of generators and union of relations, part i's
+    letters retagged to factor i.
+
+    The result keeps no fundamental matrix.  A part that is itself a free
+    product (no fundamental matrix) is refused: retagging would merge the
+    letters of its factors.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("free product needs at least one part")
     gens, rels = [], []
-    fundamentals, qmats, fmats = {}, {}, {}
-    next_tag = 0
-    for part in parts:
-        for old in part.factor_tags:
-            remap = {}
-            for g in part.generators:
-                if g.factor == old:
-                    remap[g] = AlgElement.generator(g._replace(factor=next_tag))
-            gens.extend(g._replace(factor=next_tag) for g in part.generators if g.factor == old)
-            fundamentals[next_tag] = part.fundamentals[old].substitute(remap)
-            qmats[next_tag] = part.qmatrices[old]
-            fmats[next_tag] = part.fmatrices[old]
-            # relations of a factor only involve that factor's letters
-            for r in part.relations:
-                if any(g.plain().factor == old for w in r.words() for g in w):
-                    rels.append(r.substitute(remap))
-            next_tag += 1
+    for tag, part in enumerate(parts):
+        if part.u is None:
+            raise ValueError(f"free product part {part.label or tag} is itself a free product")
+        retag = {g: g._replace(factor=tag) for g in part.generators}
+        gens.extend(retag.values())
+        remap = {g: AlgElement.generator(h) for g, h in retag.items()}
+        rels.extend(r.substitute(remap) for r in part.relations)
     label = " * ".join(p.label or "?" for p in parts)
-    return Presentation(
-        gens, rels, fundamentals, qmats, fmats,
-        label=label,
-    )
+    return Presentation(gens, rels, None, None, label=label)
 
 
 def build_presentation(spec: BlockSpec) -> Presentation:
@@ -525,12 +490,13 @@ def layout_ranges(spec: BlockSpec) -> dict:
     return ranges
 
 
-def block_decompose(P: Presentation, spec: BlockSpec = None) -> BlockDecomposition:
-    """Carve the fundamental matrix into the named blocks of its layout."""
-    spec = spec or P.spec
+def block_decompose(P: Presentation) -> BlockDecomposition:
+    """Carve the fundamental matrix into the named blocks of its spec's
+    layout."""
+    spec = P.spec
     if spec is None:
         raise ValueError("no block spec available for decomposition")
-    u = P.fundamental()
+    u = P.u
     if u.rows != spec.size:
         raise ValueError(
             f"layout mismatch: matrix is {u.rows}x{u.cols}, spec says N={spec.size}"

@@ -46,15 +46,11 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     def keep(e):
         return AlgElement({w: c for w, c in e.terms() if dead.isdisjoint(w)})
 
+    u = AlgMatrix([[keep(P.u.entry(j, k)) for k in range(P.u.cols)] for j in range(P.u.rows)])
     return Presentation(
         [g for g in P.generators if g not in gens],
         [keep(r) for r in P.relations],
-        {t: AlgMatrix([[keep(m.entry(j, k)) for k in range(m.cols)] for j in range(m.rows)])
-         for t, m in P.fundamentals.items()},
-        P.qmatrices,
-        P.fmatrices,
-        spec=P.spec,
-        label=P.label,
+        u, P.q, P.f, spec=P.spec, label=P.label,
     )
 
 
@@ -71,9 +67,7 @@ def _renaming_from_blocks(spec: BlockSpec, survivors):
         rows, cols = ranges[name]
         for a, j in enumerate(rows):
             for b, k in enumerate(cols):
-                renaming[GeneratorId(0, "u", j, k)] = GeneratorId(
-                    tag, "u", a + row_offset, b
-                )
+                renaming[GeneratorId(0, j, k)] = GeneratorId(tag, a + row_offset, b)
     return renaming
 
 

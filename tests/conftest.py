@@ -6,7 +6,7 @@ import cqgkac as k
 
 
 def gen(row, col, star=False, factor=0):
-    return k.GeneratorId(factor, "u", row, col, star)
+    return k.GeneratorId(factor, row, col, star)
 
 
 def letter(row, col, star=False, factor=0):
@@ -28,14 +28,13 @@ def random_element(rng, letters, max_words=3, max_len=3):
 
 def undetermined_presentation(spec):
     """Spec's presentation cut down to u(1,1), u(1,2), u(1,3) and the one
-    relation u11 u11* - u12 u12*, keeping spec's fundamentals: tr[u11 u11*]
+    relation u11 u11* - u12 u12*, keeping spec's u, Q and F: tr[u11 u11*]
     = tr[u12 u12*] leaves both unbounded, and tr[u13 u13*] is in no
     equation."""
     p = k.build_presentation(spec)
     u = [gen(0, c) for c in range(3)]
     rel = k.AlgElement.word((u[0], u[0].adjoint())) - k.AlgElement.word((u[1], u[1].adjoint()))
-    return k.Presentation(u, [rel], p.fundamentals, p.qmatrices, p.fmatrices,
-                          spec=p.spec, label=p.label)
+    return k.Presentation(u, [rel], p.u, p.q, p.f, spec=p.spec, label=p.label)
 
 
 QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))

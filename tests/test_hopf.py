@@ -153,30 +153,3 @@ def test_central_morphism_perturbed_fails():
 def test_central_morphism_requires_symplectic_shape():
     with pytest.raises(ValueError):
         k.central_morphism_check(k.build_presentation(one_block_spec(F(1, 2), 1, 1)))
-
-
-def test_hopf_kernel_membership_quadratic_yes_linear_no():
-    p = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    mat = p.fundamental()
-    for j in range(2):
-        for c in range(2):
-            for l in range(2):
-                for m in range(2):
-                    b = mat.entry(j, c).adjoint() * mat.entry(l, m)
-                    assert k.hopf_kernel_membership(p, b)
-    for g in p.generators:
-        assert not k.hopf_kernel_membership(p, AlgElement.generator(g))
-    assert k.hopf_kernel_membership(p, AlgElement.one())
-
-
-def test_hopf_kernel_closed_under_products_and_adjoints():
-    p = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    mat = p.fundamental()
-    samples = [
-        mat.entry(0, 0).adjoint() * mat.entry(1, 0),
-        mat.entry(1, 1).adjoint() * mat.entry(0, 1),
-    ]
-    for x in samples:
-        for y in samples:
-            assert k.hopf_kernel_membership(p, x * y)
-        assert k.hopf_kernel_membership(p, x.adjoint())

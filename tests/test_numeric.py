@@ -26,7 +26,7 @@ def test_identity_point_every_standard_spec():
     ]
     for spec in specs:
         p = k.build_presentation(spec)
-        n = p.fundamental().rows
+        n = p.u.rows
         point = k.classical_point(p, np.eye(n))
         assert k.eval_residual(p, point).max_residual == 0.0
 

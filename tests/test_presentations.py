@@ -143,7 +143,7 @@ def test_universal_orthogonal_rank_one_is_order_two_group():
 
 def test_universal_orthogonal_symplectic_fundamental_shape():
     p = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    mat = p.fundamental()
+    mat = p.u
     a, c = letter(0, 0), letter(1, 0)
     assert mat.entry(0, 0) == a
     assert mat.entry(0, 1) == -c.adjoint()
@@ -153,7 +153,7 @@ def test_universal_orthogonal_symplectic_fundamental_shape():
 
 def test_universal_orthogonal_one_block_forcing():
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
-    mat = p.fundamental()
+    mat = p.u
     assert mat.entry(0, 1) == letter(1, 0, star=True).scale(F(1, 4))
     assert mat.entry(1, 1) == letter(0, 0, star=True)
 
@@ -257,6 +257,12 @@ def test_free_product_counts_additive():
     assert len(fp.generators) == 1 + 4
     assert len(fp.relations) == len(p1.relations) + len(p2.relations)
     assert {g.factor for g in fp.generators} == {0, 1}
+    retagged = [
+        r.substitute({g: letter(g.row, g.col, factor=tag) for g in part.generators})
+        for tag, part in enumerate((p1, p2))
+        for r in part.relations
+    ]
+    assert fp.relations == canonicalize_relations(retagged)
 
 
 def test_free_product_theorem_target_size():
@@ -308,14 +314,12 @@ def test_eigenvalue_profiles_match_displayed_lists():
     assert prof2 == [(F(1, 4), 1), (F(1), 2), (F(4), 1)]
 
 
-def test_single_factor_views_refuse_a_free_product():
+def test_free_product_refuses_a_free_product_part():
     spec = one_block_spec(F(1, 2), 1, 1)
     fp = k.free_product([k.build_presentation(spec), k.build_presentation(spec)])
-    with pytest.raises(ValueError, match="expected a single-factor presentation"):
-        fp.fundamental()
-    with pytest.raises(ValueError, match="expected a single-factor presentation"):
-        k.block_decompose(fp, spec)
-    assert fp.fundamental(1).rows == 2
+    assert fp.u is None and fp.q is None and fp.f is None
+    with pytest.raises(ValueError, match="is itself a free product"):
+        k.free_product([fp, k.build_presentation(spec)])
 
 
 def _expand_then_substitute(spec):
@@ -353,7 +357,7 @@ def test_builder_matches_expand_then_substitute_on_small_specs(spec):
     kept, rels, u = _expand_then_substitute(spec)
     assert p.generators == tuple(kept)
     assert [r.sort_key() for r in p.relations] == [r.sort_key() for r in rels]
-    assert p.fundamental() == u
+    assert p.u == u
 
 
 def test_a_wrong_reality_scalar_is_caught(monkeypatch):

@@ -62,8 +62,7 @@ def _quotient_by_substitution(p, gens):
     return k.Presentation(
         [g for g in p.generators if g not in sigma],
         [r.substitute(sigma) for r in p.relations],
-        {t: m.substitute(sigma) for t, m in p.fundamentals.items()},
-        p.qmatrices, p.fmatrices, spec=p.spec, label=p.label,
+        p.u.substitute(sigma), p.q, p.f, spec=p.spec, label=p.label,
     )
 
 
@@ -81,7 +80,7 @@ def test_quotient_by_zero_equals_substitution_by_zero(spec):
         q, ref = k.quotient_by_zero(p, gens), _quotient_by_substitution(p, gens)
         assert q.generators == ref.generators
         assert q.relations == ref.relations
-        assert q.fundamentals == ref.fundamentals
+        assert q.u == ref.u
 
 
 def test_canonicalize_scales_and_dedupes():
@@ -89,8 +88,7 @@ def test_canonicalize_scales_and_dedupes():
     doubled = r.scale(2)
     p = k.Presentation(
         [gen(0, 0)], [r, doubled, r.adjoint()],
-        {0: k.AlgMatrix([[letter(0, 0)]])},
-        {0: ScalarMatrix.identity(1)}, {0: None},
+        k.AlgMatrix([[letter(0, 0)]]), ScalarMatrix.identity(1),
     )
     assert len(p.relations) == 1
 

@@ -496,8 +496,7 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     u = [gen(0, c) for c in range(5)]
     norm = [AlgElement.word((g, g.adjoint())) for g in u]
     rels = [norm[0] - norm[1], norm[2], norm[3] - AlgElement.one()]
-    p = k.Presentation(u, rels, base.fundamentals, base.qmatrices, base.fmatrices,
-                       spec=spec, label=base.label)
+    p = k.Presentation(u, rels, base.u, base.q, base.f, spec=spec, label=base.label)
     report = _assert_shared_rounds_match_reference(p)
     assert [g for g, _ in report.rounds[0].forced] == [u[2]]
     assert report.undetermined == [k.generator_symbol(u[i]) for i in (0, 1, 4)]

@@ -1,13 +1,14 @@
 """Answer digests of `cqgkac.cli.run` over every small spec.
 
 Enumerates every valid BlockSpec with N <= 6 and block parameters in
-{1/4, 1/3, 1/2, 2/3, 1}, runs `match` and `build` on each, and prints the
-spec count per kind and one SHA-256 per verb over its reports, each
-serialized with `json.dumps(report, sort_keys=True)` after its `timings`
-are removed and ended by a newline.
+{1/4, 1/3, 1/2, 2/3, 1}, runs `match`, `build` and `hopf-check` on each,
+and prints the spec count per kind and one SHA-256 per verb over its
+reports, each serialized with `json.dumps(report, sort_keys=True)` after
+its `timings` are removed and ended by a newline.
 Two checkouts that print the same `sha256` (match) digest gave the same
 answers, byte for byte, on every spec; the same `build sha256` digest
-means they built the same generators and relations.
+means they built the same generators and relations; the same
+`hopf sha256` digest means the same Hopf verdicts.
 
     python tools/sweep.py
 
@@ -67,7 +68,7 @@ def specs():
 
 
 def main():
-    digests = {"match": hashlib.sha256(), "build": hashlib.sha256()}
+    digests = {verb: hashlib.sha256() for verb in ("match", "build", "hopf-check")}
     kinds = Counter()
     start = time.perf_counter()
     for spec in specs():
@@ -79,6 +80,7 @@ def main():
     print(f"specs: {sum(kinds.values())} ({', '.join(f'{n} {k}' for k, n in kinds.items())})")
     print(f"sha256: {digests['match'].hexdigest()}")
     print(f"build sha256: {digests['build'].hexdigest()}")
+    print(f"hopf sha256: {digests['hopf-check'].hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
 
 
