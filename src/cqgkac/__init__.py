@@ -1,8 +1,7 @@
 """Exact engine for universal unitary/orthogonal quantum-group algebra
 presentations, their Kac quotients via trace-positivity certificates, exact
-characters that witness the generators that survive, and numeric
-representation witnesses.  The dimension-1 witness is an exact character;
-the seed steers only the float search at dimension >= 2."""
+characters that witness the generators that survive, and float residuals
+that cross-check those characters."""
 
 from .algebra import (
     AlgElement,
@@ -31,7 +30,6 @@ from .numeric import (
     NumAssignment,
     ResidualReport,
     characters,
-    check_dim,
     classical_point,
     eval_residual,
     rep_search,

@@ -1,13 +1,9 @@
 """Command-line front end.
 
 Verbs: build, kac, match, hopf-check, numeric, report.  Options: --config
-(the block-spec JSON), --out (write the report there and print a summary),
---seed (an integer >= 0, the start of the numeric search at dimension >= 2)
-and --dim (an integer >= 1, the numeric witness's representation
-dimension).  At dimension 1 the witness is an exact character and the seed
-is unused; a dimension whose search Jacobian is too large is refused as a
-configuration error.  No option sets a
-degree: Kac, match and Hopf work at the degrees of their inputs.  The block
+(the block-spec JSON) and --out (write the report there and print a
+summary).  No option sets a degree: Kac, match and Hopf work at the degrees
+of their inputs, and the numeric witness is an exact character.  The block
 spec comes from a JSON config; rationals are serialized as "p/q" strings so
 the round trip stays exact.  Exit codes: 0 success/matched (and --help), 1
 usage or configuration error, 2 derivation left undetermined or
@@ -25,7 +21,7 @@ import numpy as np
 
 from .algebra import is_int, rat, rat_str
 from .hopf import central_morphism_check, hopf_axiom_check
-from .numeric import check_dim, classical_point, eval_residual, rep_search, witness_characters
+from .numeric import classical_point, eval_residual, rep_search, witness_characters
 from .presentations import BlockSpec, SpecError, build_presentation
 from .quotient import expected_kac_target, match_presentations
 from .trace import kac_fixpoint
@@ -132,27 +128,18 @@ VERBS = {
     "kac": "run the Kac fixpoint derivation",
     "match": "derive and compare against the free-product target",
     "hopf-check": "verify the Hopf structure modulo the relation ideal",
-    "numeric": "classical-point and representation-search checks",
+    "numeric": "identity-point residual and an exact character's residual",
     "report": "all stages",
 }
 
 
-def _check_options(*, verb: str, seed: int, dim: int) -> None:
-    """Reject verbs and option values no stage can use."""
-    if verb not in VERBS:
-        raise ConfigError("verb", f"expected one of {', '.join(VERBS)}, got {verb!r}")
-    for field, value, least in (("seed", seed, 0), ("dim", dim, 1)):
-        if not is_int(value) or value < least:
-            raise ConfigError(field, f"expected an integer >= {least}, got {value!r}")
-
-
-def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
+def run(spec: BlockSpec, verb: str):
     """Run a verb over a block spec; returns (exit code, report dict).
 
-    An unknown verb or an invalid option gives EXIT_CONFIG and the message
-    under "error".  `report` adds a "survivors" section: exact characters
-    (see `numeric.witness_characters`) nonzero on the generators the Kac
-    layer leaves alive,
+    An unknown verb gives EXIT_CONFIG and the message under "error".
+    `report` adds a "survivors" section: exact characters (see
+    `numeric.witness_characters`) nonzero on the generators the Kac layer
+    leaves alive,
 
         "survivors": {
             "characters": [V, ...],   # N x N signed permutation matrices,
@@ -168,10 +155,9 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
     quotient.
     """
     report = {"input": config_json(spec), "verb": verb}
-    try:
-        _check_options(verb=verb, seed=seed, dim=dim)
-    except ConfigError as exc:
-        report["error"] = str(exc)
+    if verb not in VERBS:
+        error = ConfigError("verb", f"expected one of {', '.join(VERBS)}, got {verb!r}")
+        report["error"] = str(error)
         return EXIT_CONFIG, report
     timings = {}
     code = EXIT_OK
@@ -180,12 +166,6 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
     presentation = build_presentation(spec)
     timings["build"] = time.perf_counter() - start
     report["sizes"] = presentation.sizes
-    if verb in ("numeric", "report"):
-        try:
-            check_dim(presentation, dim)
-        except ValueError as exc:
-            report["error"] = str(ConfigError("dim", str(exc)))
-            return EXIT_CONFIG, report
 
     if verb == "build":
         report["presentation"] = {
@@ -295,13 +275,11 @@ def run(spec: BlockSpec, verb: str, *, seed: int = 0, dim: int = 1):
         n = presentation.u.rows
         identity_point = classical_point(presentation, np.eye(n))
         identity_residual = eval_residual(presentation, identity_point).max_residual
-        found = rep_search(presentation, dim, seed)
+        found = rep_search(presentation)
         section = {
             "classical_identity": {"max_residual": identity_residual},
             "rep_search": {
                 "found": found is not None,
-                "dim": dim,
-                "seed": seed,
                 "max_residual": (
                     eval_residual(presentation, found).max_residual
                     if found is not None
@@ -362,11 +340,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the block-spec JSON")
     common.add_argument("--out", help="write the JSON report here")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the numeric search at --dim >= 2")
-    common.add_argument("--dim", type=int, default=1,
-                        help="representation dimension of the numeric witness; "
-                             "1 gives an exact character")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, blurb in VERBS.items():
         sub.add_parser(verb, parents=[common], help=blurb)
@@ -378,7 +351,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+    # JSONDecodeError, UnicodeDecodeError on non-UTF-8 bytes, or
+    # RecursionError on nesting deeper than the decoder can follow
+    except (ValueError, RecursionError) as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -387,7 +362,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 
-    code, report = run(spec, args.verb, seed=args.seed, dim=args.dim)
+    code, report = run(spec, args.verb)
     if code == EXIT_CONFIG:
         print(report["error"], file=sys.stderr)
         return code

@@ -14,12 +14,11 @@ only the presentation and V.  A character nonzero on a generator witnesses
 that the generator survives in every quotient that keeps a character,
 the Kac and the RFD quotient among them.
 
-Floating point lives only in the rest of this module.  Residuals certify
-that a matrix assignment approximately satisfies every relation; classical
-points evaluate the fundamental matrix at a scalar matrix.  At dimension 1
-`rep_search` returns the first verified character; from dimension 2 on it
-runs a damped Gauss-Newton search, the only place the seed is used.
-Acceptance threshold 1e-10, search threshold 1e-8.
+Floating point lives only in the rest of this module.  Residuals measure
+how far a matrix assignment is from satisfying every relation; classical
+points evaluate the fundamental matrix at a scalar matrix.  `rep_search`
+returns the first verified character as such an assignment, so its
+residual is exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
 """
 
 from __future__ import annotations
@@ -35,11 +34,6 @@ from .presentations import Presentation, _monomial_decode
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
-SEARCH_STEPS = 150
-# Largest dense Jacobian, in cells (1 MB of floats), that the search at
-# dimension >= 2 may build; each step costs one residual evaluation per
-# column.  Dimension 2 on a 9-generator, 24-relation spec needs 13,824.
-JACOBIAN_CELLS_MAX = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -293,95 +287,9 @@ def witness_characters(P: Presentation, wanted) -> CharacterCover:
     return CharacterCover(tuple(found), witness, tuple(sorted(left)), tried)
 
 
-def _unpack(P: Presentation, n: int, x: np.ndarray) -> NumAssignment:
-    matrices = {}
-    step = 2 * n * n
-    for i, g in enumerate(P.generators):
-        chunk = x[i * step:(i + 1) * step]
-        re = chunk[: n * n].reshape(n, n)
-        im = chunk[n * n:].reshape(n, n)
-        matrices[g] = re + 1j * im
-    return NumAssignment(n, matrices)
-
-
-def _residual_vector(P: Presentation, n: int, x: np.ndarray) -> np.ndarray:
-    out = []
-    for acc in _relation_values(P, _unpack(P, n, x)):
-        out.append(acc.real.ravel())
-        out.append(acc.imag.ravel())
-    return np.concatenate(out) if out else np.zeros(0)
-
-
-def check_dim(P: Presentation, n: int) -> None:
-    """Refuse a dimension the search cannot run: n < 1, or n >= 2 with a
-    dense Jacobian of (2 n^2 relations) x (2 n^2 generators) cells above
-    JACOBIAN_CELLS_MAX.  Dimension 1 builds no Jacobian."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    cells = (2 * n * n) ** 2 * len(P.relations) * len(P.generators)
-    if n > 1 and cells > JACOBIAN_CELLS_MAX:
-        raise ValueError(
-            f"dimension {n} needs a {cells}-cell Jacobian for {len(P.generators)} "
-            f"generators and {len(P.relations)} relations, above {JACOBIAN_CELLS_MAX}"
-        )
-
-
-def rep_search(P: Presentation, n: int, seed: int):
-    """An n-dimensional representation, or None when none was found.
-
-    n = 1 returns the first verified character (exact, so its residual is
-    0 up to rounding; the seed is unused), for a presentation with a
-    fundamental matrix (not a free product).  n >= 2 runs a damped
-    Gauss-Newton least-squares search from a start drawn from the seed,
-    deterministic per seed: it returns an assignment only when the
-    independent residual check passes below the search threshold, and None
-    when its budget runs out.  `check_dim` refuses n before anything is
-    allocated.
-    """
-    check_dim(P, n)
-    if n == 1:
-        V = next(characters(P), None)
-        return None if V is None else _point(P, V)
-    rng = np.random.default_rng(seed)
-    gens = P.generators
-    start = []
-    for _ in gens:
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, _ = np.linalg.qr(z)
-        start.append(np.concatenate([q.real.ravel(), q.imag.ravel()]))
-    x = np.concatenate(start) if start else np.zeros(0)
-    lam = 1e-3
-    h = 1e-7
-    residual = _residual_vector(P, n, x)
-    for _ in range(SEARCH_STEPS):
-        report = eval_residual(P, _unpack(P, n, x))
-        if report.max_residual < SEARCH_TOL:
-            return _unpack(P, n, x)
-        jac = np.empty((residual.size, x.size))
-        for j in range(x.size):
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (_residual_vector(P, n, xp) - residual) / h
-        gram = jac.T @ jac
-        grad = jac.T @ residual
-        accepted = False
-        for _ in range(12):
-            try:
-                delta = np.linalg.solve(gram + lam * np.eye(x.size), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            trial = x + delta
-            trial_residual = _residual_vector(P, n, trial)
-            if np.linalg.norm(trial_residual) < np.linalg.norm(residual):
-                x, residual = trial, trial_residual
-                lam = max(lam / 3, 1e-14)
-                accepted = True
-                break
-            lam *= 10
-        if not accepted:
-            break
-    report = eval_residual(P, _unpack(P, n, x))
-    if report.max_residual < SEARCH_TOL:
-        return _unpack(P, n, x)
-    return None
+def rep_search(P: Presentation):
+    """The first verified character as a one-dimensional assignment, or
+    None when no candidate passes; P needs a fundamental matrix (not a free
+    product).  Exact, so its residual is 0 up to rounding."""
+    V = next(characters(P), None)
+    return None if V is None else _point(P, V)

@@ -89,6 +89,8 @@ def test_epsilon_on_case_one_is_a_config_error(tmp_path, capsys):
     ["report", "--lp-degree", "1"],
     ["transmogrify"],
     ["report", "--membership-bound", "4"],
+    ["report", "--dim", "2"],
+    ["report", "--seed", "3"],
 ])
 def test_usage_errors_exit_one(tmp_path, capsys, argv):
     path = _write(tmp_path, ONE_BLOCK)
@@ -104,7 +106,9 @@ def test_help_exits_zero(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    assert "usage:" in text and "--lp-degree" not in text and "--membership-bound" not in text
+    assert "usage:" in text
+    for removed in ("--lp-degree", "--membership-bound", "--dim", "--seed"):
+        assert removed not in text
 
 
 def test_match_verb_exit_zero(tmp_path):
@@ -142,6 +146,14 @@ def test_non_utf8_config_exit_one(tmp_path, capsys):
     path.write_bytes(json.dumps(ONE_BLOCK).encode("utf-16"))  # starts ff fe
     assert path.read_bytes()[:2] == b"\xff\xfe"
     assert cli.main(["build", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config is not valid JSON:")
+
+
+def test_deeply_nested_config_exit_one(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["report", "--config", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config is not valid JSON:")
 
 
@@ -215,10 +227,12 @@ def test_hopf_check_case_one_passes(tmp_path):
     ("--seed", "-1"),
 ])
 def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
+    # --dim and --seed are gone: any value of them is a usage error
     path = _write(tmp_path, ONE_BLOCK)
-    assert cli.main(["report", "--config", path, option, value]) == 1
-    field = option[2:].replace("-", "_")
-    assert capsys.readouterr().err.startswith(f"config field {field!r}:")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--config", path, option, value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("options", [
@@ -231,11 +245,10 @@ def test_invalid_option_values_exit_one(tmp_path, capsys, option, value):
     {"dim": 600},
 ])
 def test_run_rejects_invalid_options(options):
-    code, report = cli.run(cli.parse_config(ONE_BLOCK), "report", **options)
-    assert code == cli.EXIT_CONFIG
+    # run takes no seed or dim: the numeric witness is an exact character
     (field,) = options
-    assert report["error"].startswith(f"config field {field!r}:")
-    assert "hopf" not in report and "numeric" not in report
+    with pytest.raises(TypeError, match=f"unexpected keyword argument {field!r}"):
+        cli.run(cli.parse_config(ONE_BLOCK), "report", **options)
 
 
 def test_run_rejects_unknown_verb():
@@ -272,12 +285,13 @@ def test_build_verb_lists_presentation(tmp_path):
 
 def test_reports_are_deterministic_modulo_timings():
     spec = cli.parse_config(ONE_BLOCK)
-    code1, rep1 = cli.run(spec, "match", seed=0, dim=1)
-    code2, rep2 = cli.run(spec, "match", seed=0, dim=1)
-    assert code1 == code2 == 0
-    rep1.pop("timings")
-    rep2.pop("timings")
-    assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+    for verb in cli.VERBS:
+        code1, rep1 = cli.run(spec, verb)
+        code2, rep2 = cli.run(spec, verb)
+        assert code1 == code2 == 0, verb
+        rep1.pop("timings")
+        rep2.pop("timings")
+        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True), verb
 
 
 def test_report_schema_fields():
@@ -295,3 +309,5 @@ def test_report_schema_fields():
     assert set(survivors["witnesses"]) == set(report["match"]["renaming"])
     assert survivors["unwitnessed"] == []
     assert {"matched", "mode", "target", "renaming"} <= set(report["match"])
+    assert set(report["numeric"]) == {"classical_identity", "rep_search"}
+    assert set(report["numeric"]["rep_search"]) == {"found", "max_residual"}

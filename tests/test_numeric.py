@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import cqgkac as k
 from cqgkac.algebra import ScalarMatrix
-from cqgkac.numeric import JACOBIAN_CELLS_MAX, NumAssignment
+from cqgkac.numeric import NumAssignment
 
 from conftest import gen, one_block_spec, small_specs
 
@@ -78,7 +78,7 @@ def test_reality_violation_rejected():
 def test_residual_invariant_under_unitary_conjugation():
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     rng = np.random.default_rng(29)
-    found = k.rep_search(p, 1, seed=3)
+    found = k.rep_search(p)
     assert found is not None
     w = _random_unitary(rng, 1)
     conjugated = NumAssignment(
@@ -97,55 +97,31 @@ def test_eval_residual_missing_generator():
 
 def test_rep_search_small_targets():
     u1 = k.build_universal_unitary(ScalarMatrix.identity(1))
-    found = k.rep_search(u1, 1, seed=0)
+    found = k.rep_search(u1)
     assert found is not None
     report = k.eval_residual(u1, found)
     assert report.max_residual < 1e-8
     assert abs(abs(found.matrices[gen(0, 0)][0, 0]) - 1) < 1e-6
 
     o1 = k.build_universal_orthogonal(ScalarMatrix.identity(1))
-    found = k.rep_search(o1, 1, seed=0)
+    found = k.rep_search(o1)
     assert found is not None
     value = found.matrices[gen(0, 0)][0, 0]
     assert min(abs(value - 1), abs(value + 1)) < 1e-6
 
     oj = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    found = k.rep_search(oj, 1, seed=0)
+    found = k.rep_search(oj)
     assert found is not None
     assert k.eval_residual(oj, found).max_residual < 1e-8
 
 
 def test_rep_search_deterministic():
     p = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    a = k.rep_search(p, 1, seed=5)
-    b = k.rep_search(p, 1, seed=5)
+    a = k.rep_search(p)
+    b = k.rep_search(p)
     assert a is not None and b is not None
     for g in p.generators:
         assert np.array_equal(a.matrices[g], b.matrices[g])
-
-
-def test_rep_search_refuses_an_oversized_jacobian_before_allocating(monkeypatch):
-    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
-
-    def no_start(seed):
-        raise AssertionError("the search drew a start point")
-
-    monkeypatch.setattr(np.random, "default_rng", no_start)
-    # (2 * 600^2)^2 * 6 relations * 2 generators cells: 45 TiB of floats
-    with pytest.raises(ValueError, match=r"Jacobian .* above"):
-        k.rep_search(p, 600, seed=0)
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="dimension must be >= 1"):
-        k.check_dim(p, 0)
-    # dimension 1 builds no Jacobian, however many cells one would have
-    big = k.build_universal_unitary(ScalarMatrix.identity(12))
-    assert 4 * len(big.generators) * len(big.relations) > JACOBIAN_CELLS_MAX
-    k.check_dim(big, 1)
-    fits = [n for n in range(2, 20) if (2 * n * n) ** 2 * 6 * 2 <= JACOBIAN_CELLS_MAX]
-    largest = fits[-1]
-    k.check_dim(p, largest)
-    with pytest.raises(ValueError, match="Jacobian"):
-        k.check_dim(p, largest + 1)
 
 
 def _scalar_point(p, V):
@@ -209,12 +185,11 @@ def test_rep_search_at_dimension_one_is_the_counit():
     p = k.build_presentation(spec)
     first = next(k.characters(p))
     assert first == tuple(tuple(int(j == c) for c in range(4)) for j in range(4))
-    for seed in (0, 7):
-        found = k.rep_search(p, 1, seed=seed)
-        assert {g: m[0, 0] for g, m in found.matrices.items()} == {
-            g: first[g.row][g.col] for g in p.generators
-        }
-        assert k.eval_residual(p, found).max_residual == 0.0
+    found = k.rep_search(p)
+    assert {g: m[0, 0] for g, m in found.matrices.items()} == {
+        g: first[g.row][g.col] for g in p.generators
+    }
+    assert k.eval_residual(p, found).max_residual == 0.0
 
 
 # the six match-workload specs of 16-34 generators
