@@ -1,7 +1,10 @@
 """Exact engine for universal unitary/orthogonal quantum-group algebra
 presentations, their Kac quotients via trace-positivity certificates, exact
 characters that witness the generators that survive, and float residuals
-that cross-check those characters."""
+that cross-check those characters.  The floats are plain Python complex
+numbers: one-dimensional assignments, and classical points accepted by
+Frobenius-norm defects.  The package needs nothing beyond the standard
+library."""
 
 from .algebra import (
     AlgElement,

@@ -17,8 +17,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .algebra import is_int, rat, rat_str
 from .hopf import central_morphism_check, hopf_axiom_check
 from .numeric import classical_point, eval_residual, rep_search, witness_characters
@@ -273,7 +271,8 @@ def run(spec: BlockSpec, verb: str):
     if verb in ("numeric", "report"):
         start = time.perf_counter()
         n = presentation.u.rows
-        identity_point = classical_point(presentation, np.eye(n))
+        eye = [[float(j == k) for k in range(n)] for j in range(n)]
+        identity_point = classical_point(presentation, eye)
         identity_residual = eval_residual(presentation, identity_point).max_residual
         found = rep_search(presentation)
         section = {

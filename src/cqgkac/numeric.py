@@ -14,21 +14,23 @@ only the presentation and V.  A character nonzero on a generator witnesses
 that the generator survives in every quotient that keeps a character,
 the Kac and the RFD quotient among them.
 
-Floating point lives only in the rest of this module.  Residuals measure
-how far a matrix assignment is from satisfying every relation; classical
-points evaluate the fundamental matrix at a scalar matrix.  `rep_search`
-returns the first verified character as such an assignment, so its
-residual is exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
+Floating point lives only in the rest of this module, in plain Python
+complex numbers.  Every assignment is one-dimensional: a complex value per
+generator.  Residuals measure how far an assignment is from satisfying
+every relation (the absolute value of each relation's sum); classical
+points evaluate the fundamental matrix at a scalar matrix V, accepted when
+its Frobenius-norm defects are below the threshold.  `rep_search` returns
+the first verified character as such an assignment, so its residual is
+exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from numbers import Integral
-
-import numpy as np
+from numbers import Integral, Number
 
 from .presentations import Presentation, _monomial_decode
 
@@ -38,11 +40,10 @@ SEARCH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class NumAssignment:
-    """Matrices for the plain generators; starred letters evaluate as
-    conjugate transposes."""
+    """A complex value for each plain generator; starred letters evaluate
+    as complex conjugates."""
 
-    dim: int
-    matrices: dict
+    values: dict
 
 
 @dataclass(frozen=True)
@@ -51,80 +52,100 @@ class ResidualReport:
     max_residual: float
 
 
-def _opnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
-def _word_value(assignment: NumAssignment, w) -> np.ndarray:
-    n = assignment.dim
-    value = np.eye(n, dtype=complex)
-    for g in w:
-        m = assignment.matrices[g.plain()]
-        value = value @ (m.conj().T if g.star else m)
-    return value
-
-
-def _relation_values(P: Presentation, assignment: NumAssignment):
-    n = assignment.dim
-    for r in P.relations:
-        acc = np.zeros((n, n), dtype=complex)
-        for w, c in r.terms():
-            acc = acc + float(c) * _word_value(assignment, w)
-        yield acc
+def _fundamental(P: Presentation):
+    """P's fundamental matrix; a free product has none."""
+    if P.u is None:
+        raise ValueError(
+            f"{P.label or 'the presentation'} is a free product: a fundamental matrix is needed"
+        )
+    return P.u
 
 
 def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
-    """Operator-norm residual of every relation under the assignment."""
+    """Absolute residual of every relation under the assignment, its terms
+    summed in order."""
     needed = {g.plain() for r in P.relations for g in r.letters()}
     needed |= set(P.generators)
-    missing = sorted(g.label() for g in needed if g not in assignment.matrices)
+    missing = sorted(g.label() for g in needed if g not in assignment.values)
     if missing:
         raise ValueError(f"assignment misses generators: {missing}")
-    n = assignment.dim
-    for g, m in assignment.matrices.items():
-        if m.shape != (n, n):
-            raise ValueError(f"matrix for {g.label()} has shape {m.shape}, expected {(n, n)}")
-    residuals = [_opnorm(acc) for acc in _relation_values(P, assignment)]
+    values = {}
+    for g, x in assignment.values.items():
+        if not isinstance(x, Number):
+            raise ValueError(f"value for {g.label()} is not a number: {x!r}")
+        values[g] = complex(x)
+    residuals = []
+    for r in P.relations:
+        acc = 0j
+        for w, c in r.terms():
+            value = 1 + 0j
+            for g in w:
+                x = values[g.plain()]
+                value *= x.conjugate() if g.star else x
+            acc += float(c) * value
+        residuals.append(abs(acc))
     top = max(residuals, default=0.0)
     return ResidualReport(tuple(residuals), top)
 
 
-def _as_array(m) -> np.ndarray:
-    return np.array(
-        [[float(m.entry(j, k)) for k in range(m.cols)] for j in range(m.rows)],
-        dtype=complex,
-    )
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _adjoint(a):
+    return [[x.conjugate() for x in col] for col in zip(*a)]
+
+
+def _twist(m, V):
+    """m conj(V) m^-1 for an exact scalar matrix m."""
+    def floats(a):
+        return [[float(a.entry(j, k)) for k in range(a.cols)] for j in range(a.rows)]
+
+    conj = [[x.conjugate() for x in row] for row in V]
+    return _mul(_mul(floats(m), conj), floats(m.inverse()))
+
+
+def _distance(a, b):
+    """Frobenius norm of a - b."""
+    return math.sqrt(sum(abs(x - y) ** 2 for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
+
+
+def _unitary_defect(a, eye):
+    return max(_distance(_mul(a, _adjoint(a)), eye), _distance(_mul(_adjoint(a), a), eye))
 
 
 def classical_point(P: Presentation, V) -> NumAssignment:
-    """One-dimensional evaluation at a scalar matrix V.
+    """One-dimensional evaluation at a scalar matrix V, any N x N nested
+    sequence of numbers.
 
     V must be numerically unitary; orthogonal-type presentations also need
     V = F conj(V) F^-1, unitary-type ones need Q conj(V) Q^-1 unitary.
-    Rejections carry the violated condition and its measured defect.
+    Each defect is a Frobenius norm, never below the operator norm, and a
+    NaN defect fails.  Rejections carry the violated condition and its
+    measured defect.
     """
-    n = P.u.rows
-    V = np.asarray(V, dtype=complex)
-    if V.shape != (n, n):
-        raise ValueError(f"V has shape {V.shape}, expected {(n, n)}")
-    eye = np.eye(n)
-    defect = max(_opnorm(V @ V.conj().T - eye), _opnorm(V.conj().T @ V - eye))
-    if defect > ACCEPT_TOL:
+    n = _fundamental(P).rows
+    try:
+        V = [[complex(x) for x in row] for row in V]
+    except TypeError as exc:
+        raise ValueError(f"V is not a {n}x{n} matrix of numbers: {exc}") from None
+    widths = sorted({len(row) for row in V})
+    if len(V) != n or widths != [n]:
+        shape = (len(V), *widths) if len(widths) <= 1 else f"ragged, row lengths {widths}"
+        raise ValueError(f"V has shape {shape}, expected {(n, n)}")
+    eye = [[complex(j == k) for k in range(n)] for j in range(n)]
+    defect = _unitary_defect(V, eye)
+    if not defect <= ACCEPT_TOL:
         raise ValueError(f"V is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}")
     if P.f is not None:
-        fa = _as_array(P.f)
-        fi = _as_array(P.f.inverse())
-        defect = _opnorm(V - fa @ V.conj() @ fi)
-        if defect > ACCEPT_TOL:
+        defect = _distance(V, _twist(P.f, V))
+        if not defect <= ACCEPT_TOL:
             raise ValueError(
                 f"V fails the reality condition V = F conj(V) F^-1: defect {defect:.3e}"
             )
     else:
-        q = _as_array(P.q)
-        qi = _as_array(P.q.inverse())
-        w = q @ V.conj() @ qi
-        defect = max(_opnorm(w @ w.conj().T - eye), _opnorm(w.conj().T @ w - eye))
-        if defect > ACCEPT_TOL:
+        defect = _unitary_defect(_twist(P.q, V), eye)
+        if not defect <= ACCEPT_TOL:
             raise ValueError(
                 f"Q conj(V) Q^-1 is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}"
             )
@@ -132,9 +153,7 @@ def classical_point(P: Presentation, V) -> NumAssignment:
 
 
 def _point(P: Presentation, V) -> NumAssignment:
-    return NumAssignment(
-        1, {g: np.array([[V[g.row][g.col]]], dtype=complex) for g in P.generators}
-    )
+    return NumAssignment({g: complex(V[g.row][g.col]) for g in P.generators})
 
 
 class CharacterError(Exception):
@@ -164,7 +183,7 @@ def verify_character(P: Presentation, V) -> bool:
     only P and V, never the enumerator: raises CharacterError naming the
     failing rel[i] or position.
     """
-    u = P.u
+    u = _fundamental(P)
     n = u.rows
     if len(V) != n or any(len(row) != n for row in V):
         raise CharacterError(f"V is not {n}x{n}")
@@ -194,6 +213,7 @@ def _candidates(P: Presentation):
     index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
     = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
     """
+    _fundamental(P)
     q, f = P.q, P.f
     n = q.rows
     pi, d = _monomial_decode(f) if f else (list(range(n)), None)

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +314,13 @@ def test_report_schema_fields():
     assert {"matched", "mode", "target", "renaming"} <= set(report["match"])
     assert set(report["numeric"]) == {"classical_identity", "rep_search"}
     assert set(report["numeric"]["rep_search"]) == {"found", "max_residual"}
+
+
+def test_package_imports_without_numpy():
+    src = Path(k.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import cqgkac, cqgkac.cli; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

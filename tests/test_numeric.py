@@ -56,9 +56,7 @@ def test_non_commuting_unitary_rejected_and_has_residual():
     with pytest.raises(ValueError, match="not unitary"):
         k.classical_point(p, v)
     # bypass the prechecks: the twisted relations really are violated
-    assignment = NumAssignment(
-        1, {g: np.array([[v[g.row, g.col]]]) for g in p.generators}
-    )
+    assignment = NumAssignment({g: v[g.row, g.col] for g in p.generators})
     assert k.eval_residual(p, assignment).max_residual > 0.1
 
 
@@ -75,14 +73,72 @@ def test_reality_violation_rejected():
         k.classical_point(p, v)
 
 
+def test_nested_lists_are_accepted_as_points():
+    p = k.build_universal_orthogonal(k.symplectic_matrix(1))
+    point = k.classical_point(p, [[0, 1], [-1, 0]])
+    assert point.values == {g: complex([[0, 1], [-1, 0]][g.row][g.col]) for g in p.generators}
+    assert k.eval_residual(p, point).max_residual <= 1e-12
+    q = k.build_universal_unitary(ScalarMatrix.diagonal([F(1, 4), 1, 1]))
+    assert k.eval_residual(q, k.classical_point(q, ((1, 0, 0), (0, 0, 1j), (0, 1j, 0)))).max_residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "V", ([[1, 0], [0]], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]], [[1]], []),
+    ids=("ragged", "3x2", "2x3", "1x1", "empty"),
+)
+def test_wrong_shaped_points_rejected(V):
+    p = k.build_universal_unitary(ScalarMatrix.identity(2))
+    with pytest.raises(ValueError, match="V has shape"):
+        k.classical_point(p, V)
+
+
+@pytest.mark.parametrize("V", ([1, 0], [[1, None], [0, 1]]), ids=("flat", "none-entry"))
+def test_points_that_are_not_matrices_of_numbers_rejected(V):
+    p = k.build_universal_unitary(ScalarMatrix.identity(2))
+    with pytest.raises(ValueError, match="not a 2x2 matrix of numbers"):
+        k.classical_point(p, V)
+
+
+@pytest.mark.parametrize("x", (float("nan"), float("inf"), complex("nan+1j")))
+def test_non_finite_points_rejected(x):
+    u1 = k.build_universal_unitary(ScalarMatrix.identity(1))
+    with pytest.raises(ValueError, match="not unitary"):
+        k.classical_point(u1, [[x]])
+    oj = k.build_universal_orthogonal(k.symplectic_matrix(1))
+    with pytest.raises(ValueError, match="not unitary"):
+        k.classical_point(oj, [[x, 0], [0, x]])
+
+
+def test_free_products_are_refused_with_one_message():
+    spec = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
+    target, renaming = k.expected_kac_target(spec)
+    assert target.u is None
+    calls = (
+        lambda: k.rep_search(target),
+        lambda: k.classical_point(target, [[1]]),
+        lambda: k.verify_character(target, [[1]]),
+        lambda: k.witness_characters(target, renaming.values()),
+        lambda: next(k.characters(target)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="a fundamental matrix is needed"):
+            call()
+
+
+def test_eval_residual_rejects_values_that_are_not_numbers():
+    p = k.build_universal_unitary(ScalarMatrix.identity(1))
+    with pytest.raises(ValueError, match="not a number"):
+        k.eval_residual(p, NumAssignment({gen(0, 0): "1"}))
+
+
 def test_residual_invariant_under_unitary_conjugation():
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     rng = np.random.default_rng(29)
     found = k.rep_search(p)
     assert found is not None
-    w = _random_unitary(rng, 1)
+    w = _random_unitary(rng, 1)[0, 0]
     conjugated = NumAssignment(
-        1, {g: w @ m @ w.conj().T for g, m in found.matrices.items()}
+        {g: w * x * w.conjugate() for g, x in found.values.items()}
     )
     r1 = k.eval_residual(p, found)
     r2 = k.eval_residual(p, conjugated)
@@ -92,7 +148,7 @@ def test_residual_invariant_under_unitary_conjugation():
 def test_eval_residual_missing_generator():
     p = k.build_universal_unitary(ScalarMatrix.identity(2))
     with pytest.raises(ValueError, match="misses"):
-        k.eval_residual(p, NumAssignment(1, {gen(0, 0): np.eye(1)}))
+        k.eval_residual(p, NumAssignment({gen(0, 0): 1.0}))
 
 
 def test_rep_search_small_targets():
@@ -101,12 +157,12 @@ def test_rep_search_small_targets():
     assert found is not None
     report = k.eval_residual(u1, found)
     assert report.max_residual < 1e-8
-    assert abs(abs(found.matrices[gen(0, 0)][0, 0]) - 1) < 1e-6
+    assert abs(abs(found.values[gen(0, 0)]) - 1) < 1e-6
 
     o1 = k.build_universal_orthogonal(ScalarMatrix.identity(1))
     found = k.rep_search(o1)
     assert found is not None
-    value = found.matrices[gen(0, 0)][0, 0]
+    value = found.values[gen(0, 0)]
     assert min(abs(value - 1), abs(value + 1)) < 1e-6
 
     oj = k.build_universal_orthogonal(k.symplectic_matrix(1))
@@ -121,13 +177,12 @@ def test_rep_search_deterministic():
     b = k.rep_search(p)
     assert a is not None and b is not None
     for g in p.generators:
-        assert np.array_equal(a.matrices[g], b.matrices[g])
+        assert a.values[g] == b.values[g]
 
 
 def _scalar_point(p, V):
     """u(j,k) -> V[j][k] with none of classical_point's prechecks."""
-    return NumAssignment(1, {g: np.array([[V[g.row][g.col]]], dtype=complex)
-                             for g in p.generators})
+    return NumAssignment({g: complex(V[g.row][g.col]) for g in p.generators})
 
 
 def _verify_fails(p, V, match):
@@ -186,7 +241,7 @@ def test_rep_search_at_dimension_one_is_the_counit():
     first = next(k.characters(p))
     assert first == tuple(tuple(int(j == c) for c in range(4)) for j in range(4))
     found = k.rep_search(p)
-    assert {g: m[0, 0] for g, m in found.matrices.items()} == {
+    assert found.values == {
         g: first[g.row][g.col] for g in p.generators
     }
     assert k.eval_residual(p, found).max_residual == 0.0

@@ -428,7 +428,7 @@ def test_forced_generators_vanish_at_block_diagonal_classical_points():
     point = k.classical_point(p, v)
     assert k.eval_residual(p, point).max_residual <= 1e-10
     for g in report.forced:
-        assert abs(point.matrices[g][0, 0]) == 0.0
+        assert abs(point.values[g]) == 0.0
 
 
 def _reference_decision(eqs, symbol):

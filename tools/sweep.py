@@ -1,14 +1,16 @@
 """Answer digests of `cqgkac.cli.run` over every small spec.
 
 Enumerates every valid BlockSpec with N <= 6 and block parameters in
-{1/4, 1/3, 1/2, 2/3, 1}, runs `match`, `build` and `hopf-check` on each,
+{1/4, 1/3, 1/2, 2/3, 1}, runs `match`, `build`, `hopf-check` and
+`numeric` on each,
 and prints the spec count per kind and one SHA-256 per verb over its
 reports, each serialized with `json.dumps(report, sort_keys=True)` after
 its `timings` are removed and ended by a newline.
 Two checkouts that print the same `sha256` (match) digest gave the same
 answers, byte for byte, on every spec; the same `build sha256` digest
 means they built the same generators and relations; the same
-`hopf sha256` digest means the same Hopf verdicts.
+`hopf sha256` digest means the same Hopf verdicts; the same
+`numeric sha256` digest means the same float residuals, bit for bit.
 
     python tools/sweep.py
 
@@ -68,7 +70,7 @@ def specs():
 
 
 def main():
-    digests = {verb: hashlib.sha256() for verb in ("match", "build", "hopf-check")}
+    digests = {verb: hashlib.sha256() for verb in ("match", "build", "hopf-check", "numeric")}
     kinds = Counter()
     start = time.perf_counter()
     for spec in specs():
@@ -81,6 +83,7 @@ def main():
     print(f"sha256: {digests['match'].hexdigest()}")
     print(f"build sha256: {digests['build'].hexdigest()}")
     print(f"hopf sha256: {digests['hopf-check'].hexdigest()}")
+    print(f"numeric sha256: {digests['numeric'].hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
 
 
