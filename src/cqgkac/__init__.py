@@ -41,14 +41,11 @@ from .numeric import (
 )
 from .presentations import (
     Block,
-    BlockDecomposition,
     BlockSpec,
     Presentation,
-    block_decompose,
     build_presentation,
     build_universal_orthogonal,
     build_universal_unitary,
-    eigenvalue_profile,
     free_product,
     reality_substitution,
     standard_form_matrix,

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 
 class ShapeError(ValueError):
-    """Raised on dimension-incompatible matrix operations."""
+    """Raised on an empty or ragged matrix."""
 
 
 def is_int(value) -> bool:
@@ -309,33 +309,6 @@ class ScalarMatrix:
     def entry(self, j: int, k: int) -> Fraction:
         return self._entries[j][k]
 
-    def __mul__(self, other):
-        if not isinstance(other, ScalarMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return ScalarMatrix(
-            [
-                [
-                    sum(
-                        (self._entries[j][l] * other._entries[l][k] for l in range(self.cols)),
-                        Fraction(0),
-                    )
-                    for k in range(other.cols)
-                ]
-                for j in range(self.rows)
-            ]
-        )
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            [[self._entries[j][k] for j in range(self.rows)] for k in range(self.cols)]
-        )
-
-    def star(self) -> "ScalarMatrix":
-        """Conjugate transpose, which is the transpose over the rationals."""
-        return self.transpose()
-
     def is_diagonal(self) -> bool:
         return all(
             j == k or not self._entries[j][k]
@@ -357,29 +330,6 @@ class ScalarMatrix:
             for j in range(self.rows)
             for k in range(self.cols)
         )
-
-    def inverse(self) -> "ScalarMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
-        if self.rows != self.cols:
-            raise ShapeError("only square matrices invert")
-        n = self.rows
-        work = [list(row) + [Fraction(int(j == k)) for k in range(n)] for j, row in enumerate(self._entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise ValueError("matrix is not invertible")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [inv * v for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return ScalarMatrix([row[n:] for row in work])
-
-    def scale(self, c) -> "ScalarMatrix":
-        c = Fraction(c)
-        return ScalarMatrix([[c * e for e in row] for row in self._entries])
 
     def __eq__(self, other):
         return isinstance(other, ScalarMatrix) and self._entries == other._entries

@@ -69,19 +69,6 @@ class WordIndex:
     def encode(self, w) -> int:
         return self.offset(len(w)) + self.value(w)
 
-    def decode(self, i: int):
-        if i < 0 or (self.n == 0 and i > 0):
-            raise ValueError(f"no word has id {i}")
-        length = 0
-        while self.offset(length + 1) <= i:
-            length += 1
-        v = i - self.offset(length)
-        out = []
-        for _ in range(length):
-            v, d = divmod(v, self.n)
-            out.append(self.letters[d])
-        return tuple(reversed(out))
-
     def row(self, terms) -> dict:
         """A (word, coefficient) sequence as a row over word ids."""
         return {self.encode(w): c for w, c in terms}

@@ -19,7 +19,10 @@ complex numbers.  Every assignment is one-dimensional: a complex value per
 generator.  Residuals measure how far an assignment is from satisfying
 every relation (the absolute value of each relation's sum); classical
 points evaluate the fundamental matrix at a scalar matrix V, accepted when
-its Frobenius-norm defects are below the threshold.  `rep_search` returns
+its Frobenius-norm defects are below the threshold.  The twist m conj(V)
+m^-1 they check, m = F or Q, is read off m's nonzeros d_j = m[j,pi(j)] (pi
+is the identity for the diagonal Q): entry (j,k) is (d_j/d_k)
+conj(V[pi(j)][pi(k)]), the reality entry's formula.  `rep_search` returns
 the first verified character as such an assignment, so its residual is
 exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
 """
@@ -97,12 +100,13 @@ def _adjoint(a):
 
 
 def _twist(m, V):
-    """m conj(V) m^-1 for an exact scalar matrix m."""
-    def floats(a):
-        return [[float(a.entry(j, k)) for k in range(a.cols)] for j in range(a.rows)]
-
-    conj = [[x.conjugate() for x in row] for row in V]
-    return _mul(_mul(floats(m), conj), floats(m.inverse()))
+    """m conj(V) m^-1 for a monomial exact m (F, or the diagonal Q): entry
+    (j,k) is (d_j/d_k) conj(V[pi(j)][pi(k)]), d_j = m[j,pi(j)]."""
+    pi, d = _monomial_decode(m)
+    return [
+        [float(d[j] / d[k]) * V[pj][pk].conjugate() for k, pk in enumerate(pi)]
+        for j, pj in enumerate(pi)
+    ]
 
 
 def _distance(a, b):

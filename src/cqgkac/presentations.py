@@ -13,8 +13,13 @@ fundamental matrix, Q and F.  Builders produce:
     fundamental matrix).
 
 F must be monomial, as every standard form is: row j holds one nonzero
-d_j = F[j,pi(j)], and Q = F*F is diagonal.  Every relation entry is then
-a one-index sum, written down directly:
+d_j = F[j,pi(j)].  Then F Fbar and Q = F*F are read off pi and d,
+
+  (F Fbar)[j,k] = d_j d_pi(j) delta(pi(pi(j)),k),   Q = diag(Q_j),  Q_pi(j) = d_j^2,
+
+so F Fbar = +-I means pi is an involution with d_j d_pi(j) = +-1, one sign
+for all j, and Q is diagonal.  Every relation entry is then a one-index
+sum, written down directly:
 
   (U U* - I)[j,k]            = sum_a u(j,a) u(k,a)* - delta(j,k)
   (U* U - I)[j,k]            = sum_a u(a,j)* u(a,k) - delta(j,k)
@@ -182,20 +187,6 @@ def _monomial_decode(F: ScalarMatrix):
     return pi, [F.entry(j, pj) for j, pj in enumerate(pi)]
 
 
-def eigenvalue_profile(F: ScalarMatrix):
-    """Eigenvalues of F*F with multiplicities, ascending.
-
-    Only monomial F is accepted: there F*F is diagonal and the profile is
-    exact; general eigenvalues are unavailable in rational arithmetic.
-    """
-    if not F.is_monomial():
-        raise ValueError("eigenvalue profile needs a monomial matrix")
-    counts = {}
-    for v in _monomial_decode(F)[1]:
-        counts[v * v] = counts.get(v * v, 0) + 1
-    return sorted(counts.items())
-
-
 def normalize_relation(r: AlgElement):
     """Scale so the least word has coefficient 1; fold with the adjoint.
 
@@ -233,18 +224,16 @@ class Presentation:
                  free product, which keeps only generators and relations.
     q          : the diagonal Q; None for a free product.
     f          : F for the orthogonal kind, else None.
-    spec       : the BlockSpec the presentation was built from, if any.
     """
 
-    __slots__ = ("generators", "relations", "u", "q", "f", "spec", "label")
+    __slots__ = ("generators", "relations", "u", "q", "f", "label")
 
-    def __init__(self, generators, relations, u, q, f=None, spec=None, label=""):
+    def __init__(self, generators, relations, u, q, f=None, label=""):
         self.generators = tuple(sorted(generators))
         self.relations = canonicalize_relations(relations)
         self.u = u
         self.q = q
         self.f = f
-        self.spec = spec
         self.label = label
 
     @property
@@ -349,25 +338,35 @@ def reality_substitution(F: ScalarMatrix):
 def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     """Presentation of the universal orthogonal algebra of F.
 
-    Requires a monomial F, as every standard form is, with F Fbar = +I or
-    -I exactly; non-monomial F is refused.  Every relation entry is written
-    in closed form over the generator matrix u with the reality
-    substitution applied; a reality entry of u left nonzero off the
-    self-paired positions raises RuntimeError.
+    Requires a monomial F, as every standard form is; non-monomial F is
+    refused.  With d_j = F[j,pi(j)] the products F Fbar and Q = F*F read
+
+        (F Fbar)[j,k] = d_j d_pi(j) delta(pi(pi(j)),k),   Q_pi(j) = d_j^2,
+
+    so F Fbar = +-I exactly when pi is an involution and d_j d_pi(j) is the
+    same sign for every j; otherwise the first failing row is named.  Every
+    relation entry is written in closed form over the generator matrix u
+    with the reality substitution applied; a reality entry of u left
+    nonzero off the self-paired positions raises RuntimeError.
     """
     if F.rows != F.cols:
         raise ValueError("F must be square")
     if not F.is_monomial():
         raise ValueError("non-monomial F is unsupported; reduce F to a standard form first")
-    eye = ScalarMatrix.identity(F.rows)
-    prod = F * F
-    if prod != eye and prod != eye.scale(-1):
-        raise ValueError(f"F Fbar must be +I or -I; got {prod!r}")
-    q = F.star() * F
+    pi, d = _monomial_decode(F)
+    sign = d[0] * d[pi[0]]
+    for j, pj in enumerate(pi):
+        value = d[j] * d[pj]
+        if pi[pj] != j or value != sign or sign not in (1, -1):
+            first = f" and (F Fbar)[1,1] = {rat_str(sign)}" if j else ""
+            raise ValueError(
+                f"F Fbar must be +I or -I; (F Fbar)[{j + 1},{pi[pj] + 1}] = "
+                f"{rat_str(value)}{first}"
+            )
+    q = ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
     sigma, kept = reality_substitution(F)
     u = generator_matrix(F.rows).substitute(sigma)
     rels = _unitarity_relations(u, q)
-    pi, d = _monomial_decode(F)
     for j, pj in enumerate(pi):
         for k, pk in enumerate(pi):
             h = u.entry(j, k) - u.entry(pj, pk).adjoint().scale(d[j] / d[k])
@@ -405,11 +404,8 @@ def build_presentation(spec: BlockSpec) -> Presentation:
     labelled by `unitary_label` or `orthogonal_label`."""
     m = standard_form_matrix(spec)
     if spec.kind == "unitary":
-        p = build_universal_unitary(m)
-    else:
-        p = build_universal_orthogonal(m)
-    p.spec = spec
-    return p
+        return build_universal_unitary(m)
+    return build_universal_orthogonal(m)
 
 
 def unitary_label(Q: ScalarMatrix) -> str:
@@ -426,28 +422,6 @@ def orthogonal_label(F: ScalarMatrix) -> str:
     if n % 2 == 0 and F == symplectic_matrix(n // 2):
         return f"Pol(O_J{n // 2}^+)"
     return f"Pol(O_F^+)[N={n}]"
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Named views into the fundamental matrix of a standard-form build."""
-
-    ranges: dict
-    views: dict
-
-    def matrix(self, name: str) -> AlgMatrix:
-        return self.views[name]
-
-    def positions(self, name: str):
-        rows, cols = self.ranges[name]
-        return [(j, k) for j in rows for k in cols]
-
-    def names(self):
-        return sorted(self.ranges)
-
-
-def _submatrix(m: AlgMatrix, rows, cols) -> AlgMatrix:
-    return AlgMatrix([[m.entry(j, k) for k in cols] for j in rows])
 
 
 def layout_ranges(spec: BlockSpec) -> dict:
@@ -488,19 +462,3 @@ def layout_ranges(spec: BlockSpec) -> dict:
                 ranges[f"R[{i + 1}]"] = (ri, tail)
             ranges["Z"] = (tail, tail)
     return ranges
-
-
-def block_decompose(P: Presentation) -> BlockDecomposition:
-    """Carve the fundamental matrix into the named blocks of its spec's
-    layout."""
-    spec = P.spec
-    if spec is None:
-        raise ValueError("no block spec available for decomposition")
-    u = P.u
-    if u.rows != spec.size:
-        raise ValueError(
-            f"layout mismatch: matrix is {u.rows}x{u.cols}, spec says N={spec.size}"
-        )
-    ranges = layout_ranges(spec)
-    views = {name: _submatrix(u, rows, cols) for name, (rows, cols) in ranges.items()}
-    return BlockDecomposition(ranges, views)

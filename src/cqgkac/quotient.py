@@ -50,7 +50,7 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     return Presentation(
         [g for g in P.generators if g not in gens],
         [keep(r) for r in P.relations],
-        u, P.q, P.f, spec=P.spec, label=P.label,
+        u, P.q, P.f, label=P.label,
     )
 
 

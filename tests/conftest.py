@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from hypothesis import strategies as st
 
 import cqgkac as k
+from cqgkac.presentations import layout_ranges
 
 
 def gen(row, col, star=False, factor=0):
@@ -34,7 +35,7 @@ def undetermined_presentation(spec):
     p = k.build_presentation(spec)
     u = [gen(0, c) for c in range(3)]
     rel = k.AlgElement.word((u[0], u[0].adjoint())) - k.AlgElement.word((u[1], u[1].adjoint()))
-    return k.Presentation(u, [rel], p.u, p.q, p.f, spec=p.spec, label=p.label)
+    return k.Presentation(u, [rel], p.u, p.q, p.f, label=p.label)
 
 
 QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
@@ -74,6 +75,30 @@ def dense_product(*factors):
         out = [[k.AlgElement.sum(row[l] * f[l][c] for l in range(len(f)))
                 for c in range(len(f[0]))] for row in out]
     return out
+
+
+def dense_inverse(m):
+    """The exact inverse of a ScalarMatrix by Gauss-Jordan elimination over
+    Fraction rows."""
+    n = m.rows
+    work = [[m.entry(j, c) for c in range(n)] + [F(int(j == c)) for c in range(n)]
+            for j in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [v / lead for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return k.ScalarMatrix([row[n:] for row in work])
+
+
+def block_positions(spec, name):
+    """Row-major (row, col) positions of a named block of spec's layout."""
+    rows, cols = layout_ranges(spec)[name]
+    return [(j, c) for j in rows for c in cols]
 
 
 def bar(m):

@@ -203,7 +203,7 @@ def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
     def truncated(spec):
         p = real(spec)
         return k.Presentation(
-            p.generators, p.relations[:-1], p.u, p.q, p.f, spec=p.spec, label=p.label,
+            p.generators, p.relations[:-1], p.u, p.q, p.f, label=p.label,
         )
 
     monkeypatch.setattr(cli, "build_presentation", truncated)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -71,6 +72,21 @@ def test_reality_violation_rejected():
     v = np.diag([1j, 1j])
     with pytest.raises(ValueError, match="reality"):
         k.classical_point(p, v)
+
+
+def test_real_rotation_with_untwistable_q_rejected():
+    # V is unitary, but Q conj(V) Q^-1 = [[c, -s/4], [4s, c]] is not
+    p = k.build_presentation(k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 1))))
+    c, s = math.cos(0.3), math.sin(0.3)
+    with pytest.raises(ValueError, match=r"Q conj\(V\) Q\^-1 is not unitary: defect 1\.991e\+00"):
+        k.classical_point(p, [[c, -s], [s, c]])
+
+
+def test_unitary_diagonal_point_failing_reality_rejected():
+    # F conj(V) F^-1 = diag(-i, 1) for the symplectic F, so V - it = diag(1 + i, i - 1)
+    p = k.build_universal_orthogonal(k.symplectic_matrix(1))
+    with pytest.raises(ValueError, match=r"V fails the reality condition .*: defect 2\.000e\+00"):
+        k.classical_point(p, [[1, 0], [0, 1j]])
 
 
 def test_nested_lists_are_accepted_as_points():

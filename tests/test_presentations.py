@@ -6,9 +6,25 @@ from hypothesis import given, settings
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix
 import cqgkac.presentations as presentations
-from cqgkac.presentations import SpecError, canonicalize_relations, normalize_relation
+from cqgkac.presentations import (
+    SpecError,
+    canonicalize_relations,
+    layout_ranges,
+    normalize_relation,
+)
 
-from conftest import bar, dense_product, gen, letter, one_block_spec, small_specs, transpose
+from conftest import (
+    bar,
+    block_positions,
+    dense,
+    dense_inverse,
+    dense_product,
+    gen,
+    letter,
+    one_block_spec,
+    small_specs,
+    transpose,
+)
 
 
 def test_standard_form_case_one():
@@ -67,31 +83,32 @@ def test_block_spec_refuses_a_sign_outside_one_block(kind, blocks, trailing):
     assert err.value.field == "epsilon"
 
 
+def _q_profile(p):
+    """The eigenvalues of p's diagonal Q, ascending, with multiplicity."""
+    assert p.q.is_diagonal()
+    return sorted(p.q.entry(j, j) for j in range(p.q.rows))
+
+
 def test_eigenvalue_profile_case_one():
     spec = k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1)
-    prof = k.eigenvalue_profile(k.standard_form_matrix(spec))
-    assert prof == [(F(1, 4), 1), (F(1), 1), (F(4), 1)]
+    assert _q_profile(k.build_presentation(spec)) == [F(1, 4), F(1), F(4)]
 
 
 def test_eigenvalue_profile_symplectic():
-    assert k.eigenvalue_profile(k.symplectic_matrix(1)) == [(F(1), 2)]
+    assert _q_profile(k.build_universal_orthogonal(k.symplectic_matrix(1))) == [F(1), F(1)]
 
 
 def test_eigenvalue_profile_against_direct_product():
-    f = k.standard_form_matrix(one_block_spec(F(1, 2), 2, 1))
+    spec = one_block_spec(F(1, 2), 2, 1)
+    f = k.standard_form_matrix(spec)
+    p = k.build_presentation(spec)
     # oracle: form F^T F with plain loops and read the diagonal
     n = f.rows
-    diag = {}
-    for i in range(n):
-        v = sum(f.entry(l, i) * f.entry(l, i) for l in range(n))
-        diag[v] = diag.get(v, 0) + 1
-    assert k.eigenvalue_profile(f) == sorted(diag.items())
-    assert k.eigenvalue_profile(f) == [(F(1, 4), 2), (F(4), 2)]
-
-
-def test_eigenvalue_profile_rejects_non_monomial():
-    with pytest.raises(ValueError):
-        k.eigenvalue_profile(ScalarMatrix([[1, 1], [0, 1]]))
+    ftf = [[sum(f.entry(l, j) * f.entry(l, c) for l in range(n)) for c in range(n)]
+           for j in range(n)]
+    assert p.q == ScalarMatrix(ftf)
+    assert _q_profile(p) == sorted(ftf[i][i] for i in range(n))
+    assert _q_profile(p) == [F(1, 4), F(1, 4), F(4), F(4)]
 
 
 def test_universal_unitary_rank_one_is_circle_algebra():
@@ -163,6 +180,19 @@ def test_universal_orthogonal_rejects_bad_reality():
         k.build_universal_orthogonal(ScalarMatrix.diagonal([1, 2]))
 
 
+@pytest.mark.parametrize("rows, entry", [
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], "(F Fbar)[1,3] = 1"),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+     "(F Fbar)[3,3] = -1 and (F Fbar)[1,1] = 1"),
+    ([[0, 2], [F(1, 4), 0]], "(F Fbar)[1,1] = 1/2"),
+])
+def test_universal_orthogonal_names_the_first_row_off_plus_minus_identity(rows, entry):
+    # a 3-cycle, mixed signs, and one sign of the wrong size
+    with pytest.raises(ValueError, match=r"F Fbar must be \+I or -I") as err:
+        k.build_universal_orthogonal(ScalarMatrix(rows))
+    assert entry in str(err.value)
+
+
 def test_standard_forms_have_exact_reality_product():
     cases = [
         (one_block_spec(F(1, 2), 2, 1), 1),
@@ -172,7 +202,8 @@ def test_standard_forms_have_exact_reality_product():
     ]
     for spec, sign in cases:
         f = k.standard_form_matrix(spec)
-        assert f * f == ScalarMatrix.identity(f.rows).scale(sign)
+        eye = dense(ScalarMatrix.identity(f.rows))
+        assert dense_product(f, f) == [[e.scale(sign) for e in row] for row in eye]
 
 
 def test_reality_substitution_one_block():
@@ -191,7 +222,7 @@ def test_reality_substitution_symplectic_matches_hand_expansion():
     sigma, kept = k.reality_substitution(f)
     # oracle: expand F bar(U) F^-1 on the raw generator matrix directly
     u = [[letter(0, 0), letter(0, 1)], [letter(1, 0), letter(1, 1)]]
-    image = dense_product(f, bar(u), f.inverse())
+    image = dense_product(f, bar(u), dense_inverse(f))
     for g, value in sigma.items():
         assert value == image[g.row][g.col]
     assert sigma == {
@@ -218,7 +249,7 @@ def test_reality_substitution_annihilates_reality_entries():
         sigma, kept = k.reality_substitution(f)
         n = f.rows
         u = [[letter(j, c) for c in range(n)] for j in range(n)]
-        conj = dense_product(f, bar(u), f.inverse())
+        conj = dense_product(f, bar(u), dense_inverse(f))
         kept_set = set(kept)
         pi = [next(col for col in range(n) if f.entry(row, col)) for row in range(n)]
         for j in range(n):
@@ -276,42 +307,38 @@ def test_free_product_theorem_target_size():
 
 
 def test_block_decompose_one_block():
-    p = k.build_presentation(one_block_spec(F(1, 2), 2, 1))
-    d = k.block_decompose(p)
-    assert d.positions("A") == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert d.positions("C") == [(2, 0), (2, 1), (3, 0), (3, 1)]
-    assert d.matrix("C").entry(0, 0) == letter(2, 0)
+    spec = one_block_spec(F(1, 2), 2, 1)
+    p = k.build_presentation(spec)
+    assert block_positions(spec, "A") == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert block_positions(spec, "C") == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    assert p.u.entry(*block_positions(spec, "C")[0]) == letter(2, 0)
 
 
 def test_block_decompose_case_one_tail():
     spec = k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=1)
-    p = k.build_presentation(spec)
-    d = k.block_decompose(p)
-    assert d.matrix("Z").rows == 1 and d.matrix("Z").cols == 1
-    assert d.positions("Z") == [(6, 6)]
-    assert d.positions("X[1]") == [(6, 0)]
-    assert d.positions("R[2]") == [(2, 6), (3, 6)]
+    rows, cols = layout_ranges(spec)["Z"]
+    assert len(rows) == 1 and len(cols) == 1
+    assert block_positions(spec, "Z") == [(6, 6)]
+    assert block_positions(spec, "X[1]") == [(6, 0)]
+    assert block_positions(spec, "R[2]") == [(2, 6), (3, 6)]
 
 
 def test_block_decompose_case_two_unit_blocks():
     spec = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
-    p = k.build_presentation(spec)
-    d = k.block_decompose(p)
-    names = d.names()
+    ranges = layout_ranges(spec)
     for i in (1, 2):
         for j in (1, 2):
-            assert f"A[{i},{j}]" in names and f"C[{i},{j}]" in names
-            assert d.matrix(f"A[{i},{j}]").rows == 1
-    assert d.positions("C[2,2]") == [(3, 2)]
+            assert f"A[{i},{j}]" in ranges and f"C[{i},{j}]" in ranges
+            assert len(ranges[f"A[{i},{j}]"][0]) == 1
+    assert block_positions(spec, "C[2,2]") == [(3, 2)]
 
 
 def test_eigenvalue_profiles_match_displayed_lists():
     spec = k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=1)
-    prof = k.eigenvalue_profile(k.standard_form_matrix(spec))
-    assert prof == [(F(1, 9), 1), (F(1, 4), 2), (F(1), 1), (F(4), 2), (F(9), 1)]
+    assert _q_profile(k.build_presentation(spec)) == [
+        F(1, 9), F(1, 4), F(1, 4), F(1), F(4), F(4), F(9)]
     spec2 = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
-    prof2 = k.eigenvalue_profile(k.standard_form_matrix(spec2))
-    assert prof2 == [(F(1, 4), 1), (F(1), 2), (F(4), 1)]
+    assert _q_profile(k.build_presentation(spec2)) == [F(1, 4), F(1), F(1), F(4)]
 
 
 def test_free_product_refuses_a_free_product_part():
@@ -326,38 +353,42 @@ def _expand_then_substitute(spec):
     """The builder's earlier algorithm: every identity expanded as a dense
     product over the raw generator matrix, then the reality substitution
     applied to each relation and to the matrix.  A unitary spec expands
-    only the four unitarity identities over its Q."""
+    only the four unitarity identities over its Q; any other takes Q =
+    F^T F summed with plain loops, and Q is returned last."""
     m = k.standard_form_matrix(spec)
     n = m.rows
     u = [[letter(j, c) for c in range(n)] for j in range(n)]
     ub, ut = bar(u), transpose(u)
-    q = m if spec.kind == "unitary" else m.star() * m
+    q = m if spec.kind == "unitary" else ScalarMatrix(
+        [[sum(m.entry(l, j) * m.entry(l, c) for l in range(n)) for c in range(n)]
+         for j in range(n)])
     mats = [
         dense_product(u, transpose(ub)),
         dense_product(transpose(ub), u),
-        dense_product(ut, q, ub, q.inverse()),
-        dense_product(q, ub, q.inverse(), ut),
+        dense_product(ut, q, ub, dense_inverse(q)),
+        dense_product(q, ub, dense_inverse(q), ut),
     ]
     rels = [e - AlgElement.scalar(int(j == c))
             for mat in mats for j, row in enumerate(mat) for c, e in enumerate(row)]
     if spec.kind == "unitary":
         sigma, kept = {}, [gen(j, c) for j in range(n) for c in range(n)]
     else:
-        conj = dense_product(m, ub, m.inverse())
+        conj = dense_product(m, ub, dense_inverse(m))
         rels += [u[j][c] - conj[j][c] for j in range(n) for c in range(n)]
         sigma, kept = k.reality_substitution(m)
     rels = [r.substitute(sigma) for r in rels]
-    return kept, canonicalize_relations(rels), k.AlgMatrix(u).substitute(sigma)
+    return kept, canonicalize_relations(rels), k.AlgMatrix(u).substitute(sigma), q
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_specs())
 def test_builder_matches_expand_then_substitute_on_small_specs(spec):
     p = k.build_presentation(spec)
-    kept, rels, u = _expand_then_substitute(spec)
+    kept, rels, u, q = _expand_then_substitute(spec)
     assert p.generators == tuple(kept)
     assert [r.sort_key() for r in p.relations] == [r.sort_key() for r in rels]
     assert p.u == u
+    assert p.q == q
 
 
 def test_a_wrong_reality_scalar_is_caught(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix
 
-from conftest import gen, letter, one_block_spec, random_element
+from conftest import block_positions, gen, letter, one_block_spec, random_element
 
 
 def test_quotient_one_block_leaves_unitary_relations():
@@ -33,8 +33,8 @@ def test_quotient_unknown_generator_rejected():
 def test_quotient_case_one_leaves_hermitian_tail():
     spec = k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1)
     p = k.build_presentation(spec)
-    d = k.block_decompose(p)
-    kill = [gen(*pos) for name in ("C[1,1]", "X[1]", "R[1]") for pos in d.positions(name)]
+    kill = [gen(*pos) for name in ("C[1,1]", "X[1]", "R[1]")
+            for pos in block_positions(spec, name)]
     q = k.quotient_by_zero(p, kill)
     target, renaming = k.expected_kac_target(spec)
     verdict = k.match_presentations(q, target, renaming)
@@ -62,7 +62,7 @@ def _quotient_by_substitution(p, gens):
     return k.Presentation(
         [g for g in p.generators if g not in sigma],
         [r.substitute(sigma) for r in p.relations],
-        p.u.substitute(sigma), p.q, p.f, spec=p.spec, label=p.label,
+        p.u.substitute(sigma), p.q, p.f, label=p.label,
     )
 
 

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
+from cqgkac.presentations import layout_ranges
 from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac.trace import TraceSymbol
 
 from conftest import (
+    block_positions,
+    dense,
+    dense_product,
     gen,
     letter,
     one_block_spec,
@@ -189,9 +193,8 @@ def test_case_one_difference_combination_in_span():
     spec = k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1)
     p = k.build_presentation(spec)
     eqs = k.derive_trace_equations(p)
-    d = k.block_decompose(p)
-    (xq,) = [gen(*pos) for pos in d.positions("X[1]")]
-    (rq,) = [gen(*pos) for pos in d.positions("R[1]")]
+    (xq,) = [gen(*pos) for pos in block_positions(spec, "X[1]")]
+    (rq,) = [gen(*pos) for pos in block_positions(spec, "R[1]")]
     q = F(1, 2)
     ech, ids = span_echelon(eqs)
     row = {
@@ -351,14 +354,13 @@ def test_kac_fixpoint_case_one_kills_c_x_r_and_off_diagonal():
     spec = k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=1)
     p = k.build_presentation(spec)
     report, final = k.kac_fixpoint(p)
-    d = k.block_decompose(p)
     expected = set()
-    for name in d.names():
+    for name in layout_ranges(spec):
         kind = name[0]
         if kind in ("C", "X", "R"):
-            expected |= {gen(*pos) for pos in d.positions(name)}
+            expected |= {gen(*pos) for pos in block_positions(spec, name)}
         elif kind == "A" and name[2] != name[4]:
-            expected |= {gen(*pos) for pos in d.positions(name)}
+            expected |= {gen(*pos) for pos in block_positions(spec, name)}
     assert set(report.forced) == expected
     assert report.iterations <= 3
     assert not report.undetermined
@@ -379,7 +381,7 @@ def test_kac_fixpoint_unitary_cross_blocks():
 
 def test_orthogonal_build_refuses_non_monomial_f():
     f = ScalarMatrix([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]])
-    assert f * f == ScalarMatrix.identity(2)
+    assert dense_product(f, f) == dense(ScalarMatrix.identity(2))
     with pytest.raises(ValueError, match="non-monomial F is unsupported"):
         k.build_universal_orthogonal(f)
 
@@ -496,7 +498,7 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     u = [gen(0, c) for c in range(5)]
     norm = [AlgElement.word((g, g.adjoint())) for g in u]
     rels = [norm[0] - norm[1], norm[2], norm[3] - AlgElement.one()]
-    p = k.Presentation(u, rels, base.u, base.q, base.f, spec=spec, label=base.label)
+    p = k.Presentation(u, rels, base.u, base.q, base.f, label=base.label)
     report = _assert_shared_rounds_match_reference(p)
     assert [g for g, _ in report.rounds[0].forced] == [u[2]]
     assert report.undetermined == [k.generator_symbol(u[i]) for i in (0, 1, 4)]
