@@ -19,7 +19,7 @@ import time
 
 from .algebra import is_int, rat, rat_str
 from .hopf import central_morphism_check, hopf_axiom_check
-from .numeric import classical_point, eval_residual, rep_search, witness_characters
+from .numeric import classical_point, eval_residual, rep_search
 from .presentations import BlockSpec, SpecError, build_presentation
 from .quotient import expected_kac_target, match_presentations
 from .trace import kac_fixpoint
@@ -135,9 +135,10 @@ def run(spec: BlockSpec, verb: str):
     """Run a verb over a block spec; returns (exit code, report dict).
 
     An unknown verb gives EXIT_CONFIG and the message under "error".
-    `report` adds a "survivors" section: exact characters (see
-    `numeric.witness_characters`) nonzero on the generators the Kac layer
-    leaves alive,
+    `report` adds a "survivors" section: the exact characters the Kac
+    layer's closing round found (`KacReport.cover`, from
+    `numeric.witness_characters`), nonzero on the generators it leaves
+    alive,
 
         "survivors": {
             "characters": [V, ...],   # N x N signed permutation matrices,
@@ -236,15 +237,13 @@ def run(spec: BlockSpec, verb: str):
         timings["match"] = time.perf_counter() - start
 
     if verb == "report":
-        start = time.perf_counter()
-        cover = witness_characters(presentation, final.generators)
+        cover = kac_report.cover
         report["survivors"] = {
             "characters": [[list(row) for row in V] for V in cover.characters],
             "witnesses": {g.label(): i for g, i in sorted(cover.witness.items())},
             "unwitnessed": [g.label() for g in cover.uncovered],
             "candidates": cover.tried,
         }
-        timings["survivors"] = time.perf_counter() - start
 
     if verb in ("hopf-check", "report"):
         start = time.perf_counter()

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from numbers import Integral, Number
 
@@ -165,15 +164,19 @@ class CharacterError(Exception):
 
 
 def _value(element, V):
-    """The element evaluated at u(j,k) -> V[j][k]; V is real, so u(j,k)*
-    goes to the same entry."""
-    total = Fraction(0)
+    """The element evaluated at u(j,k) -> V[j][k]; V is an integer matrix
+    (real, so u(j,k)* goes to the same entry).  Each word's letters multiply
+    as ints, stopping at 0, and only a nonzero word touches its
+    coefficient."""
+    total = 0
     for w, c in element.terms():
+        x = 1
         for g in w:
-            c *= V[g.row][g.col]
-            if not c:
+            x *= V[g.row][g.col]
+            if not x:
                 break
-        total += c
+        else:
+            total += x * c
     return total
 
 
@@ -185,7 +188,7 @@ def verify_character(P: Presentation, V) -> bool:
     entry of the fundamental matrix (whose eliminated positions are
     expressions in the kept generators) must evaluate to V's entry.  Reads
     only P and V, never the enumerator: raises CharacterError naming the
-    failing rel[i] or position.
+    failing rel[i] or position, or a generator outside the N x N layout.
     """
     u = _fundamental(P)
     n = u.rows
@@ -197,6 +200,9 @@ def verify_character(P: Presentation, V) -> bool:
     for line in (*V, *zip(*V)):
         if sorted(abs(x) for x in line) != [0] * (n - 1) + [1]:
             raise CharacterError("V is not a signed permutation matrix")
+    for g in P.generators:
+        if not (g.row < n and g.col < n):
+            raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
     for i, r in enumerate(P.relations):
         value = _value(r, V)
         if value:
@@ -291,14 +297,16 @@ class CharacterCover:
 def witness_characters(P: Presentation, wanted) -> CharacterCover:
     """Enumerate until every wanted generator has a character nonzero on
     it; a candidate zero on every wanted generator still uncovered is not
-    verified."""
+    verified.  A generator outside P's fundamental matrix is never
+    reached."""
+    n = _fundamental(P).rows
     left = set(wanted)
     found, witness, tried = [], {}, 0
     for V in _candidates(P):
         if not left:
             break
         tried += 1
-        hits = {g for g in left if V[g.row][g.col]}
+        hits = {g for g in left if g.row < n and g.col < n and V[g.row][g.col]}
         if not hits:
             continue
         try:

@@ -4,24 +4,33 @@ Applying a tracial state to a relation gives a formal trace over cyclic
 word classes.  Only its real part is built and becomes an equation: the
 imaginary parts form a homogeneous system in unknowns no real part
 mentions, which Im = 0 always solves.  Symbols of the form
-tr[g g*] are nonnegative; the others are free.  The free symbols are
-eliminated exactly by one `linalg.SparseEchelon` whose columns put them
-first, so the rows led by a nonnegative symbol carry none, and extra
-columns record each row as a combination of the equations.
+tr[g g*] are nonnegative; the others are free.
 
-A generator g is certified to lie in the Kac ideal when the reduced rows
-bound its symbol by zero.  One round decides every generator with a few
-exact LPs over a shrinking candidate set (Freund, Roundy & Todd 1985):
-maximise the sum of the candidates' symbols; drop the candidates that a
-recession ray leaves unbounded (undetermined) or that a feasible point
-keeps positive; once the optimum is zero, its dual multipliers are one
-nonnegative combination of equations, positive on every remaining
-candidate, that any tracial state must satisfy.  Each forced generator
-stores that combination as its own certificate, re-verified independently
-of the solver.
+A generator g is certified to lie in the Kac ideal by a nonnegative
+combination of equations with constant 0, no free symbol, and a positive
+coefficient on tr[g g*]; `verify_certificate` re-checks it reading only
+the equations.  The Kac quotient needs one such combination, in closed
+form (S. Wang, Free products of compact quantum groups, 1995; Van Daele &
+Wang, Universal quantum groups, 1996).  With a_jk = tr[u_jk u_jk*] and Q
+diagonal, the traced diagonal entries of the four unitarity identities
+read
 
-The Kac quotient is reached by a fixpoint loop: derive, force, quotient,
-repeat until no generator dies.
+  UU*-I[j,j]: sum_k a_jk - 1,   QUbarQ^-1U^t-I[j,j]: sum_k (Q_j/Q_k) a_jk - 1,
+  U*U-I[k,k]: sum_j a_jk - 1,   U^tQUbarQ^-1-I[k,k]: sum_j (Q_j/Q_k) a_jk - 1.
+
+Weighting each row pair (twisted minus plain) by Q_j and each column pair
+(plain minus twisted) by Q_k gives constant 0 and the coefficient
+(Q_j - Q_k)^2 / Q_k >= 0 on a_jk, so every generator joining two different
+eigenvalues of Q dies in one round.  The closing round asks the exact
+characters of `numeric.witness_characters` for the rest: a character is a
+tracial state, so a generator it is nonzero on survives, and a survivor no
+character reaches is reported undetermined.
+
+The exact LP search for such combinations (`_shared_certificates` over
+`TraceEquationSet.reduced`, simplex after Freund, Roundy & Todd 1985) is
+no longer on the Kac path.  It stays as the reference the tests check the
+closed form against, and because the benchmark harness wraps
+`solve_lp_max`, `forced_zero` and `TraceEquationSet.reduced` by name.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .algebra import (
     AlgElement, GeneratorId, Word, add_terms, rat_str, word_adjoint, word_key, word_label,
 )
 from .linalg import SparseEchelon
+from .numeric import CharacterCover, witness_characters
 from .presentations import Presentation
 from .quotient import quotient_by_zero
 from .simplex import Infeasible, Unbounded, solve_lp_max
@@ -322,6 +332,63 @@ def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
     return certs.get(target)
 
 
+def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
+    """The closed-form combination as (equation index, multiplier) pairs,
+    or None when some diagonal entry of the four identities is not (a
+    multiple of) an equation, as on a hand-made presentation.
+
+    Each entry is traced from a_jk = tr(u_jk u_jk*) over P's fundamental
+    matrix and found by its coefficients at constant -1: an equation with
+    constant c is keyed by coefficient / -c."""
+    if P.u is None:
+        return None
+    index = {}
+    for i, e in enumerate(eqs.equations):
+        if e.constant:
+            scale = -e.constant
+            index[frozenset((s, c / scale) for s, c in e.coeffs.items())] = (i, scale)
+    n = P.u.rows
+    q = [P.q.entry(j, j) for j in range(n)]
+    a = [[trace_of(x * x.adjoint()).re for x in (P.u.entry(j, k) for k in range(n))]
+         for j in range(n)]
+
+    def entry(weights):
+        return frozenset(add_terms({}, (
+            (s, w * c) for (j, k), w in weights for s, c in a[j][k].items()
+        )).items())
+
+    combo = {}
+    for j in range(n):
+        plain_row = entry(((j, k), 1) for k in range(n))  # UU*-I[j,j]
+        twisted_row = entry(((j, k), q[j] / q[k]) for k in range(n))  # QUbarQ^-1U^t-I[j,j]
+        plain_col = entry(((k, j), 1) for k in range(n))  # U*U-I[j,j]
+        twisted_col = entry(((k, j), q[k] / q[j]) for k in range(n))  # U^tQUbarQ^-1-I[j,j]
+        for key, weight in (
+            (twisted_row, q[j]), (plain_row, -q[j]), (plain_col, q[j]), (twisted_col, -q[j]),
+        ):
+            if key not in index:
+                return None
+            i, scale = index[key]
+            add_terms(combo, ((i, weight / scale),))
+    return tuple(sorted(combo.items()))
+
+
+def _closed_form_certificates(P: Presentation, eqs: TraceEquationSet, targets):
+    """{target: Certificate} for the targets the closed-form combination
+    has a positive coefficient on, all sharing that one combination,
+    verified once."""
+    multipliers = _closed_form_multipliers(P, eqs)
+    if multipliers is None:
+        return {}
+    const, coeffs = _recombine(eqs, multipliers)
+    certs = {
+        t: Certificate(t, multipliers, const, coeffs) for t in targets if coeffs.get(t, 0) > 0
+    }
+    if certs:
+        verify_certificate(next(iter(certs.values())), eqs)
+    return certs
+
+
 @dataclass(frozen=True)
 class KacRound:
     """One derive-and-force pass: the equations used, the generators
@@ -334,7 +401,11 @@ class KacRound:
 
 @dataclass(frozen=True)
 class KacReport:
+    """The rounds, and the `numeric.CharacterCover` of the closing round:
+    verified characters nonzero on the surviving generators."""
+
     rounds: tuple
+    cover: CharacterCover
 
     @property
     def forced(self):
@@ -356,26 +427,32 @@ class KacReport:
 
 
 def kac_fixpoint(P: Presentation):
-    """Iterate derive -> force -> quotient until no generator dies.
+    """Force by the closed form, then witness the survivors by characters.
 
-    Each round decides every generator by one shared certificate, which
-    all the round's forced generators cite.  Every round but the last
-    removes at least one generator, so the loop ends after at most
-    (number of generators + 1) rounds.  Sound by
-    construction: every actual tracial state satisfies the derived
-    equations, so certified symbols genuinely vanish and the quotient stays
-    above the Kac quotient.  Returns (KacReport, final presentation).
+    Round 1 issues the closed-form combination of the traced diagonal
+    entries as one certificate, shared by every generator it forces; it
+    forces nothing when those entries are not among P's equations.  When
+    something dies, P is quotiented and the quotient's equations kept as a
+    second round.  The closing round asks `witness_characters` for a
+    verified character of P nonzero on each survivor; a survivor none
+    reaches (one outside P's fundamental matrix among them) is
+    undetermined.  So there are 2 rounds when a generator dies, else 1.
+    Sound by construction: every tracial state satisfies the derived
+    equations, so certified symbols vanish and the quotient stays above the
+    Kac quotient.  Returns (KacReport, final presentation).
     """
+    eqs = derive_trace_equations(P)
+    symbols = [generator_symbol(g) for g in P.generators]
+    certs = _closed_form_certificates(P, eqs, symbols)
+    forced = tuple((g, certs[s]) for g, s in zip(P.generators, symbols) if s in certs)
     rounds = []
     current = P
-    while True:
+    if forced:
+        rounds.append(KacRound(eqs, forced, ()))
+        current = quotient_by_zero(P, [g for g, _ in forced])
         eqs = derive_trace_equations(current)
-        symbols = [generator_symbol(g) for g in current.generators]
-        certs, undecided = _shared_certificates(eqs, symbols)
-        forced = tuple((g, certs[s]) for g, s in zip(current.generators, symbols) if s in certs)
-        undetermined = tuple(s for s in symbols if s in undecided)
-        rounds.append(KacRound(eqs, forced, undetermined))
-        if not forced:
-            break
-        current = quotient_by_zero(current, [g for g, _ in forced])
-    return KacReport(tuple(rounds)), current
+    cover = witness_characters(P, current.generators)
+    uncovered = set(cover.uncovered)
+    undetermined = tuple(generator_symbol(g) for g in current.generators if g in uncovered)
+    rounds.append(KacRound(eqs, (), undetermined))
+    return KacReport(tuple(rounds), cover), current

@@ -40,6 +40,17 @@ def undetermined_presentation(spec):
 
 QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))
 
+# the seven specs of the benchmark's report ladder
+LADDER = {
+    "one-block-1/2x1": one_block_spec(F(1, 2), 1, 1),
+    "one-block-1/2x2-eps-1": one_block_spec(F(1, 2), 2, -1),
+    "unitary-1/4x1-1x2": k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2))),
+    "unitary-1/4-1/2-1": k.BlockSpec("unitary", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 1))),
+    "case-I-1/2+1": k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
+    "case-II-1/3-1/2": k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))),
+    "case-II-1/2-1": k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
+}
+
 
 @st.composite
 def small_specs(draw):

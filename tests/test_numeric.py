@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 import cqgkac as k
 from cqgkac.algebra import ScalarMatrix
-from cqgkac.numeric import NumAssignment
+from cqgkac.numeric import NumAssignment, _candidates, _value
 
-from conftest import gen, one_block_spec, small_specs
+from conftest import LADDER, gen, one_block_spec, small_specs, undetermined_presentation
 
 
 def _random_unitary(rng, n):
@@ -314,3 +314,37 @@ def test_every_generator_is_dead_or_witnessed_on_small_specs(spec):
     assert alive.isdisjoint(dead) and alive | dead == set(p.generators)
     _, renaming = k.expected_kac_target(spec)
     assert alive == final.generator_set() == set(renaming)
+
+
+def _value_reference(element, V):
+    """The element at u(j,k) -> V[j][k], one Fraction product per letter."""
+    total = F(0)
+    for w, c in element.terms():
+        for g in w:
+            c *= V[g.row][g.col]
+        total += c
+    return total
+
+
+@pytest.mark.parametrize("spec", LADDER.values(), ids=LADDER.keys())
+def test_integer_first_value_matches_fraction_reference_on_ladder(spec):
+    p = k.build_presentation(spec)
+    n = spec.size
+    entries = [p.u.entry(j, c) for j in range(n) for c in range(n)]
+    nonzero = 0
+    for V in _candidates(p):
+        for element in (*p.relations, *entries):
+            value = _value(element, V)
+            assert value == _value_reference(element, V)
+            nonzero += bool(value)
+    assert nonzero  # some candidate breaks some relation
+
+
+def test_generators_outside_the_layout_are_never_witnessed():
+    # u(1,3) has no entry in the 2 x 2 fundamental matrix
+    p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
+    outside = gen(0, 2)
+    assert outside in p.generators
+    _verify_fails(p, [[1, 0], [0, 1]], r"u\(1,3\) lies outside the 2x2")
+    cover = k.witness_characters(p, p.generators)
+    assert cover.uncovered == tuple(p.generators) and not cover.characters

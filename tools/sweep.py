@@ -7,7 +7,9 @@ and prints the spec count per kind and one SHA-256 per verb over its
 reports, each serialized with `json.dumps(report, sort_keys=True)` after
 its `timings` are removed and ended by a newline.
 Two checkouts that print the same `sha256` (match) digest gave the same
-answers, byte for byte, on every spec; the same `build sha256` digest
+answers, byte for byte, on every spec; the same `kac sha256` digest (the
+match reports with `kac.certificates` removed) means the same answers with
+possibly different Kac certificates; the same `build sha256` digest
 means they built the same generators and relations; the same
 `hopf sha256` digest means the same Hopf verdicts; the same
 `numeric sha256` digest means the same float residuals, bit for bit.
@@ -69,18 +71,28 @@ def specs():
             yield spec
 
 
+def _line(report) -> bytes:
+    return json.dumps(report, sort_keys=True).encode() + b"\n"
+
+
 def main():
     digests = {verb: hashlib.sha256() for verb in ("match", "build", "hopf-check", "numeric")}
+    kac = hashlib.sha256()
     kinds = Counter()
     start = time.perf_counter()
     for spec in specs():
         for verb, digest in digests.items():
             _, report = run(spec, verb)
             report.pop("timings", None)
-            digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+            digest.update(_line(report))
+            if verb == "match":
+                certified = report["kac"]
+                report["kac"] = {k: v for k, v in certified.items() if k != "certificates"}
+                kac.update(_line(report))
         kinds[spec.kind] += 1
     print(f"specs: {sum(kinds.values())} ({', '.join(f'{n} {k}' for k, n in kinds.items())})")
     print(f"sha256: {digests['match'].hexdigest()}")
+    print(f"kac sha256: {kac.hexdigest()}")
     print(f"build sha256: {digests['build'].hexdigest()}")
     print(f"hopf sha256: {digests['hopf-check'].hexdigest()}")
     print(f"numeric sha256: {digests['numeric'].hexdigest()}")
