@@ -70,10 +70,12 @@ class GeneratorId(NamedTuple):
     star: bool = False
 
     def adjoint(self) -> "GeneratorId":
-        return self._replace(star=not self.star)
+        factor, row, col, star = self
+        return tuple.__new__(GeneratorId, (factor, row, col, not star))
 
     def plain(self) -> "GeneratorId":
-        return self._replace(star=False) if self.star else self
+        factor, row, col, star = self
+        return tuple.__new__(GeneratorId, (factor, row, col, False)) if star else self
 
     def label(self) -> str:
         head = f"{self.factor}." if self.factor else ""

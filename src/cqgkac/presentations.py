@@ -27,6 +27,12 @@ sum, written down directly:
   (Q Ubar Q^-1 U^t - I)[j,k] = sum_a (Q_j/Q_a) u(j,a)* u(k,a) - delta(j,k)
   (U - F Ubar F^-1)[j,k]     = u(j,k) - (d_j/d_k) u(pi(j),pi(k))*
 
+Each of the four unitarity identities is self-adjoint: its entry (k,j) is
+a scalar multiple of the adjoint of entry (j,k), namely 1 for the first
+pair and Q_k/Q_j for the twisted pair, whatever the entries of u are.  A
+relation and its scaled adjoint share one normal form, so only the
+entries with j <= k are written.
+
 The reality entries make half the generators redundant.  They are
 substituted into the generator matrix once, every entry is written over
 that substituted matrix, and the fundamental matrix keeps the substituted
@@ -46,7 +52,7 @@ from .algebra import (
     is_int,
     rat,
     rat_str,
-    word_key,
+    word_adjoint,
 )
 
 KINDS = ("unitary", "one-block", "case-I", "case-II")
@@ -187,30 +193,58 @@ def _monomial_decode(F: ScalarMatrix):
     return pi, [F.entry(j, pj) for j, pj in enumerate(pi)]
 
 
-def normalize_relation(r: AlgElement):
-    """Scale so the least word has coefficient 1; fold with the adjoint.
+def _oriented(r: AlgElement):
+    """(sort key, element) of the normal form of a nonzero relation.
 
-    Returns None for the zero element.  Of the normalized relation and its
-    normalized adjoint, the smaller under the element order is kept, so
-    adjoint-duplicates collapse to one stored orientation.
+    The words of r and of r* are sorted once each.  The two sequences,
+    each divided by its lead coefficient, are compared term by term up to
+    the first difference; the smaller orientation is kept, r on a tie.
+    It is scaled once, not at all when its lead coefficient is 1, and
+    keeps the term order of r, or of `r.adjoint()` when r* is kept.
     """
-    if r.is_zero():
-        return None
-    least = min(r.words(), key=word_key)
-    a = r.scale(1 / r.coefficient(least))
-    rs = r.adjoint()
-    least = min(rs.words(), key=word_key)
-    b = rs.scale(1 / rs.coefficient(least))
-    return a if a.sort_key() <= b.sort_key() else b
+    terms = r.terms()
+    adjoint = [(word_adjoint(w), c) for w, c in terms]
+    own = sorted((len(w), w, c) for w, c in terms)
+    star = sorted((len(w), w, c) for w, c in adjoint)
+    lead_own, lead_star = own[0][2], star[0][2]
+    for (n, w, c), (m, v, e) in zip(own, star):
+        if w != v:
+            flip = (m, v) < (n, w)
+            break
+        x, y = c / lead_own, e / lead_star
+        if x != y:
+            flip = y < x
+            break
+    else:
+        flip = False
+    chosen, lead = (star, lead_star) if flip else (own, lead_own)
+    if lead == 1:
+        element = AlgElement._wrap(dict(adjoint)) if flip else r
+        return tuple(((n, w), c) for n, w, c in chosen), element
+    f = 1 / lead
+    scaled = {w: c * f for w, c in (adjoint if flip else terms)}
+    return tuple(((n, w), scaled[w]) for n, w, _ in chosen), AlgElement._wrap(scaled)
+
+
+def normalize_relation(r: AlgElement):
+    """The normal form of r: of r and r*, each scaled so its least word
+    has coefficient 1, the one with the smaller `sort_key` (r on a tie).
+
+    Returns None for the zero element.  Adjoint and scalar multiples of
+    one relation share one normal form, which keeps its terms in r's own
+    order or, when r* is chosen, in the order of `r.adjoint()`.
+    """
+    return None if r.is_zero() else _oriented(r)[1]
 
 
 def canonicalize_relations(rels):
-    """Normalized, deduplicated, sorted relation tuple."""
+    """Normalized, deduplicated, sorted relation tuple; of relations with
+    one normal form the last one given is stored."""
     seen = {}
     for r in rels:
-        n = normalize_relation(r)
-        if n is not None:
-            seen[n.sort_key()] = n
+        if not r.is_zero():
+            key, n = _oriented(r)
+            seen[key] = n
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -267,8 +301,15 @@ def _unitarity_relations(u: AlgMatrix, q: ScalarMatrix):
         sum_a u(j,a) u(k,a)*,  sum_a u(a,j)* u(a,k),
         sum_a (Q_a/Q_k) u(a,j) u(a,k)*,  sum_a (Q_j/Q_a) u(j,a)* u(k,a),
 
-    each minus delta(j,k); returned identity by identity, each row-major.
-    The twisted pair reads t = Q Ubar Q^-1, t(j,k) = (Q_j/Q_k) u(j,k)*.
+    each minus delta(j,k).  The twisted pair reads t = Q Ubar Q^-1,
+    t(j,k) = (Q_j/Q_k) u(j,k)*.
+
+    Only entries with j <= k are returned, identity by identity, each
+    row-major.  Every identity is self-adjoint: over any matrix u, entry
+    (k,j) is (entry (j,k))* for the first pair and (Q_k/Q_j) (entry
+    (j,k))* for the twisted pair, term by term in the same order, so it
+    has the normal form of entry (j,k), term order included, and
+    canonicalization would fold it into that entry.
     """
     n = u.rows
     e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
@@ -285,7 +326,7 @@ def _unitarity_relations(u: AlgMatrix, q: ScalarMatrix):
         AlgElement.sum(entry(j, k)) - AlgElement.scalar(int(j == k))
         for entry in entries
         for j in range(n)
-        for k in range(n)
+        for k in range(j, n)
     ]
 
 

@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.presentations import layout_ranges
+from cqgkac.algebra import word_key
+from cqgkac.presentations import SpecError, layout_ranges
 
 
 def gen(row, col, star=False, factor=0):
@@ -25,6 +27,31 @@ def random_element(rng, letters, max_words=3, max_len=3):
         word = tuple(rng.choice(letters) for _ in range(length))
         terms[word] = F(rng.randint(-4, 4), rng.randint(1, 4))
     return k.AlgElement(terms)
+
+
+def reference_normalize(r):
+    """The two-scale normal form: r and r* each scaled so its least word
+    has coefficient 1, the one with the smaller sort_key kept (r on a
+    tie); None for zero."""
+    if r.is_zero():
+        return None
+    least = min(r.words(), key=word_key)
+    a = r.scale(1 / r.coefficient(least))
+    rs = r.adjoint()
+    least = min(rs.words(), key=word_key)
+    b = rs.scale(1 / rs.coefficient(least))
+    return a if a.sort_key() <= b.sort_key() else b
+
+
+def reference_canonicalize(rels):
+    """`reference_normalize` of every nonzero relation, one per sort_key
+    (the last given), sorted."""
+    seen = {}
+    for r in rels:
+        n = reference_normalize(r)
+        if n is not None:
+            seen[n.sort_key()] = n
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def undetermined_presentation(spec):
@@ -50,6 +77,25 @@ LADDER = {
     "case-II-1/3-1/2": k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))),
     "case-II-1/2-1": k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
 }
+
+
+def specs_up_to(n_max):
+    """Every valid BlockSpec with N <= n_max and block parameters in QS,
+    of every kind, trailing size and sign, in a fixed order."""
+    out = []
+    for kind in ("unitary", "one-block", "case-I", "case-II"):
+        for count in range(n_max + 1):
+            for qs in itertools.combinations(QS, count):
+                for ms in itertools.product(range(1, n_max + 1), repeat=count):
+                    for trailing, epsilon in itertools.product(range(n_max + 1), (1, -1)):
+                        try:
+                            spec = k.BlockSpec(kind, tuple(zip(qs, ms)), trailing=trailing,
+                                               epsilon=epsilon)
+                        except SpecError:
+                            continue
+                        if spec.size <= n_max:
+                            out.append(spec)
+    return out
 
 
 @st.composite

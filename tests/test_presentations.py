@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix
@@ -22,7 +23,10 @@ from conftest import (
     gen,
     letter,
     one_block_spec,
+    reference_canonicalize,
+    reference_normalize,
     small_specs,
+    specs_up_to,
     transpose,
 )
 
@@ -401,3 +405,70 @@ def test_a_wrong_reality_scalar_is_caught(monkeypatch):
     monkeypatch.setattr(presentations, "reality_substitution", lambda F: (wrong, kept))
     with pytest.raises(RuntimeError, match="unresolvable reality entry"):
         k.build_universal_orthogonal(f)
+
+
+WORD_LETTERS = (gen(0, 0), gen(0, 0, star=True), gen(0, 1))
+COEFFICIENTS = st.one_of(st.sampled_from((F(1), F(-1))),
+                         st.fractions(-4, 4, max_denominator=4).filter(bool))
+
+
+@st.composite
+def relations(draw):
+    """Elements with words of length <= 3 over three letters and Fraction
+    coefficients (leads of 1, -1 and any other sign); some are folded with
+    their adjoint, so they are self-adjoint up to a sign and their two
+    orientations tie."""
+    words = st.lists(st.sampled_from(WORD_LETTERS), max_size=3).map(tuple)
+    e = AlgElement(draw(st.dictionaries(words, COEFFICIENTS, min_size=1, max_size=4)))
+    fold = draw(st.sampled_from((0, 1, -1)))
+    return e + e.adjoint().scale(fold) if fold else e
+
+
+def _form(r):
+    """Value, sort_key and stored term order of a relation, or None."""
+    return None if r is None else (r, r.sort_key(), list(r.terms()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+def test_normalize_relation_matches_the_two_scale_reference(r):
+    assert _form(normalize_relation(r)) == _form(reference_normalize(r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(relations(), max_size=5), st.lists(COEFFICIENTS, max_size=5))
+def test_canonicalize_relations_matches_the_two_scale_reference(rels, scales):
+    rels = rels + [r.adjoint().scale(c) for r, c in zip(rels, scales)]
+    got, want = canonicalize_relations(rels), reference_canonicalize(rels)
+    assert [_form(r) for r in got] == [_form(r) for r in want]
+
+
+def _identity_entries(p):
+    """Every entry of the four unitarity identities minus I, by dense
+    products over p's fundamental matrix: four N x N lists of entries."""
+    n = p.u.rows
+    u = [[p.u.entry(j, c) for c in range(n)] for j in range(n)]
+    ub, ut = bar(u), transpose(u)
+    qinv = dense_inverse(p.q)
+    mats = (dense_product(u, transpose(ub)), dense_product(transpose(ub), u),
+            dense_product(ut, p.q, ub, qinv), dense_product(p.q, ub, qinv, ut))
+    return [[[e - AlgElement.scalar(int(j == c)) for c, e in enumerate(row)]
+             for j, row in enumerate(m)] for m in mats]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_specs())
+def test_each_identity_entry_below_the_diagonal_has_its_mirror_normal_form(spec):
+    for mat in _identity_entries(k.build_presentation(spec)):
+        for j in range(len(mat)):
+            for c in range(j + 1, len(mat)):
+                assert _form(normalize_relation(mat[c][j])) == _form(normalize_relation(mat[j][c]))
+
+
+def test_builder_keeps_the_canonical_full_emission_on_every_spec_up_to_three():
+    specs = specs_up_to(3)
+    assert len(specs) == 79
+    for spec in specs:
+        _, full, _, _ = _expand_then_substitute(spec)
+        assert [_form(r) for r in k.build_presentation(spec).relations] == \
+            [_form(r) for r in full], spec

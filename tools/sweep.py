@@ -13,6 +13,9 @@ possibly different Kac certificates; the same `build sha256` digest
 means they built the same generators and relations; the same
 `hopf sha256` digest means the same Hopf verdicts; the same
 `numeric sha256` digest means the same float residuals, bit for bit.
+The `terms sha256` digest covers every relation of `build_presentation`
+with its terms in stored order, one JSON line per spec, so it also sees
+a change of term order that the sorted `build` report hides.
 
     python tools/sweep.py
 
@@ -31,8 +34,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from cqgkac.algebra import rat_str, word_label  # noqa: E402
 from cqgkac.cli import run  # noqa: E402
-from cqgkac.presentations import BlockSpec, SpecError  # noqa: E402
+from cqgkac.presentations import BlockSpec, SpecError, build_presentation  # noqa: E402
 
 N_MAX = 6
 QS = tuple(Fraction(q) for q in ("1/4", "1/3", "1/2", "2/3", "1"))
@@ -75,9 +79,17 @@ def _line(report) -> bytes:
     return json.dumps(report, sort_keys=True).encode() + b"\n"
 
 
+def _terms_line(spec) -> bytes:
+    """The built relations of spec, each as its (coefficient, word) terms
+    in stored order."""
+    relations = build_presentation(spec).relations
+    return _line([[[rat_str(c), word_label(w)] for w, c in r.terms()] for r in relations])
+
+
 def main():
     digests = {verb: hashlib.sha256() for verb in ("match", "build", "hopf-check", "numeric")}
     kac = hashlib.sha256()
+    terms = hashlib.sha256()
     kinds = Counter()
     start = time.perf_counter()
     for spec in specs():
@@ -89,6 +101,7 @@ def main():
                 certified = report["kac"]
                 report["kac"] = {k: v for k, v in certified.items() if k != "certificates"}
                 kac.update(_line(report))
+        terms.update(_terms_line(spec))
         kinds[spec.kind] += 1
     print(f"specs: {sum(kinds.values())} ({', '.join(f'{n} {k}' for k, n in kinds.items())})")
     print(f"sha256: {digests['match'].hexdigest()}")
@@ -96,6 +109,7 @@ def main():
     print(f"build sha256: {digests['build'].hexdigest()}")
     print(f"hopf sha256: {digests['hopf-check'].hexdigest()}")
     print(f"numeric sha256: {digests['numeric'].hexdigest()}")
+    print(f"terms sha256: {terms.hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
 
 
