@@ -58,7 +58,7 @@ def add_terms(acc: dict, terms) -> dict:
 
 class GeneratorId(NamedTuple):
     """A letter of the free *-algebra: one coefficient u(row,col) of a
-    fundamental matrix, or its adjoint.
+    fundamental matrix, or its adjoint; a `selfadjoint` letter is its own.
 
     The field order gives the global letter order: factor tag, position,
     then star (plain < star).
@@ -68,14 +68,17 @@ class GeneratorId(NamedTuple):
     row: int
     col: int
     star: bool = False
+    selfadjoint: bool = False
 
     def adjoint(self) -> "GeneratorId":
-        factor, row, col, star = self
-        return tuple.__new__(GeneratorId, (factor, row, col, not star))
+        factor, row, col, star, selfadjoint = self
+        if selfadjoint:
+            return self
+        return tuple.__new__(GeneratorId, (factor, row, col, not star, False))
 
     def plain(self) -> "GeneratorId":
-        factor, row, col, star = self
-        return tuple.__new__(GeneratorId, (factor, row, col, False)) if star else self
+        factor, row, col, star, _ = self
+        return tuple.__new__(GeneratorId, (factor, row, col, False, False)) if star else self
 
     def label(self) -> str:
         head = f"{self.factor}." if self.factor else ""
@@ -87,7 +90,7 @@ Word = tuple  # tuple[GeneratorId, ...]; () is the unit
 
 
 def word_adjoint(w: Word) -> Word:
-    """Reverse the word and toggle every star flag; an involution."""
+    """Reverse the word and take every letter's adjoint; an involution."""
     return tuple(g.adjoint() for g in reversed(w))
 
 

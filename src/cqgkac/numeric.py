@@ -65,7 +65,7 @@ def _fundamental(P: Presentation):
 
 def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
     """Absolute residual of every relation under the assignment, its terms
-    summed in order."""
+    summed in order, then |x - conj(x)| for each self-adjoint generator."""
     needed = {g.plain() for r in P.relations for g in r.letters()}
     needed |= set(P.generators)
     missing = sorted(g.label() for g in needed if g not in assignment.values)
@@ -86,6 +86,7 @@ def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
                 value *= x.conjugate() if g.star else x
             acc += float(c) * value
         residuals.append(abs(acc))
+    residuals += [abs(2 * values[g].imag) for g in P.generators if g.selfadjoint]
     top = max(residuals, default=0.0)
     return ResidualReport(tuple(residuals), top)
 

@@ -36,7 +36,9 @@ entries with j <= k are written.
 The reality entries make half the generators redundant.  They are
 substituted into the generator matrix once, every entry is written over
 that substituted matrix, and the fundamental matrix keeps the substituted
-expressions in their places.
+expressions in their places.  A self-paired position (pi(j) = j, pi(k) = k,
+d_j = d_k; the trailing block of case I) holds a self-adjoint letter: its
+reality entry is zero, and there the twisted pair repeats the plain pair.
 """
 
 from __future__ import annotations
@@ -354,8 +356,9 @@ def reality_substitution(F: ScalarMatrix):
 
     pairing position (j,k) with (pi(j), pi(k)).  Of every pair the
     position with the smaller (column, row) is kept and the partner maps
-    to that scalar times the kept letter's adjoint.  Self-paired positions
-    are kept, and their entries stay as hermitian-type relations.
+    to that scalar times the kept letter's adjoint.  A self-paired position
+    with d_j = d_k keeps a self-adjoint letter, the image of u(j,k); one
+    with d_j = -d_k keeps u(j,k) and the relation u(j,k) + u(j,k)*.
 
     Returns (sigma, kept) where sigma sends each redundant plain generator
     to its expression over the kept ones.
@@ -368,7 +371,10 @@ def reality_substitution(F: ScalarMatrix):
     for j, pj in enumerate(pi):
         for k, pk in enumerate(pi):
             g = GeneratorId(0, j, k)
-            if (k, j) <= (pk, pj):
+            if (pj, pk) == (j, k) and d[j] == d[k]:
+                kept.append(GeneratorId(0, j, k, selfadjoint=True))
+                sigma[g] = AlgElement.generator(kept[-1])
+            elif (k, j) <= (pk, pj):
                 kept.append(g)
             else:
                 partner = GeneratorId(0, pj, pk, star=True)

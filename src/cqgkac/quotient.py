@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .algebra import AlgElement, AlgMatrix, GeneratorId, ScalarMatrix
+from .algebra import AlgElement, AlgMatrix, ScalarMatrix
 from .linalg import SparseEchelon, WordIndex
 from .presentations import (
     BlockSpec,
@@ -54,20 +54,21 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     )
 
 
-def _renaming_from_blocks(spec: BlockSpec, survivors):
+def _renaming_from_blocks(spec: BlockSpec, target: Presentation, survivors):
     """Map surviving source positions onto the free-product target letters.
 
     `survivors` is a list of (block name, target factor tag, row offset):
     each named block of the source layout lands in the given target factor,
-    with its local rows shifted by the offset.
+    with its local rows shifted by the offset.  Source letters take the kind
+    (plain or self-adjoint) of their target letters.
     """
     ranges = layout_ranges(spec)
     renaming = {}
     for name, tag, row_offset in survivors:
         rows, cols = ranges[name]
-        for a, j in enumerate(rows):
-            for b, k in enumerate(cols):
-                renaming[GeneratorId(0, j, k)] = GeneratorId(tag, a + row_offset, b)
+        for h in target.generators:
+            if h.factor == tag and 0 <= h.row - row_offset < len(rows):
+                renaming[h._replace(factor=0, row=rows[h.row - row_offset], col=cols[h.col])] = h
     return renaming
 
 
@@ -107,7 +108,7 @@ def expected_kac_target(spec: BlockSpec):
             survivors.append((f"A[{r},{r}]", len(unitary_blocks), 0))
             survivors.append((f"C[{r},{r}]", len(unitary_blocks), unit.m))
     target = free_product(parts)
-    return target, _renaming_from_blocks(spec, survivors)
+    return target, _renaming_from_blocks(spec, target, survivors)
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,8 @@ def match_presentations(P: Presentation, T: Presentation, renaming) -> MatchVerd
 
 
 def _letters_of(elements):
-    base = set()
-    for e in elements:
-        for g in e.letters():
-            base.add(g.plain())
-    letters = []
-    for g in sorted(base):
-        letters.append(g)
-        letters.append(g.adjoint())
-    return letters
+    base = {g.plain() for e in elements for g in e.letters()}
+    return list(dict.fromkeys(h for g in sorted(base) for h in (g, g.adjoint())))
 
 
 def _primitive_terms(index: WordIndex, r: AlgElement):

@@ -391,10 +391,10 @@ def _closed_form_certificates(P: Presentation, eqs: TraceEquationSet, targets):
 
 @dataclass(frozen=True)
 class KacRound:
-    """One derive-and-force pass: the equations used, the generators
-    forced to zero with their certificates, and undetermined symbols."""
+    """One pass: the equations its certificates cite (None in the closing
+    round), the forced generators with certificates, undetermined symbols."""
 
-    equations: TraceEquationSet
+    equations: TraceEquationSet | None
     forced: tuple  # ((GeneratorId, Certificate), ...)
     undetermined: tuple
 
@@ -432,11 +432,11 @@ def kac_fixpoint(P: Presentation):
     Round 1 issues the closed-form combination of the traced diagonal
     entries as one certificate, shared by every generator it forces; it
     forces nothing when those entries are not among P's equations.  When
-    something dies, P is quotiented and the quotient's equations kept as a
-    second round.  The closing round asks `witness_characters` for a
-    verified character of P nonzero on each survivor; a survivor none
-    reaches (one outside P's fundamental matrix among them) is
-    undetermined.  So there are 2 rounds when a generator dies, else 1.
+    something dies, P is quotiented.  The closing round asks
+    `witness_characters` for a verified character of P nonzero on each
+    survivor; a survivor none reaches (one outside P's fundamental matrix
+    among them) is undetermined.  It derives no equations, since it cites
+    none.  So there are 2 rounds when a generator dies, else 1.
     Sound by construction: every tracial state satisfies the derived
     equations, so certified symbols vanish and the quotient stays above the
     Kac quotient.  Returns (KacReport, final presentation).
@@ -450,9 +450,8 @@ def kac_fixpoint(P: Presentation):
     if forced:
         rounds.append(KacRound(eqs, forced, ()))
         current = quotient_by_zero(P, [g for g, _ in forced])
-        eqs = derive_trace_equations(current)
     cover = witness_characters(P, current.generators)
     uncovered = set(cover.uncovered)
     undetermined = tuple(generator_symbol(g) for g in current.generators if g in uncovered)
-    rounds.append(KacRound(eqs, (), undetermined))
+    rounds.append(KacRound(None, (), undetermined))
     return KacReport(tuple(rounds), cover), current

@@ -8,12 +8,12 @@ from cqgkac.algebra import word_key
 from cqgkac.presentations import SpecError, layout_ranges
 
 
-def gen(row, col, star=False, factor=0):
-    return k.GeneratorId(factor, row, col, star)
+def gen(row, col, star=False, factor=0, selfadjoint=False):
+    return k.GeneratorId(factor, row, col, star, selfadjoint)
 
 
-def letter(row, col, star=False, factor=0):
-    return k.AlgElement.generator(gen(row, col, star, factor))
+def letter(row, col, star=False, factor=0, selfadjoint=False):
+    return k.AlgElement.generator(gen(row, col, star, factor, selfadjoint))
 
 
 def one_block_spec(q, m, eps):

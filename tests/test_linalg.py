@@ -13,7 +13,7 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, word_key
 from cqgkac.hopf import _presentation_letters
 from cqgkac.linalg import SparseEchelon, WordIndex
-from cqgkac.quotient import bounded_ideal_echelon
+from cqgkac.quotient import _letters_of, bounded_ideal_echelon
 
 from conftest import gen, one_block_spec
 
@@ -109,9 +109,8 @@ def test_word_index_rejects_foreign_letters_and_ids():
         index.encode((gen(1, 1),))
 
 
-def test_bounded_ideal_rows_equal_word_products():
+def _assert_rows_equal_word_products(p):
     # rows built from integer ids span what the AlgElement products span
-    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     letters = _presentation_letters(p)
     index = WordIndex(letters)
     ech = bounded_ideal_echelon(p.relations, letters, 3)
@@ -130,14 +129,43 @@ def test_bounded_ideal_rows_equal_word_products():
     assert set(ech.pivots) == set(ref.rows)
 
 
+def test_bounded_ideal_rows_equal_word_products():
+    _assert_rows_equal_word_products(k.build_presentation(one_block_spec(F(1, 2), 1, 1)))
+
+
+def test_bounded_ideal_rows_equal_word_products_over_a_selfadjoint_letter():
+    # u(3,3) is one letter, listed once among the 9 columns' letters
+    p = k.build_presentation(k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1))
+    assert len(_presentation_letters(p)) == 9
+    _assert_rows_equal_word_products(p)
+
+
 @pytest.mark.parametrize(
     "spec, rank",
     [
         (one_block_spec(F(1, 2), 1, 1), 286),
-        (k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1), 7571),
+        (k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1), 3841),
     ],
 )
 def test_bounded_ideal_ranks_at_bound_four(spec, rank):
     p = k.build_presentation(spec)
     assert bounded_ideal_echelon(p.relations, _presentation_letters(p), 4).rank() == rank
+
+
+def test_selfadjoint_letter_keeps_the_bounded_quotient():
+    # u(3,3) written as a plain letter with the relation u(3,3) - u(3,3)*
+    # spans 7571 of the 11111 words of length <= 4 over 10 letters; the
+    # self-adjoint letter spans 3841 of 7381 over 9: both quotients have
+    # dimension 3540
+    p = k.build_presentation(k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1))
+    z = p.generators[-1]
+    assert z.selfadjoint
+    plain = AlgElement.generator(z._replace(selfadjoint=False))
+    rels = [r.substitute({z: plain}) for r in p.relations] + [plain - plain.adjoint()]
+    letters = _letters_of(rels)
+    hermitian = bounded_ideal_echelon(rels, letters, 4).rank()
+    selfadjoint = bounded_ideal_echelon(p.relations, _presentation_letters(p), 4).rank()
+    words = [sum(n ** i for i in range(5)) for n in (len(letters), 9)]
+    assert (hermitian, selfadjoint) == (7571, 3841)
+    assert words[0] - hermitian == words[1] - selfadjoint == 3540
 

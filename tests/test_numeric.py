@@ -178,13 +178,27 @@ def test_rep_search_small_targets():
     o1 = k.build_universal_orthogonal(ScalarMatrix.identity(1))
     found = k.rep_search(o1)
     assert found is not None
-    value = found.values[gen(0, 0)]
+    assert k.eval_residual(o1, found).max_residual < 1e-8
+    value = found.values[gen(0, 0, selfadjoint=True)]
     assert min(abs(value - 1), abs(value + 1)) < 1e-6
 
     oj = k.build_universal_orthogonal(k.symplectic_matrix(1))
     found = k.rep_search(oj)
     assert found is not None
     assert k.eval_residual(oj, found).max_residual < 1e-8
+
+
+def test_eval_residual_needs_real_values_on_selfadjoint_letters():
+    # a complex orthogonal V, V^t V = I but V not real, satisfies every
+    # listed relation of O_2^+; only the reality of its self-adjoint
+    # letters, |x - conj(x)| = 2 |Im x|, tells that it is no *-character
+    o2 = k.build_universal_orthogonal(ScalarMatrix.identity(2))
+    c, s = math.cosh(0.5), 1j * math.sinh(0.5)
+    V = [[c, s], [-s, c]]
+    report = k.eval_residual(o2, NumAssignment({g: V[g.row][g.col] for g in o2.generators}))
+    assert len(report.residuals) == len(o2.relations) + 4
+    assert max(report.residuals[:len(o2.relations)]) < 1e-12
+    assert report.max_residual == pytest.approx(2 * math.sinh(0.5))
 
 
 def test_rep_search_deterministic():

@@ -155,11 +155,14 @@ def test_universal_unitary_rejects_bad_q():
 
 
 def test_universal_orthogonal_rank_one_is_order_two_group():
+    # one self-adjoint letter u with u u = 1: the four identities all read
+    # u u - 1, and the reality entry u - u* is zero in the free algebra
     p = k.build_universal_orthogonal(ScalarMatrix.identity(1))
-    u = gen(0, 0)
-    hermitian = normalize_relation(letter(0, 0) - letter(0, 0, star=True))
-    assert hermitian.sort_key() in {r.sort_key() for r in p.relations}
-    assert p.generators == (u,)
+    u = letter(0, 0, selfadjoint=True)
+    assert p.generators == (gen(0, 0, selfadjoint=True),)
+    assert u.adjoint() == u
+    assert p.relations == (normalize_relation(u * u - AlgElement.one()),)
+    assert p.u.entry(0, 0) == u
 
 
 def test_universal_orthogonal_symplectic_fundamental_shape():
@@ -235,12 +238,35 @@ def test_reality_substitution_symplectic_matches_hand_expansion():
     }
 
 
-def test_reality_substitution_keeps_trailing_hermitian_relation():
+def test_reality_substitution_makes_trailing_letters_selfadjoint():
     spec = k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1)
+    sigma, kept = k.reality_substitution(k.standard_form_matrix(spec))
+    z = gen(2, 2, selfadjoint=True)
+    assert z in kept and gen(2, 2) not in kept
+    assert sigma[gen(2, 2)] == letter(2, 2, selfadjoint=True)
     p = k.build_presentation(spec)
-    assert gen(2, 2) in p.generators
-    hermitian = normalize_relation(letter(2, 2) - letter(2, 2, star=True))
-    assert hermitian.sort_key() in {r.sort_key() for r in p.relations}
+    assert p.generators[-1] == z and p.u.entry(2, 2) == letter(2, 2, selfadjoint=True)
+    # no relation is hermitian-type: u(3,3) - u(3,3)* is zero, not listed
+    assert all(r.degree() == 2 for r in p.relations)
+    assert {g for r in p.relations for g in r.letters() if g.selfadjoint} == {z}
+
+
+def test_self_paired_positions_with_opposite_signs_keep_plain_letters():
+    # F = diag(1, -1): the diagonal positions read u = u* and hold
+    # self-adjoint letters; (1,2) and (2,1) read u = -u* and keep plain
+    # letters with the relations u(1,2) + u(1,2)* and u(2,1) + u(2,1)*
+    f = ScalarMatrix.diagonal([1, -1])
+    sigma, kept = k.reality_substitution(f)
+    assert kept == [gen(0, 0, selfadjoint=True), gen(0, 1), gen(1, 0),
+                    gen(1, 1, selfadjoint=True)]
+    assert set(sigma) == {gen(0, 0), gen(1, 1)}
+    p = k.build_universal_orthogonal(f)
+    assert p.generators == tuple(kept)
+    keys = {r.sort_key() for r in p.relations}
+    for pos in ((0, 1), (1, 0)):
+        anti = normalize_relation(letter(*pos) + letter(*pos, star=True))
+        assert anti.sort_key() in keys
+    assert sum(r.degree() == 1 for r in p.relations) == 2
 
 
 def test_reality_substitution_annihilates_reality_entries():
@@ -255,15 +281,14 @@ def test_reality_substitution_annihilates_reality_entries():
         u = [[letter(j, c) for c in range(n)] for j in range(n)]
         conj = dense_product(f, bar(u), dense_inverse(f))
         kept_set = set(kept)
-        pi = [next(col for col in range(n) if f.entry(row, col)) for row in range(n)]
+        for image in sigma.values():
+            assert {g.plain() for g in image.letters()} <= kept_set
         for j in range(n):
             for c in range(n):
+                # self-paired positions hold self-adjoint letters, so
+                # their entries vanish too
                 entry = (u[j][c] - conj[j][c]).substitute(sigma)
-                if (pi[j], pi[c]) != (j, c):
-                    assert entry.is_zero()
-                else:
-                    # self-paired hermitian entries survive over kept letters
-                    assert {g.plain() for g in entry.letters()} <= kept_set
+                assert entry.is_zero()
 
 
 def test_relations_use_only_kept_generators():

@@ -5,6 +5,7 @@ import pytest
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix
+from cqgkac.presentations import normalize_relation
 
 from conftest import block_positions, gen, letter, one_block_spec, random_element
 
@@ -39,11 +40,11 @@ def test_quotient_case_one_leaves_hermitian_tail():
     target, renaming = k.expected_kac_target(spec)
     verdict = k.match_presentations(q, target, renaming)
     assert verdict.matched and verdict.mode == "exact-set"
-    keys = {r.sort_key() for r in q.relations}
-    z = letter(2, 2)
-    from cqgkac.presentations import normalize_relation
-
-    assert normalize_relation(z - z.adjoint()).sort_key() in keys
+    # the tail is one self-adjoint letter z with z z = 1, no z - z* relation
+    z = letter(2, 2, selfadjoint=True)
+    assert q.generators == (gen(0, 0), gen(2, 2, selfadjoint=True))
+    assert normalize_relation(z * z - AlgElement.one()) in q.relations
+    assert all(r.degree() == 2 for r in q.relations)
 
 
 def test_quotient_composition_examples():

@@ -457,10 +457,13 @@ def _reference_decision(eqs, symbol):
 
 
 def _assert_shared_rounds_match_reference(p):
-    report, _ = k.kac_fixpoint(p)
+    report, final = k.kac_fixpoint(p)
     generators = list(p.generators)
     for rnd in report.rounds:
-        eqs = rnd.equations
+        # the closing round cites no equations; the oracle derives those of
+        # the final presentation itself
+        assert (rnd.equations is None) == (rnd is report.rounds[-1])
+        eqs = rnd.equations or k.derive_trace_equations(final)
         decision = {g: _reference_decision(eqs, k.generator_symbol(g)) for g in generators}
         forced = [g for g, _ in rnd.forced]
         assert set(forced) == {g for g in generators if decision[g] == "forced"}
