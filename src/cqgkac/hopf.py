@@ -3,10 +3,11 @@
 The coproduct acts on a letter at position (j,k) by the matrix formula
 over the presentation's fundamental matrix, so eliminated positions
 contribute their substituted expressions.  The counit laws and
-coassociativity are decided exactly in the free algebra.  The antipode
-laws and coproduct-invariance of the relations are decided modulo the
-relation ideal truncated at the degree D of the longest word they
-contain: identities like
+coassociativity are decided exactly in the free algebra (coassociativity
+fails there for a hand-made F with d_j = -d_k at a self-paired position).
+The antipode laws and coproduct-invariance of the relations are decided
+modulo the relation ideal truncated at the degree D of the longest word
+they contain: identities like
 Δ(R_jk) = Σ u_ja u_kb* ⊗ R_ab + R_jk ⊗ 1 put each item in
 I_D ⊗ A + A ⊗ I_D.  Items outside that sum are inconclusive.
 

@@ -253,7 +253,7 @@ def canonicalize_relations(rels):
 class Presentation:
     """A finitely presented *-algebra with CQG bookkeeping.
 
-    generators : kept plain GeneratorIds, sorted.
+    generators : kept plain or self-adjoint GeneratorIds, sorted.
     relations  : canonicalized AlgElements, each asserted = 0.
     u          : the fundamental matrix (kept generators in their
                  positions, eliminated positions substituted); None for a

@@ -59,8 +59,7 @@ def _renaming_from_blocks(spec: BlockSpec, target: Presentation, survivors):
 
     `survivors` is a list of (block name, target factor tag, row offset):
     each named block of the source layout lands in the given target factor,
-    with its local rows shifted by the offset.  Source letters take the kind
-    (plain or self-adjoint) of their target letters.
+    with its local rows shifted by the offset and its target letters' kind.
     """
     ranges = layout_ranges(spec)
     renaming = {}

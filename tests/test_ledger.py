@@ -7,14 +7,14 @@ A change that moves an answer re-records the ledger with
 import importlib.util
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
-_spec = importlib.util.spec_from_file_location("sweep", TOOLS / "sweep.py")
+SWEEP = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
+_spec = importlib.util.spec_from_file_location("sweep", SWEEP)
 sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
 
 def test_small_specs_answer_as_recorded():
-    ledger = sweep.read_ledger(TOOLS / "answers.tsv")
+    ledger = sweep.read_ledger()
     assert len(ledger) == sum(1 for _ in sweep.specs())
     rows = {sweep.config_key(spec): sweep.answers(*sweep.runs(spec))
             for spec in sweep.specs(3)}

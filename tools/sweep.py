@@ -136,9 +136,9 @@ def answers(terms, out) -> dict:
     return row
 
 
-def read_ledger(path=LEDGER) -> dict:
-    """config_json line -> {column: hash} of a ledger file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def read_ledger() -> dict:
+    """config_json line -> {column: hash} of the ledger."""
+    lines = LEDGER.read_text(encoding="utf-8").splitlines()
     columns = lines[0].split("\t")[1:]
     ledger = {}
     for line in lines[1:]:
@@ -147,12 +147,12 @@ def read_ledger(path=LEDGER) -> dict:
     return ledger
 
 
-def write_ledger(rows: dict, path=LEDGER) -> None:
+def write_ledger(rows: dict) -> None:
     columns = sorted({c for row in rows.values() for c in row})
     lines = ["\t".join(["config_json", *columns])]
     lines += ["\t".join([config, *(row.get(c, ABSENT) for c in columns)])
               for config, row in rows.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    LEDGER.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def differences(rows: dict, ledger: dict) -> dict:
@@ -186,7 +186,6 @@ def main(argv=None):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--record", action="store_true", help="write the ledger")
     mode.add_argument("--check", action="store_true", help="compare with the ledger")
-    parser.add_argument("--ledger", default=str(LEDGER), help="ledger path")
     args = parser.parse_args(argv)
 
     digests = {verb: hashlib.sha256() for verb in VERBS}
@@ -215,10 +214,10 @@ def main(argv=None):
     print(f"terms sha256: {terms_digest.hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
     if args.record:
-        write_ledger(rows, args.ledger)
-        print(f"recorded {len(rows)} specs in {args.ledger}")
+        write_ledger(rows)
+        print(f"recorded {len(rows)} specs in {LEDGER}")
     elif args.check:
-        diff = differences(rows, read_ledger(args.ledger))
+        diff = differences(rows, read_ledger())
         print_differences(diff)
         return 1 if diff else 0
     return 0
