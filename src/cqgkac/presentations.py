@@ -293,25 +293,16 @@ def generator_matrix(n: int) -> AlgMatrix:
     )
 
 
-def _unitarity_relations(u: AlgMatrix, q: ScalarMatrix):
-    """Entries of the four defining identities for U and its Q-twist.
+def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
+    """Every entry of the defining identities over u, uncanonicalized.
 
-    U U* = I = U* U and U^t Q Ubar Q^-1 = I = Q Ubar Q^-1 U^t; the second
-    pair states unitarity of F Ubar F^-1 rewritten through Q = F*F.  With
-    Q diagonal, entry (j,k) of each is a sum over one index a:
-
-        sum_a u(j,a) u(k,a)*,  sum_a u(a,j)* u(a,k),
-        sum_a (Q_a/Q_k) u(a,j) u(a,k)*,  sum_a (Q_j/Q_a) u(j,a)* u(k,a),
-
-    each minus delta(j,k).  The twisted pair reads t = Q Ubar Q^-1,
-    t(j,k) = (Q_j/Q_k) u(j,k)*.
-
-    Only entries with j <= k are returned, identity by identity, each
-    row-major.  Every identity is self-adjoint: over any matrix u, entry
-    (k,j) is (entry (j,k))* for the first pair and (Q_k/Q_j) (entry
-    (j,k))* for the twisted pair, term by term in the same order, so it
-    has the normal form of entry (j,k), term order included, and
-    canonicalization would fold it into that entry.
+    First the four unitarity identities of U and its Q-twist t = Q Ubar
+    Q^-1 (the second pair states unitarity of F Ubar F^-1 through Q = F*F),
+    identity by identity, each row-major with only the entries j <= k:
+    over any u, entry (k,j) is the scaled adjoint of entry (j,k) term by
+    term, so canonicalization would fold it into that entry.  Then, when a
+    monomial F is given, all N^2 reality entries, row-major, zero or not.
+    Both builders and the Hopf check canonicalize this list.
     """
     n = u.rows
     e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
@@ -324,12 +315,17 @@ def _unitarity_relations(u: AlgMatrix, q: ScalarMatrix):
         lambda j, k: (e[a][j] * t[a][k] for a in range(n)),
         lambda j, k: (t[j][a] * e[k][a] for a in range(n)),
     )
-    return [
+    rels = [
         AlgElement.sum(entry(j, k)) - AlgElement.scalar(int(j == k))
         for entry in entries
         for j in range(n)
         for k in range(j, n)
     ]
+    if f is not None:
+        pi, df = _monomial_decode(f)
+        rels.extend(e[j][k] - s[pj][pk].scale(df[j] / df[k])
+                    for j, pj in enumerate(pi) for k, pk in enumerate(pi))
+    return rels
 
 
 def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
@@ -343,8 +339,7 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     n = Q.rows
     u = generator_matrix(n)
     gens = [GeneratorId(0, j, k) for j in range(n) for k in range(n)]
-    rels = _unitarity_relations(u, Q)
-    return Presentation(gens, rels, u, Q, label=unitary_label(Q))
+    return Presentation(gens, defining_relations(u, Q), u, Q, label=unitary_label(Q))
 
 
 def reality_substitution(F: ScalarMatrix):
@@ -413,13 +408,11 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     q = ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
     sigma, kept = reality_substitution(F)
     u = generator_matrix(F.rows).substitute(sigma)
-    rels = _unitarity_relations(u, q)
-    for j, pj in enumerate(pi):
-        for k, pk in enumerate(pi):
-            h = u.entry(j, k) - u.entry(pj, pk).adjoint().scale(d[j] / d[k])
-            if (pj, pk) != (j, k) and not h.is_zero():
-                raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
-            rels.append(h)
+    rels = defining_relations(u, q, F)
+    for i, h in enumerate(rels[-F.rows ** 2:]):
+        j, k = divmod(i, F.rows)
+        if (pi[j], pi[k]) != (j, k) and not h.is_zero():
+            raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
     return Presentation(kept, rels, u, q, F, label=orthogonal_label(F))
 
 

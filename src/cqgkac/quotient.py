@@ -40,7 +40,10 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     gens = {g.plain() for g in gens}
     unknown = gens - P.generator_set()
     if unknown:
-        raise ValueError(f"unknown generators: {sorted(g.label() for g in unknown)}")
+        twins = {g._replace(selfadjoint=not g.selfadjoint) for g in unknown} & P.generator_set()
+        kinds = "".join(f"; {g.label()} is {'self-adjoint' if g.selfadjoint else 'plain'} here"
+                        for g in sorted(twins))
+        raise ValueError(f"unknown generators: {sorted(g.label() for g in unknown)}{kinds}")
     dead = gens | {g.adjoint() for g in gens}
 
     def keep(e):

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import word_key
+from cqgkac.hopf import _coproduct, _letter_coproduct, _presentation_letters
+from cqgkac.linalg import WordIndex
 from cqgkac.presentations import SpecError, layout_ranges
+from cqgkac.quotient import bounded_ideal_echelon
 
 
 def gen(row, col, star=False, factor=0, selfadjoint=False):
@@ -165,3 +168,51 @@ def bar(m):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+def in_ideal_tensor(ideal, index, tensor):
+    """Whether a tensor of words lies in the sum, over its slots, of
+    A ⊗ … ⊗ I ⊗ … ⊗ A, with I the bounded ideal.
+
+    Applies the ideal's normal-form map to one slot after another; the
+    result is zero exactly on that sum, because the normal-form map is a
+    linear projection with kernel I.  For Δ(r) this decides
+    Δ(r) ∈ I ⊗ A + A ⊗ I.
+    """
+    t = {tuple(index.encode(w) for w in key): c for key, c in tensor.items()}
+    slots = len(next(iter(t))) if t else 0
+    for slot in range(slots):
+        rows = {}
+        for key, c in t.items():
+            rows.setdefault(key[:slot] + key[slot + 1:], {})[key[slot]] = c
+        t = {
+            rest[:slot] + (col,) + rest[slot:]: c
+            for rest, row in rows.items()
+            for col, c in ideal.residue(row).items()
+        }
+    return not t
+
+
+def oracle_relation_verdicts(p):
+    """Per relation index, whether Δ(r) lies in I_D ⊗ A + A ⊗ I_D, with
+    I_D the relation ideal truncated at the longest word D of any Δ(r):
+    "pass" or "inconclusive"."""
+    letters = _presentation_letters(p)
+    deltas = {g: _letter_coproduct(p, g) for g in letters}
+    items = [dict(_coproduct(deltas, r).terms()) for r in p.relations]
+    degree = max((len(w) for t in items for key in t for w in key), default=0)
+    ideal = bounded_ideal_echelon(p.relations, letters, degree)
+    index = WordIndex(letters)
+    return {i: "pass" if in_ideal_tensor(ideal, index, t) else "inconclusive"
+            for i, t in enumerate(items)}
+
+
+def truncated_presentation(p):
+    """p without its last relation, keeping its generators, u, Q and F."""
+    return k.Presentation(p.generators, p.relations[:-1], p.u, p.q, p.f, label=p.label)
+
+
+def hand_made_f():
+    """F = diag(1, -1) ⊕ [[0, 1/2], [2, 0]]: F Fbar = I, with a self-paired
+    position (1,2) where d_1 = -d_2, which no BlockSpec builds."""
+    return k.ScalarMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, F(1, 2)], [0, 0, 2, 0]])

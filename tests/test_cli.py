@@ -9,7 +9,7 @@ import pytest
 import cqgkac as k
 import cqgkac.cli as cli
 
-from conftest import undetermined_presentation
+from conftest import hand_made_f, truncated_presentation, undetermined_presentation
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -199,14 +199,7 @@ def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
     # u(1,1) u(2,1)* + 1/4 u(2,1)* u(1,1): the rest no longer carries the
     # antipode laws or its own coproducts, so those items stay inconclusive
     real = cli.build_presentation
-
-    def truncated(spec):
-        p = real(spec)
-        return k.Presentation(
-            p.generators, p.relations[:-1], p.u, p.q, p.f, label=p.label,
-        )
-
-    monkeypatch.setattr(cli, "build_presentation", truncated)
+    monkeypatch.setattr(cli, "build_presentation", lambda spec: truncated_presentation(real(spec)))
     path = _write(tmp_path, ONE_BLOCK)
     out = tmp_path / "report.json"
     code = cli.main(["hopf-check", "--config", path, "--out", str(out)])
@@ -214,6 +207,19 @@ def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["verdict"] == "hopf axioms inconclusive"
     assert report["hopf"]["coassociativity"] is True
+
+
+def test_hopf_check_hand_made_f_exits_two(tmp_path, monkeypatch):
+    # coassociativity already fails on this F; the relation items are now
+    # inconclusive as well, and the exit code stays 2
+    monkeypatch.setattr(cli, "build_presentation",
+                        lambda spec: k.build_universal_orthogonal(hand_made_f()))
+    path = _write(tmp_path, ONE_BLOCK)
+    out = tmp_path / "report.json"
+    assert cli.main(["hopf-check", "--config", path, "--out", str(out)]) == 2
+    hopf = json.loads(out.read_text())["hopf"]
+    assert hopf["coassociativity"] is False
+    assert set(hopf["relations"].values()) == {"inconclusive"}
 
 
 def test_hopf_check_case_one_passes(tmp_path):

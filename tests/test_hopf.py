@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import cqgkac as k
-from cqgkac.algebra import AlgElement, ScalarMatrix
+from cqgkac.algebra import AlgElement, AlgMatrix, ScalarMatrix
 from cqgkac.hopf import (
     MorphismSpec,
     TensorElement,
@@ -12,8 +13,21 @@ from cqgkac.hopf import (
     _presentation_letters,
     default_central_morphism,
 )
+from cqgkac.presentations import canonicalize_relations, defining_relations, generator_matrix
 
-from conftest import gen, letter, one_block_spec, specs_up_to
+from conftest import (
+    bar,
+    dense_inverse,
+    dense_product,
+    gen,
+    hand_made_f,
+    letter,
+    one_block_spec,
+    oracle_relation_verdicts,
+    specs_up_to,
+    transpose,
+    truncated_presentation,
+)
 
 
 def _u2():
@@ -166,3 +180,118 @@ def test_central_morphism_perturbed_fails():
 def test_central_morphism_requires_symplectic_shape():
     with pytest.raises(ValueError):
         k.central_morphism_check(k.build_presentation(one_block_spec(F(1, 2), 1, 1)))
+
+
+def _tensor_sum(pairs):
+    total = TensorElement.zero()
+    for a, b in pairs:
+        total = total + TensorElement.of(a, b)
+    return total
+
+
+@pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (2, 3), (3, 4), (3, 5)])
+def test_cofactor_identities_hold_over_generic_letters(n, seed):
+    # the theorem behind every relation "pass": over generic letters v_jk
+    # with D(v_jk) = sum_l v_jl (x) v_lk, D of each defining entry is its
+    # cofactor sum, for any positive diagonal Q and any monomial F
+    rng = random.Random(seed)
+    q = ScalarMatrix.diagonal([F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)])
+    pi = rng.sample(range(n), n)
+    d = [F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)]
+    f = ScalarMatrix([[d[j] if c == pi[j] else 0 for c in range(n)] for j in range(n)])
+    p = k.build_universal_unitary(ScalarMatrix.identity(n))
+    v = [[p.u.entry(j, c) for c in range(n)] for j in range(n)]
+    vs = transpose(bar(v))
+    vt = transpose(v)
+    t = dense_product(q, bar(v), dense_inverse(q))
+    s = dense_product(f, bar(v), dense_inverse(f))
+    eye = [[AlgElement.scalar(int(j == c)) for c in range(n)] for j in range(n)]
+
+    def minus_eye(m):
+        return [[m[j][c] - eye[j][c] for c in range(n)] for j in range(n)]
+
+    r1 = minus_eye(dense_product(v, vs))
+    r2 = minus_eye(dense_product(vs, v))
+    r3 = minus_eye(dense_product(vt, t))
+    r4 = minus_eye(dense_product(t, vt))
+    r5 = [[v[j][c] - s[j][c] for c in range(n)] for j in range(n)]
+    one = AlgElement.one()
+    ls = [(l, m) for l in range(n) for m in range(n)]
+    for j in range(n):
+        for c in range(n):
+            cofactors = {
+                "UU*-I": [(r1[j][c], one), *((v[j][l] * vs[m][c], r1[l][m]) for l, m in ls)],
+                "U*U-I": [(one, r2[j][c]), *((r2[l][m], vs[j][l] * v[m][c]) for l, m in ls)],
+                "UtQUbarQ^-1-I": [(one, r3[j][c]),
+                                  *((r3[l][m], v[l][j] * t[m][c]) for l, m in ls)],
+                "QUbarQ^-1Ut-I": [(r4[j][c], one),
+                                  *((t[j][l] * v[c][m], r4[l][m]) for l, m in ls)],
+                "U-FUbarF^-1": [*((r5[j][l], v[l][c]) for l in range(n)),
+                                *((s[j][l], r5[l][c]) for l in range(n))],
+            }
+            for name, entry in (("UU*-I", r1), ("U*U-I", r2), ("UtQUbarQ^-1-I", r3),
+                                ("QUbarQ^-1Ut-I", r4), ("U-FUbarF^-1", r5)):
+                assert k.coproduct(p, entry[j][c]) == _tensor_sum(cofactors[name]), (name, j, c)
+    # the relation set the Hopf check compares with is these entries
+    entries = [m[j][c] for m in (r1, r2, r3, r4, r5) for j in range(n) for c in range(n)]
+    assert (canonicalize_relations(defining_relations(p.u, q, f))
+            == canonicalize_relations(entries))
+
+
+def test_relation_verdicts_agree_with_the_bounded_ideal_oracle():
+    specs = specs_up_to(3)
+    assert len(specs) == 79
+    for spec in specs:
+        p = k.build_presentation(spec)
+        assert k.hopf_axiom_check(p).relations == oracle_relation_verdicts(p), spec
+
+
+def test_truncated_presentation_passes_no_relation():
+    # without its last relation the one-block q=1/2 presentation is no
+    # longer the defining entries of its u, so no relation is certified;
+    # the oracle still finds D(r) in I_2 (x) A + A (x) I_2 for three of them
+    p = truncated_presentation(k.build_presentation(one_block_spec(F(1, 2), 1, 1)))
+    report = k.hopf_axiom_check(p)
+    oracle = oracle_relation_verdicts(p)
+    assert set(report.relations.values()) == {"inconclusive"}
+    assert [i for i, v in oracle.items() if v == "pass"] == [0, 3, 4]
+    assert report.relations.keys() == oracle.keys()
+    assert report.coassociativity and not report.all_pass
+
+
+def test_hand_made_f_fails_compatibility():
+    # F = diag(1, -1) + [[0, 1/2], [2, 0]] keeps u(1,2) with u(1,2) = -u(1,2)*
+    # only as a relation: the relations are the defining entries of u, but
+    # D(u[j,k]) = sum_l u[j,l] (x) u[l,k] fails, so no relation is
+    # certified, although the bounded ideal holds every D(r)
+    p = k.build_universal_orthogonal(hand_made_f())
+    assert p.relations == canonicalize_relations(defining_relations(p.u, p.q, p.f))
+    report = k.hopf_axiom_check(p)
+    assert not report.coassociativity and report.counit
+    assert set(report.antipode.values()) == {"pass"}
+    assert set(report.relations.values()) == {"inconclusive"}
+    assert set(oracle_relation_verdicts(p).values()) == {"pass"}
+    assert not report.all_pass
+
+
+def test_a_self_adjoint_letter_with_a_non_self_adjoint_coproduct_is_not_certified():
+    # u = [[a, s], [b, c]] with s self-adjoint: D(s) = a (x) s + s (x) c is
+    # not self-adjoint, so D is no *-map and the certificate does not apply
+    s = gen(0, 1, selfadjoint=True)
+    u = generator_matrix(2).substitute({gen(0, 1): AlgElement.generator(s)})
+    q = ScalarMatrix.identity(2)
+    p = k.Presentation([gen(0, 0), s, gen(1, 0), gen(1, 1)], defining_relations(u, q), u, q)
+    report = k.hopf_axiom_check(p)
+    assert set(report.relations.values()) == {"inconclusive"}
+
+
+def test_a_fundamental_matrix_with_misplaced_letters_is_not_certified():
+    # u[j,k] = v(k,j): the relations are the defining entries of u, but a
+    # letter's coproduct follows its own position, so D(u[1,2]) differs
+    # from u[1,1] (x) u[1,2] + u[1,2] (x) u[2,2]
+    v = generator_matrix(2)
+    u = AlgMatrix([[v.entry(c, j) for c in range(2)] for j in range(2)])
+    q = ScalarMatrix.identity(2)
+    p = k.Presentation([gen(j, c) for j in range(2) for c in range(2)],
+                       defining_relations(u, q), u, q)
+    assert set(k.hopf_axiom_check(p).relations.values()) == {"inconclusive"}

@@ -31,6 +31,22 @@ def test_quotient_unknown_generator_rejected():
         k.quotient_by_zero(p, [gen(5, 5)])
 
 
+def test_unknown_id_of_the_other_kind_is_named():
+    # u(3,3) of case-I (1/2)+1 is a self-adjoint letter; a plain id at that
+    # position prints the same label, so the error says which kind is there
+    p = k.build_presentation(k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1))
+    with pytest.raises(ValueError,
+                       match=r"\['u\(3,3\)'\]; u\(3,3\) is self-adjoint here$"):
+        k.quotient_by_zero(p, [gen(2, 2)])
+    q = k.quotient_by_zero(p, [gen(2, 2, selfadjoint=True)])
+    assert q.generators == tuple(g for g in p.generators if g != gen(2, 2, selfadjoint=True))
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    with pytest.raises(ValueError, match=r"u\(2,1\) is plain here$"):
+        k.quotient_by_zero(p, [gen(1, 0, selfadjoint=True)])
+    with pytest.raises(ValueError, match=r"^unknown generators: \['u\(6,6\)'\]$"):
+        k.quotient_by_zero(p, [gen(5, 5)])
+
+
 def test_quotient_case_one_leaves_hermitian_tail():
     spec = k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1)
     p = k.build_presentation(spec)
