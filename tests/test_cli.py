@@ -210,8 +210,8 @@ def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
 
 
 def test_hopf_check_hand_made_f_exits_two(tmp_path, monkeypatch):
-    # coassociativity already fails on this F; the relation items are now
-    # inconclusive as well, and the exit code stays 2
+    # coassociativity fails on this F and no relation is certified, so
+    # hopf-check exits 2
     monkeypatch.setattr(cli, "build_presentation",
                         lambda spec: k.build_universal_orthogonal(hand_made_f()))
     path = _write(tmp_path, ONE_BLOCK)
