@@ -125,7 +125,7 @@ VERBS = {
     "build": "emit the presentation",
     "kac": "run the Kac fixpoint derivation",
     "match": "derive and compare against the free-product target",
-    "hopf-check": "verify the Hopf structure modulo the relation ideal",
+    "hopf-check": "check the Hopf axioms: letterwise over u, the antipode in the bounded ideal",
     "numeric": "identity-point residual and an exact character's residual",
     "report": "all stages",
 }

@@ -13,22 +13,12 @@ and the trace layer numbers free symbols before nonnegative ones.
 
 Reduction is fraction-free.  To clear column c of a row r against the pivot
 p with lead c, put g = gcd(p_c, r_c) and replace r by (p_c/g)·r − (r_c/g)·p.
-The factor p_c/g is positive and is multiplied into an accumulated scale S.
 Leads come off a heap of the row's columns.  Every step is exact integer
 arithmetic.
-
-Why `residue` is exact and linear.  When no pivot column is left, the
-integer vector R satisfies R/S = x − (a combination of pivot rows), and R
-vanishes on every pivot column.  x + span has exactly one such vector,
-because a nonzero vector of the span has its lead on a pivot column.  So
-R/S, returned as `Fraction`s, is the normal form of x.  It does not depend
-on the scales picked along the way or on the order in which the rows were
-inserted, and it is linear in x.  It is zero exactly when x is in the span.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -83,25 +73,19 @@ class SparseEchelon:
     def __init__(self):
         self.pivots = {}
 
-    def _integer_row(self, row: dict):
-        """(vec, den) with vec an integer row and row = vec/den."""
+    def _integer_row(self, row: dict) -> dict:
+        """An integer row that is a positive multiple of row."""
         den = lcm(*(c.denominator for c in row.values()))
-        vec = {col: c.numerator * (den // c.denominator) for col, c in row.items() if c}
-        return vec, den
+        return {col: c.numerator * (den // c.denominator) for col, c in row.items() if c}
 
-    def _reduce(self, vec: dict, stop_at_free: bool = False):
-        """Clear the pivot columns of vec in place; returns (scale, lead).
-
-        Afterwards vec/scale is the normal form of the input vec, and lead
-        is its least column (None when vec is zero).  With stop_at_free the
-        reduction ends at the lead instead, so only the columns before it
-        are cleared.
-        """
+    def _reduce(self, vec: dict):
+        """Clear the pivot columns of vec before its lead, in place; returns
+        the lead, the least column that is no pivot column (None when vec
+        reduces to zero)."""
         pivots = self.pivots
         heap = list(vec)
         heapify(heap)
-        scale = 1
-        last = free = None
+        last = None
         while heap:
             c = heappop(heap)
             if c == last:
@@ -114,18 +98,13 @@ class SparseEchelon:
             if p is None:
                 # columns pop in increasing order, and later pivots only
                 # touch larger columns: the first free column is the lead
-                if free is None:
-                    free = c
-                    if stop_at_free:
-                        break
-                continue
+                return c
             lead = p[c]
             g = gcd(lead, rc)
             if g != lead:
                 a = lead // g
                 for k in vec:
                     vec[k] *= a
-                scale *= a
             b = rc // g
             # the lead entry itself cancels to zero here
             for k, v in p.items():
@@ -139,23 +118,12 @@ class SparseEchelon:
                         vec[k] = s
                     else:
                         del vec[k]
-        return scale, free
-
-    def residue(self, row: dict) -> dict:
-        """Normal form of a row modulo the span of the inserted rows.
-
-        Exact `Fraction` coefficients; linear in the row and zero exactly
-        on the span.
-        """
-        vec, den = self._integer_row(row)
-        scale, _ = self._reduce(vec)
-        den *= scale
-        return {c: Fraction(v, den) for c, v in vec.items()}
+        return None
 
     def add(self, row: dict) -> bool:
         """Insert a row; returns True if it was independent."""
-        vec, _ = self._integer_row(row)
-        _, lead = self._reduce(vec, stop_at_free=True)
+        vec = self._integer_row(row)
+        lead = self._reduce(vec)
         if lead is None:
             return False
         g = gcd(*vec.values())
@@ -168,9 +136,7 @@ class SparseEchelon:
 
     def contains(self, row: dict) -> bool:
         """Whether the row lies in the span of the inserted rows."""
-        vec, _ = self._integer_row(row)
-        _, free = self._reduce(vec, stop_at_free=True)
-        return free is None
+        return self._reduce(self._integer_row(row)) is None
 
     def rank(self) -> int:
         return len(self.pivots)

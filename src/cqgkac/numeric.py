@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral, Number
 
-from .presentations import Presentation, _monomial_decode
+from .presentations import Presentation, _fundamental, _monomial_decode
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -52,15 +52,6 @@ class NumAssignment:
 class ResidualReport:
     residuals: tuple
     max_residual: float
-
-
-def _fundamental(P: Presentation):
-    """P's fundamental matrix; a free product has none."""
-    if P.u is None:
-        raise ValueError(
-            f"{P.label or 'the presentation'} is a free product: a fundamental matrix is needed"
-        )
-    return P.u
 
 
 def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:

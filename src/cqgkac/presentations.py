@@ -284,6 +284,15 @@ class Presentation:
                 f"{len(self.generators)} generators, {len(self.relations)} relations)")
 
 
+def _fundamental(P: Presentation) -> AlgMatrix:
+    """P's fundamental matrix; a free product has none."""
+    if P.u is None:
+        raise ValueError(
+            f"{P.label or 'the presentation'} is a free product: a fundamental matrix is needed"
+        )
+    return P.u
+
+
 def generator_matrix(n: int) -> AlgMatrix:
     return AlgMatrix(
         [

@@ -11,8 +11,8 @@ adjoints.  Its rows live on the integer word columns of a `WordIndex` over
 the given letters, so column order is `word_key` order.  Each row is built
 by concatenation: the id of w·v·w' is computed from the ids of its parts,
 and its coefficients are the relation's primitive integer coefficients.
-The rows go into one fraction-free `SparseEchelon`; membership and normal
-forms are exact (see `linalg`).
+The rows go into one fraction-free `SparseEchelon`, and membership is exact
+(see `linalg`).
 """
 
 from __future__ import annotations

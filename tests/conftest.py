@@ -1,10 +1,11 @@
 import itertools
 from fractions import Fraction as F
+from heapq import heapify, heappop, heappush
 
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.algebra import word_key
+from cqgkac.algebra import add_terms, word_key
 from cqgkac.hopf import _coproduct, _letter_coproduct, _presentation_letters
 from cqgkac.linalg import WordIndex
 from cqgkac.presentations import SpecError, layout_ranges
@@ -170,6 +171,37 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def residue(ech, row):
+    """Normal form of a row modulo the span of a SparseEchelon's rows.
+
+    Clears the pivot columns of `ech.pivots`, least first, in Fraction
+    arithmetic.  A pivot row vanishes before its lead, so a cleared column
+    never comes back, and the result vanishes on every pivot column.  x plus
+    the span holds one such vector, because a nonzero vector of the span
+    has its lead on a pivot column: the result is linear in the row and
+    zero exactly on the span.
+    """
+    out = {c: F(v) for c, v in row.items() if v}
+    heap = list(out)
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        p = ech.pivots.get(c)
+        f = out.get(c)
+        if p is None or f is None:
+            continue
+        f /= p[c]
+        for col, v in p.items():
+            s = out.get(col, 0) - f * v
+            if col not in out:
+                heappush(heap, col)
+            if s:
+                out[col] = s
+            else:
+                out.pop(col, None)
+    return out
+
+
 def in_ideal_tensor(ideal, index, tensor):
     """Whether a tensor of words lies in the sum, over its slots, of
     A ⊗ … ⊗ I ⊗ … ⊗ A, with I the bounded ideal.
@@ -188,9 +220,37 @@ def in_ideal_tensor(ideal, index, tensor):
         t = {
             rest[:slot] + (col,) + rest[slot:]: c
             for rest, row in rows.items()
-            for col, c in ideal.residue(row).items()
+            for col, c in residue(ideal, row).items()
         }
     return not t
+
+
+def coassociator(deltas, delta):
+    """(Δ ⊗ id)(delta) − (id ⊗ Δ)(delta) over word triples, zeros dropped;
+    `deltas` maps each letter to its coproduct."""
+    out = {}
+    for (w1, w2), c in delta.terms():
+        left = _coproduct(deltas, k.AlgElement.word(w1, c)).terms()
+        right = _coproduct(deltas, k.AlgElement.word(w2, -c)).terms()
+        add_terms(out, (((a, b, w2), v) for (a, b), v in left))
+        add_terms(out, (((w1, a, b), v) for (a, b), v in right))
+    return out
+
+
+def counit_laws_hold(p):
+    """Whether (ε ⊗ id)Δ(g) = g = (id ⊗ ε)Δ(g) for every generator g of p,
+    each side contracted term by term in the free algebra."""
+    for g in p.generators:
+        terms = _letter_coproduct(p, g).terms()
+        left = k.AlgElement.sum(
+            k.AlgElement.word(w2, c * k.counit(p, k.AlgElement.word(w1))) for (w1, w2), c in terms
+        )
+        right = k.AlgElement.sum(
+            k.AlgElement.word(w1, c * k.counit(p, k.AlgElement.word(w2))) for (w1, w2), c in terms
+        )
+        if left != k.AlgElement.generator(g) or right != k.AlgElement.generator(g):
+            return False
+    return True
 
 
 def oracle_relation_verdicts(p):
