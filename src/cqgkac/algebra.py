@@ -1,7 +1,13 @@
 """Exact scalars, free *-algebra words/elements, and matrices over them.
 
-All coefficients are rationals (`fractions.Fraction`), all arithmetic is
-exact.  Words are tuples of generator letters; the empty word is the unit.
+Every coefficient is exact: an `int` or a `fractions.Fraction`, never a
+float.  Constructors store an integral value as an `int` (`exact`), and so
+does the relation normal form; a product of Fractions may hold an integral
+Fraction until then.  So the common coefficients 1, -1 and small integers
+multiply as machine integers.  Int and Fraction compare and hash alike, so
+sort keys and relation sets do not see the difference.  `ratio` is the
+only division, and it is exact.
+Words are tuples of generator letters; the empty word is the unit.
 Row/column indices are 0-based throughout; labels print 1-based.
 """
 
@@ -31,7 +37,28 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def rat_str(x: Fraction) -> str:
+def exact(x):
+    """x as a stored coefficient: an int as is, a Fraction with denominator 1
+    as its int numerator, any other Fraction as is.  A float is refused."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, float):
+        raise TypeError(f"inexact coefficient {x!r}: pass an int or a Fraction")
+    return exact(Fraction(x))
+
+
+def ratio(a, b):
+    """The exact quotient a/b: a // b when both are ints and b divides a,
+    else `exact(Fraction(a, b))`, which refuses a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(Fraction(a, b))
+
+
+def rat_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -112,11 +139,12 @@ class AlgElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms = add_terms({}, ((w, Fraction(c)) for w, c in terms.items())) if terms else {}
+        self._terms = add_terms({}, ((w, exact(c)) for w, c in terms.items())) if terms else {}
 
     @classmethod
     def _wrap(cls, terms: dict) -> "AlgElement":
-        """Adopt a dict of nonzero Fractions without copying it."""
+        """Adopt a dict of nonzero exact coefficients (see `exact`) without
+        copying it."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -135,7 +163,7 @@ class AlgElement:
 
     @classmethod
     def scalar(cls, c) -> "AlgElement":
-        return cls({(): Fraction(c)})
+        return cls({(): exact(c)})
 
     @classmethod
     def one(cls) -> "AlgElement":
@@ -143,11 +171,11 @@ class AlgElement:
 
     @classmethod
     def generator(cls, g: GeneratorId, c=1) -> "AlgElement":
-        return cls({(g,): Fraction(c)})
+        return cls({(g,): exact(c)})
 
     @classmethod
     def word(cls, w: Word, c=1) -> "AlgElement":
-        return cls({tuple(w): Fraction(c)})
+        return cls({tuple(w): exact(c)})
 
     def terms(self):
         return self._terms.items()
@@ -155,8 +183,8 @@ class AlgElement:
     def words(self):
         return self._terms.keys()
 
-    def coefficient(self, w: Word) -> Fraction:
-        return self._terms.get(tuple(w), Fraction(0))
+    def coefficient(self, w: Word):
+        return self._terms.get(tuple(w), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -191,7 +219,9 @@ class AlgElement:
         )))
 
     def scale(self, c) -> "AlgElement":
-        c = Fraction(c)
+        c = exact(c)
+        if c == 1:
+            return self
         if not c:
             return AlgElement.zero()
         return AlgElement._wrap({w: c * v for w, v in self._terms.items()})
@@ -220,6 +250,18 @@ class AlgElement:
                     break
             add_terms(acc, factor._terms.items())
         return AlgElement._wrap(acc)
+
+    def rename(self, letters: dict) -> "AlgElement":
+        """`substitute` for a map of plain letters to letters, with no
+        multiplication: each word is renamed letter by letter, a starred
+        letter to the adjoint of its plain one's image.  Words that collide
+        add their coefficients."""
+        image = {g.adjoint(): h.adjoint() for g, h in letters.items()}
+        image.update(letters)
+        get = image.get
+        return AlgElement._wrap(add_terms({}, (
+            (tuple([get(g, g) for g in w]), c) for w, c in self._terms.items()
+        )))
 
     def sort_key(self):
         """Deterministic total order key on elements."""
@@ -291,7 +333,7 @@ class ScalarMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        entries = tuple(tuple(exact(e) for e in row) for row in entries)
         if not entries or not entries[0]:
             raise ShapeError("empty matrix")
         cols = len(entries[0])
@@ -307,11 +349,11 @@ class ScalarMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "ScalarMatrix":
-        values = [Fraction(v) for v in values]
+        values = [exact(v) for v in values]
         n = len(values)
         return cls([[values[j] if j == k else 0 for k in range(n)] for j in range(n)])
 
-    def entry(self, j: int, k: int) -> Fraction:
+    def entry(self, j: int, k: int):
         return self._entries[j][k]
 
     def is_diagonal(self) -> bool:

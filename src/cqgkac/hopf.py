@@ -43,9 +43,10 @@ presentations over the standard symplectic form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import AlgElement, GeneratorId, add_terms, word_adjoint, word_key, word_label
+from .algebra import (
+    AlgElement, GeneratorId, add_terms, exact, ratio, word_adjoint, word_key, word_label,
+)
 from .linalg import WordIndex
 from .presentations import (
     Presentation,
@@ -58,16 +59,16 @@ from .quotient import bounded_ideal_echelon
 
 
 class TensorElement:
-    """Finite rational combination of word pairs (the tensor square)."""
+    """Finite exact combination of word pairs (the tensor square)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms = add_terms({}, ((p, Fraction(c)) for p, c in terms.items())) if terms else {}
+        self._terms = add_terms({}, ((p, exact(c)) for p, c in terms.items())) if terms else {}
 
     @classmethod
     def _wrap(cls, terms: dict) -> "TensorElement":
-        """Adopt a dict of nonzero Fractions without copying it."""
+        """Adopt a dict of nonzero exact coefficients without copying it."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -146,15 +147,15 @@ def coproduct(P: Presentation, a: AlgElement) -> TensorElement:
     return _coproduct({g: _letter_coproduct(P, g) for g in a.letters()}, a)
 
 
-def counit(P: Presentation, a: AlgElement) -> Fraction:
+def counit(P: Presentation, a: AlgElement):
     """Multiplicative with value delta_(j,k) on the letter at (j,k)."""
-    total = Fraction(0)
+    total = 0
     for w, c in a.terms():
         v = c
         for g in w:
             _layout_entry(P, g)
             if g.row != g.col:
-                v = Fraction(0)
+                v = 0
                 break
         total += v
     return total
@@ -166,7 +167,7 @@ def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
         return mirror.adjoint()
     # starred letters carry the twist S(Ubar) = Q^-1 U^t Q; at Q = I this
     # is the plain mirror letter
-    return mirror.scale(P.q.entry(g.col, g.col) / P.q.entry(g.row, g.row))
+    return mirror.scale(ratio(P.q.entry(g.col, g.col), P.q.entry(g.row, g.row)))
 
 
 def antipode(P: Presentation, a: AlgElement) -> AlgElement:
@@ -183,6 +184,21 @@ def antipode(P: Presentation, a: AlgElement) -> AlgElement:
 
 def _presentation_letters(P: Presentation):
     return list(dict.fromkeys(h for g in P.generators for h in (g, g.adjoint())))
+
+
+def _require_known_letters(P: Presentation, u, letters) -> None:
+    """ValueError naming the first letter of u or of a relation that is
+    neither a generator of P nor the adjoint of one."""
+    known = set(letters)
+    places = [(f"u[{j + 1},{k + 1}]", u.entry(j, k)) for j in range(u.rows) for k in range(u.cols)]
+    places += [(f"relation {i}", r) for i, r in enumerate(P.relations)]
+    for where, x in places:
+        stray = x.letters() - known
+        if stray:
+            raise ValueError(
+                f"{where} holds the letter {min(stray).label()}, which is neither a generator "
+                f"of {P.label or 'the presentation'} nor the adjoint of one"
+            )
 
 
 @dataclass(frozen=True)
@@ -209,7 +225,8 @@ class HopfReport:
 def hopf_axiom_check(P: Presentation) -> HopfReport:
     """Coassociativity, the counit laws and the relations by the letterwise
     conditions of the module docstring, the antipode laws modulo the
-    relation ideal.
+    relation ideal.  A letter of u or of a relation that is neither a
+    generator nor the adjoint of one raises ValueError.
 
     Per generator, both antipode sides are one-slot items.  The ideal is
     truncated once, at the longest word D among them, and an item passes
@@ -217,6 +234,7 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     """
     u = _fundamental(P)
     letters = _presentation_letters(P)
+    _require_known_letters(P, u, letters)
     deltas = {g: _letter_coproduct(P, g) for g in letters}
     positions = [(j, k) for j in range(u.rows) for k in range(u.cols)]
 
@@ -271,9 +289,9 @@ class MorphismSpec:
     images: dict
 
     def apply(self, a: AlgElement):
-        total = [Fraction(0), Fraction(0)]
+        total = [0, 0]
         for w, c in a.terms():
-            value = (Fraction(1), Fraction(0))
+            value = (1, 0)
             for g in w:
                 img = self.images.get(g.plain())
                 if img is None:
@@ -300,7 +318,7 @@ def default_central_morphism(P: Presentation) -> MorphismSpec:
     """Diagonal letters map to t, off-diagonal letters to 0."""
     images = {}
     for g in P.generators:
-        images[g] = (Fraction(0), Fraction(1)) if g.row == g.col else (Fraction(0), Fraction(0))
+        images[g] = (0, 1) if g.row == g.col else (0, 0)
     return MorphismSpec(images)
 
 

@@ -54,6 +54,7 @@ from .algebra import (
     is_int,
     rat,
     rat_str,
+    ratio,
     word_adjoint,
 )
 
@@ -201,8 +202,10 @@ def _oriented(r: AlgElement):
     The words of r and of r* are sorted once each.  The two sequences,
     each divided by its lead coefficient, are compared term by term up to
     the first difference; the smaller orientation is kept, r on a tie.
-    It is scaled once, not at all when its lead coefficient is 1, and
-    keeps the term order of r, or of `r.adjoint()` when r* is kept.
+    It is scaled once by `ratio`, so an integral coefficient is stored as an
+    int; not at all when its lead coefficient is 1 and no coefficient is an
+    integral Fraction.  It keeps the term order of r, or of `r.adjoint()`
+    when r* is kept.
     """
     terms = r.terms()
     adjoint = [(word_adjoint(w), c) for w, c in terms]
@@ -213,18 +216,17 @@ def _oriented(r: AlgElement):
         if w != v:
             flip = (m, v) < (n, w)
             break
-        x, y = c / lead_own, e / lead_star
+        x, y = ratio(c, lead_own), ratio(e, lead_star)
         if x != y:
             flip = y < x
             break
     else:
         flip = False
     chosen, lead = (star, lead_star) if flip else (own, lead_own)
-    if lead == 1:
+    if lead == 1 and not any(type(c) is not int and c.denominator == 1 for _w, c in terms):
         element = AlgElement._wrap(dict(adjoint)) if flip else r
         return tuple(((n, w), c) for n, w, c in chosen), element
-    f = 1 / lead
-    scaled = {w: c * f for w, c in (adjoint if flip else terms)}
+    scaled = {w: ratio(c, lead) for w, c in (adjoint if flip else terms)}
     return tuple(((n, w), scaled[w]) for n, w, _ in chosen), AlgElement._wrap(scaled)
 
 
@@ -317,7 +319,7 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
     s = [[x.adjoint() for x in row] for row in e]
     d = [q.entry(j, j) for j in range(n)]
-    t = [[x.scale(d[j] / d[k]) for k, x in enumerate(row)] for j, row in enumerate(s)]
+    t = [[x.scale(ratio(d[j], d[k])) for k, x in enumerate(row)] for j, row in enumerate(s)]
     entries = (
         lambda j, k: (e[j][a] * s[k][a] for a in range(n)),
         lambda j, k: (s[a][j] * e[a][k] for a in range(n)),
@@ -332,7 +334,7 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     ]
     if f is not None:
         pi, df = _monomial_decode(f)
-        rels.extend(e[j][k] - s[pj][pk].scale(df[j] / df[k])
+        rels.extend(e[j][k] - s[pj][pk].scale(ratio(df[j], df[k]))
                     for j, pj in enumerate(pi) for k, pk in enumerate(pi))
     return rels
 
@@ -382,7 +384,7 @@ def reality_substitution(F: ScalarMatrix):
                 kept.append(g)
             else:
                 partner = GeneratorId(0, pj, pk, star=True)
-                sigma[g] = AlgElement.word((partner,), d[j] / d[k])
+                sigma[g] = AlgElement.word((partner,), ratio(d[j], d[k]))
     return sigma, sorted(kept)
 
 
@@ -399,6 +401,13 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     relation entry is written in closed form over the generator matrix u
     with the reality substitution applied; a reality entry of u left
     nonzero off the self-paired positions raises RuntimeError.
+
+    A hand-made F with d_j = -d_k at a self-paired position (pi(j) = j,
+    pi(k) = k) is built, not refused: u(j,k) stays a plain generator and
+    u(j,k) = -u(j,k)* is kept only as the relation u(j,k) + u(j,k)*, as in
+    `reality_substitution`.  Such a u is not Delta-compatible there, so the
+    Hopf check reports coassociativity False and every relation
+    inconclusive (see `hopf`).  No `BlockSpec` gives such an F.
     """
     if F.rows != F.cols:
         raise ValueError("F must be square")
@@ -442,8 +451,7 @@ def free_product(parts) -> Presentation:
             raise ValueError(f"free product part {part.label or tag} is itself a free product")
         retag = {g: g._replace(factor=tag) for g in part.generators}
         gens.extend(retag.values())
-        remap = {g: AlgElement.generator(h) for g, h in retag.items()}
-        rels.extend(r.substitute(remap) for r in part.relations)
+        rels.extend(r.rename(retag) for r in part.relations)
     label = " * ".join(p.label or "?" for p in parts)
     return Presentation(gens, rels, None, None, label=label)
 

@@ -132,8 +132,7 @@ def match_presentations(P: Presentation, T: Presentation, renaming) -> MatchVerd
         raise ValueError("renaming is not injective")
     if set(renaming.values()) != T.generator_set():
         raise ValueError("renaming is not onto the target generators")
-    subst = {g: AlgElement.generator(h) for g, h in renaming.items()}
-    renamed = canonicalize_relations(r.substitute(subst) for r in P.relations)
+    renamed = canonicalize_relations(r.rename(renaming) for r in P.relations)
     derived_keys = {r.sort_key(): r for r in renamed}
     target_keys = {r.sort_key(): r for r in T.relations}
     only_derived = tuple(derived_keys[k] for k in sorted(derived_keys.keys() - target_keys.keys()))

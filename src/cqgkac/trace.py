@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    AlgElement, GeneratorId, Word, add_terms, rat_str, word_adjoint, word_key, word_label,
+    AlgElement, GeneratorId, Word, add_terms, exact, rat_str, ratio, word_adjoint, word_key,
+    word_label,
 )
 from .linalg import SparseEchelon
 from .numeric import CharacterCover, witness_characters
@@ -106,7 +107,7 @@ class TraceExpr:
     __slots__ = ("constant", "re")
 
     def __init__(self, constant=0, re=()):
-        self.constant = Fraction(constant)
+        self.constant = exact(constant)
         self.re = add_terms({}, re)
 
     def is_zero(self) -> bool:
@@ -131,7 +132,7 @@ class TraceExpr:
 def trace_of(a: AlgElement) -> TraceExpr:
     """Real part of the formal trace of an element: words collapse to
     cyclic symbols, the unit word feeds the constant (tr(1) = 1)."""
-    constant = Fraction(0)
+    constant = 0
     re = []
     for w, c in a.terms():
         if not w:
@@ -146,7 +147,7 @@ def trace_of(a: AlgElement) -> TraceExpr:
 class TraceEquation:
     """One linear equation (= 0) over the real parts of trace unknowns."""
 
-    constant: Fraction
+    constant: int | Fraction
     coeffs: dict
     provenance: str
 
@@ -234,15 +235,15 @@ class Certificate:
     nonnegative symbol vanishes for every tracial state."""
 
     target: TraceSymbol
-    multipliers: tuple  # ((equation index, Fraction), ...)
-    constant: Fraction
-    coefficients: dict  # TraceSymbol -> Fraction, the resulting combination
+    multipliers: tuple  # ((equation index, int or Fraction), ...)
+    constant: int | Fraction
+    coefficients: dict  # TraceSymbol -> int or Fraction, the resulting combination
 
 
 def _recombine(eqs: TraceEquationSet, multipliers):
     """(constant, coefficients) of the sum of mult * equation over the
     (equation index, mult) pairs; each index must name an equation."""
-    const = Fraction(0)
+    const = 0
     coeffs = {}
     for idx, mult in multipliers:
         if not 0 <= idx < len(eqs.equations):
@@ -346,7 +347,7 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
     for i, e in enumerate(eqs.equations):
         if e.constant:
             scale = -e.constant
-            index[frozenset((s, c / scale) for s, c in e.coeffs.items())] = (i, scale)
+            index[frozenset((s, ratio(c, scale)) for s, c in e.coeffs.items())] = (i, scale)
     n = P.u.rows
     q = [P.q.entry(j, j) for j in range(n)]
     a = [[trace_of(x * x.adjoint()).re for x in (P.u.entry(j, k) for k in range(n))]
@@ -360,16 +361,16 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
     combo = {}
     for j in range(n):
         plain_row = entry(((j, k), 1) for k in range(n))  # UU*-I[j,j]
-        twisted_row = entry(((j, k), q[j] / q[k]) for k in range(n))  # QUbarQ^-1U^t-I[j,j]
+        twisted_row = entry(((j, k), ratio(q[j], q[k])) for k in range(n))  # QUbarQ^-1U^t-I[j,j]
         plain_col = entry(((k, j), 1) for k in range(n))  # U*U-I[j,j]
-        twisted_col = entry(((k, j), q[k] / q[j]) for k in range(n))  # U^tQUbarQ^-1-I[j,j]
+        twisted_col = entry(((k, j), ratio(q[k], q[j])) for k in range(n))  # U^tQUbarQ^-1-I[j,j]
         for key, weight in (
             (twisted_row, q[j]), (plain_row, -q[j]), (plain_col, q[j]), (twisted_col, -q[j]),
         ):
             if key not in index:
                 return None
             i, scale = index[key]
-            add_terms(combo, ((i, weight / scale),))
+            add_terms(combo, ((i, ratio(weight, scale)),))
     return tuple(sorted(combo.items()))
 
 

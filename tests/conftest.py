@@ -40,10 +40,10 @@ def reference_normalize(r):
     if r.is_zero():
         return None
     least = min(r.words(), key=word_key)
-    a = r.scale(1 / r.coefficient(least))
+    a = r.scale(F(1, r.coefficient(least)))
     rs = r.adjoint()
     least = min(rs.words(), key=word_key)
-    b = rs.scale(1 / rs.coefficient(least))
+    b = rs.scale(F(1, rs.coefficient(least)))
     return a if a.sort_key() <= b.sort_key() else b
 
 
@@ -148,7 +148,7 @@ def dense_inverse(m):
         pivot = next(r for r in range(col, n) if work[r][col])
         work[col], work[pivot] = work[pivot], work[col]
         lead = work[col][col]
-        work[col] = [v / lead for v in work[col]]
+        work[col] = [F(v, lead) for v in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
                 f = work[r][col]

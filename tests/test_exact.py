@@ -1,0 +1,115 @@
+"""Exact coefficients: ints where integral, Fractions otherwise, never
+floats; and the letterwise renaming against `substitute`."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cqgkac as k
+from cqgkac.algebra import AlgElement, ScalarMatrix, exact, ratio
+from cqgkac.quotient import expected_kac_target, match_presentations
+
+from conftest import gen, letter, specs_up_to
+
+
+def _exact(c):
+    return type(c) in (int, F)
+
+
+def _stored(c):
+    """An exact coefficient in stored form: an integral value is an int."""
+    return type(c) is int or (type(c) is F and c.denominator != 1)
+
+
+def _coefficients(elements):
+    return [c for e in elements for _w, c in e.terms()]
+
+
+def test_every_coefficient_of_build_kac_and_match_is_exact_on_specs_up_to_four():
+    specs = specs_up_to(4)
+    assert len(specs) == 187
+    for spec in specs:
+        p = k.build_presentation(spec)
+        entries = [p.u.entry(j, c) for j in range(p.u.rows) for c in range(p.u.cols)]
+        assert all(map(_stored, _coefficients(p.relations))), spec
+        assert all(map(_stored, _coefficients(entries))), spec
+        kac, final = k.kac_fixpoint(p)
+        for _g, cert, _rnd in kac.certificates:
+            assert all(_exact(m) for _i, m in cert.multipliers), spec
+            assert all(map(_exact, cert.coefficients.values())), spec
+            assert _exact(cert.constant), spec
+        assert all(map(_exact, _coefficients(final.relations))), spec
+        if not kac.undetermined:
+            target, renaming = expected_kac_target(spec)
+            verdict = match_presentations(final, target, renaming)
+            assert verdict.matched, spec
+            assert all(map(_exact, _coefficients(target.relations))), spec
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AlgElement({(gen(0, 0),): 0.5}),
+    lambda: AlgElement.scalar(0.5),
+    lambda: AlgElement.generator(gen(0, 0), 0.5),
+    lambda: AlgElement.word((gen(0, 0),), 0.5),
+    lambda: letter(0, 0).scale(0.5),
+    lambda: ScalarMatrix([[0.5]]),
+    lambda: ScalarMatrix.diagonal([1, 0.5]),
+    lambda: ratio(0.5, 1),
+    lambda: ratio(1, 0.5),
+])
+def test_floats_are_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_exact_and_ratio_keep_integral_values_as_ints():
+    assert type(exact(F(4, 2))) is int and exact(F(4, 2)) == 2
+    assert exact(F(1, 2)) == F(1, 2) and exact(3) == 3
+    assert type(AlgElement.scalar(F(6, 3)).coefficient(())) is int
+    assert type(ScalarMatrix([[F(2, 1)]]).entry(0, 0)) is int
+    assert type(ratio(6, -3)) is int and ratio(6, -3) == -2
+    assert ratio(1, 3) == F(1, 3) and ratio(-4, 6) == F(-2, 3)
+    assert type(ratio(F(1, 2), F(1, 4))) is int and ratio(F(1, 2), F(1, 4)) == 2
+    assert ratio(2, F(3, 2)) == F(4, 3)
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
+
+
+def test_scale_by_one_is_the_element_itself():
+    a = letter(0, 0) + letter(0, 1).scale(F(1, 2))
+    assert a.scale(1) is a and a.scale(F(1)) is a
+
+
+# letters of the random elements: plain, starred and self-adjoint
+WORD_LETTERS = (gen(0, 0), gen(0, 0, star=True), gen(0, 1), gen(0, 1, star=True),
+                gen(1, 1, selfadjoint=True))
+KEYS = (gen(0, 0), gen(0, 1), gen(1, 1, selfadjoint=True))
+IMAGES = (gen(0, 0), gen(0, 1), gen(1, 0, factor=1), gen(1, 0, star=True, factor=1),
+          gen(2, 2, selfadjoint=True, factor=1))
+
+
+@st.composite
+def elements(draw):
+    words = st.lists(st.sampled_from(WORD_LETTERS), max_size=3).map(tuple)
+    coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+    return AlgElement(draw(st.dictionaries(words, coefficients, max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements(), st.dictionaries(st.sampled_from(KEYS), st.sampled_from(IMAGES)))
+def test_rename_matches_substitute_by_generators(a, letters):
+    # the maps need not be injective: words that collide add
+    got = a.rename(letters)
+    want = a.substitute({g: AlgElement.generator(h) for g, h in letters.items()})
+    assert got == want
+    assert list(got.terms()) == list(want.terms())
+
+
+def test_rename_adds_colliding_terms():
+    u11, u12 = gen(0, 0), gen(0, 1)
+    a = letter(0, 0) + letter(0, 1).scale(2) + AlgElement.word((u12, u11.adjoint()))
+    merged = a.rename({u12: u11})
+    assert merged == letter(0, 0).scale(3) + AlgElement.word((u11, u11.adjoint()))
+    assert (letter(0, 0) - letter(0, 1)).rename({u12: u11}).is_zero()

@@ -285,6 +285,21 @@ def test_hand_made_f_fails_compatibility():
     assert not report.all_pass
 
 
+def test_a_letter_that_is_no_generator_is_named():
+    # the 2x2 generic u over the generators u(1,1), u(1,2), u(2,1) only:
+    # u(2,2) is neither a generator nor the adjoint of one
+    q = ScalarMatrix.identity(2)
+    u = generator_matrix(2)
+    p = k.Presentation([gen(0, 0), gen(0, 1), gen(1, 0)], defining_relations(u, q), u, q)
+    with pytest.raises(ValueError, match=r"u\[2,2\] holds the letter u\(2,2\), which is neither"):
+        k.hopf_axiom_check(p)
+    # a relation over a letter of another factor
+    p = _u2()
+    p = k.Presentation(p.generators, [*p.relations, letter(0, 0, factor=1)], p.u, p.q)
+    with pytest.raises(ValueError, match=r"relation \d+ holds the letter 1\.u\(1,1\)"):
+        k.hopf_axiom_check(p)
+
+
 def test_a_self_adjoint_letter_with_a_non_self_adjoint_coproduct_is_not_certified():
     # u = [[a, s], [b, c]] with s self-adjoint: D(s) = a (x) s + s (x) c is
     # not self-adjoint, so D is no *-map and the certificate does not apply
