@@ -100,25 +100,38 @@ def config_json(spec: BlockSpec) -> dict:
     return doc
 
 
-def _certificate_json(gen, cert, rnd, equations):
-    return {
-        "generator": gen.label(),
-        "target": cert.target.label(),
-        "round": rnd,
-        "combination": [
-            {
-                "equation": idx,
-                "provenance": equations[idx].provenance,
-                "multiplier": rat_str(mult),
+def _kac_certificates(kac_report):
+    """The report's certificate entries, one per forced generator.
+
+    The generators a round forces share one certificate's multipliers and
+    coefficients, so each distinct (round, multipliers, coefficients) is
+    rendered once and its entries reuse the rendering.  The objects are
+    kept alive by `kac_report`, so their ids name them for the whole loop.
+    """
+    rendered = {}
+    entries = []
+    for gen, cert, rnd in kac_report.certificates:
+        key = (rnd, id(cert.multipliers), id(cert.coefficients))
+        if key not in rendered:
+            equations = kac_report.rounds[rnd].equations.equations
+            rendered[key] = {
+                "combination": [
+                    {
+                        "equation": idx,
+                        "provenance": equations[idx].provenance,
+                        "multiplier": rat_str(mult),
+                    }
+                    for idx, mult in cert.multipliers
+                ],
+                "coefficients": {
+                    s.label(): rat_str(c) for s, c in sorted(
+                        cert.coefficients.items(), key=lambda kv: kv[0].sort_key()
+                    )
+                },
             }
-            for idx, mult in cert.multipliers
-        ],
-        "coefficients": {
-            s.label(): rat_str(c) for s, c in sorted(
-                cert.coefficients.items(), key=lambda kv: kv[0].sort_key()
-            )
-        },
-    }
+        entries.append({"generator": gen.label(), "target": cert.target.label(), "round": rnd,
+                        **rendered[key]})
+    return entries
 
 
 VERBS = {
@@ -183,10 +196,7 @@ def run(spec: BlockSpec, verb: str):
             "forced": [g.label() for g in kac_report.forced],
             "rounds": kac_report.iterations,
             "undetermined": [s.label() for s in kac_report.undetermined],
-            "certificates": [
-                _certificate_json(g, cert, rnd, kac_report.rounds[rnd].equations.equations)
-                for g, cert, rnd in kac_report.certificates
-            ],
+            "certificates": _kac_certificates(kac_report),
         }
         kac_verdict = (
             f"forced {len(kac_report.forced)} generators in {kac_report.iterations} rounds"
@@ -314,6 +324,14 @@ def _summary(report) -> str:
     match = report.get("match")
     if match:
         lines.append(f"  match: {match['matched']} mode={match['mode']} target={match['target']}")
+    hopf = report.get("hopf")
+    if hopf:
+        antipode, relations = list(hopf["antipode"].values()), list(hopf["relations"].values())
+        lines.append(
+            f"  hopf: coassociativity={hopf['coassociativity']} counit={hopf['counit']}"
+            f" antipode {antipode.count('pass')}/{len(antipode)} pass,"
+            f" relations {relations.count('pass')}/{len(relations)} pass"
+        )
     return "\n".join(lines)
 
 

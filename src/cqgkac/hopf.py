@@ -22,7 +22,10 @@ u[l,k] at every position.
     V* V − I, the Q-twisted pair and V − F V̄ F⁻¹.  It carries over when
     the relations are the canonicalized `defining_relations` of u, u is
     Δ-compatible, and Δ(g) = Δ(g)* for every self-adjoint letter g.
-    Otherwise every relation is inconclusive.
+    Otherwise every relation is inconclusive.  That relation test
+    compares with the same canonical set the builders store, in which the
+    reality relation has folded the plain pair into the twisted pair
+    (`presentations`).
 
 Every builder presentation meets these conditions.  On a hand-made u they
 are sufficient, not necessary: u = [[2g]] is coassociative, but Δ(2g) =

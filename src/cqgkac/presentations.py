@@ -33,6 +33,18 @@ pair and Q_k/Q_j for the twisted pair, whatever the entries of u are.  A
 relation and its scaled adjoint share one normal form, so only the
 entries with j <= k are written.
 
+Once the reality relation holds, the plain pair repeats the twisted pair.
+With V = F Ubar F^-1 and F^-1 = Q^-1 F* (Q = F*F),
+
+  V* V - I = (F*)^-1 (U^t Q Ubar Q^-1 - I) F*,
+  V V* - I = F Q^-1 (Q Ubar Q^-1 U^t - I) F*,
+
+and both are conjugations by monomial matrices.  So when every reality
+entry is zero over u, V = U entry by entry and every entry of the plain
+pair is a nonzero scalar multiple of one entry of the twisted pair: the
+two pairs span the same relation classes, and only the twisted pair is
+written (`defining_relations`).
+
 The reality entries make half the generators redundant.  They are
 substituted into the generator matrix once, every entry is written over
 that substituted matrix, and the fundamental matrix keeps the substituted
@@ -307,19 +319,36 @@ def generator_matrix(n: int) -> AlgMatrix:
 def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     """Every entry of the defining identities over u, uncanonicalized.
 
-    First the four unitarity identities of U and its Q-twist t = Q Ubar
-    Q^-1 (the second pair states unitarity of F Ubar F^-1 through Q = F*F),
-    identity by identity, each row-major with only the entries j <= k:
-    over any u, entry (k,j) is the scaled adjoint of entry (j,k) term by
-    term, so canonicalization would fold it into that entry.  Then, when a
-    monomial F is given, all N^2 reality entries, row-major, zero or not.
-    Both builders and the Hopf check canonicalize this list.
+    First the unitarity identities: the plain pair U U* - I, U* U - I,
+    then the pair of the Q-twist t = Q Ubar Q^-1 (it states unitarity of
+    F Ubar F^-1 through Q = F*F), identity by identity, each row-major
+    with only the entries j <= k: over any u, entry (k,j) is the scaled
+    adjoint of entry (j,k) term by term, so canonicalization would fold it
+    into that entry.  Then, when a monomial F is given, all N^2 reality
+    entries, row-major, zero or not.  Both builders and the Hopf check
+    canonicalize this list.
+
+    The plain pair is left out when every reality entry is zero and
+    q[pi(j)] = d_j^2 for every j (Q = F*F).  Each of its entries is then a
+    nonzero multiple of a twisted entry (module docstring), and
+    canonicalization stores the last member of each class, a twisted
+    entry either way.  So the canonical set, and the stored member of each
+    class with its term order, are unchanged.  Otherwise, as for the
+    unitary kind or a hand-made F with d_j = -d_k at a self-paired
+    position, all four identities are written.
     """
     n = u.rows
     e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
     s = [[x.adjoint() for x in row] for row in e]
     d = [q.entry(j, j) for j in range(n)]
     t = [[x.scale(ratio(d[j], d[k])) for k, x in enumerate(row)] for j, row in enumerate(s)]
+    reality, plain = [], True
+    if f is not None:
+        pi, df = _monomial_decode(f)
+        reality = [e[j][k] - s[pj][pk].scale(ratio(df[j], df[k]))
+                   for j, pj in enumerate(pi) for k, pk in enumerate(pi)]
+        plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
+                 or not all(r.is_zero() for r in reality))
     entries = (
         lambda j, k: (e[j][a] * s[k][a] for a in range(n)),
         lambda j, k: (s[a][j] * e[a][k] for a in range(n)),
@@ -328,15 +357,11 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     )
     rels = [
         AlgElement.sum(entry(j, k)) - AlgElement.scalar(int(j == k))
-        for entry in entries
+        for entry in (entries if plain else entries[2:])
         for j in range(n)
         for k in range(j, n)
     ]
-    if f is not None:
-        pi, df = _monomial_decode(f)
-        rels.extend(e[j][k] - s[pj][pk].scale(ratio(df[j], df[k]))
-                    for j, pj in enumerate(pi) for k, pk in enumerate(pi))
-    return rels
+    return rels + reality
 
 
 def build_universal_unitary(Q: ScalarMatrix) -> Presentation:

@@ -5,10 +5,10 @@ from heapq import heapify, heappop, heappush
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.algebra import add_terms, word_key
+from cqgkac.algebra import AlgElement, add_terms, rat_str, ratio, word_key
 from cqgkac.hopf import _coproduct, _letter_coproduct, _presentation_letters
 from cqgkac.linalg import WordIndex
-from cqgkac.presentations import SpecError, layout_ranges
+from cqgkac.presentations import SpecError, _monomial_decode, layout_ranges
 from cqgkac.quotient import bounded_ideal_echelon
 
 
@@ -80,6 +80,17 @@ LADDER = {
     "case-I-1/2+1": k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1),
     "case-II-1/3-1/2": k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))),
     "case-II-1/2-1": k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))),
+}
+
+# the six specs of the benchmark's kac-large workload
+KAC_LARGE = {
+    "unitary-1/4x2-1/2x1-1x2": k.BlockSpec("unitary", ((F(1, 4), 2), (F(1, 2), 1), (F(1), 2))),
+    "one-block-1/2x4": one_block_spec(F(1, 2), 4, 1),
+    "one-block-1/3x3-eps-1": one_block_spec(F(1, 3), 3, -1),
+    "case-I-1/3x1-1/2x2+2": k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=2),
+    "case-II-1/4-1/2-1x2": k.BlockSpec("case-II", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 2))),
+    "unitary-1/8-1/4-1/2-1": k.BlockSpec(
+        "unitary", ((F(1, 8), 1), (F(1, 4), 1), (F(1, 2), 1), (F(1), 1))),
 }
 
 
@@ -276,3 +287,57 @@ def hand_made_f():
     """F = diag(1, -1) ⊕ [[0, 1/2], [2, 0]]: F Fbar = I, with a self-paired
     position (1,2) where d_1 = -d_2, which no BlockSpec builds."""
     return k.ScalarMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, F(1, 2)], [0, 0, 2, 0]])
+
+
+def four_identity_relations(u, q, f=None):
+    """Every entry of the four unitarity identities over u, each row-major
+    with only the entries j <= k, then, when a monomial F is given, all N^2
+    reality entries: the defining relations written out in full, whether
+    or not the reality relation makes the plain pair repeat the twisted
+    one."""
+    n = u.rows
+    e = [[u.entry(j, c) for c in range(n)] for j in range(n)]
+    s = [[x.adjoint() for x in row] for row in e]
+    d = [q.entry(j, j) for j in range(n)]
+    t = [[x.scale(ratio(d[j], d[c])) for c, x in enumerate(row)] for j, row in enumerate(s)]
+    entries = (
+        lambda j, c: (e[j][a] * s[c][a] for a in range(n)),
+        lambda j, c: (s[a][j] * e[a][c] for a in range(n)),
+        lambda j, c: (e[a][j] * t[a][c] for a in range(n)),
+        lambda j, c: (t[j][a] * e[c][a] for a in range(n)),
+    )
+    rels = [
+        AlgElement.sum(entry(j, c)) - AlgElement.scalar(int(j == c))
+        for entry in entries
+        for j in range(n)
+        for c in range(j, n)
+    ]
+    if f is not None:
+        pi, df = _monomial_decode(f)
+        rels.extend(e[j][c] - s[pj][pc].scale(ratio(df[j], df[c]))
+                    for j, pj in enumerate(pi) for c, pc in enumerate(pi))
+    return rels
+
+
+def certificate_json(gen, cert, rnd, equations):
+    """One generator's certificate entry of the report, rendered on its
+    own: its combination over the round's equations and its sorted
+    coefficients."""
+    return {
+        "generator": gen.label(),
+        "target": cert.target.label(),
+        "round": rnd,
+        "combination": [
+            {
+                "equation": idx,
+                "provenance": equations[idx].provenance,
+                "multiplier": rat_str(mult),
+            }
+            for idx, mult in cert.multipliers
+        ],
+        "coefficients": {
+            s.label(): rat_str(c) for s, c in sorted(
+                cert.coefficients.items(), key=lambda kv: kv[0].sort_key()
+            )
+        },
+    }

@@ -9,7 +9,14 @@ import pytest
 import cqgkac as k
 import cqgkac.cli as cli
 
-from conftest import hand_made_f, truncated_presentation, undetermined_presentation
+from conftest import (
+    KAC_LARGE,
+    certificate_json,
+    hand_made_f,
+    specs_up_to,
+    truncated_presentation,
+    undetermined_presentation,
+)
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -330,3 +337,28 @@ def test_package_imports_without_numpy():
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_certificates_match_the_per_generator_rendering():
+    specs = [*specs_up_to(3), *KAC_LARGE.values()]
+    for spec in specs:
+        kac_report, _ = k.kac_fixpoint(k.build_presentation(spec))
+        want = [certificate_json(g, cert, rnd, kac_report.rounds[rnd].equations.equations)
+                for g, cert, rnd in kac_report.certificates]
+        assert cli.run(spec, "kac")[1]["kac"]["certificates"] == want, spec
+
+
+def test_summary_has_a_hopf_line(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, ONE_BLOCK)
+    out = str(tmp_path / "report.json")
+    line = "  hopf: coassociativity=True counit=True antipode 2/2 pass, relations 6/6 pass"
+    for verb in ("hopf-check", "report"):
+        assert cli.main([verb, "--config", path, "--out", out]) == 0
+        assert line in capsys.readouterr().out.splitlines(), verb
+    assert cli.main(["match", "--config", path, "--out", out]) == 0
+    assert "hopf:" not in capsys.readouterr().out
+    monkeypatch.setattr(cli, "build_presentation",
+                        lambda spec: k.build_universal_orthogonal(hand_made_f()))
+    assert cli.main(["hopf-check", "--config", path, "--out", out]) == 2
+    line = "  hopf: coassociativity=False counit=True antipode 10/10 pass, relations 0/36 pass"
+    assert line in capsys.readouterr().out.splitlines()

@@ -10,6 +10,7 @@ import cqgkac.presentations as presentations
 from cqgkac.presentations import (
     SpecError,
     canonicalize_relations,
+    defining_relations,
     layout_ranges,
     normalize_relation,
 )
@@ -20,7 +21,9 @@ from conftest import (
     dense,
     dense_inverse,
     dense_product,
+    four_identity_relations,
     gen,
+    hand_made_f,
     letter,
     one_block_spec,
     reference_canonicalize,
@@ -497,3 +500,34 @@ def test_builder_keeps_the_canonical_full_emission_on_every_spec_up_to_three():
         _, full, _, _ = _expand_then_substitute(spec)
         assert [_form(r) for r in k.build_presentation(spec).relations] == \
             [_form(r) for r in full], spec
+
+
+def test_defining_relations_keep_the_four_identity_canonical_set_and_term_order():
+    specs = specs_up_to(4)
+    assert len(specs) == 187
+    for spec in specs:
+        p = k.build_presentation(spec)
+        got = canonicalize_relations(defining_relations(p.u, p.q, p.f))
+        want = canonicalize_relations(four_identity_relations(p.u, p.q, p.f))
+        assert got == want, spec
+        assert [list(r.terms()) for r in got] == [list(r.terms()) for r in want], spec
+
+
+def _entry_count(n, identities):
+    return identities * n * (n + 1) // 2 + n * n
+
+
+def test_defining_relations_drop_the_plain_pair_only_where_reality_holds():
+    # a builder's orthogonal u satisfies U = F Ubar F^-1 and Q = F*F
+    p = k.build_presentation(one_block_spec(F(1, 2), 2, 1))
+    assert len(defining_relations(p.u, p.q, p.f)) == _entry_count(4, 2)
+    # a reality entry u(1,2) + u(1,2)* is left nonzero
+    p = k.build_universal_orthogonal(hand_made_f())
+    assert len(defining_relations(p.u, p.q, p.f)) == _entry_count(4, 4)
+    # every reality entry is zero, but Q is not F*F
+    p = k.build_presentation(k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))))
+    q = ScalarMatrix.identity(4)
+    assert p.q != q
+    rels = defining_relations(p.u, q, p.f)
+    assert len(rels) == _entry_count(4, 4)
+    assert all(r.is_zero() for r in rels[-16:])
