@@ -332,6 +332,16 @@ def _summary(report) -> str:
             f" antipode {antipode.count('pass')}/{len(antipode)} pass,"
             f" relations {relations.count('pass')}/{len(relations)} pass"
         )
+    numeric = report.get("numeric")
+    if numeric:
+        found = "found" if numeric["rep_search"]["found"] else "not found"
+        residual = numeric["classical_identity"]["max_residual"]
+        lines.append(f"  numeric: identity residual {residual:.2e}, character {found}")
+    survivors = report.get("survivors")
+    if survivors:
+        lines.append(f"  survivors: {len(survivors['characters'])} characters, "
+                     f"{len(survivors['unwitnessed'])} unwitnessed, "
+                     f"{survivors['candidates']} candidates")
     return "\n".join(lines)
 
 

@@ -56,7 +56,9 @@ class ResidualReport:
 
 def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
     """Absolute residual of every relation under the assignment, its terms
-    summed in order, then |x - conj(x)| for each self-adjoint generator."""
+    summed in order, then |x - conj(x)| for each self-adjoint generator.
+    Only a word with a nonzero value touches its coefficient, so a
+    coefficient too large for a float counts only where it matters."""
     needed = {g.plain() for r in P.relations for g in r.letters()}
     needed |= set(P.generators)
     missing = sorted(g.label() for g in needed if g not in assignment.values)
@@ -75,7 +77,8 @@ def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
             for g in w:
                 x = values[g.plain()]
                 value *= x.conjugate() if g.star else x
-            acc += float(c) * value
+            if value:
+                acc += float(c) * value
         residuals.append(abs(acc))
     residuals += [abs(2 * values[g].imag) for g in P.generators if g.selfadjoint]
     top = max(residuals, default=0.0)
@@ -92,10 +95,13 @@ def _adjoint(a):
 
 def _twist(m, V):
     """m conj(V) m^-1 for a monomial exact m (F, or the diagonal Q): entry
-    (j,k) is (d_j/d_k) conj(V[pi(j)][pi(k)]), d_j = m[j,pi(j)]."""
+    (j,k) is (d_j/d_k) conj(V[pi(j)][pi(k)]), d_j = m[j,pi(j)].  Where that V
+    entry is 0 the entry is 0, and d_j/d_k, maybe too large for a float, is
+    not formed."""
     pi, d = _monomial_decode(m)
     return [
-        [float(d[j] / d[k]) * V[pj][pk].conjugate() for k, pk in enumerate(pi)]
+        [float(d[j] / d[k]) * V[pj][pk].conjugate() if V[pj][pk] else 0j
+         for k, pk in enumerate(pi)]
         for j, pj in enumerate(pi)
     ]
 

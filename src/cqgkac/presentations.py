@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import (
     AlgElement,
@@ -110,10 +111,20 @@ class BlockSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecError("kind", f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        blocks = tuple(Block(rat(b.q if isinstance(b, Block) else b[0]),
-                             b.m if isinstance(b, Block) else b[1])
-                       for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+        try:
+            entries = list(self.blocks)
+        except TypeError:
+            raise SpecError("blocks", f"blocks is not a sequence: {self.blocks!r}") from None
+        blocks = []
+        for i, b in enumerate(entries):
+            pair = (b.q, b.m) if isinstance(b, Block) else b
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise SpecError("blocks", f"blocks[{i}] is not a (q, m) pair: {b!r}")
+            try:
+                blocks.append(Block(rat(pair[0]), pair[1]))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise SpecError("blocks", f"blocks[{i}].q: {exc}") from None
+        object.__setattr__(self, "blocks", tuple(blocks))
         signs = (-1, 1) if self.kind == "one-block" else (1,)
         if not is_int(self.epsilon) or self.epsilon not in signs:
             raise SpecError("epsilon", f"{self.kind} spec takes epsilon in {signs}")
@@ -152,14 +163,21 @@ class BlockSpec:
                 raise SpecError("blocks", "case-II parameters must satisfy q <= 1")
 
     @property
+    def offsets(self) -> tuple:
+        """The standard layout: the start row (and column) of each block,
+        then of the trailing block.
+
+        A block of multiplicity m takes m rows in the unitary kind (one
+        eigenvalue class of Q) and 2m in the others (an antidiagonal block
+        of F); only case I has a nonempty trailing block.
+        """
+        step = 1 if self.kind == "unitary" else 2
+        return tuple(accumulate((step * b.m for b in self.blocks), initial=0))
+
+    @property
     def size(self) -> int:
         """Dimension N of the standard-form matrix."""
-        k = sum(b.m for b in self.blocks)
-        if self.kind == "unitary":
-            return k
-        if self.kind in ("one-block", "case-II"):
-            return 2 * k
-        return 2 * k + self.trailing
+        return self.offsets[-1] + self.trailing
 
     @property
     def unit_block(self):
@@ -177,21 +195,16 @@ def standard_form_matrix(spec: BlockSpec) -> ScalarMatrix:
     trailing identity block.
     """
     if spec.kind == "unitary":
-        diag = []
-        for b in spec.blocks:
-            diag.extend([b.q] * b.m)
-        return ScalarMatrix.diagonal(diag)
+        return ScalarMatrix.diagonal([b.q for b in spec.blocks for _ in range(b.m)])
     n = spec.size
     rows = [[Fraction(0)] * n for _ in range(n)]
     sign = -1 if spec.kind == "case-II" else spec.epsilon
-    pos = 0
-    for b in spec.blocks:
+    for pos, b in zip(spec.offsets, spec.blocks):
         for i in range(b.m):
             rows[pos + i][pos + b.m + i] = b.q
             rows[pos + b.m + i][pos + i] = sign / b.q
-        pos += 2 * b.m
-    for i in range(spec.trailing):
-        rows[pos + i][pos + i] = Fraction(1)
+    for i in range(spec.offsets[-1], n):
+        rows[i][i] = Fraction(1)
     return ScalarMatrix(rows)
 
 
@@ -504,43 +517,3 @@ def orthogonal_label(F: ScalarMatrix) -> str:
     if n % 2 == 0 and F == symplectic_matrix(n // 2):
         return f"Pol(O_J{n // 2}^+)"
     return f"Pol(O_F^+)[N={n}]"
-
-
-def layout_ranges(spec: BlockSpec) -> dict:
-    """Row/column index ranges of the named blocks of a standard layout."""
-    ranges = {}
-    if spec.kind == "unitary":
-        offs, pos = [], 0
-        for b in spec.blocks:
-            offs.append(range(pos, pos + b.m))
-            pos += b.m
-        for i, ri in enumerate(offs):
-            for j, cj in enumerate(offs):
-                ranges[f"A[{i + 1},{j + 1}]"] = (ri, cj)
-    elif spec.kind == "one-block":
-        m = spec.blocks[0].m
-        top, bot = range(0, m), range(m, 2 * m)
-        ranges["A"] = (top, top)
-        ranges["B"] = (top, bot)
-        ranges["C"] = (bot, top)
-        ranges["D"] = (bot, bot)
-    else:
-        odd, even, pos = [], [], 0
-        for b in spec.blocks:
-            odd.append(range(pos, pos + b.m))
-            even.append(range(pos + b.m, pos + 2 * b.m))
-            pos += 2 * b.m
-        for i, ri in enumerate(odd):
-            for j, cj in enumerate(odd):
-                ranges[f"A[{i + 1},{j + 1}]"] = (ri, cj)
-        for i, ri in enumerate(even):
-            for j, cj in enumerate(odd):
-                ranges[f"C[{i + 1},{j + 1}]"] = (ri, cj)
-        if spec.kind == "case-I" and spec.trailing:
-            tail = range(pos, pos + spec.trailing)
-            for j, cj in enumerate(odd):
-                ranges[f"X[{j + 1}]"] = (tail, cj)
-            for i, ri in enumerate(odd):
-                ranges[f"R[{i + 1}]"] = (ri, tail)
-            ranges["Z"] = (tail, tail)
-    return ranges

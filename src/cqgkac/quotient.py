@@ -1,6 +1,13 @@
 """Quotients by zero-sent generators, expected Kac-quotient targets,
 presentation matching, and the bounded two-sided relation ideal.
 
+The paper's Kac-quotient theorem gives one free factor per diagonal block
+of the standard form: Pol(U_M^+) for a block with q < 1 and multiplicity
+M, Pol(O_J^+) for the q = 1 block of case II, Pol(O_t^+) for the trailing
+identity block of case I.  Each factor sits at its block's start row
+`BlockSpec.offsets[i]`, so the source letter u(o + j, o + k), o that
+offset, is renamed to the factor's letter u(j,k).
+
 Matching is exact: after the structural renaming both relation sets are
 canonicalized and compared as sets.  Relations left on either side are
 reported, and the match fails.
@@ -29,7 +36,6 @@ from .presentations import (
     build_universal_unitary,
     canonicalize_relations,
     free_product,
-    layout_ranges,
     symplectic_matrix,
 )
 
@@ -57,60 +63,34 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     )
 
 
-def _renaming_from_blocks(spec: BlockSpec, target: Presentation, survivors):
-    """Map surviving source positions onto the free-product target letters.
-
-    `survivors` is a list of (block name, target factor tag, row offset):
-    each named block of the source layout lands in the given target factor,
-    with its local rows shifted by the offset and its target letters' kind.
-    """
-    ranges = layout_ranges(spec)
-    renaming = {}
-    for name, tag, row_offset in survivors:
-        rows, cols = ranges[name]
-        for h in target.generators:
-            if h.factor == tag and 0 <= h.row - row_offset < len(rows):
-                renaming[h._replace(factor=0, row=rows[h.row - row_offset], col=cols[h.col])] = h
-    return renaming
-
-
 def expected_kac_target(spec: BlockSpec):
     """The free-product Kac target of a block spec, plus the renaming hint.
 
-    unitary with eigenvalue multiplicities M_1..M_r   -> *_v Pol(U_{M_v}^+)
-    one-block of size M                               -> Pol(U_M^+)
-    case-I, trailing t                                -> *_v Pol(U_{M_v}^+) * Pol(O_t^+)
-    case-II with a q=1 block of size M                -> *_v Pol(U_{M_v}^+) * Pol(O_J^+)
+    One free factor per block of the standard layout, in block order:
+
+        block with q < 1 (any kind), multiplicity M   -> Pol(U_M^+)
+        q = 1 block of case II (`unit_block`), M      -> Pol(O_J^+), J of size 2M
+        trailing identity block of case I, size t     -> Pol(O_t^+)
+
+    Factor i sits at row and column `spec.offsets[i]` of the source, so
+    the renaming sends u(offsets[i] + j, offsets[i] + k) to factor i's
+    letter u(j,k), keeping its kind (plain or self-adjoint).
     """
-    parts = []
-    survivors = []
-    if spec.kind == "unitary":
-        for i, b in enumerate(spec.blocks):
-            parts.append(build_universal_unitary(ScalarMatrix.identity(b.m)))
-            survivors.append((f"A[{i + 1},{i + 1}]", i, 0))
-    elif spec.kind == "one-block":
-        parts.append(build_universal_unitary(ScalarMatrix.identity(spec.blocks[0].m)))
-        survivors.append(("A", 0, 0))
-    elif spec.kind == "case-I":
-        for i, b in enumerate(spec.blocks):
-            parts.append(build_universal_unitary(ScalarMatrix.identity(b.m)))
-            survivors.append((f"A[{i + 1},{i + 1}]", i, 0))
-        if spec.trailing:
-            parts.append(build_universal_orthogonal(ScalarMatrix.identity(spec.trailing)))
-            survivors.append(("Z", len(spec.blocks), 0))
-    else:
-        unit = spec.unit_block
-        unitary_blocks = spec.blocks[:-1] if unit else spec.blocks
-        for i, b in enumerate(unitary_blocks):
-            parts.append(build_universal_unitary(ScalarMatrix.identity(b.m)))
-            survivors.append((f"A[{i + 1},{i + 1}]", i, 0))
-        if unit:
-            parts.append(build_universal_orthogonal(symplectic_matrix(unit.m)))
-            r = len(spec.blocks)
-            survivors.append((f"A[{r},{r}]", len(unitary_blocks), 0))
-            survivors.append((f"C[{r},{r}]", len(unitary_blocks), unit.m))
+    unit = spec.unit_block
+    parts = [
+        build_universal_orthogonal(symplectic_matrix(b.m)) if b is unit
+        else build_universal_unitary(ScalarMatrix.identity(b.m))
+        for b in spec.blocks
+    ]
+    if spec.trailing:
+        parts.append(build_universal_orthogonal(ScalarMatrix.identity(spec.trailing)))
     target = free_product(parts)
-    return target, _renaming_from_blocks(spec, target, survivors)
+    offsets = spec.offsets
+    renaming = {
+        h._replace(factor=0, row=offsets[h.factor] + h.row, col=offsets[h.factor] + h.col): h
+        for h in target.generators
+    }
+    return target, renaming
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, add_terms, rat_str, ratio, word_key
 from cqgkac.hopf import _coproduct, _letter_coproduct, _presentation_letters
 from cqgkac.linalg import WordIndex
-from cqgkac.presentations import SpecError, _monomial_decode, layout_ranges
+from cqgkac.presentations import SpecError, _monomial_decode
 from cqgkac.quotient import bounded_ideal_echelon
 
 
@@ -102,6 +102,8 @@ def specs_up_to(n_max):
         for count in range(n_max + 1):
             for qs in itertools.combinations(QS, count):
                 for ms in itertools.product(range(1, n_max + 1), repeat=count):
+                    if sum(ms) > n_max:  # N >= sum(ms) in every kind
+                        continue
                     for trailing, epsilon in itertools.product(range(n_max + 1), (1, -1)):
                         try:
                             spec = k.BlockSpec(kind, tuple(zip(qs, ms)), trailing=trailing,
@@ -165,6 +167,89 @@ def dense_inverse(m):
                 f = work[r][col]
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
     return k.ScalarMatrix([row[n:] for row in work])
+
+
+def layout_ranges(spec):
+    """Row/column index ranges of the named blocks of a standard layout,
+    worked out block by block without `BlockSpec.offsets`."""
+    ranges = {}
+    if spec.kind == "unitary":
+        offs, pos = [], 0
+        for b in spec.blocks:
+            offs.append(range(pos, pos + b.m))
+            pos += b.m
+        for i, ri in enumerate(offs):
+            for j, cj in enumerate(offs):
+                ranges[f"A[{i + 1},{j + 1}]"] = (ri, cj)
+    elif spec.kind == "one-block":
+        m = spec.blocks[0].m
+        top, bot = range(0, m), range(m, 2 * m)
+        ranges["A"] = (top, top)
+        ranges["B"] = (top, bot)
+        ranges["C"] = (bot, top)
+        ranges["D"] = (bot, bot)
+    else:
+        odd, even, pos = [], [], 0
+        for b in spec.blocks:
+            odd.append(range(pos, pos + b.m))
+            even.append(range(pos + b.m, pos + 2 * b.m))
+            pos += 2 * b.m
+        for i, ri in enumerate(odd):
+            for j, cj in enumerate(odd):
+                ranges[f"A[{i + 1},{j + 1}]"] = (ri, cj)
+        for i, ri in enumerate(even):
+            for j, cj in enumerate(odd):
+                ranges[f"C[{i + 1},{j + 1}]"] = (ri, cj)
+        if spec.kind == "case-I" and spec.trailing:
+            tail = range(pos, pos + spec.trailing)
+            for j, cj in enumerate(odd):
+                ranges[f"X[{j + 1}]"] = (tail, cj)
+            for i, ri in enumerate(odd):
+                ranges[f"R[{i + 1}]"] = (ri, tail)
+            ranges["Z"] = (tail, tail)
+    return ranges
+
+
+def reference_kac_target(spec):
+    """The free-product Kac target and renaming of a block spec, built from
+    the named blocks of `layout_ranges`: each surviving block (name, target
+    factor, row offset) lands in its factor, its local rows shifted by the
+    offset."""
+    parts, survivors = [], []
+    if spec.kind == "unitary":
+        for i, b in enumerate(spec.blocks):
+            parts.append(k.build_universal_unitary(k.ScalarMatrix.identity(b.m)))
+            survivors.append((f"A[{i + 1},{i + 1}]", i, 0))
+    elif spec.kind == "one-block":
+        parts.append(k.build_universal_unitary(k.ScalarMatrix.identity(spec.blocks[0].m)))
+        survivors.append(("A", 0, 0))
+    elif spec.kind == "case-I":
+        for i, b in enumerate(spec.blocks):
+            parts.append(k.build_universal_unitary(k.ScalarMatrix.identity(b.m)))
+            survivors.append((f"A[{i + 1},{i + 1}]", i, 0))
+        if spec.trailing:
+            parts.append(k.build_universal_orthogonal(k.ScalarMatrix.identity(spec.trailing)))
+            survivors.append(("Z", len(spec.blocks), 0))
+    else:
+        unit = spec.unit_block
+        unitary_blocks = spec.blocks[:-1] if unit else spec.blocks
+        for i, b in enumerate(unitary_blocks):
+            parts.append(k.build_universal_unitary(k.ScalarMatrix.identity(b.m)))
+            survivors.append((f"A[{i + 1},{i + 1}]", i, 0))
+        if unit:
+            parts.append(k.build_universal_orthogonal(k.symplectic_matrix(unit.m)))
+            r = len(spec.blocks)
+            survivors.append((f"A[{r},{r}]", len(unitary_blocks), 0))
+            survivors.append((f"C[{r},{r}]", len(unitary_blocks), unit.m))
+    target = k.free_product(parts)
+    ranges = layout_ranges(spec)
+    renaming = {}
+    for name, tag, row_offset in survivors:
+        rows, cols = ranges[name]
+        for h in target.generators:
+            if h.factor == tag and 0 <= h.row - row_offset < len(rows):
+                renaming[h._replace(factor=0, row=rows[h.row - row_offset], col=cols[h.col])] = h
+    return target, renaming
 
 
 def block_positions(spec, name):

@@ -362,3 +362,19 @@ def test_summary_has_a_hopf_line(tmp_path, capsys, monkeypatch):
     assert cli.main(["hopf-check", "--config", path, "--out", out]) == 2
     line = "  hopf: coassociativity=False counit=True antipode 10/10 pass, relations 0/36 pass"
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_summary_has_numeric_and_survivor_lines(tmp_path, capsys):
+    path = _write(tmp_path, ONE_BLOCK)
+    out = str(tmp_path / "report.json")
+    numeric = "  numeric: identity residual 0.00e+00, character found"
+    survivors = "  survivors: 1 characters, 0 unwitnessed, 1 candidates"
+    assert cli.main(["numeric", "--config", path, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert numeric in lines and not any(x.startswith("  survivors:") for x in lines)
+    assert cli.main(["report", "--config", path, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert numeric in lines and survivors in lines
+    assert cli.main(["match", "--config", path, "--out", out]) == 0
+    out_text = capsys.readouterr().out
+    assert "numeric:" not in out_text and "survivors:" not in out_text

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import cqgkac as k
+import cqgkac.cli as cli
 from cqgkac.algebra import ScalarMatrix
 from cqgkac.numeric import NumAssignment, _candidates, _value
 
@@ -362,3 +363,20 @@ def test_generators_outside_the_layout_are_never_witnessed():
     _verify_fails(p, [[1, 0], [0, 1]], r"u\(1,3\) lies outside the 2x2")
     cover = k.witness_characters(p, p.generators)
     assert cover.uncovered == tuple(p.generators) and not cover.characters
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "unitary", "blocks": [{"q": "1e-400"}, {"q": "1"}]},
+    {"kind": "one-block", "blocks": [{"q": "1e-300"}], "epsilon": -1},
+    {"kind": "case-I", "blocks": [{"q": "1e-300"}], "trailing": 1},
+    {"kind": "case-II", "blocks": [{"q": "1e-200"}, {"q": "1"}]},
+])
+def test_numeric_stage_takes_ratios_too_large_for_a_float(doc):
+    # Q holds ratios beyond the float range; the identity point and the
+    # character are zero wherever such a ratio would multiply them
+    code, report = cli.run(cli.parse_config(doc), "report")
+    assert code == 0
+    assert report["numeric"] == {
+        "classical_identity": {"max_residual": 0.0},
+        "rep_search": {"found": True, "max_residual": 0.0},
+    }

@@ -11,7 +11,6 @@ from cqgkac.presentations import (
     SpecError,
     canonicalize_relations,
     defining_relations,
-    layout_ranges,
     normalize_relation,
 )
 
@@ -24,6 +23,7 @@ from conftest import (
     four_identity_relations,
     gen,
     hand_made_f,
+    layout_ranges,
     letter,
     one_block_spec,
     reference_canonicalize,
@@ -74,6 +74,20 @@ def test_block_spec_validation():
         with pytest.raises(SpecError) as err:
             k.BlockSpec(**kwargs)
         assert err.value.field == field
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((F(1, 2),),), r"^blocks\[0\] is not a \(q, m\) pair: \(Fraction\(1, 2\),\)$"),
+    ((F(1, 2),), r"^blocks\[0\] is not a \(q, m\) pair: Fraction\(1, 2\)$"),
+    (((F(1, 4), 1), ("x", 1)), r"^blocks\[1\]\.q: "),
+    (None, r"^blocks is not a sequence: None$"),
+])
+def test_block_spec_names_a_malformed_block(blocks, message):
+    # a block given directly, not through a JSON config, is checked for
+    # shape too: no IndexError or TypeError escapes
+    with pytest.raises(SpecError, match=message) as err:
+        k.BlockSpec("unitary", blocks)
+    assert err.value.field == "blocks"
 
 
 @pytest.mark.parametrize("kind, blocks, trailing", [

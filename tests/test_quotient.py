@@ -7,7 +7,10 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix
 from cqgkac.presentations import normalize_relation
 
-from conftest import block_positions, gen, letter, one_block_spec, random_element
+from conftest import (
+    block_positions, gen, letter, one_block_spec, random_element, reference_kac_target,
+    specs_up_to,
+)
 
 
 def test_quotient_one_block_leaves_unitary_relations():
@@ -45,6 +48,18 @@ def test_unknown_id_of_the_other_kind_is_named():
         k.quotient_by_zero(p, [gen(1, 0, selfadjoint=True)])
     with pytest.raises(ValueError, match=r"^unknown generators: \['u\(6,6\)'\]$"):
         k.quotient_by_zero(p, [gen(5, 5)])
+
+
+def test_kac_target_renaming_is_the_offset_shift():
+    # the target built from `BlockSpec.offsets` equals the one built from the
+    # named blocks of `layout_ranges`, renaming included, on every small spec
+    for spec in specs_up_to(5):
+        target, renaming = k.expected_kac_target(spec)
+        ref_target, ref_renaming = reference_kac_target(spec)
+        assert renaming == ref_renaming, spec
+        assert target.relations == ref_target.relations, spec
+        assert target.generators == ref_target.generators, spec
+        assert target.label == ref_target.label, spec
 
 
 def test_quotient_case_one_leaves_hermitian_tail():

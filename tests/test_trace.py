@@ -9,7 +9,6 @@ from hypothesis import given, settings
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
-from cqgkac.presentations import layout_ranges
 from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac.trace import (
     TraceSymbol, _closed_form_multipliers, _recombine, _shared_certificates,
@@ -22,6 +21,7 @@ from conftest import (
     dense,
     dense_product,
     gen,
+    layout_ranges,
     letter,
     one_block_spec,
     random_element,
