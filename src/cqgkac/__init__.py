@@ -63,7 +63,6 @@ from .trace import (
     CertificateError,
     KacReport,
     TraceEquationSet,
-    TraceExpr,
     TraceSymbol,
     Undetermined,
     cyclic_canonical,

@@ -27,13 +27,17 @@ def is_int(value) -> bool:
 
 
 def rat(x) -> Fraction:
-    """Parse an int, Fraction or "p/q" string into an exact rational."""
+    """Parse an int, Fraction or "p/q" string into an exact rational;
+    ValueError on a malformed string or a zero denominator."""
     if isinstance(x, Fraction):
         return x
     if is_int(x):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

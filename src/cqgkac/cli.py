@@ -66,7 +66,7 @@ def parse_config(data) -> BlockSpec:
             q = rat(item["q"])
         except KeyError:
             raise ConfigError(f"blocks[{i}].q", "missing") from None
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"blocks[{i}].q", str(exc)) from None
         m = item.get("m", 1)
         if not is_int(m):
@@ -101,37 +101,25 @@ def config_json(spec: BlockSpec) -> dict:
 
 
 def _kac_certificates(kac_report):
-    """The report's certificate entries, one per forced generator.
-
-    The generators a round forces share one certificate's multipliers and
-    coefficients, so each distinct (round, multipliers, coefficients) is
-    rendered once and its entries reuse the rendering.  The objects are
-    kept alive by `kac_report`, so their ids name them for the whole loop.
-    """
-    rendered = {}
-    entries = []
-    for gen, cert, rnd in kac_report.certificates:
-        key = (rnd, id(cert.multipliers), id(cert.coefficients))
-        if key not in rendered:
-            equations = kac_report.rounds[rnd].equations.equations
-            rendered[key] = {
-                "combination": [
-                    {
-                        "equation": idx,
-                        "provenance": equations[idx].provenance,
-                        "multiplier": rat_str(mult),
-                    }
-                    for idx, mult in cert.multipliers
-                ],
-                "coefficients": {
-                    s.label(): rat_str(c) for s, c in sorted(
-                        cert.coefficients.items(), key=lambda kv: kv[0].sort_key()
-                    )
-                },
-            }
-        entries.append({"generator": gen.label(), "target": cert.target.label(), "round": rnd,
-                        **rendered[key]})
-    return entries
+    """The report's certificate entries, one per forced generator, all in
+    round 0.  Every certificate cites the one closed-form combination, so
+    its multipliers and coefficients are rendered once and shared."""
+    if not kac_report.certificates:
+        return []
+    equations = kac_report.equations.equations
+    first = kac_report.certificates[0][1]
+    shared = {
+        "combination": [
+            {"equation": idx, "provenance": equations[idx].provenance, "multiplier": rat_str(mult)}
+            for idx, mult in first.multipliers
+        ],
+        "coefficients": {
+            s.label(): rat_str(c)
+            for s, c in sorted(first.coefficients.items(), key=lambda kv: kv[0].sort_key())
+        },
+    }
+    return [{"generator": g.label(), "target": cert.target.label(), "round": 0, **shared}
+            for g, cert in kac_report.certificates]
 
 
 VERBS = {
@@ -164,7 +152,8 @@ def run(spec: BlockSpec, verb: str):
 
     A character is a tracial state and a finite-dimensional representation,
     so each witness proves its generator survives in the Kac and the RFD
-    quotient.
+    quotient.  `kac.rounds` is 1 plus whether the closed-form round forced
+    anything, and every certificate's `round` is 0.
     """
     report = {"input": config_json(spec), "verb": verb}
     if verb not in VERBS:

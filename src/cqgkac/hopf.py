@@ -58,7 +58,7 @@ from .presentations import (
     defining_relations,
     symplectic_matrix,
 )
-from .quotient import bounded_ideal_echelon
+from .quotient import _with_adjoints, bounded_ideal_echelon
 
 
 class TensorElement:
@@ -185,10 +185,6 @@ def antipode(P: Presentation, a: AlgElement) -> AlgElement:
     return AlgElement.sum(image(w, c) for w, c in a.terms())
 
 
-def _presentation_letters(P: Presentation):
-    return list(dict.fromkeys(h for g in P.generators for h in (g, g.adjoint())))
-
-
 def _require_known_letters(P: Presentation, u, letters) -> None:
     """ValueError naming the first letter of u or of a relation that is
     neither a generator of P nor the adjoint of one."""
@@ -236,7 +232,7 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     if it lies in that bounded ideal.
     """
     u = _fundamental(P)
-    letters = _presentation_letters(P)
+    letters = _with_adjoints(P.generators)
     _require_known_letters(P, u, letters)
     deltas = {g: _letter_coproduct(P, g) for g in letters}
     positions = [(j, k) for j in range(u.rows) for k in range(u.cols)]

@@ -97,11 +97,18 @@ def _twist(m, V):
     """m conj(V) m^-1 for a monomial exact m (F, or the diagonal Q): entry
     (j,k) is (d_j/d_k) conj(V[pi(j)][pi(k)]), d_j = m[j,pi(j)].  Where that V
     entry is 0 the entry is 0, and d_j/d_k, maybe too large for a float, is
-    not formed."""
+    not formed; elsewhere a d_j/d_k past the float range reads as inf, so a
+    defect built on it is inf or NaN and fails."""
     pi, d = _monomial_decode(m)
+
+    def scale(j, k):
+        try:
+            return float(d[j] / d[k])
+        except OverflowError:
+            return math.inf
+
     return [
-        [float(d[j] / d[k]) * V[pj][pk].conjugate() if V[pj][pk] else 0j
-         for k, pk in enumerate(pi)]
+        [scale(j, k) * V[pj][pk].conjugate() if V[pj][pk] else 0j for k, pk in enumerate(pi)]
         for j, pj in enumerate(pi)
     ]
 

@@ -122,7 +122,7 @@ class BlockSpec:
                 raise SpecError("blocks", f"blocks[{i}] is not a (q, m) pair: {b!r}")
             try:
                 blocks.append(Block(rat(pair[0]), pair[1]))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise SpecError("blocks", f"blocks[{i}].q: {exc}") from None
         object.__setattr__(self, "blocks", tuple(blocks))
         signs = (-1, 1) if self.kind == "one-block" else (1,)

@@ -121,9 +121,9 @@ def match_presentations(P: Presentation, T: Presentation, renaming) -> MatchVerd
     return MatchVerdict(matched, "exact-set", dict(renaming), only_derived, only_target)
 
 
-def _letters_of(elements):
-    base = {g.plain() for e in elements for g in e.letters()}
-    return list(dict.fromkeys(h for g in sorted(base) for h in (g, g.adjoint())))
+def _with_adjoints(plain):
+    """Each plain letter followed by its adjoint; a self-adjoint letter once."""
+    return list(dict.fromkeys(h for g in plain for h in (g, g.adjoint())))
 
 
 def _primitive_terms(index: WordIndex, r: AlgElement):
@@ -186,6 +186,6 @@ def ideal_membership_bounded(x: AlgElement, rels, d: int) -> bool:
         return True
     if d < x.degree():
         raise ValueError(f"degree bound {d} is below the element degree {x.degree()}")
-    letters = _letters_of(list(rels) + [x])
+    letters = _with_adjoints(sorted({g.plain() for e in [*rels, x] for g in e.letters()}))
     ech = bounded_ideal_echelon(rels, letters, d)
     return ech.contains(WordIndex(letters).row(x.terms()))

@@ -21,8 +21,9 @@ read
 Weighting each row pair (twisted minus plain) by Q_j and each column pair
 (plain minus twisted) by Q_k gives constant 0 and the coefficient
 (Q_j - Q_k)^2 / Q_k >= 0 on a_jk, so every generator joining two different
-eigenvalues of Q dies in one round.  The closing round asks the exact
-characters of `numeric.witness_characters` for the rest: a character is a
+eigenvalues of Q dies at once.  That one closed-form round is the whole
+derivation, with no fixpoint: the exact characters of
+`numeric.witness_characters` then cover the rest.  A character is a
 tracial state, so a generator it is nonzero on survives, and a survivor no
 character reaches is reported undetermined.
 
@@ -39,8 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    AlgElement, GeneratorId, Word, add_terms, exact, rat_str, ratio, word_adjoint, word_key,
-    word_label,
+    AlgElement, GeneratorId, Word, add_terms, ratio, word_adjoint, word_key, word_label,
 )
 from .linalg import SparseEchelon
 from .numeric import CharacterCover, witness_characters
@@ -99,48 +99,12 @@ def generator_symbol(g: GeneratorId) -> TraceSymbol:
     return sym
 
 
-class TraceExpr:
-    """The real part of a formal trace: constant + sum of coefficients
-    times the real parts of the symbols, accumulated once from the
-    (symbol, coefficient) pairs `re`."""
-
-    __slots__ = ("constant", "re")
-
-    def __init__(self, constant=0, re=()):
-        self.constant = exact(constant)
-        self.re = add_terms({}, re)
-
-    def is_zero(self) -> bool:
-        return not self.constant and not self.re
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TraceExpr)
-            and self.constant == other.constant
-            and self.re == other.re
-        )
-
-    def __repr__(self):
-        parts = []
-        if self.constant:
-            parts.append(rat_str(self.constant))
-        for s in sorted(self.re, key=TraceSymbol.sort_key):
-            parts.append(f"{rat_str(self.re[s])} {s.label()}")
-        return " + ".join(parts) if parts else "0"
-
-
-def trace_of(a: AlgElement) -> TraceExpr:
-    """Real part of the formal trace of an element: words collapse to
-    cyclic symbols, the unit word feeds the constant (tr(1) = 1)."""
-    constant = 0
-    re = []
-    for w, c in a.terms():
-        if not w:
-            constant += c
-            continue
-        sym, _ = cyclic_canonical(w)
-        re.append((sym, c))
-    return TraceExpr(constant, re)
+def trace_of(a: AlgElement):
+    """Real part of the formal trace of an element as (constant, {symbol:
+    coefficient}): words collapse to cyclic symbols, the unit word feeds the
+    constant (tr(1) = 1)."""
+    coeffs = add_terms({}, ((cyclic_canonical(w)[0], c) for w, c in a.terms() if w))
+    return a.coefficient(()), coeffs
 
 
 @dataclass(frozen=True)
@@ -222,9 +186,9 @@ def derive_trace_equations(P: Presentation) -> TraceEquationSet:
     The nonnegative index holds tr[g g*] for every generator g."""
     equations = []
     for i, r in enumerate(P.relations):
-        t = trace_of(r)
-        if t.constant or t.re:
-            equations.append(TraceEquation(t.constant, t.re, f"rel[{i}]"))
+        constant, coeffs = trace_of(r)
+        if constant or coeffs:
+            equations.append(TraceEquation(constant, coeffs, f"rel[{i}]"))
     nonneg = {generator_symbol(g) for g in P.generators}
     return TraceEquationSet(equations, nonneg)
 
@@ -350,7 +314,7 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
             index[frozenset((s, ratio(c, scale)) for s, c in e.coeffs.items())] = (i, scale)
     n = P.u.rows
     q = [P.q.entry(j, j) for j in range(n)]
-    a = [[trace_of(x * x.adjoint()).re for x in (P.u.entry(j, k) for k in range(n))]
+    a = [[trace_of(x * x.adjoint())[1] for x in (P.u.entry(j, k) for k in range(n))]
          for j in range(n)]
 
     def entry(weights):
@@ -374,85 +338,63 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
     return tuple(sorted(combo.items()))
 
 
-def _closed_form_certificates(P: Presentation, eqs: TraceEquationSet, targets):
-    """{target: Certificate} for the targets the closed-form combination
-    has a positive coefficient on, all sharing that one combination,
-    verified once."""
+def _closed_form_certificates(P: Presentation, eqs: TraceEquationSet):
+    """((generator, Certificate), ...) for the generators of P the
+    closed-form combination has a positive coefficient on, all sharing that
+    one combination, verified once."""
     multipliers = _closed_form_multipliers(P, eqs)
     if multipliers is None:
-        return {}
+        return ()
     const, coeffs = _recombine(eqs, multipliers)
-    certs = {
-        t: Certificate(t, multipliers, const, coeffs) for t in targets if coeffs.get(t, 0) > 0
-    }
+    symbols = ((g, generator_symbol(g)) for g in P.generators)
+    certs = tuple((g, Certificate(s, multipliers, const, coeffs))
+                  for g, s in symbols if coeffs.get(s, 0) > 0)
     if certs:
-        verify_certificate(next(iter(certs.values())), eqs)
+        verify_certificate(certs[0][1], eqs)
     return certs
 
 
 @dataclass(frozen=True)
-class KacRound:
-    """One pass: the equations its certificates cite (None in the closing
-    round), the forced generators with certificates, undetermined symbols."""
-
-    equations: TraceEquationSet | None
-    forced: tuple  # ((GeneratorId, Certificate), ...)
-    undetermined: tuple
-
-
-@dataclass(frozen=True)
 class KacReport:
-    """The rounds, and the `numeric.CharacterCover` of the closing round:
-    verified characters nonzero on the surviving generators."""
+    """What `kac_fixpoint` concluded: the equations the certificates cite,
+    one certificate per forced generator, all citing the one closed-form
+    combination, the symbols of the survivors no character reaches, and
+    the `numeric.CharacterCover` of the survivors."""
 
-    rounds: tuple
+    equations: TraceEquationSet
+    certificates: tuple  # ((GeneratorId, Certificate), ...)
+    undetermined: tuple
     cover: CharacterCover
 
     @property
     def forced(self):
-        return [g for rnd in self.rounds for g, _ in rnd.forced]
-
-    @property
-    def certificates(self):
-        return [
-            (g, cert, i) for i, rnd in enumerate(self.rounds) for g, cert in rnd.forced
-        ]
-
-    @property
-    def undetermined(self):
-        return list(self.rounds[-1].undetermined) if self.rounds else []
+        return [g for g, _ in self.certificates]
 
     @property
     def iterations(self) -> int:
-        return len(self.rounds)
+        """2 when the closed-form round forced something (it and the
+        character cover), else 1."""
+        return 1 + bool(self.certificates)
 
 
 def kac_fixpoint(P: Presentation):
     """Force by the closed form, then witness the survivors by characters.
 
-    Round 1 issues the closed-form combination of the traced diagonal
-    entries as one certificate, shared by every generator it forces; it
-    forces nothing when those entries are not among P's equations.  When
-    something dies, P is quotiented.  The closing round asks
-    `witness_characters` for a verified character of P nonzero on each
-    survivor; a survivor none reaches (one outside P's fundamental matrix
-    among them) is undetermined.  It derives no equations, since it cites
-    none.  So there are 2 rounds when a generator dies, else 1.
+    One round, no fixpoint: the closed-form combination of the traced
+    diagonal entries is one certificate, shared by every generator it
+    forces; it forces nothing when those entries are not among P's
+    equations.  When something dies, P is quotiented.  Then
+    `witness_characters` looks for a verified character of P nonzero on
+    each survivor; a survivor none reaches (one outside P's fundamental
+    matrix among them) is undetermined.
     Sound by construction: every tracial state satisfies the derived
     equations, so certified symbols vanish and the quotient stays above the
     Kac quotient.  Returns (KacReport, final presentation).
     """
     eqs = derive_trace_equations(P)
-    symbols = [generator_symbol(g) for g in P.generators]
-    certs = _closed_form_certificates(P, eqs, symbols)
-    forced = tuple((g, certs[s]) for g, s in zip(P.generators, symbols) if s in certs)
-    rounds = []
-    current = P
-    if forced:
-        rounds.append(KacRound(eqs, forced, ()))
-        current = quotient_by_zero(P, [g for g, _ in forced])
-    cover = witness_characters(P, current.generators)
+    certs = _closed_form_certificates(P, eqs)
+    final = quotient_by_zero(P, [g for g, _ in certs]) if certs else P
+    cover = witness_characters(P, final.generators)
     uncovered = set(cover.uncovered)
-    undetermined = tuple(generator_symbol(g) for g in current.generators if g in uncovered)
-    rounds.append(KacRound(None, (), undetermined))
-    return KacReport(tuple(rounds), cover), current
+    undetermined = tuple(generator_symbol(g) for g in final.generators if g in uncovered)
+    return KacReport(eqs, certs, undetermined, cover), final

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, add_terms, rat_str, ratio, word_key
-from cqgkac.hopf import _coproduct, _letter_coproduct, _presentation_letters
+from cqgkac.hopf import _coproduct, _letter_coproduct
 from cqgkac.linalg import WordIndex
 from cqgkac.presentations import SpecError, _monomial_decode
-from cqgkac.quotient import bounded_ideal_echelon
+from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
 
 
 def gen(row, col, star=False, factor=0, selfadjoint=False):
@@ -353,7 +353,7 @@ def oracle_relation_verdicts(p):
     """Per relation index, whether Δ(r) lies in I_D ⊗ A + A ⊗ I_D, with
     I_D the relation ideal truncated at the longest word D of any Δ(r):
     "pass" or "inconclusive"."""
-    letters = _presentation_letters(p)
+    letters = _with_adjoints(p.generators)
     deltas = {g: _letter_coproduct(p, g) for g in letters}
     items = [dict(_coproduct(deltas, r).terms()) for r in p.relations]
     degree = max((len(w) for t in items for key in t for w in key), default=0)

@@ -52,6 +52,13 @@ def test_config_errors_point_at_fields():
     assert err.value.field == "blocks"
 
 
+def test_config_names_a_zero_denominator():
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config({"kind": "unitary", "blocks": [{"q": " 1/0 "}]})
+    assert err.value.field == "blocks[0].q"
+    assert str(err.value) == "config field 'blocks[0].q': ' 1/0 ' has a zero denominator"
+
+
 @pytest.mark.parametrize("doc, field", [
     ({**ONE_BLOCK, "blocks": [{"q": "1/2", "m": True}]}, "blocks[0].m"),
     ({**ONE_BLOCK, "blocks": [{"q": True, "m": 1}]}, "blocks[0].q"),
@@ -343,8 +350,8 @@ def test_certificates_match_the_per_generator_rendering():
     specs = [*specs_up_to(3), *KAC_LARGE.values()]
     for spec in specs:
         kac_report, _ = k.kac_fixpoint(k.build_presentation(spec))
-        want = [certificate_json(g, cert, rnd, kac_report.rounds[rnd].equations.equations)
-                for g, cert, rnd in kac_report.certificates]
+        want = [certificate_json(g, cert, 0, kac_report.equations.equations)
+                for g, cert in kac_report.certificates]
         assert cli.run(spec, "kac")[1]["kac"]["certificates"] == want, spec
 
 

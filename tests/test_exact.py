@@ -36,7 +36,7 @@ def test_every_coefficient_of_build_kac_and_match_is_exact_on_specs_up_to_four()
         assert all(map(_stored, _coefficients(p.relations))), spec
         assert all(map(_stored, _coefficients(entries))), spec
         kac, final = k.kac_fixpoint(p)
-        for _g, cert, _rnd in kac.certificates:
+        for _g, cert in kac.certificates:
             assert all(_exact(m) for _i, m in cert.multipliers), spec
             assert all(map(_exact, cert.coefficients.values())), spec
             assert _exact(cert.constant), spec

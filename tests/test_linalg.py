@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, word_key
-from cqgkac.hopf import _presentation_letters
 from cqgkac.linalg import SparseEchelon, WordIndex
-from cqgkac.quotient import _letters_of, bounded_ideal_echelon
+from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
 
 from conftest import gen, one_block_spec, residue
 
@@ -111,7 +110,7 @@ def test_word_index_rejects_foreign_letters_and_ids():
 
 def _assert_rows_equal_word_products(p):
     # rows built from integer ids span what the AlgElement products span
-    letters = _presentation_letters(p)
+    letters = _with_adjoints(p.generators)
     index = WordIndex(letters)
     ech = bounded_ideal_echelon(p.relations, letters, 3)
     ref = ReferenceEchelon()
@@ -136,7 +135,7 @@ def test_bounded_ideal_rows_equal_word_products():
 def test_bounded_ideal_rows_equal_word_products_over_a_selfadjoint_letter():
     # u(3,3) is one letter, listed once among the 9 columns' letters
     p = k.build_presentation(k.BlockSpec("case-I", ((F(1, 2), 1),), trailing=1))
-    assert len(_presentation_letters(p)) == 9
+    assert len(_with_adjoints(p.generators)) == 9
     _assert_rows_equal_word_products(p)
 
 
@@ -149,7 +148,7 @@ def test_bounded_ideal_rows_equal_word_products_over_a_selfadjoint_letter():
 )
 def test_bounded_ideal_ranks_at_bound_four(spec, rank):
     p = k.build_presentation(spec)
-    assert bounded_ideal_echelon(p.relations, _presentation_letters(p), 4).rank() == rank
+    assert bounded_ideal_echelon(p.relations, _with_adjoints(p.generators), 4).rank() == rank
 
 
 def test_selfadjoint_letter_keeps_the_bounded_quotient():
@@ -162,9 +161,9 @@ def test_selfadjoint_letter_keeps_the_bounded_quotient():
     assert z.selfadjoint
     plain = AlgElement.generator(z._replace(selfadjoint=False))
     rels = [r.substitute({z: plain}) for r in p.relations] + [plain - plain.adjoint()]
-    letters = _letters_of(rels)
+    letters = _with_adjoints(sorted({g.plain() for r in rels for g in r.letters()}))
     hermitian = bounded_ideal_echelon(rels, letters, 4).rank()
-    selfadjoint = bounded_ideal_echelon(p.relations, _presentation_letters(p), 4).rank()
+    selfadjoint = bounded_ideal_echelon(p.relations, _with_adjoints(p.generators), 4).rank()
     words = [sum(n ** i for i in range(5)) for n in (len(letters), 9)]
     assert (hermitian, selfadjoint) == (7571, 3841)
     assert words[0] - hermitian == words[1] - selfadjoint == 3540

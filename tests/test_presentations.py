@@ -81,6 +81,7 @@ def test_block_spec_validation():
     ((F(1, 2),), r"^blocks\[0\] is not a \(q, m\) pair: Fraction\(1, 2\)$"),
     (((F(1, 4), 1), ("x", 1)), r"^blocks\[1\]\.q: "),
     (None, r"^blocks is not a sequence: None$"),
+    (((F(1, 4), 1), ("1/0", 1)), r"^blocks\[1\]\.q: '1/0' has a zero denominator$"),
 ])
 def test_block_spec_names_a_malformed_block(blocks, message):
     # a block given directly, not through a JSON config, is checked for

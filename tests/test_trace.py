@@ -95,12 +95,12 @@ def test_cyclic_canonical_matches_rotation_oracle_sampled():
 def test_trace_of_commutator_vanishes():
     u = letter(0, 0)
     a = u * u.adjoint() - u.adjoint() * u
-    assert k.trace_of(a).is_zero()
+    assert k.trace_of(a) == (0, {})
 
 
 def test_trace_of_unit():
-    t = k.trace_of(AlgElement.one())
-    assert t.constant == 1 and not t.re
+    constant, coeffs = k.trace_of(AlgElement.one())
+    assert constant == 1 and not coeffs
 
 
 def test_trace_of_unitarity_entry():
@@ -111,9 +111,9 @@ def test_trace_of_unitarity_entry():
         + letter(1, 0, star=True) * letter(1, 0)
         - AlgElement.one()
     )
-    t = k.trace_of(entry)
-    assert t.constant == -1
-    assert t.re == {
+    constant, coeffs = k.trace_of(entry)
+    assert constant == -1
+    assert coeffs == {
         k.generator_symbol(gen(0, 0)): F(1),
         k.generator_symbol(gen(1, 0)): F(1),
     }
@@ -137,9 +137,7 @@ def test_trace_adjoint_negates_imaginary_part():
     letters = [gen(j, c, s) for j in range(2) for c in range(2) for s in (False, True)]
     for _ in range(200):
         a = random_element(rng, letters)
-        t, ts = k.trace_of(a), k.trace_of(a.adjoint())
-        assert ts.constant == t.constant
-        assert ts.re == t.re
+        assert k.trace_of(a.adjoint()) == k.trace_of(a)
         assert _imaginary_part(a.adjoint()) == {s: -c for s, c in _imaginary_part(a).items()}
 
 
@@ -347,7 +345,7 @@ def test_forced_zero_rejects_free_symbol_targets():
 def test_kac_fixpoint_one_block_kills_c_in_first_round():
     p = k.build_presentation(one_block_spec(F(1, 2), 2, 1))
     report, final = k.kac_fixpoint(p)
-    first = {g for g, _ in report.rounds[0].forced}
+    first = {g for g, _ in report.certificates}
     c_block = {gen(j, c) for j in (2, 3) for c in (0, 1)}
     assert first == c_block
     assert set(report.forced) == c_block
@@ -367,7 +365,7 @@ def test_kac_fixpoint_case_one_kills_c_x_r_and_off_diagonal():
         elif kind == "A" and name[2] != name[4]:
             expected |= {gen(*pos) for pos in block_positions(spec, name)}
     assert set(report.forced) == expected
-    assert report.iterations <= 3
+    assert report.iterations == 2
     assert not report.undetermined
 
 
@@ -416,7 +414,7 @@ def test_undetermined_on_unbounded_and_absent_symbols():
         with pytest.raises(k.Undetermined):
             k.forced_zero(eqs, s)
     report, final = k.kac_fixpoint(p)
-    assert report.undetermined == symbols
+    assert report.undetermined == tuple(symbols)
     assert not report.forced and report.iterations == 1 and final is p
 
 
@@ -456,26 +454,34 @@ def _reference_decision(eqs, symbol):
     return "forced" if res.value == 0 else "alive"
 
 
+def _assert_reference_decisions(eqs, generators, certificates, undetermined):
+    """The per-generator LPs over eqs force exactly the certified
+    generators and leave exactly the undetermined symbols, in order."""
+    decision = {g: _reference_decision(eqs, k.generator_symbol(g)) for g in generators}
+    assert {g for g, _ in certificates} == {g for g in generators if decision[g] == "forced"}
+    assert list(undetermined) == [
+        k.generator_symbol(g) for g in generators if decision[g] == "undetermined"
+    ]
+
+
 def _assert_shared_rounds_match_reference(p):
     report, final = k.kac_fixpoint(p)
-    generators = list(p.generators)
-    for rnd in report.rounds:
-        # the closing round cites no equations; the oracle derives those of
-        # the final presentation itself
-        assert (rnd.equations is None) == (rnd is report.rounds[-1])
-        eqs = rnd.equations or k.derive_trace_equations(final)
-        decision = {g: _reference_decision(eqs, k.generator_symbol(g)) for g in generators}
-        forced = [g for g, _ in rnd.forced]
-        assert set(forced) == {g for g in generators if decision[g] == "forced"}
-        assert list(rnd.undetermined) == [
-            k.generator_symbol(g) for g in generators if decision[g] == "undetermined"
-        ]
-        # one certificate per round, cited by every generator it forces
-        assert len({cert.multipliers for _, cert in rnd.forced}) <= 1
-        for g, cert in rnd.forced:
-            assert cert.target == k.generator_symbol(g)
-            assert k.verify_certificate(cert, eqs)
-        generators = [g for g in generators if g not in set(forced)]
+    # the closed-form round cites the equations of p itself
+    assert report.equations.equations == k.derive_trace_equations(p).equations
+    if report.certificates:
+        _assert_reference_decisions(report.equations, p.generators, report.certificates, ())
+    # one certificate, cited by every generator it forces
+    assert len({cert.multipliers for _, cert in report.certificates}) <= 1
+    for g, cert in report.certificates:
+        assert cert.target == k.generator_symbol(g)
+        assert k.verify_certificate(cert, report.equations)
+    # the character cover cites no equations; the oracle derives those of
+    # the final presentation itself, and they force nothing more
+    forced = set(report.forced)
+    survivors = [g for g in p.generators if g not in forced]
+    _assert_reference_decisions(k.derive_trace_equations(final), survivors, (),
+                                report.undetermined)
+    assert report.iterations == 1 + bool(report.certificates)
     return report
 
 
@@ -531,7 +537,7 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     # satisfies them or reaches u13..u15: nothing is forced, all undetermined
     report, final = k.kac_fixpoint(p)
     assert not report.forced
-    assert report.undetermined == symbols
+    assert report.undetermined == tuple(symbols)
     assert report.iterations == 1 and final is p
 
 
