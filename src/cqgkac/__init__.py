@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .hopf import (
     HopfReport,
-    MorphismSpec,
     TensorElement,
     antipode,
     central_morphism_check,
@@ -46,12 +45,12 @@ from .presentations import (
     build_presentation,
     build_universal_orthogonal,
     build_universal_unitary,
-    free_product,
     reality_substitution,
     standard_form_matrix,
     symplectic_matrix,
 )
 from .quotient import (
+    KacTarget,
     MatchVerdict,
     expected_kac_target,
     ideal_membership_bounded,

@@ -13,6 +13,7 @@ Row/column indices are 0-based throughout; labels print 1-based.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,12 +29,26 @@ def is_int(value) -> bool:
 
 def rat(x) -> Fraction:
     """Parse an int, Fraction or "p/q" string into an exact rational;
-    ValueError on a malformed string or a zero denominator."""
+    ValueError on a malformed string or a zero denominator.
+
+    A string is refused before it is parsed when its digits plus its
+    exponent exceed `sys.get_int_max_str_digits()`: its numerator or
+    denominator could not be printed, and 10**exponent alone grows without
+    bound."""
     if isinstance(x, Fraction):
         return x
     if is_int(x):
         return Fraction(x)
     if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        mantissa, _, exponent = x.lower().partition("e")
+        try:
+            shift = abs(int(exponent)) if exponent else 0
+        except ValueError:
+            shift = 0  # malformed or too long: Fraction refuses it
+        digits = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
+        if limit and digits + shift > limit:
+            raise ValueError(f"needs more than {limit} digits")
         try:
             return Fraction(x.strip())
         except ZeroDivisionError:

@@ -199,7 +199,7 @@ def run(spec: BlockSpec, verb: str):
     if verb in ("match", "report") and code == EXIT_OK:
         start = time.perf_counter()
         target, renaming = expected_kac_target(spec)
-        survivors = final.generator_set()
+        survivors = set(final.generators)
         expected = set(renaming)
         if survivors != expected:
             extra = sorted(g.label() for g in survivors - expected)

@@ -53,7 +53,6 @@ from .algebra import (
 from .linalg import WordIndex
 from .presentations import (
     Presentation,
-    _fundamental,
     canonicalize_relations,
     defining_relations,
     symplectic_matrix,
@@ -120,7 +119,7 @@ class TensorElement:
 
 def _layout_entry(P: Presentation, g: GeneratorId):
     """P's fundamental matrix; ValueError unless g is one of its letters."""
-    u = _fundamental(P)
+    u = P.u
     if g.factor or not (0 <= g.row < u.rows and 0 <= g.col < u.cols):
         raise ValueError(f"letter {g.label()} lies outside the fundamental layout")
     return u
@@ -231,7 +230,7 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     truncated once, at the longest word D among them, and an item passes
     if it lies in that bounded ideal.
     """
-    u = _fundamental(P)
+    u = P.u
     letters = _with_adjoints(P.generators)
     _require_known_letters(P, u, letters)
     deltas = {g: _letter_coproduct(P, g) for g in letters}
@@ -277,65 +276,36 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     return HopfReport(compatible, counit_ok, antipode_report, relation_report, degree)
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
-    """A *-morphism onto the group algebra of the order-two group.
-
-    Images are pairs (coefficient of 1, coefficient of t) per plain
-    generator; t is hermitian with t^2 = 1.
-    """
-
-    images: dict
-
-    def apply(self, a: AlgElement):
-        total = [0, 0]
-        for w, c in a.terms():
-            value = (1, 0)
-            for g in w:
-                img = self.images.get(g.plain())
-                if img is None:
-                    raise ValueError(f"no image for letter {g.label()}")
-                # t is hermitian, so starred letters share the image
-                value = (
-                    value[0] * img[0] + value[1] * img[1],
-                    value[0] * img[1] + value[1] * img[0],
-                )
-                if value == (0, 0):
-                    break
-            total[0] += c * value[0]
-            total[1] += c * value[1]
-        return (total[0], total[1])
-
-
 def _require_symplectic(P: Presentation) -> None:
     f = P.f
     if f is None or f.rows % 2 or f != symplectic_matrix(f.rows // 2):
         raise ValueError("expected a presentation over the standard symplectic form")
 
 
-def default_central_morphism(P: Presentation) -> MorphismSpec:
-    """Diagonal letters map to t, off-diagonal letters to 0."""
-    images = {}
-    for g in P.generators:
-        images[g] = (0, 1) if g.row == g.col else (0, 0)
-    return MorphismSpec(images)
+def _gamma(a: AlgElement):
+    """The central morphism onto the group algebra of the order-two group:
+    a diagonal letter maps to t, any other letter to 0; t is hermitian
+    with t^2 = 1.  Returns (coefficient of 1, coefficient of t)."""
+    total = [0, 0]
+    for w, c in a.terms():
+        if all(g.row == g.col for g in w):
+            total[len(w) % 2] += c
+    return total
 
 
-def central_morphism_check(P: Presentation, morphism: MorphismSpec = None) -> bool:
+def central_morphism_check(P: Presentation) -> bool:
     """Whether (gamma x id) Delta equals (gamma x id) flip Delta on every
     fundamental position."""
     _require_symplectic(P)
-    gamma = morphism or default_central_morphism(P)
     mat = P.u
     n = mat.rows
     for j in range(n):
         for k in range(n):
-            zl = [gamma.apply(mat.entry(j, l)) for l in range(n)]
-            zr = [gamma.apply(mat.entry(l, k)) for l in range(n)]
+            zl = [_gamma(mat.entry(j, l)) for l in range(n)]
+            zr = [_gamma(mat.entry(l, k)) for l in range(n)]
             for part in (0, 1):
                 lhs = AlgElement.sum(mat.entry(l, k).scale(zl[l][part]) for l in range(n))
                 rhs = AlgElement.sum(mat.entry(j, l).scale(zr[l][part]) for l in range(n))
                 if lhs != rhs:
                     return False
     return True
-

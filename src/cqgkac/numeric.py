@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral, Number
 
-from .presentations import Presentation, _fundamental, _monomial_decode
+from .presentations import Presentation, _monomial_decode
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -132,7 +132,7 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     NaN defect fails.  Rejections carry the violated condition and its
     measured defect.
     """
-    n = _fundamental(P).rows
+    n = P.u.rows
     try:
         V = [[complex(x) for x in row] for row in V]
     except TypeError as exc:
@@ -195,7 +195,7 @@ def verify_character(P: Presentation, V) -> bool:
     only P and V, never the enumerator: raises CharacterError naming the
     failing rel[i] or position, or a generator outside the N x N layout.
     """
-    u = _fundamental(P)
+    u = P.u
     n = u.rows
     if len(V) != n or any(len(row) != n for row in V):
         raise CharacterError(f"V is not {n}x{n}")
@@ -228,7 +228,6 @@ def _candidates(P: Presentation):
     index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
     = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
     """
-    _fundamental(P)
     q, f = P.q, P.f
     n = q.rows
     pi, d = _monomial_decode(f) if f else (list(range(n)), None)
@@ -304,7 +303,7 @@ def witness_characters(P: Presentation, wanted) -> CharacterCover:
     it; a candidate zero on every wanted generator still uncovered is not
     verified.  A generator outside P's fundamental matrix is never
     reached."""
-    n = _fundamental(P).rows
+    n = P.u.rows
     left = set(wanted)
     found, witness, tried = [], {}, 0
     for V in _candidates(P):
@@ -326,7 +325,7 @@ def witness_characters(P: Presentation, wanted) -> CharacterCover:
 
 def rep_search(P: Presentation):
     """The first verified character as a one-dimensional assignment, or
-    None when no candidate passes; P needs a fundamental matrix (not a free
-    product).  Exact, so its residual is 0 up to rounding."""
+    None when no candidate passes.  Exact, so its residual is 0 up to
+    rounding."""
     V = next(characters(P), None)
     return None if V is None else _point(P, V)

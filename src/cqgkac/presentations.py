@@ -1,16 +1,15 @@
 """Generator/relation presentations of universal unitary and orthogonal
 CQG algebras.
 
-A presentation stores the kept (plain) generators, a canonicalized relation
-list (every relation asserted = 0), and, for one quantum group, its
-fundamental matrix, Q and F.  Builders produce:
+A presentation is one quantum group: it stores the kept (plain)
+generators, a canonicalized relation list (every relation asserted = 0),
+its fundamental matrix, Q and, for the orthogonal kind, F.  Builders
+produce:
 
   * the universal unitary algebra of a positive diagonal matrix Q
     (relations: U and the Q-twisted conjugate of U are unitary),
   * the universal orthogonal algebra of an invertible F with F Fbar = +-I
-    (the unitary relations plus the reality relation U = F Ubar F^-1),
-  * free products (disjoint generators, union of relations; no
-    fundamental matrix).
+    (the unitary relations plus the reality relation U = F Ubar F^-1).
 
 F must be monomial, as every standard form is: row j holds one nonzero
 d_j = F[j,pi(j)].  Then F Fbar and Q = F*F are read off pi and d,
@@ -283,9 +282,8 @@ class Presentation:
     generators : kept plain or self-adjoint GeneratorIds, sorted.
     relations  : canonicalized AlgElements, each asserted = 0.
     u          : the fundamental matrix (kept generators in their
-                 positions, eliminated positions substituted); None for a
-                 free product, which keeps only generators and relations.
-    q          : the diagonal Q; None for a free product.
+                 positions, eliminated positions substituted); always set.
+    q          : the diagonal Q; always set.
     f          : F for the orthogonal kind, else None.
     """
 
@@ -303,21 +301,9 @@ class Presentation:
     def sizes(self):
         return {"generators": len(self.generators), "relations": len(self.relations)}
 
-    def generator_set(self):
-        return set(self.generators)
-
     def __repr__(self):
         return (f"Presentation({self.label or 'anonymous'}: "
                 f"{len(self.generators)} generators, {len(self.relations)} relations)")
-
-
-def _fundamental(P: Presentation) -> AlgMatrix:
-    """P's fundamental matrix; a free product has none."""
-    if P.u is None:
-        raise ValueError(
-            f"{P.label or 'the presentation'} is a free product: a fundamental matrix is needed"
-        )
-    return P.u
 
 
 def generator_matrix(n: int) -> AlgMatrix:
@@ -470,28 +456,6 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
         if (pi[j], pi[k]) != (j, k) and not h.is_zero():
             raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
     return Presentation(kept, rels, u, q, F, label=orthogonal_label(F))
-
-
-def free_product(parts) -> Presentation:
-    """Disjoint union of generators and union of relations, part i's
-    letters retagged to factor i.
-
-    The result keeps no fundamental matrix.  A part that is itself a free
-    product (no fundamental matrix) is refused: retagging would merge the
-    letters of its factors.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("free product needs at least one part")
-    gens, rels = [], []
-    for tag, part in enumerate(parts):
-        if part.u is None:
-            raise ValueError(f"free product part {part.label or tag} is itself a free product")
-        retag = {g: g._replace(factor=tag) for g in part.generators}
-        gens.extend(retag.values())
-        rels.extend(r.rename(retag) for r in part.relations)
-    label = " * ".join(p.label or "?" for p in parts)
-    return Presentation(gens, rels, None, None, label=label)
 
 
 def build_presentation(spec: BlockSpec) -> Presentation:

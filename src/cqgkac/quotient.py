@@ -6,7 +6,8 @@ of the standard form: Pol(U_M^+) for a block with q < 1 and multiplicity
 M, Pol(O_J^+) for the q = 1 block of case II, Pol(O_t^+) for the trailing
 identity block of case I.  Each factor sits at its block's start row
 `BlockSpec.offsets[i]`, so the source letter u(o + j, o + k), o that
-offset, is renamed to the factor's letter u(j,k).
+offset, is renamed to the factor's letter u(j,k).  The target is a
+`KacTarget`, a relation set over factor-tagged letters, not a `Presentation`.
 
 Matching is exact: after the structural renaming both relation sets are
 canonicalized and compared as sets.  Relations left on either side are
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import AlgElement, AlgMatrix, ScalarMatrix
 from .linalg import SparseEchelon, WordIndex
@@ -35,7 +37,6 @@ from .presentations import (
     build_universal_orthogonal,
     build_universal_unitary,
     canonicalize_relations,
-    free_product,
     symplectic_matrix,
 )
 
@@ -44,9 +45,9 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     """Send the listed generators (and their adjoints) to zero: drop every
     word containing one of their letters, then re-canonicalize."""
     gens = {g.plain() for g in gens}
-    unknown = gens - P.generator_set()
+    unknown = gens - set(P.generators)
     if unknown:
-        twins = {g._replace(selfadjoint=not g.selfadjoint) for g in unknown} & P.generator_set()
+        twins = {g._replace(selfadjoint=not g.selfadjoint) for g in unknown} & set(P.generators)
         kinds = "".join(f"; {g.label()} is {'self-adjoint' if g.selfadjoint else 'plain'} here"
                         for g in sorted(twins))
         raise ValueError(f"unknown generators: {sorted(g.label() for g in unknown)}{kinds}")
@@ -61,6 +62,14 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
         [keep(r) for r in P.relations],
         u, P.q, P.f, label=P.label,
     )
+
+
+class KacTarget(NamedTuple):
+    """The free product of the Kac factors, factor i's letters tagged i."""
+
+    label: str
+    generators: tuple
+    relations: tuple
 
 
 def expected_kac_target(spec: BlockSpec):
@@ -84,12 +93,13 @@ def expected_kac_target(spec: BlockSpec):
     ]
     if spec.trailing:
         parts.append(build_universal_orthogonal(ScalarMatrix.identity(spec.trailing)))
-    target = free_product(parts)
-    offsets = spec.offsets
-    renaming = {
-        h._replace(factor=0, row=offsets[h.factor] + h.row, col=offsets[h.factor] + h.col): h
-        for h in target.generators
-    }
+    rels, renaming = [], {}
+    for tag, (part, o) in enumerate(zip(parts, spec.offsets)):
+        retag = {g: g._replace(factor=tag) for g in part.generators}
+        rels.extend(r.rename(retag) for r in part.relations)
+        renaming.update((g._replace(row=o + g.row, col=o + g.col), h) for g, h in retag.items())
+    label = " * ".join(p.label for p in parts)
+    target = KacTarget(label, tuple(sorted(renaming.values())), canonicalize_relations(rels))
     return target, renaming
 
 
@@ -104,13 +114,14 @@ class MatchVerdict:
     unmatched_target: tuple
 
 
-def match_presentations(P: Presentation, T: Presentation, renaming) -> MatchVerdict:
-    """Compare the canonical relation sets of P, renamed, and T."""
-    if set(renaming) != P.generator_set():
+def match_presentations(P, T, renaming) -> MatchVerdict:
+    """Compare the canonical relation sets of P, renamed, and T; each side
+    is a `Presentation` or a `KacTarget`."""
+    if set(renaming) != set(P.generators):
         raise ValueError("renaming is not total on the derived generators")
     if sorted(renaming.values()) != sorted(set(renaming.values())):
         raise ValueError("renaming is not injective")
-    if set(renaming.values()) != T.generator_set():
+    if set(renaming.values()) != set(T.generators):
         raise ValueError("renaming is not onto the target generators")
     renamed = canonicalize_relations(r.rename(renaming) for r in P.relations)
     derived_keys = {r.sort_key(): r for r in renamed}

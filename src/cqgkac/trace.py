@@ -305,8 +305,6 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
     Each entry is traced from a_jk = tr(u_jk u_jk*) over P's fundamental
     matrix and found by its coefficients at constant -1: an equation with
     constant c is keyed by coefficient / -c."""
-    if P.u is None:
-        return None
     index = {}
     for i, e in enumerate(eqs.equations):
         if e.constant:

@@ -8,7 +8,7 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, add_terms, rat_str, ratio, word_key
 from cqgkac.hopf import _coproduct, _letter_coproduct
 from cqgkac.linalg import WordIndex
-from cqgkac.presentations import SpecError, _monomial_decode
+from cqgkac.presentations import SpecError, _monomial_decode, canonicalize_relations
 from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
 
 
@@ -214,7 +214,8 @@ def reference_kac_target(spec):
     """The free-product Kac target and renaming of a block spec, built from
     the named blocks of `layout_ranges`: each surviving block (name, target
     factor, row offset) lands in its factor, its local rows shifted by the
-    offset."""
+    offset.  Each factor's relations are retagged by substitution, then
+    canonicalized together."""
     parts, survivors = [], []
     if spec.kind == "unitary":
         for i, b in enumerate(spec.blocks):
@@ -241,7 +242,14 @@ def reference_kac_target(spec):
             r = len(spec.blocks)
             survivors.append((f"A[{r},{r}]", len(unitary_blocks), 0))
             survivors.append((f"C[{r},{r}]", len(unitary_blocks), unit.m))
-    target = k.free_product(parts)
+    gens, rels = [], []
+    for tag, part in enumerate(parts):
+        gens.extend(g._replace(factor=tag) for g in part.generators)
+        image = {g: letter(g.row, g.col, factor=tag, selfadjoint=g.selfadjoint)
+                 for g in part.generators}
+        rels.extend(r.substitute(image) for r in part.relations)
+    target = k.KacTarget(" * ".join(p.label for p in parts), tuple(sorted(gens)),
+                         canonicalize_relations(rels))
     ranges = layout_ranges(spec)
     renaming = {}
     for name, tag, row_offset in survivors:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -57,6 +58,22 @@ def test_config_names_a_zero_denominator():
         cli.parse_config({"kind": "unitary", "blocks": [{"q": " 1/0 "}]})
     assert err.value.field == "blocks[0].q"
     assert str(err.value) == "config field 'blocks[0].q': ' 1/0 ' has a zero denominator"
+
+
+@pytest.mark.parametrize("q", ["1e-5000", "1" * 4301, "1e-1000000000"])
+def test_config_refuses_a_q_with_too_many_digits(q, tmp_path, capsys):
+    # refused before 10**exponent is formed, so even 1e-1000000000 returns at once
+    doc = {"kind": "unitary", "blocks": [{"q": q}, {"q": "1"}]}
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(doc)
+    assert time.perf_counter() - start < 1
+    assert err.value.field == "blocks[0].q"
+    assert str(err.value).endswith("needs more than 4300 digits")
+    assert cli.main(["kac", "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("config field 'blocks[0].q'")
+    assert cli.parse_config({"kind": "unitary", "blocks": [{"q": "1e-400"}]}).blocks[0].q == F(
+        1, 10**400)
 
 
 @pytest.mark.parametrize("doc, field", [

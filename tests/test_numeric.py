@@ -138,22 +138,6 @@ def test_non_finite_points_rejected(x):
         k.classical_point(oj, [[x, 0], [0, x]])
 
 
-def test_free_products_are_refused_with_one_message():
-    spec = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
-    target, renaming = k.expected_kac_target(spec)
-    assert target.u is None
-    calls = (
-        lambda: k.rep_search(target),
-        lambda: k.classical_point(target, [[1]]),
-        lambda: k.verify_character(target, [[1]]),
-        lambda: k.witness_characters(target, renaming.values()),
-        lambda: next(k.characters(target)),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="a fundamental matrix is needed"):
-            call()
-
-
 def test_eval_residual_rejects_values_that_are_not_numbers():
     p = k.build_universal_unitary(ScalarMatrix.identity(1))
     with pytest.raises(ValueError, match="not a number"):
@@ -340,7 +324,7 @@ def test_every_generator_is_dead_or_witnessed_on_small_specs(spec):
     alive = set(cover.witness)
     assert alive.isdisjoint(dead) and alive | dead == set(p.generators)
     _, renaming = k.expected_kac_target(spec)
-    assert alive == final.generator_set() == set(renaming)
+    assert alive == set(final.generators) == set(renaming)
 
 
 def _value_reference(element, V):

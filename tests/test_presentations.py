@@ -321,38 +321,6 @@ def test_relations_use_only_kept_generators():
             assert {g.plain() for g in r.letters()} <= kept
 
 
-def test_free_product_single_part_retags():
-    p = k.build_universal_unitary(ScalarMatrix.identity(2))
-    fp = k.free_product([p])
-    assert fp.sizes == p.sizes
-    assert {g.factor for g in fp.generators} == {0}
-
-
-def test_free_product_counts_additive():
-    p1 = k.build_universal_unitary(ScalarMatrix.identity(1))
-    p2 = k.build_universal_unitary(ScalarMatrix.identity(2))
-    fp = k.free_product([p1, p2])
-    assert len(fp.generators) == 1 + 4
-    assert len(fp.relations) == len(p1.relations) + len(p2.relations)
-    assert {g.factor for g in fp.generators} == {0, 1}
-    retagged = [
-        r.substitute({g: letter(g.row, g.col, factor=tag) for g in part.generators})
-        for tag, part in enumerate((p1, p2))
-        for r in part.relations
-    ]
-    assert fp.relations == canonicalize_relations(retagged)
-
-
-def test_free_product_theorem_target_size():
-    parts = [
-        k.build_universal_unitary(ScalarMatrix.identity(1)),
-        k.build_universal_unitary(ScalarMatrix.identity(2)),
-        k.build_universal_orthogonal(ScalarMatrix.identity(1)),
-    ]
-    fp = k.free_product(parts)
-    assert len(fp.generators) == 1 + 4 + 1
-
-
 def test_block_decompose_one_block():
     spec = one_block_spec(F(1, 2), 2, 1)
     p = k.build_presentation(spec)
@@ -386,14 +354,6 @@ def test_eigenvalue_profiles_match_displayed_lists():
         F(1, 9), F(1, 4), F(1, 4), F(1), F(4), F(4), F(9)]
     spec2 = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
     assert _q_profile(k.build_presentation(spec2)) == [F(1, 4), F(1), F(1), F(4)]
-
-
-def test_free_product_refuses_a_free_product_part():
-    spec = one_block_spec(F(1, 2), 1, 1)
-    fp = k.free_product([k.build_presentation(spec), k.build_presentation(spec)])
-    assert fp.u is None and fp.q is None and fp.f is None
-    with pytest.raises(ValueError, match="is itself a free product"):
-        k.free_product([fp, k.build_presentation(spec)])
 
 
 def _expand_then_substitute(spec):
