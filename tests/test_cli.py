@@ -72,8 +72,8 @@ def test_config_refuses_a_q_with_too_many_digits(q, tmp_path, capsys):
     assert str(err.value).endswith("needs more than 4300 digits")
     assert cli.main(["kac", "--config", _write(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith("config field 'blocks[0].q'")
-    assert cli.parse_config({"kind": "unitary", "blocks": [{"q": "1e-400"}]}).blocks[0].q == F(
-        1, 10**400)
+    small = cli.parse_config({"kind": "unitary", "blocks": [{"q": "1e-400"}]})
+    assert small.blocks[0].q == F(1, 10**400)
 
 
 @pytest.mark.parametrize("doc, field", [
