@@ -177,6 +177,22 @@ class AlgElement:
         return cls._wrap(acc)
 
     @classmethod
+    def dot(cls, pairs, constant=0) -> "AlgElement":
+        """Sum of x * y over the pairs minus the constant, in one dict, in the
+        term order of `sum(products) - scalar(constant)`: a product whose words
+        can repeat (no factor has one term) is summed on its own first."""
+        acc = {}
+        for x, y in pairs:
+            terms = ((w1 + w2, c1 * c2)
+                     for w1, c1 in x._terms.items() for w2, c2 in y._terms.items())
+            if len(x._terms) > 1 and len(y._terms) > 1:
+                terms = add_terms({}, terms).items()
+            add_terms(acc, terms)
+        if constant:
+            add_terms(acc, (((), -exact(constant)),))
+        return cls._wrap(acc)
+
+    @classmethod
     def zero(cls) -> "AlgElement":
         return cls()
 
@@ -231,11 +247,7 @@ class AlgElement:
             return self.scale(other)
         if not isinstance(other, AlgElement):
             return NotImplemented
-        return AlgElement._wrap(add_terms({}, (
-            (w1 + w2, c1 * c2)
-            for w1, c1 in self._terms.items()
-            for w2, c2 in other._terms.items()
-        )))
+        return AlgElement.dot(((self, other),))
 
     def scale(self, c) -> "AlgElement":
         c = exact(c)

@@ -226,6 +226,8 @@ def _oriented(r: AlgElement):
     The words of r and of r* are sorted once each.  The two sequences,
     each divided by its lead coefficient, are compared term by term up to
     the first difference; the smaller orientation is kept, r on a tie.
+    The scan is skipped when the two sorted sequences are equal (r = r*,
+    as on every diagonal entry of the identities): it would keep r.
     It is scaled once by `ratio`, so an integral coefficient is stored as an
     int; not at all when its lead coefficient is 1 and no coefficient is an
     integral Fraction.  It keeps the term order of r, or of `r.adjoint()`
@@ -236,16 +238,16 @@ def _oriented(r: AlgElement):
     own = sorted((len(w), w, c) for w, c in terms)
     star = sorted((len(w), w, c) for w, c in adjoint)
     lead_own, lead_star = own[0][2], star[0][2]
-    for (n, w, c), (m, v, e) in zip(own, star):
-        if w != v:
-            flip = (m, v) < (n, w)
-            break
-        x, y = ratio(c, lead_own), ratio(e, lead_star)
-        if x != y:
-            flip = y < x
-            break
-    else:
-        flip = False
+    flip = False
+    if own != star:
+        for (n, w, c), (m, v, e) in zip(own, star):
+            if w != v:
+                flip = (m, v) < (n, w)
+                break
+            x, y = ratio(c, lead_own), ratio(e, lead_star)
+            if x != y:
+                flip = y < x
+                break
     chosen, lead = (star, lead_star) if flip else (own, lead_own)
     if lead == 1 and not any(type(c) is not int and c.denominator == 1 for _w, c in terms):
         element = AlgElement._wrap(dict(adjoint)) if flip else r
@@ -349,13 +351,13 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
         plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
                  or not all(r.is_zero() for r in reality))
     entries = (
-        lambda j, k: (e[j][a] * s[k][a] for a in range(n)),
-        lambda j, k: (s[a][j] * e[a][k] for a in range(n)),
-        lambda j, k: (e[a][j] * t[a][k] for a in range(n)),
-        lambda j, k: (t[j][a] * e[k][a] for a in range(n)),
+        lambda j, k: ((e[j][a], s[k][a]) for a in range(n)),
+        lambda j, k: ((s[a][j], e[a][k]) for a in range(n)),
+        lambda j, k: ((e[a][j], t[a][k]) for a in range(n)),
+        lambda j, k: ((t[j][a], e[k][a]) for a in range(n)),
     )
     rels = [
-        AlgElement.sum(entry(j, k)) - AlgElement.scalar(int(j == k))
+        AlgElement.dot(entry(j, k), int(j == k))
         for entry in (entries if plain else entries[2:])
         for j in range(n)
         for k in range(j, n)

@@ -99,7 +99,8 @@ def expected_kac_target(spec: BlockSpec):
         rels.extend(r.rename(retag) for r in part.relations)
         renaming.update((g._replace(row=o + g.row, col=o + g.col), h) for g, h in retag.items())
     label = " * ".join(p.label for p in parts)
-    target = KacTarget(label, tuple(sorted(renaming.values())), canonicalize_relations(rels))
+    rels.sort(key=AlgElement.sort_key)  # canonical: each part is; retags keep letter order
+    target = KacTarget(label, tuple(sorted(renaming.values())), tuple(rels))
     return target, renaming
 
 

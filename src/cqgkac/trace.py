@@ -4,7 +4,8 @@ Applying a tracial state to a relation gives a formal trace over cyclic
 word classes.  Only its real part is built and becomes an equation: the
 imaginary parts form a homogeneous system in unknowns no real part
 mentions, which Im = 0 always solves.  Symbols of the form
-tr[g g*] are nonnegative; the others are free.
+tr[g g*] are nonnegative; the others are free.  Only relations with a
+constant term are traced: the closed form below reads no others.
 
 A generator g is certified to lie in the Kac ideal by a nonnegative
 combination of equations with constant 0, no free symbol, and a positive
@@ -117,7 +118,7 @@ class TraceEquation:
 
 
 class TraceEquationSet:
-    """Equations from tracing every relation, with the nonnegative index."""
+    """Equations from tracing relations, with the nonnegative index."""
 
     __slots__ = ("equations", "nonneg", "_reduced")
 
@@ -179,16 +180,20 @@ def _eliminate_free(eqs: TraceEquationSet):
 
 
 def derive_trace_equations(P: Presentation) -> TraceEquationSet:
-    """Trace every relation once; its real part becomes an equation with
-    provenance rel[i].  Imaginary parts are left out: they have constant 0
-    and only Im-unknowns of non-self-adjoint classes, which no real part
-    and no nonneg symbol tr[g g*] mentions, so Im = 0 always solves them.
-    The nonnegative index holds tr[g g*] for every generator g."""
+    """Trace each relation with a constant term; its real part becomes an
+    equation with provenance rel[i].  Those relations are the builder's
+    diagonal unitarity entries, all the closed form reads (the others have
+    none, and normalizing keeps it nonzero), and the canonical order puts
+    them first, so equation i is rel[i].  Imaginary parts are left out:
+    they have constant 0 and only Im-unknowns of non-self-adjoint classes,
+    which no real part and no nonneg symbol tr[g g*] mentions, so Im = 0
+    always solves them.  The nonnegative index holds tr[g g*] for every
+    generator g."""
     equations = []
     for i, r in enumerate(P.relations):
-        constant, coeffs = trace_of(r)
-        if constant or coeffs:
-            equations.append(TraceEquation(constant, coeffs, f"rel[{i}]"))
+        constant = r.coefficient(())
+        if constant:
+            equations.append(TraceEquation(constant, trace_of(r)[1], f"rel[{i}]"))
     nonneg = {generator_symbol(g) for g in P.generators}
     return TraceEquationSet(equations, nonneg)
 

@@ -10,6 +10,7 @@ from cqgkac.hopf import _coproduct, _letter_coproduct
 from cqgkac.linalg import WordIndex
 from cqgkac.presentations import SpecError, _monomial_decode, canonicalize_relations
 from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
+from cqgkac.trace import TraceEquation, TraceEquationSet, generator_symbol, trace_of
 
 
 def gen(row, col, star=False, factor=0, selfadjoint=False):
@@ -67,6 +68,19 @@ def undetermined_presentation(spec):
     u = [gen(0, c) for c in range(3)]
     rel = k.AlgElement.word((u[0], u[0].adjoint())) - k.AlgElement.word((u[1], u[1].adjoint()))
     return k.Presentation(u, [rel], p.u, p.q, p.f, label=p.label)
+
+
+def trace_every_relation(p):
+    """The equations of tracing every relation of p, not only those with a
+    constant term: the real part of each trace that is not zero, with
+    provenance rel[i], and tr[g g*] nonnegative for every generator g."""
+    equations = []
+    for i, r in enumerate(p.relations):
+        constant, coeffs = trace_of(r)
+        if constant or coeffs:
+            equations.append(TraceEquation(constant, coeffs, f"rel[{i}]"))
+    nonneg = {generator_symbol(g) for g in p.generators}
+    return TraceEquationSet(equations, nonneg)
 
 
 QS = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))

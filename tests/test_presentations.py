@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqgkac as k
@@ -506,3 +506,28 @@ def test_defining_relations_drop_the_plain_pair_only_where_reality_holds():
     rels = defining_relations(p.u, q, p.f)
     assert len(rels) == _entry_count(4, 4)
     assert all(r.is_zero() for r in rels[-16:])
+
+
+def _product(x, y):
+    """x * y as the sum of its word-by-word products, in their order."""
+    return AlgElement.sum(AlgElement.word(w1 + w2, c1 * c2)
+                          for w1, c1 in x.terms() for w2, c2 in y.terms())
+
+
+A, B = (AlgElement.generator(gen(0, c)) for c in (0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(relations(), relations()), max_size=4), st.integers(0, 4),
+       st.one_of(st.just(F(0)), COEFFICIENTS))
+# the second product makes u11 u12 twice, as 1 * u11 u12 and u11 * u12: its
+# first term cancels the u11 u12 of the first product, its last brings it back
+@example([(AlgElement.one(), A * B + A * A), (AlgElement.one() + A, -(A * B) + B.scale(2))],
+         0, F(0))
+def test_dot_is_the_sum_of_the_products_minus_the_constant(pairs, cancelled, c):
+    # the first `cancelled` products come again negated, so that they cancel
+    pairs = pairs + [(x.scale(-1), y) for x, y in pairs[:cancelled]]
+    want = AlgElement.sum(_product(x, y) for x, y in pairs) - AlgElement.scalar(c)
+    assert _form(AlgElement.dot(pairs, c)) == _form(want)
+    for x, y in pairs:
+        assert _form(x * y) == _form(_product(x, y))

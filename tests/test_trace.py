@@ -11,7 +11,8 @@ from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
 from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac.trace import (
-    TraceSymbol, _closed_form_multipliers, _recombine, _shared_certificates,
+    TraceSymbol, _closed_form_certificates, _closed_form_multipliers, _recombine,
+    _shared_certificates,
 )
 
 from conftest import (
@@ -26,6 +27,8 @@ from conftest import (
     one_block_spec,
     random_element,
     small_specs,
+    specs_up_to,
+    trace_every_relation,
     undetermined_presentation,
 )
 
@@ -238,9 +241,9 @@ def _restamp(cert, eqs, multipliers):
     )
 
 
-def _one_block_certificate():
+def _one_block_certificate(derive=k.derive_trace_equations):
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
-    eqs = k.derive_trace_equations(p)
+    eqs = derive(p)
     return k.forced_zero(eqs, k.generator_symbol(gen(1, 0))), eqs
 
 
@@ -278,7 +281,7 @@ def test_verify_rejects_nonzero_constant():
 
 
 def test_verify_rejects_surviving_free_symbol():
-    cert, eqs = _one_block_certificate()
+    cert, eqs = _one_block_certificate(trace_every_relation)
     idx = _index(eqs, lambda e: not e.constant and any(s not in eqs.nonneg for s in e.coeffs))
     bad = _restamp(cert, eqs, cert.multipliers + ((idx, F(1)),))
     with pytest.raises(k.CertificateError, match="free symbol .* survives"):
@@ -405,7 +408,7 @@ def test_lp_never_unbounded_on_engine_presentations():
 
 def test_undetermined_on_unbounded_and_absent_symbols():
     p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
-    eqs = k.derive_trace_equations(p)
+    eqs = trace_every_relation(p)
     in_rows = {s for row in eqs.reduced() for s in row.coeffs}
     symbols = [k.generator_symbol(g) for g in p.generators]
     # the first two reach the LP, which is unbounded; the third is absent
@@ -497,7 +500,7 @@ def _lp_rounds(p):
     generators until none dies."""
     rounds = []
     while True:
-        eqs = k.derive_trace_equations(p)
+        eqs = trace_every_relation(p)
         symbols = [k.generator_symbol(g) for g in p.generators]
         certs, undetermined = _shared_certificates(eqs, symbols)
         rounds.append((eqs, certs, undetermined))
@@ -592,3 +595,24 @@ def test_closed_form_support_joins_two_eigenvalues_on_small_specs(spec):
     assert set(coeffs) == {
         k.generator_symbol(g) for g in p.generators if q(g.row, g.row) != q(g.col, g.col)
     }
+
+
+def test_only_the_constant_term_relations_are_traced_and_they_suffice():
+    # the equations are the traces of exactly the relations with a constant
+    # term, which come first, so equation i is rel[i]; over them, as over
+    # every traced relation, the closed form forces what the per-generator
+    # LPs force, and no LP is left unbounded
+    specs = specs_up_to(3)
+    assert len(specs) == 79
+    for spec in specs:
+        p = k.build_presentation(spec)
+        eqs = k.derive_trace_equations(p)
+        with_constant = [r for r in p.relations if r.coefficient(())]
+        assert [(e.constant, e.coeffs) for e in eqs.equations] == [
+            k.trace_of(r) for r in with_constant]
+        assert [e.provenance for e in eqs.equations] == [
+            f"rel[{i}]" for i in range(len(with_constant))]
+        for equations in (eqs, trace_every_relation(p)):
+            closed = {g for g, _ in _closed_form_certificates(p, equations)}
+            assert closed == {g for g in p.generators
+                              if k.forced_zero(equations, k.generator_symbol(g))}
