@@ -178,14 +178,14 @@ class AlgElement:
 
     @classmethod
     def dot(cls, pairs, constant=0) -> "AlgElement":
-        """Sum of x * y over the pairs minus the constant, in one dict, in the
-        term order of `sum(products) - scalar(constant)`: a product whose words
-        can repeat (no factor has one term) is summed on its own first."""
+        """Sum of x * y over the pairs minus the constant, in the term order
+        of `sum(products) - scalar(constant)`: a product whose words can
+        repeat is summed on its own before it is added to a nonempty sum."""
         acc = {}
         for x, y in pairs:
             terms = ((w1 + w2, c1 * c2)
                      for w1, c1 in x._terms.items() for w2, c2 in y._terms.items())
-            if len(x._terms) > 1 and len(y._terms) > 1:
+            if acc and len(x._terms) > 1 and len(y._terms) > 1:
                 terms = add_terms({}, terms).items()
             add_terms(acc, terms)
         if constant:

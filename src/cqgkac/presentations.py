@@ -225,9 +225,8 @@ def _oriented(r: AlgElement):
 
     The words of r and of r* are sorted once each.  The two sequences,
     each divided by its lead coefficient, are compared term by term up to
-    the first difference; the smaller orientation is kept, r on a tie.
-    The scan is skipped when the two sorted sequences are equal (r = r*,
-    as on every diagonal entry of the identities): it would keep r.
+    the first difference; the smaller orientation is kept, r on a tie (no
+    scan when the two are equal, as on every diagonal identity entry).
     It is scaled once by `ratio`, so an integral coefficient is stored as an
     int; not at all when its lead coefficient is 1 and no coefficient is an
     integral Fraction.  It keeps the term order of r, or of `r.adjoint()`

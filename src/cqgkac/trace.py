@@ -180,15 +180,12 @@ def _eliminate_free(eqs: TraceEquationSet):
 
 
 def derive_trace_equations(P: Presentation) -> TraceEquationSet:
-    """Trace each relation with a constant term; its real part becomes an
-    equation with provenance rel[i].  Those relations are the builder's
-    diagonal unitarity entries, all the closed form reads (the others have
-    none, and normalizing keeps it nonzero), and the canonical order puts
-    them first, so equation i is rel[i].  Imaginary parts are left out:
-    they have constant 0 and only Im-unknowns of non-self-adjoint classes,
-    which no real part and no nonneg symbol tr[g g*] mentions, so Im = 0
-    always solves them.  The nonnegative index holds tr[g g*] for every
-    generator g."""
+    """Trace each relation with a constant term, the diagonal unitarity
+    entries the closed form reads; its real part becomes an equation with
+    provenance rel[i], and the canonical order puts these first, so equation
+    i is rel[i].  Imaginary parts are left out: they have constant 0 and
+    only Im-unknowns no real part and no nonneg tr[g g*] mentions, so Im = 0
+    solves them.  The nonnegative index holds tr[g g*] for every generator."""
     equations = []
     for i, r in enumerate(P.relations):
         constant = r.coefficient(())

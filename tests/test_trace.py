@@ -182,7 +182,7 @@ def test_one_block_equations_contain_paper_combination():
 
 def test_identity_q_has_no_certificate():
     p = k.build_universal_unitary(ScalarMatrix.identity(2))
-    eqs = k.derive_trace_equations(p)
+    eqs = trace_every_relation(p)
     cert = k.forced_zero(eqs, k.generator_symbol(gen(0, 0)))
     assert cert is None
     # oracle: the uniform assignment tr[g g*] = 1/2 (free symbols 0)
@@ -311,7 +311,7 @@ def test_verify_rejects_target_not_positive():
     k.BlockSpec("unitary", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 1))),
 ], ids=["one-block", "case-I", "case-II", "unitary"])
 def test_reduced_rows_are_independent_recombinations(spec):
-    eqs = k.derive_trace_equations(k.build_presentation(spec))
+    eqs = trace_every_relation(k.build_presentation(spec))
     rows = eqs.reduced()
     assert rows
     ech, ids = span_echelon(eqs)
@@ -472,17 +472,18 @@ def _assert_shared_rounds_match_reference(p):
     # the closed-form round cites the equations of p itself
     assert report.equations.equations == k.derive_trace_equations(p).equations
     if report.certificates:
-        _assert_reference_decisions(report.equations, p.generators, report.certificates, ())
+        _assert_reference_decisions(trace_every_relation(p), p.generators,
+                                    report.certificates, ())
     # one certificate, cited by every generator it forces
     assert len({cert.multipliers for _, cert in report.certificates}) <= 1
     for g, cert in report.certificates:
         assert cert.target == k.generator_symbol(g)
         assert k.verify_certificate(cert, report.equations)
-    # the character cover cites no equations; the oracle derives those of
-    # the final presentation itself, and they force nothing more
+    # the character cover cites no equations; the oracle traces every
+    # relation of the final presentation itself, and they force nothing more
     forced = set(report.forced)
     survivors = [g for g in p.generators if g not in forced]
-    _assert_reference_decisions(k.derive_trace_equations(final), survivors, (),
+    _assert_reference_decisions(trace_every_relation(final), survivors, (),
                                 report.undetermined)
     assert report.iterations == 1 + bool(report.certificates)
     return report
