@@ -12,7 +12,6 @@ inconclusive items, 3 target mismatch.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -334,16 +333,19 @@ def _summary(report) -> str:
     return "\n".join(lines)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with EXIT_CONFIG; argparse's own 2 would read as
-    "undetermined"."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None) -> int:
+    """The `cqgkac` command; `run` is the library entry point.  argparse
+    is loaded here only, so importing the module does not pay for it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors exit with EXIT_CONFIG; argparse's own 2 would read
+        as "undetermined"."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="cqgkac",
         description=(

@@ -45,7 +45,7 @@ presentations over the standard symplectic form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     AlgElement, GeneratorId, add_terms, exact, ratio, word_adjoint, word_key, word_label,
@@ -199,8 +199,7 @@ def _require_known_letters(P: Presentation, u, letters) -> None:
             )
 
 
-@dataclass(frozen=True)
-class HopfReport:
+class HopfReport(NamedTuple):
     """Per-axiom outcome of the Hopf verification; `bound` is the degree
     at which the antipode items' relation ideal is truncated."""
 

@@ -30,9 +30,9 @@ exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from numbers import Integral, Number
+from typing import NamedTuple
 
 from .presentations import Presentation, _monomial_decode
 
@@ -40,16 +40,14 @@ ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class NumAssignment:
+class NumAssignment(NamedTuple):
     """A complex value for each plain generator; starred letters evaluate
     as complex conjugates."""
 
     values: dict
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     residuals: tuple
     max_residual: float
 
@@ -281,8 +279,7 @@ def characters(P: Presentation):
         yield V
 
 
-@dataclass(frozen=True)
-class CharacterCover:
+class CharacterCover(NamedTuple):
     """Characters witnessing the wanted generators.
 
     characters : verified signed permutation matrices (tuples of int rows),

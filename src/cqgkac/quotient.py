@@ -25,7 +25,6 @@ The rows go into one fraction-free `SparseEchelon`, and membership is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -104,8 +103,7 @@ def expected_kac_target(spec: BlockSpec):
     return target, renaming
 
 
-@dataclass(frozen=True)
-class MatchVerdict:
+class MatchVerdict(NamedTuple):
     """Outcome of comparing a derived quotient with its target."""
 
     matched: bool

@@ -37,8 +37,8 @@ closed form against, and because the benchmark harness wraps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     AlgElement, GeneratorId, Word, add_terms, ratio, word_adjoint, word_key, word_label,
@@ -58,8 +58,7 @@ class CertificateError(Exception):
     """A stored certificate failed exact re-verification."""
 
 
-@dataclass(frozen=True)
-class TraceSymbol:
+class TraceSymbol(NamedTuple):
     """A cyclic word class: the least rotation among the word's rotations
     and its adjoint's; `selfadjoint` marks classes closed under *."""
 
@@ -108,8 +107,7 @@ def trace_of(a: AlgElement):
     return a.coefficient(()), coeffs
 
 
-@dataclass(frozen=True)
-class TraceEquation:
+class TraceEquation(NamedTuple):
     """One linear equation (= 0) over the real parts of trace unknowns."""
 
     constant: int | Fraction
@@ -138,8 +136,7 @@ class TraceEquationSet:
         return self._reduced
 
 
-@dataclass
-class _Row:
+class _Row(NamedTuple):
     coeffs: dict  # nonneg TraceSymbol -> Fraction
     const: Fraction
     combo: dict  # original equation index -> Fraction
@@ -195,8 +192,7 @@ def derive_trace_equations(P: Presentation) -> TraceEquationSet:
     return TraceEquationSet(equations, nonneg)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """An exact nonnegative combination of traced relations proving that a
     nonnegative symbol vanishes for every tracial state."""
 
@@ -354,8 +350,7 @@ def _closed_form_certificates(P: Presentation, eqs: TraceEquationSet):
     return certs
 
 
-@dataclass(frozen=True)
-class KacReport:
+class KacReport(NamedTuple):
     """What `kac_fixpoint` concluded: the equations the certificates cite,
     one certificate per forced generator, all citing the one closed-form
     combination, the symbols of the survivors no character reaches, and

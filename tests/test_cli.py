@@ -76,6 +76,16 @@ def test_config_refuses_a_q_with_too_many_digits(q, tmp_path, capsys):
     assert small.blocks[0].q == F(1, 10**400)
 
 
+def test_config_refuses_a_spec_past_the_size_limit(tmp_path, capsys):
+    doc = {"kind": "unitary", "blocks": [{"q": "1/2", "m": 1000000}]}
+    start = time.perf_counter()
+    assert cli.main(["build", "--config", _write(tmp_path, doc)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.strip() == (
+        "config field 'blocks': spec size N = 1000000 exceeds the limit 64"
+    )
+
+
 @pytest.mark.parametrize("doc, field", [
     ({**ONE_BLOCK, "blocks": [{"q": "1/2", "m": True}]}, "blocks[0].m"),
     ({**ONE_BLOCK, "blocks": [{"q": True, "m": 1}]}, "blocks[0].q"),
@@ -361,6 +371,19 @@ def test_package_imports_without_numpy():
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_argparse():
+    # -S keeps a site .pth file from preloading any of them
+    src = Path(k.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import cqgkac.cli as cli; "
+        "cli.parse_config({'kind': 'unitary', 'blocks': [{'q': '1/2', 'm': 2}]}); "
+        "loaded = {'dataclasses', 'inspect', 'argparse'} & set(sys.modules); "
+        "assert not loaded, sorted(loaded)"
+    )
+    subprocess.run([sys.executable, "-S", "-c", code], check=True, timeout=60)
 
 
 def test_certificates_match_the_per_generator_rendering():

@@ -105,6 +105,45 @@ def test_block_spec_refuses_a_sign_outside_one_block(kind, blocks, trailing):
     assert err.value.field == "epsilon"
 
 
+def test_block_spec_is_a_validated_named_tuple():
+    blocks = ((F(1, 2), 1),)
+    positional = k.BlockSpec("case-I", blocks, 1, 1)
+    keyword = k.BlockSpec(kind="case-I", blocks=blocks, trailing=1, epsilon=1)
+    defaulted = k.BlockSpec("case-I", blocks, trailing=1)
+    assert positional == keyword == defaulted
+    assert hash(positional) == hash(keyword) == hash(defaulted)
+    assert defaulted.blocks == (presentations.Block(F(1, 2), 1),)
+    assert repr(defaulted) == (
+        "BlockSpec(kind='case-I', blocks=(Block(q=Fraction(1, 2), m=1),), trailing=1, epsilon=1)"
+    )
+    with pytest.raises(AttributeError):
+        defaulted.kind = "unitary"
+    # _make and _replace go through the checks, which NamedTuple's own would skip
+    assert defaulted._replace(trailing=2) == k.BlockSpec("case-I", blocks, trailing=2)
+    assert k.BlockSpec._make(("case-I", blocks, 1)) == defaulted
+    for bogus in (lambda: defaulted._replace(kind="bogus"),
+                  lambda: k.BlockSpec._make(("bogus", blocks))):
+        with pytest.raises(SpecError) as err:
+            bogus()
+        assert err.value.field == "kind"
+
+
+def test_block_spec_refuses_a_size_past_the_limit():
+    # parsed only: building m = 10**6 would start on 10**12 letters
+    with pytest.raises(SpecError, match=r"^spec size N = 1000000 exceeds the limit 64$") as err:
+        k.BlockSpec("unitary", ((F(1, 2), 10**6),))
+    assert err.value.field == "blocks"
+    assert k.BlockSpec("unitary", ((F(1, 2), 32), (F(1), 32))).size == 64
+    with pytest.raises(SpecError, match="N = 65 "):
+        k.BlockSpec("unitary", ((F(1, 2), 32), (F(1), 33)))
+    # case I counts 2m rows per block plus the trailing identity
+    assert k.BlockSpec("case-I", ((F(1, 2), 31),), trailing=2).size == 64
+    with pytest.raises(SpecError, match="N = 65 "):
+        k.BlockSpec("case-I", ((F(1, 2), 31),), trailing=3)
+    with pytest.raises(SpecError, match="N = 65 "):
+        k.BlockSpec("unitary", ((F(1, 2), 64),))._replace(blocks=((F(1, 2), 65),))
+
+
 def _q_profile(p):
     """The eigenvalues of p's diagonal Q, ascending, with multiplicity."""
     assert p.q.is_diagonal()

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -236,8 +235,8 @@ def _restamp(cert, eqs, multipliers):
     """The certificate with new multipliers and the stored combination
     recomputed to match them, so only the later checks can object."""
     constant, coefficients = _combine(eqs, multipliers)
-    return dataclasses.replace(
-        cert, multipliers=tuple(multipliers), constant=constant, coefficients=coefficients
+    return cert._replace(
+        multipliers=tuple(multipliers), constant=constant, coefficients=coefficients
     )
 
 
@@ -254,7 +253,7 @@ def _index(eqs, predicate):
 def test_verify_rejects_equation_index_out_of_range():
     cert, eqs = _one_block_certificate()
     n = len(eqs.equations)
-    past_end = dataclasses.replace(cert, multipliers=cert.multipliers + ((n, F(1)),))
+    past_end = cert._replace(multipliers=cert.multipliers + ((n, F(1)),))
     # negative indices would wrap onto the same equations and recombine
     negative = _restamp(cert, eqs, [(idx - n, mult) for idx, mult in cert.multipliers])
     for bad in (past_end, negative):
@@ -266,7 +265,7 @@ def test_verify_rejects_equation_index_out_of_range():
 def test_verify_rejects_stored_combination_mismatch(field):
     cert, eqs = _one_block_certificate()
     value = F(1) if field == "constant" else {cert.target: 2 * cert.coefficients[cert.target]}
-    bad = dataclasses.replace(cert, **{field: value})
+    bad = cert._replace(**{field: value})
     with pytest.raises(k.CertificateError, match="does not match the recombination"):
         k.verify_certificate(bad, eqs)
 
@@ -299,7 +298,7 @@ def test_verify_rejects_target_not_positive():
     cert, eqs = _one_block_certificate()
     other = k.generator_symbol(gen(0, 0))
     assert other in eqs.nonneg and other not in cert.coefficients
-    bad = dataclasses.replace(cert, target=other)
+    bad = cert._replace(target=other)
     with pytest.raises(k.CertificateError, match="does not appear positively"):
         k.verify_certificate(bad, eqs)
 
