@@ -2,17 +2,19 @@
 
 Enumerates every valid BlockSpec with N <= 6 and block parameters in
 {1/4, 1/3, 1/2, 2/3, 1}, builds each once, runs `match`, `build`,
-`hopf-check` and `numeric` on that one build, and prints the spec count
-per kind and one SHA-256 per verb over its reports, each serialized with
-`json.dumps(report, sort_keys=True)` after its `timings` are removed and
-ended by a newline.
+`hopf-check`, `numeric` and `report` on that one build, and prints the
+spec count per kind and one SHA-256 per verb over its reports, each
+serialized with `json.dumps(report, sort_keys=True)` after its `timings`
+are removed and ended by a newline.
 Two checkouts that print the same `sha256` (match) digest gave the same
 answers, byte for byte, on every spec; the same `kac sha256` digest (the
 match reports with `kac.certificates` removed) means the same answers with
 possibly different Kac certificates; the same `build sha256` digest
 means they built the same generators and relations; the same
 `hopf sha256` digest means the same Hopf verdicts; the same
-`numeric sha256` digest means the same float residuals, bit for bit.
+`numeric sha256` digest means the same float residuals, bit for bit; the
+same `report sha256` digest means the same whole reports, the exact
+characters of their `survivors` section among them.
 The `terms sha256` digest covers every relation of `build_presentation`
 with its terms in stored order, one JSON line per spec, so it also sees
 a change of term order that the sorted `build` report hides.
@@ -22,7 +24,9 @@ one line per spec: the spec's `config_json`, then a short hash of each
 report section.  A section is `sizes`, a field of the `kac`, `match`,
 `hopf` or `numeric` section (`hopf.relations`), or a verb's `exit`,
 `verdict` or other field (`build.presentation`).  The columns `verb:<verb>`
-hash each whole report and `terms` the stored term order.
+hash each whole report and `terms` the stored term order.  Of the
+`report` run only `verb:report` and `report.survivors` are kept: its
+other sections repeat those of the verbs above.
 
     python tools/sweep.py             # print the digests
     python tools/sweep.py --record    # and write the ledger
@@ -51,7 +55,7 @@ from cqgkac.presentations import BlockSpec, SpecError, build_presentation  # noq
 
 N_MAX = 6
 QS = tuple(Fraction(q) for q in ("1/4", "1/3", "1/2", "2/3", "1"))
-VERBS = ("match", "build", "hopf-check", "numeric")
+VERBS = ("match", "build", "hopf-check", "numeric", "report")
 SPLIT = ("kac", "match", "hopf", "numeric")
 LEDGER = Path(__file__).resolve().parent / "answers.tsv"
 ABSENT = "-"
@@ -123,6 +127,9 @@ def answers(terms, out) -> dict:
     row = {"terms": _short(terms)}
     for verb, code, report in out:
         row[f"verb:{verb}"] = _short(_line(report))
+        if verb == "report":
+            row["report.survivors"] = _short(_line(report["survivors"]))
+            continue
         row[f"{verb}.exit"] = _short(_line(code))
         for key, value in report.items():
             if key in ("input", "verb"):
@@ -211,6 +218,7 @@ def main(argv=None):
     print(f"build sha256: {digests['build'].hexdigest()}")
     print(f"hopf sha256: {digests['hopf-check'].hexdigest()}")
     print(f"numeric sha256: {digests['numeric'].hexdigest()}")
+    print(f"report sha256: {digests['report'].hexdigest()}")
     print(f"terms sha256: {terms_digest.hexdigest()}")
     print(f"seconds: {time.perf_counter() - start:.1f}")
     if args.record:
