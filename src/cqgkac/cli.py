@@ -146,7 +146,8 @@ def run(spec: BlockSpec, verb: str):
             "witnesses": {"u(j,k)": i, ...},  # survivor -> index of a
                                               # character nonzero on it
             "unwitnessed": ["u(j,k)", ...],   # survivors none reached
-            "candidates": n,          # candidates drawn from the enumeration
+            "candidates": n,          # class shifts drawn, one per offset;
+                                      # at most the largest Q-class's size
         }
 
     A character is a tracial state and a finite-dimensional representation,

@@ -3,12 +3,13 @@
 A character is a one-dimensional *-representation.  The characters here
 send the fundamental matrix to a signed permutation matrix V that commutes
 with Q (F*F for the orthogonal kinds) and, for the orthogonal kinds, with
-F.  They are enumerated in a fixed order with no randomness: the identity
-(the counit), then each transposition inside an eigenvalue class of Q
-together with its F-partner transposition, then the half-swap
-[[0, I], [-I, 0]] of a class that F maps onto itself (the q = 1 block of
-case II), then the transpositions again with the signs F asks for.  There
-are at most N^2 + 1 candidates, never all of the signed permutations.
+F.  There is one candidate per offset s = 0 .. max |C| - 1, in that fixed
+order with no randomness: offset s shifts every eigenvalue class C of Q
+cyclically by s, and F's partner class by the conjugate shift, so s = 0
+is the identity (the counit).  Every position inside a class is nonzero
+in exactly one of the first |C| offsets, so the max |C| candidates are
+together nonzero on every such position, and no fewer can be: a row of a
+largest class has max |C| of them, and a permutation meets one.
 `verify_character` re-checks each one exactly over the integers, reading
 only the presentation and V.  A character nonzero on a generator witnesses
 that the generator survives in every quotient that keeps a character,
@@ -30,7 +31,6 @@ exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from numbers import Integral, Number
 from typing import NamedTuple
 
@@ -218,13 +218,21 @@ def verify_character(P: Presentation, V) -> bool:
 
 
 def _candidates(P: Presentation):
-    """Signed permutation matrices in enumeration order, each once.
+    """One signed permutation matrix per offset s = 0 .. max |C| - 1, the
+    identity first.
 
-    The F-partner of a transposition (a b) is (pi(a) pi(b)), where F[j,
-    pi(j)] is the nonzero of row j (pi is the identity for the unitary
-    kind).  Signs start at +1; the signs F asks for keep +1 on the smaller
-    index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
-    = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
+    Offset s shifts every eigenvalue class C of Q, in sorted order, by
+    sigma: c_i -> c_(i+s mod |C|).  Where F's partner class pi(C) differs
+    from C, pi(C) takes the conjugate shift pi sigma pi; F[j, pi(j)] is the
+    nonzero of row j (pi is the identity for the unitary kind).  Where
+    pi(C) = C, pi commutes with the shift: it is the identity on a unitary
+    class and on the trailing block, and translation by m on the sorted
+    q = 1 block of case II.  Offset s is nonzero at (c_i, c_k) exactly when
+    s = k - i mod |C|, so one offset below |C| reaches each position inside
+    C, and the same one its image in pi(C).  The signs
+    keep +1 on the smaller index r of each pi-orbit and put
+    sign(d(sigma r) / d(r)) on pi(r), d(j) = F[j, pi(j)], which is what
+    V F = F V needs once sigma commutes with pi.
     """
     q, f = P.q, P.f
     n = q.rows
@@ -232,40 +240,20 @@ def _candidates(P: Presentation):
     classes = {}
     for j in range(n):
         classes.setdefault(q.entry(j, j), []).append(j)
-
-    def matrix(perm, signs):
-        return tuple(tuple(signs[j] if k == perm[j] else 0 for k in range(n)) for j in range(n))
-
-    def f_signs(perm):
+    for s in range(max(map(len, classes.values()))):
+        perm, shifted = list(range(n)), set()
+        for members in classes.values():
+            if members[0] in shifted:
+                continue  # the partner of a class shifted before
+            for i, c in enumerate(members):
+                perm[c] = members[(i + s) % len(members)]
+                perm[pi[c]] = pi[perm[c]]
+            shifted.update(pi[c] for c in members)
         signs = [1] * n
         for r in range(n):
             if r < pi[r] and d[perm[r]] * d[r] < 0:
                 signs[pi[r]] = -1
-        return signs
-
-    transpositions = []
-    for members in classes.values():
-        for a, b in combinations(members, 2):
-            perm = list(range(n))
-            perm[a], perm[b] = b, a
-            if {pi[a], pi[b]} != {a, b}:
-                perm[pi[a]], perm[pi[b]] = pi[b], pi[a]
-            transpositions.append(perm)
-    plus = [1] * n
-    stages = [(list(range(n)), plus)]
-    stages += [(perm, plus) for perm in transpositions]
-    for members in classes.values():
-        if any(pi[j] != j for j in members) and {pi[j] for j in members} == set(members):
-            half = [pi[j] if j in members else j for j in range(n)]
-            stages.append((half, f_signs(half)))
-    if f is not None:
-        stages += [(perm, f_signs(perm)) for perm in transpositions]
-    seen = set()
-    for perm, signs in stages:
-        V = matrix(perm, signs)
-        if V not in seen:
-            seen.add(V)
-            yield V
+        yield tuple(tuple(signs[j] if k == perm[j] else 0 for k in range(n)) for j in range(n))
 
 
 def characters(P: Presentation):

@@ -426,6 +426,62 @@ def four_identity_relations(u, q, f=None):
     return rels
 
 
+def transposition_candidates(P):
+    """The transposition enumerator, an oracle for `numeric._candidates`:
+    signed permutation matrices in enumeration order, each once.  The
+    identity; each transposition inside an eigenvalue class of Q with its
+    F-partner; the half-swap of a class F maps onto itself; then the
+    transpositions again with the signs F asks for.  At most N^2 + 1 of
+    them, some breaking a relation.
+
+    The F-partner of a transposition (a b) is (pi(a) pi(b)), where F[j,
+    pi(j)] is the nonzero of row j (pi is the identity for the unitary
+    kind).  Signs start at +1; the signs F asks for keep +1 on the smaller
+    index of each pi-orbit r and put sign(d(sigma r) / d(r)) on pi(r), d(j)
+    = F[j, pi(j)], which is what V F = F V needs once sigma commutes with pi.
+    """
+    q, f = P.q, P.f
+    n = q.rows
+    pi, d = _monomial_decode(f) if f else (list(range(n)), None)
+    classes = {}
+    for j in range(n):
+        classes.setdefault(q.entry(j, j), []).append(j)
+
+    def matrix(perm, signs):
+        return tuple(tuple(signs[j] if k == perm[j] else 0 for k in range(n)) for j in range(n))
+
+    def f_signs(perm):
+        signs = [1] * n
+        for r in range(n):
+            if r < pi[r] and d[perm[r]] * d[r] < 0:
+                signs[pi[r]] = -1
+        return signs
+
+    transpositions = []
+    for members in classes.values():
+        for a, b in itertools.combinations(members, 2):
+            perm = list(range(n))
+            perm[a], perm[b] = b, a
+            if {pi[a], pi[b]} != {a, b}:
+                perm[pi[a]], perm[pi[b]] = pi[b], pi[a]
+            transpositions.append(perm)
+    plus = [1] * n
+    stages = [(list(range(n)), plus)]
+    stages += [(perm, plus) for perm in transpositions]
+    for members in classes.values():
+        if any(pi[j] != j for j in members) and {pi[j] for j in members} == set(members):
+            half = [pi[j] if j in members else j for j in range(n)]
+            stages.append((half, f_signs(half)))
+    if f is not None:
+        stages += [(perm, f_signs(perm)) for perm in transpositions]
+    seen = set()
+    for perm, signs in stages:
+        V = matrix(perm, signs)
+        if V not in seen:
+            seen.add(V)
+            yield V
+
+
 def certificate_json(gen, cert, rnd, equations):
     """One generator's certificate entry of the report, rendered on its
     own: its combination over the round's equations and its sorted

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +11,10 @@ import cqgkac.cli as cli
 from cqgkac.algebra import ScalarMatrix
 from cqgkac.numeric import NumAssignment, _candidates, _value
 
-from conftest import LADDER, gen, one_block_spec, small_specs, undetermined_presentation
+from conftest import (
+    LADDER, gen, one_block_spec, small_specs, specs_up_to, transposition_candidates,
+    undetermined_presentation,
+)
 
 
 def _random_unitary(rng, n):
@@ -287,14 +291,30 @@ LARGE = {
 }
 
 
+def _largest_class(p):
+    """max |C| over the eigenvalue classes C of p's Q."""
+    return max(Counter(p.q.entry(j, j) for j in range(p.q.rows)).values())
+
+
+def _verified(p, candidates):
+    """The candidates that pass verify_character."""
+    for V in candidates:
+        try:
+            k.verify_character(p, V)
+        except k.CharacterError:
+            continue
+        yield V
+
+
 @pytest.mark.parametrize("spec", LARGE.values(), ids=LARGE.keys())
 def test_characters_cover_the_target_generators_of_large_specs(spec):
     # The target's renamed generators are the Kac survivors whenever match
-    # succeeds, as it does on all six.  The enumeration has at most N^2 + 1
-    # candidates, and asking for every generator drains it.
+    # succeeds, as it does on all six.  The enumeration has max |C|
+    # candidates, one class shift per offset, and asking for every
+    # generator drains it.
     p = k.build_presentation(spec)
     _, renaming = k.expected_kac_target(spec)
-    bound = spec.size ** 2 + 1
+    bound = _largest_class(p)
     cover = k.witness_characters(p, renaming)
     assert not cover.uncovered and set(cover.witness) == set(renaming)
     assert cover.tried <= bound
@@ -316,7 +336,7 @@ def test_every_generator_is_dead_or_witnessed_on_small_specs(spec):
     for g, cert in report.certificates:
         assert k.verify_certificate(cert, report.equations)
         dead.add(g)
-    for V in k.characters(p):
+    for V in (*_verified(p, transposition_candidates(p)), *_candidates(p)):
         assert not any(V[g.row][g.col] for g in dead)
     cover = k.witness_characters(p, p.generators)
     for V in cover.characters:
@@ -343,12 +363,39 @@ def test_integer_first_value_matches_fraction_reference_on_ladder(spec):
     n = spec.size
     entries = [p.u.entry(j, c) for j in range(n) for c in range(n)]
     nonzero = 0
-    for V in _candidates(p):
+    for V in (*transposition_candidates(p), *_candidates(p)):
         for element in (*p.relations, *entries):
             value = _value(element, V)
             assert value == _value_reference(element, V)
             nonzero += bool(value)
-    assert nonzero  # some candidate breaks some relation
+    assert nonzero  # some oracle candidate breaks some relation
+
+
+def test_cover_has_one_character_per_offset_up_to_n4():
+    # each offset s < max |C| is the only one nonzero on some position of a
+    # largest class, so the cover needs every shift and draws no other
+    specs = specs_up_to(4)
+    assert len(specs) == 187
+    for spec in specs:
+        p = k.build_presentation(spec)
+        cover = k.kac_fixpoint(p)[0].cover
+        assert len(cover.characters) == cover.tried == _largest_class(p), spec
+        assert not cover.uncovered, spec
+
+
+@pytest.mark.parametrize("spec, count", [
+    (k.BlockSpec("unitary", ((F(1, 2), 6), (F(1), 6))), 6),
+    (k.BlockSpec("case-II", ((F(1, 2), 3), (F(1), 3))), 6),
+    (k.BlockSpec("case-I", ((F(1, 3), 2), (F(1, 2), 2)), trailing=4), 4),
+], ids=["unitary-1/2x6-1x6", "case-II-1/2x3-1x3", "case-I-1/3x2-1/2x2+4"])
+def test_cover_size_at_n12(spec, count):
+    assert spec.size == 12
+    p = k.build_presentation(spec)
+    cover = k.kac_fixpoint(p)[0].cover
+    assert len(cover.characters) == cover.tried == count
+    assert not cover.uncovered
+    for V in cover.characters:
+        assert k.verify_character(p, V)
 
 
 def test_generators_outside_the_layout_are_never_witnessed():
