@@ -229,10 +229,10 @@ def _candidates(P: Presentation):
     class and on the trailing block, and translation by m on the sorted
     q = 1 block of case II.  Offset s is nonzero at (c_i, c_k) exactly when
     s = k - i mod |C|, so one offset below |C| reaches each position inside
-    C, and the same one its image in pi(C).  The signs
-    keep +1 on the smaller index r of each pi-orbit and put
-    sign(d(sigma r) / d(r)) on pi(r), d(j) = F[j, pi(j)], which is what
-    V F = F V needs once sigma commutes with pi.
+    C, and the same one its image in pi(C).  The signs keep +1 on the
+    smaller index r of each pi-orbit and put sign(d(sigma r) / d(r)) on
+    pi(r), d(j) = F[j, pi(j)], which is what V F = F V needs once sigma
+    commutes with pi.
     """
     q, f = P.q, P.f
     n = q.rows
