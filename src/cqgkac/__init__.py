@@ -53,7 +53,6 @@ from .quotient import (
     KacTarget,
     MatchVerdict,
     expected_kac_target,
-    ideal_membership_bounded,
     match_presentations,
     quotient_by_zero,
 )

@@ -261,32 +261,11 @@ class AlgElement:
         """The *-operation; coefficients stay (all scalars are real)."""
         return AlgElement._wrap({word_adjoint(w): c for w, c in self._terms.items()})
 
-    def substitute(self, sigma: dict) -> "AlgElement":
-        """*-homomorphic extension of a map on plain letters.
-
-        Starred letters substitute via the adjoint of the image; letters
-        absent from sigma map to themselves.  Images are AlgElements.
-        """
-        acc = {}
-        for w, c in self._terms.items():
-            factor = AlgElement.scalar(c)
-            for g in w:
-                image = sigma.get(g.plain())
-                if image is None:
-                    image = AlgElement.generator(g)
-                elif g.star:
-                    image = image.adjoint()
-                factor = factor * image
-                if factor.is_zero():
-                    break
-            add_terms(acc, factor._terms.items())
-        return AlgElement._wrap(acc)
-
     def rename(self, letters: dict) -> "AlgElement":
-        """`substitute` for a map of plain letters to letters, with no
-        multiplication: each word is renamed letter by letter, a starred
-        letter to the adjoint of its plain one's image.  Words that collide
-        add their coefficients."""
+        """The *-homomorphic extension of a map of plain letters to
+        letters, with no multiplication: each word is renamed letter by
+        letter, a starred letter to the adjoint of its plain one's image.
+        Words that collide add their coefficients."""
         image = {g.adjoint(): h.adjoint() for g, h in letters.items()}
         image.update(letters)
         get = image.get
@@ -342,9 +321,6 @@ class AlgMatrix:
 
     def entry(self, j: int, k: int) -> AlgElement:
         return self._entries[j][k]
-
-    def substitute(self, sigma: dict) -> "AlgMatrix":
-        return AlgMatrix([[e.substitute(sigma) for e in row] for row in self._entries])
 
     def __eq__(self, other):
         return (

@@ -30,10 +30,6 @@ u[l,k] at every position.
 Every builder presentation meets these conditions.  On a hand-made u they
 are sufficient, not necessary: u = [[2g]] is coassociative, but Δ(2g) =
 8 g ⊗ g is not u[1,1] ⊗ u[1,1], so coassociativity is reported False.
-A hand-made F with d_j = −d_k at a self-paired position, e.g. diag(1, −1)
-⊕ [[0, 1/2], [2, 0]], keeps u(j,k) = −u(j,k)* only as a relation, so u is
-not Δ-compatible there: coassociativity is False and every relation is
-inconclusive.
 
 Only the antipode laws use the relation ideal: they are decided modulo
 the ideal truncated at the degree D of the longest word they contain;

@@ -44,12 +44,12 @@ pair is a nonzero scalar multiple of one entry of the twisted pair: the
 two pairs span the same relation classes, and only the twisted pair is
 written (`defining_relations`).
 
-The reality entries make half the generators redundant.  They are
-substituted into the generator matrix once, every entry is written over
-that substituted matrix, and the fundamental matrix keeps the substituted
-expressions in their places.  A self-paired position (pi(j) = j, pi(k) = k,
-d_j = d_k; the trailing block of case I) holds a self-adjoint letter: its
-reality entry is zero, and there the twisted pair repeats the plain pair.
+The reality entries make half the generators redundant: the fundamental
+matrix holds, at each redundant position, its partner's scaled adjoint,
+and every entry is written over that matrix.  A self-paired position
+(pi(j) = j, pi(k) = k; the trailing block of case I) holds a self-adjoint
+letter: its reality entry is zero, and there the twisted pair repeats the
+plain pair.
 """
 
 from __future__ import annotations
@@ -272,20 +272,16 @@ def _oriented(r: AlgElement):
     return tuple(((n, w), scaled[w]) for n, w, _ in chosen), AlgElement._wrap(scaled)
 
 
-def normalize_relation(r: AlgElement):
-    """The normal form of r: of r and r*, each scaled so its least word
-    has coefficient 1, the one with the smaller `sort_key` (r on a tie).
-
-    Returns None for the zero element.  Adjoint and scalar multiples of
-    one relation share one normal form, which keeps its terms in r's own
-    order or, when r* is chosen, in the order of `r.adjoint()`.
-    """
-    return None if r.is_zero() else _oriented(r)[1]
-
-
 def canonicalize_relations(rels):
     """Normalized, deduplicated, sorted relation tuple; of relations with
-    one normal form the last one given is stored."""
+    one normal form the last one given is stored, zeros are dropped.
+
+    The normal form of r is, of r and r*, each scaled so its least word
+    has coefficient 1, the one with the smaller `sort_key` (r on a tie).
+    Adjoint and scalar multiples of one relation share one normal form,
+    which keeps its terms in r's own order or, when r* is chosen, in the
+    order of `r.adjoint()`.
+    """
     seen = {}
     for r in rels:
         if not r.is_zero():
@@ -351,8 +347,7 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     canonicalization stores the last member of each class, a twisted
     entry either way.  So the canonical set, and the stored member of each
     class with its term order, are unchanged.  Otherwise, as for the
-    unitary kind or a hand-made F with d_j = -d_k at a self-paired
-    position, all four identities are written.
+    unitary kind, all four identities are written.
     """
     n = u.rows
     e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
@@ -405,8 +400,9 @@ def reality_substitution(F: ScalarMatrix):
     pairing position (j,k) with (pi(j), pi(k)).  Of every pair the
     position with the smaller (column, row) is kept and the partner maps
     to that scalar times the kept letter's adjoint.  A self-paired position
-    with d_j = d_k keeps a self-adjoint letter, the image of u(j,k); one
-    with d_j = -d_k keeps u(j,k) and the relation u(j,k) + u(j,k)*.
+    keeps a self-adjoint letter, the image of u(j,k).  One with d_j = -d_k
+    would read u(j,k) = -u(j,k)*, which needs an imaginary scalar: such an
+    F is refused, and the first such position is named.
 
     Returns (sigma, kept) where sigma sends each redundant plain generator
     to its expression over the kept ones.
@@ -419,7 +415,13 @@ def reality_substitution(F: ScalarMatrix):
     for j, pj in enumerate(pi):
         for k, pk in enumerate(pi):
             g = GeneratorId(0, j, k)
-            if (pj, pk) == (j, k) and d[j] == d[k]:
+            if (pj, pk) == (j, k):
+                if d[j] != d[k]:
+                    raise ValueError(
+                        f"F with d_{j + 1} = -d_{k + 1} at the self-paired position "
+                        f"({j + 1},{k + 1}) is unsupported: u({j + 1},{k + 1}) = "
+                        f"-u({j + 1},{k + 1})* needs an imaginary scalar"
+                    )
                 kept.append(GeneratorId(0, j, k, selfadjoint=True))
                 sigma[g] = AlgElement.generator(kept[-1])
             elif (k, j) <= (pk, pj):
@@ -439,17 +441,11 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
         (F Fbar)[j,k] = d_j d_pi(j) delta(pi(pi(j)),k),   Q_pi(j) = d_j^2,
 
     so F Fbar = +-I exactly when pi is an involution and d_j d_pi(j) is the
-    same sign for every j; otherwise the first failing row is named.  Every
-    relation entry is written in closed form over the generator matrix u
-    with the reality substitution applied; a reality entry of u left
-    nonzero off the self-paired positions raises RuntimeError.
-
-    A hand-made F with d_j = -d_k at a self-paired position (pi(j) = j,
-    pi(k) = k) is built, not refused: u(j,k) stays a plain generator and
-    u(j,k) = -u(j,k)* is kept only as the relation u(j,k) + u(j,k)*, as in
-    `reality_substitution`.  Such a u is not Delta-compatible there, so the
-    Hopf check reports coassociativity False and every relation
-    inconclusive (see `hopf`).  No `BlockSpec` gives such an F.
+    same sign for every j; otherwise the first failing row is named.  An F
+    that `reality_substitution` refuses is refused too.  The fundamental
+    matrix u holds the image of u(j,k) under the reality substitution at
+    each position, and every relation entry is written in closed form over
+    it; a reality entry of u left nonzero raises RuntimeError.
     """
     if F.rows != F.cols:
         raise ValueError("F must be square")
@@ -467,11 +463,13 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
             )
     q = ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
     sigma, kept = reality_substitution(F)
-    u = generator_matrix(F.rows).substitute(sigma)
+    n = F.rows
+    ids = [[GeneratorId(0, j, k) for k in range(n)] for j in range(n)]
+    u = AlgMatrix([[sigma.get(g, AlgElement.generator(g)) for g in row] for row in ids])
     rels = defining_relations(u, q, F)
-    for i, h in enumerate(rels[-F.rows ** 2:]):
-        j, k = divmod(i, F.rows)
-        if (pi[j], pi[k]) != (j, k) and not h.is_zero():
+    for i, h in enumerate(rels[-n * n:]):
+        if not h.is_zero():
+            j, k = divmod(i, n)
             raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
     return Presentation(kept, rels, u, q, F, label=orthogonal_label(F))
 

@@ -184,18 +184,3 @@ def bounded_ideal_echelon(rels, letters, d: int) -> SparseEchelon:
                     for right in values[b]:
                         ech.add({head + right: c for head, c in heads})
     return ech
-
-
-def ideal_membership_bounded(x: AlgElement, rels, d: int) -> bool:
-    """Whether x lies in the span of w * r * w' with total degree <= d.
-
-    One-sided: False only means "not found at this bound".  Exact integer
-    linear algebra over the word basis; monotone in d.
-    """
-    if x.is_zero():
-        return True
-    if d < x.degree():
-        raise ValueError(f"degree bound {d} is below the element degree {x.degree()}")
-    letters = _with_adjoints(sorted({g.plain() for e in [*rels, x] for g in e.letters()}))
-    ech = bounded_ideal_echelon(rels, letters, d)
-    return ech.contains(WordIndex(letters).row(x.terms()))

@@ -8,7 +8,9 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, add_terms, rat_str, ratio, word_key
 from cqgkac.hopf import _coproduct, _letter_coproduct
 from cqgkac.linalg import WordIndex
-from cqgkac.presentations import SpecError, _monomial_decode, canonicalize_relations
+from cqgkac.presentations import (
+    SpecError, _monomial_decode, canonicalize_relations, defining_relations,
+)
 from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
 from cqgkac.trace import TraceEquation, TraceEquationSet, generator_symbol, trace_of
 
@@ -23,6 +25,45 @@ def letter(row, col, star=False, factor=0, selfadjoint=False):
 
 def one_block_spec(q, m, eps):
     return k.BlockSpec("one-block", ((F(q), m),), epsilon=eps)
+
+
+def substitute(x, sigma):
+    """The *-homomorphic extension of a map on plain letters, applied to an
+    AlgElement or entrywise to an AlgMatrix.
+
+    Starred letters substitute via the adjoint of the image; letters
+    absent from sigma map to themselves.  Images are AlgElements.
+    """
+    if isinstance(x, k.AlgMatrix):
+        return k.AlgMatrix([[substitute(x.entry(j, c), sigma) for c in range(x.cols)]
+                            for j in range(x.rows)])
+    out = AlgElement.zero()
+    for w, c in x.terms():
+        factor = AlgElement.scalar(c)
+        for g in w:
+            image = sigma.get(g.plain())
+            if image is None:
+                image = AlgElement.generator(g)
+            elif g.star:
+                image = image.adjoint()
+            factor = factor * image
+        out = out + factor
+    return out
+
+
+def ideal_membership_bounded(x, rels, d):
+    """Whether x lies in the span of w * r * w' with total degree <= d.
+
+    One-sided: False only means "not found at this bound".  Exact integer
+    linear algebra over the word basis; monotone in d.
+    """
+    if x.is_zero():
+        return True
+    if d < x.degree():
+        raise ValueError(f"degree bound {d} is below the element degree {x.degree()}")
+    letters = _with_adjoints(sorted({g.plain() for e in [*rels, x] for g in e.letters()}))
+    ech = bounded_ideal_echelon(rels, letters, d)
+    return ech.contains(WordIndex(letters).row(x.terms()))
 
 
 def random_element(rng, letters, max_words=3, max_len=3):
@@ -261,7 +302,7 @@ def reference_kac_target(spec):
         gens.extend(g._replace(factor=tag) for g in part.generators)
         image = {g: letter(g.row, g.col, factor=tag, selfadjoint=g.selfadjoint)
                  for g in part.generators}
-        rels.extend(r.substitute(image) for r in part.relations)
+        rels.extend(substitute(r, image) for r in part.relations)
     target = k.KacTarget(" * ".join(p.label for p in parts), tuple(sorted(gens)),
                          canonicalize_relations(rels))
     ranges = layout_ranges(spec)
@@ -392,8 +433,36 @@ def truncated_presentation(p):
 
 def hand_made_f():
     """F = diag(1, -1) ⊕ [[0, 1/2], [2, 0]]: F Fbar = I, with a self-paired
-    position (1,2) where d_1 = -d_2, which no BlockSpec builds."""
+    position (1,2) where d_1 = -d_2, which no BlockSpec builds and the
+    builder refuses."""
     return k.ScalarMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, F(1, 2)], [0, 0, 2, 0]])
+
+
+def plain_pair_presentation(f):
+    """A hand-made presentation over a monomial F that the builder refuses
+    for d_j = -d_k at a self-paired position (pi(j) = j, pi(k) = k).
+
+    Laid out as `reality_substitution` lays out the rest: a self-paired
+    position with d_j = d_k holds a self-adjoint letter, a pair of
+    positions keeps its smaller (column, row) one and the partner holds
+    its scaled adjoint.  A position with d_j = -d_k keeps a plain letter,
+    and u(j,k) = -u(j,k)* stays a nonzero reality entry, u(j,k) + u(j,k)*,
+    among the defining relations.
+    """
+    pi, d = _monomial_decode(f)
+    n = f.rows
+    kept, rows = [], [[None] * n for _ in range(n)]
+    for j, pj in enumerate(pi):
+        for c, pc in enumerate(pi):
+            selfadjoint = (pj, pc) == (j, c) and d[j] == d[c]
+            if selfadjoint or (c, j) <= (pc, pj):
+                kept.append(gen(j, c, selfadjoint=selfadjoint))
+                rows[j][c] = letter(j, c, selfadjoint=selfadjoint)
+            else:
+                rows[j][c] = letter(pj, pc, star=True).scale(ratio(d[j], d[c]))
+    q = k.ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
+    u = k.AlgMatrix(rows)
+    return k.Presentation(kept, defining_relations(u, q, f), u, q, f)
 
 
 def four_identity_relations(u, q, f=None):

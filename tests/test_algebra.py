@@ -8,7 +8,9 @@ from cqgkac.algebra import (
     AlgElement, AlgMatrix, ScalarMatrix, ShapeError, add_terms, word_adjoint,
 )
 
-from conftest import bar, dense_inverse, dense_product, gen, letter, random_element
+from conftest import (
+    bar, dense_inverse, dense_product, gen, letter, random_element, substitute,
+)
 
 
 def test_word_adjoint_unit_and_single_letter():
@@ -103,21 +105,21 @@ def test_elem_adjoint_linear():
 
 def test_elem_substitute_kills_generator():
     sigma = {gen(1, 0): AlgElement.zero()}
-    assert letter(1, 0).substitute(sigma).is_zero()
+    assert substitute(letter(1, 0), sigma).is_zero()
     w = AlgElement.word((gen(1, 0, star=True), gen(1, 0)))
-    assert w.substitute(sigma).is_zero()
+    assert substitute(w, sigma).is_zero()
 
 
 def test_elem_substitute_partial():
     sigma = {gen(1, 0): AlgElement.zero()}
     a = AlgElement.word((gen(0, 0), gen(1, 0))) + letter(0, 0)
-    assert a.substitute(sigma) == letter(0, 0)
+    assert substitute(a, sigma) == letter(0, 0)
 
 
 def test_elem_substitute_adjoint_follows_image():
     sigma = {gen(0, 1): letter(1, 0, star=True).scale(F(1, 4))}
     starred = letter(0, 1, star=True)
-    assert starred.substitute(sigma) == letter(1, 0).scale(F(1, 4))
+    assert substitute(starred, sigma) == letter(1, 0).scale(F(1, 4))
 
 
 def test_symplectic_conjugation_matches_hand_expansion():

@@ -9,11 +9,15 @@ import pytest
 
 import cqgkac as k
 import cqgkac.cli as cli
+from cqgkac.algebra import AlgElement
+from cqgkac.presentations import canonicalize_relations
 
 from conftest import (
     KAC_LARGE,
     certificate_json,
+    gen,
     hand_made_f,
+    plain_pair_presentation,
     specs_up_to,
     truncated_presentation,
     undetermined_presentation,
@@ -51,6 +55,18 @@ def test_config_errors_point_at_fields():
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config({"kind": "one-block", "blocks": [{"q": "3/2", "m": 1}]})
     assert err.value.field == "blocks"
+
+
+@pytest.mark.parametrize("doc, field, message", [
+    ([ONE_BLOCK], "<root>", "expected a JSON object"),
+    ({**ONE_BLOCK, "blocks": {"q": "1/2", "m": 1}}, "blocks", "expected a list"),
+    ({**ONE_BLOCK, "blocks": ["1/2"]}, "blocks[0]", "expected an object with q and m"),
+])
+def test_config_refuses_a_document_of_the_wrong_shape(doc, field, message):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(doc)
+    assert err.value.field == field
+    assert str(err.value) == f"config field {field!r}: {message}"
 
 
 def test_config_names_a_zero_denominator():
@@ -235,6 +251,32 @@ def test_mismatch_exit_three(tmp_path, monkeypatch):
     assert cli.main(["match", "--config", path]) == 3
 
 
+@pytest.mark.parametrize("change", ["dropped", "added"])
+def test_match_names_the_relations_left_on_either_side(tmp_path, monkeypatch, change):
+    # the doctored target keeps its generators, so the survivor sets agree
+    # and the exact relation sets differ: a relation dropped from the
+    # target is left over on the derived side, one added on the target side
+    real = cli.expected_kac_target
+    extra = canonicalize_relations((AlgElement.generator(gen(0, 0)) - AlgElement.one(),))[0]
+
+    def doctored(spec):
+        target, renaming = real(spec)
+        relations = target.relations[:-1] if change == "dropped" else (*target.relations, extra)
+        return target._replace(relations=relations), renaming
+
+    monkeypatch.setattr(cli, "expected_kac_target", doctored)
+    path = _write(tmp_path, ONE_BLOCK)
+    out = tmp_path / "report.json"
+    assert cli.main(["match", "--config", path, "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "mismatch vs Pol(U_1^+)"
+    match = report["match"]
+    assert not match["matched"] and match["mode"] == "exact-set"
+    left = {"dropped": ["1 - u(1,1)* u(1,1)"], "added": []}[change]
+    assert match["unmatched_derived"] == left
+    assert match["unmatched_target"] == ([] if left else [repr(extra)])
+
+
 def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
     # drop the last relation of one-block q=1/2,
     # u(1,1) u(2,1)* + 1/4 u(2,1)* u(1,1): the rest no longer carries the
@@ -251,10 +293,10 @@ def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):
 
 
 def test_hopf_check_hand_made_f_exits_two(tmp_path, monkeypatch):
-    # coassociativity fails on this F and no relation is certified, so
-    # hopf-check exits 2
+    # the builder refuses this F; over a hand-made u coassociativity fails
+    # and no relation is certified, so hopf-check exits 2
     monkeypatch.setattr(cli, "build_presentation",
-                        lambda spec: k.build_universal_orthogonal(hand_made_f()))
+                        lambda spec: plain_pair_presentation(hand_made_f()))
     path = _write(tmp_path, ONE_BLOCK)
     out = tmp_path / "report.json"
     assert cli.main(["hopf-check", "--config", path, "--out", str(out)]) == 2
@@ -404,10 +446,10 @@ def test_summary_has_a_hopf_line(tmp_path, capsys, monkeypatch):
         assert line in capsys.readouterr().out.splitlines(), verb
     assert cli.main(["match", "--config", path, "--out", out]) == 0
     assert "hopf:" not in capsys.readouterr().out
-    monkeypatch.setattr(cli, "build_presentation",
-                        lambda spec: k.build_universal_orthogonal(hand_made_f()))
+    real = cli.build_presentation
+    monkeypatch.setattr(cli, "build_presentation", lambda spec: truncated_presentation(real(spec)))
     assert cli.main(["hopf-check", "--config", path, "--out", out]) == 2
-    line = "  hopf: coassociativity=False counit=True antipode 10/10 pass, relations 0/36 pass"
+    line = "  hopf: coassociativity=True counit=True antipode 1/2 pass, relations 0/5 pass"
     assert line in capsys.readouterr().out.splitlines()
 
 

@@ -1,5 +1,5 @@
 """Exact coefficients: ints where integral, Fractions otherwise, never
-floats; and the letterwise renaming against `substitute`."""
+floats; and the letterwise renaming against the `substitute` oracle."""
 
 from fractions import Fraction as F
 
@@ -11,7 +11,7 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, exact, ratio
 from cqgkac.quotient import expected_kac_target, match_presentations
 
-from conftest import gen, letter, specs_up_to
+from conftest import gen, letter, specs_up_to, substitute
 
 
 def _exact(c):
@@ -102,7 +102,7 @@ def elements(draw):
 def test_rename_matches_substitute_by_generators(a, letters):
     # the maps need not be injective: words that collide add
     got = a.rename(letters)
-    want = a.substitute({g: AlgElement.generator(h) for g, h in letters.items()})
+    want = substitute(a, {g: AlgElement.generator(h) for g, h in letters.items()})
     assert got == want
     assert list(got.terms()) == list(want.terms())
 

@@ -19,10 +19,13 @@ from conftest import (
     dense_product,
     gen,
     hand_made_f,
+    ideal_membership_bounded,
     letter,
     one_block_spec,
     oracle_relation_verdicts,
+    plain_pair_presentation,
     specs_up_to,
+    substitute,
     transpose,
     truncated_presentation,
 )
@@ -85,7 +88,7 @@ def test_antipode_collapses_coproduct_to_unitarity_sum():
                 expected = expected + letter(l, j, star=True) * letter(l, c)
             assert total == expected
             diff = total - AlgElement.scalar(int(j == c))
-            assert k.ideal_membership_bounded(diff, p.relations, max(2, diff.degree()))
+            assert ideal_membership_bounded(diff, p.relations, max(2, diff.degree()))
 
 
 def test_letters_outside_layout_rejected():
@@ -256,11 +259,14 @@ def test_truncated_presentation_passes_no_relation():
 
 
 def test_hand_made_f_fails_compatibility():
-    # F = diag(1, -1) + [[0, 1/2], [2, 0]] keeps u(1,2) with u(1,2) = -u(1,2)*
-    # only as a relation: the relations are the defining entries of u, but
+    # F = diag(1, -1) + [[0, 1/2], [2, 0]] is refused by the builder; a
+    # hand-made presentation keeps u(1,2) with u(1,2) = -u(1,2)* only as a
+    # relation: the relations are the defining entries of u, but
     # D(u[j,k]) = sum_l u[j,l] (x) u[l,k] fails, so no relation is
     # certified, although the bounded ideal holds every D(r)
-    p = k.build_universal_orthogonal(hand_made_f())
+    with pytest.raises(ValueError, match=r"self-paired position \(1,2\)"):
+        k.build_universal_orthogonal(hand_made_f())
+    p = plain_pair_presentation(hand_made_f())
     assert p.relations == canonicalize_relations(defining_relations(p.u, p.q, p.f))
     report = k.hopf_axiom_check(p)
     assert not report.coassociativity and report.counit
@@ -289,7 +295,7 @@ def test_a_self_adjoint_letter_with_a_non_self_adjoint_coproduct_is_not_certifie
     # u = [[a, s], [b, c]] with s self-adjoint: D(s) = a (x) s + s (x) c is
     # not self-adjoint, so D is no *-map and the certificate does not apply
     s = gen(0, 1, selfadjoint=True)
-    u = generator_matrix(2).substitute({gen(0, 1): AlgElement.generator(s)})
+    u = substitute(generator_matrix(2), {gen(0, 1): AlgElement.generator(s)})
     q = ScalarMatrix.identity(2)
     p = k.Presentation([gen(0, 0), s, gen(1, 0), gen(1, 1)], defining_relations(u, q), u, q)
     report = k.hopf_axiom_check(p)
@@ -312,10 +318,11 @@ def test_a_fundamental_matrix_with_misplaced_letters_is_not_certified():
 
 
 def test_opposite_signs_on_self_paired_positions_keep_coassociativity_and_the_counit():
-    # F = diag(1, -1): u is D-compatible and every letter sits in its own
-    # place, but the self-adjoint u(1,1) has D(u(1,1)) = u(1,1) (x) u(1,1) +
-    # u(1,2) (x) u(2,1), which is not self-adjoint
-    report = k.hopf_axiom_check(k.build_universal_orthogonal(ScalarMatrix.diagonal([1, -1])))
+    # F = diag(1, -1), refused by the builder, over a hand-made u: u is
+    # D-compatible and every letter sits in its own place, but the
+    # self-adjoint u(1,1) has D(u(1,1)) = u(1,1) (x) u(1,1) + u(1,2) (x)
+    # u(2,1), which is not self-adjoint
+    report = k.hopf_axiom_check(plain_pair_presentation(ScalarMatrix.diagonal([1, -1])))
     assert report.coassociativity and report.counit
     assert set(report.antipode.values()) == {"pass"}
     assert set(report.relations.values()) == {"inconclusive"}

@@ -14,7 +14,7 @@ from cqgkac.algebra import AlgElement, word_key
 from cqgkac.linalg import SparseEchelon, WordIndex
 from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
 
-from conftest import gen, one_block_spec, residue
+from conftest import gen, one_block_spec, residue, substitute
 
 
 class ReferenceEchelon:
@@ -160,7 +160,7 @@ def test_selfadjoint_letter_keeps_the_bounded_quotient():
     z = p.generators[-1]
     assert z.selfadjoint
     plain = AlgElement.generator(z._replace(selfadjoint=False))
-    rels = [r.substitute({z: plain}) for r in p.relations] + [plain - plain.adjoint()]
+    rels = [substitute(r, {z: plain}) for r in p.relations] + [plain - plain.adjoint()]
     letters = _with_adjoints(sorted({g.plain() for r in rels for g in r.letters()}))
     hermitian = bounded_ideal_echelon(rels, letters, 4).rank()
     selfadjoint = bounded_ideal_echelon(p.relations, _with_adjoints(p.generators), 4).rank()

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 
 import cqgkac as k
 import cqgkac.cli as cli
-from cqgkac.algebra import ScalarMatrix
+from cqgkac.algebra import AlgElement, ScalarMatrix
 from cqgkac.numeric import NumAssignment, _candidates, _value
 
 from conftest import (
-    LADDER, gen, one_block_spec, small_specs, specs_up_to, transposition_candidates,
+    LADDER, gen, letter, one_block_spec, small_specs, specs_up_to, transposition_candidates,
     undetermined_presentation,
 )
 
@@ -396,6 +396,21 @@ def test_cover_size_at_n12(spec, count):
     assert not cover.uncovered
     for V in cover.characters:
         assert k.verify_character(p, V)
+
+
+def test_a_shift_that_breaks_a_relation_is_skipped():
+    # Q-classes {1,2} and {3}; the extra relation u(1,1) - 1 holds at the
+    # identity and fails at the offset-1 shift, which moves u(1,1) to 0
+    p = k.build_presentation(k.BlockSpec("unitary", ((F(1, 2), 2), (F(1), 1))))
+    p = k.Presentation(p.generators, [*p.relations, letter(0, 0) - AlgElement.one()], p.u, p.q)
+    identity, shift = _candidates(p)
+    assert shift[0][1] == 1
+    assert list(k.characters(p)) == [identity]
+    # u(1,1) is witnessed by the identity, and the enumeration stops there
+    assert k.witness_characters(p, [gen(0, 0)]) == ((identity,), {gen(0, 0): 0}, (), 1)
+    # the identity is zero on u(1,2) and not verified; the shift is
+    # verified and fails, so u(1,2) is left uncovered
+    assert k.witness_characters(p, [gen(0, 1)]) == ((), {}, (gen(0, 1),), 2)
 
 
 def test_generators_outside_the_layout_are_never_witnessed():

@@ -11,7 +11,7 @@ from cqgkac.presentations import (
     SpecError,
     canonicalize_relations,
     defining_relations,
-    normalize_relation,
+    generator_matrix,
 )
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     reference_normalize,
     small_specs,
     specs_up_to,
+    substitute,
     transpose,
 )
 
@@ -105,6 +106,18 @@ def test_block_spec_refuses_a_sign_outside_one_block(kind, blocks, trailing):
     assert err.value.field == "epsilon"
 
 
+@pytest.mark.parametrize("kind, blocks, message", [
+    ("unitary", ((F(1, 2), 0),), "block multiplicities must be >= 1"),
+    ("unitary", ((F(0), 1),), "block parameters must be positive"),
+    ("case-I", ((F(-1, 2), 1),), "block parameters must be positive"),
+    ("case-II", ((F(1, 2), 1), (F(3, 2), 1)), "case-II parameters must satisfy q <= 1"),
+])
+def test_block_spec_refuses_a_block_out_of_range(kind, blocks, message):
+    with pytest.raises(SpecError, match=f"^{message}$") as err:
+        k.BlockSpec(kind, blocks)
+    assert err.value.field == "blocks"
+
+
 def test_block_spec_is_a_validated_named_tuple():
     blocks = ((F(1, 2), 1),)
     positional = k.BlockSpec("case-I", blocks, 1, 1)
@@ -178,8 +191,8 @@ def test_universal_unitary_rank_one_is_circle_algebra():
     uu = AlgElement.word((u, u.adjoint()))
     uu2 = AlgElement.word((u.adjoint(), u))
     expected = {
-        normalize_relation(uu - AlgElement.one()).sort_key(),
-        normalize_relation(uu2 - AlgElement.one()).sort_key(),
+        canonicalize_relations((uu - AlgElement.one(),))[0].sort_key(),
+        canonicalize_relations((uu2 - AlgElement.one(),))[0].sort_key(),
     }
     assert {r.sort_key() for r in p.relations} == expected
 
@@ -201,7 +214,7 @@ def test_universal_unitary_twisted_coefficient_ratio():
         - AlgElement.word((gen(1, 0), gen(1, 0, star=True)), 16)
     )
     keys = {r.sort_key() for r in p.relations}
-    assert normalize_relation(expected).sort_key() in keys
+    assert canonicalize_relations((expected,))[0].sort_key() in keys
 
 
 def test_universal_unitary_rejects_bad_q():
@@ -211,6 +224,15 @@ def test_universal_unitary_rejects_bad_q():
         k.build_universal_unitary(ScalarMatrix.diagonal([1, -1]))
 
 
+@pytest.mark.parametrize("build, message", [
+    (k.build_universal_unitary, "Q must be square"),
+    (k.build_universal_orthogonal, "F must be square"),
+])
+def test_builders_refuse_a_non_square_matrix(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(ScalarMatrix([[1, 0]]))
+
+
 def test_universal_orthogonal_rank_one_is_order_two_group():
     # one self-adjoint letter u with u u = 1: the four identities all read
     # u u - 1, and the reality entry u - u* is zero in the free algebra
@@ -218,7 +240,7 @@ def test_universal_orthogonal_rank_one_is_order_two_group():
     u = letter(0, 0, selfadjoint=True)
     assert p.generators == (gen(0, 0, selfadjoint=True),)
     assert u.adjoint() == u
-    assert p.relations == (normalize_relation(u * u - AlgElement.one()),)
+    assert p.relations == canonicalize_relations((u * u - AlgElement.one(),))
     assert p.u.entry(0, 0) == u
 
 
@@ -308,22 +330,16 @@ def test_reality_substitution_makes_trailing_letters_selfadjoint():
     assert {g for r in p.relations for g in r.letters() if g.selfadjoint} == {z}
 
 
-def test_self_paired_positions_with_opposite_signs_keep_plain_letters():
-    # F = diag(1, -1): the diagonal positions read u = u* and hold
-    # self-adjoint letters; (1,2) and (2,1) read u = -u* and keep plain
-    # letters with the relations u(1,2) + u(1,2)* and u(2,1) + u(2,1)*
-    f = ScalarMatrix.diagonal([1, -1])
-    sigma, kept = k.reality_substitution(f)
-    assert kept == [gen(0, 0, selfadjoint=True), gen(0, 1), gen(1, 0),
-                    gen(1, 1, selfadjoint=True)]
-    assert set(sigma) == {gen(0, 0), gen(1, 1)}
-    p = k.build_universal_orthogonal(f)
-    assert p.generators == tuple(kept)
-    keys = {r.sort_key() for r in p.relations}
-    for pos in ((0, 1), (1, 0)):
-        anti = normalize_relation(letter(*pos) + letter(*pos, star=True))
-        assert anti.sort_key() in keys
-    assert sum(r.degree() == 1 for r in p.relations) == 2
+@pytest.mark.parametrize("f", [ScalarMatrix.diagonal([1, -1]), hand_made_f()],
+                         ids=["diag(1,-1)", "hand-made"])
+@pytest.mark.parametrize("make", [k.reality_substitution, k.build_universal_orthogonal],
+                         ids=["substitution", "builder"])
+def test_self_paired_positions_with_opposite_signs_are_refused(make, f):
+    # (1,2) is self-paired with d_1 = -d_2: u(1,2) = -u(1,2)* would need an
+    # imaginary scalar, so the first such position is named
+    with pytest.raises(ValueError, match=r"^F with d_1 = -d_2 at the self-paired position "
+                                         r"\(1,2\) is unsupported: "):
+        make(f)
 
 
 def test_reality_substitution_annihilates_reality_entries():
@@ -344,7 +360,7 @@ def test_reality_substitution_annihilates_reality_entries():
             for c in range(n):
                 # self-paired positions hold self-adjoint letters, so
                 # their entries vanish too
-                entry = (u[j][c] - conj[j][c]).substitute(sigma)
+                entry = substitute(u[j][c] - conj[j][c], sigma)
                 assert entry.is_zero()
 
 
@@ -422,8 +438,8 @@ def _expand_then_substitute(spec):
         conj = dense_product(m, ub, dense_inverse(m))
         rels += [u[j][c] - conj[j][c] for j in range(n) for c in range(n)]
         sigma, kept = k.reality_substitution(m)
-    rels = [r.substitute(sigma) for r in rels]
-    return kept, canonicalize_relations(rels), k.AlgMatrix(u).substitute(sigma), q
+    rels = [substitute(r, sigma) for r in rels]
+    return kept, canonicalize_relations(rels), substitute(k.AlgMatrix(u), sigma), q
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,7 +490,10 @@ def _form(r):
 @settings(max_examples=200, deadline=None)
 @given(relations())
 def test_normalize_relation_matches_the_two_scale_reference(r):
-    assert _form(normalize_relation(r)) == _form(reference_normalize(r))
+    # the normal form of one relation is its canonical set, empty for zero
+    want = reference_normalize(r)
+    got = canonicalize_relations((r,))
+    assert [_form(n) for n in got] == ([] if want is None else [_form(want)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -504,7 +523,8 @@ def test_each_identity_entry_below_the_diagonal_has_its_mirror_normal_form(spec)
     for mat in _identity_entries(k.build_presentation(spec)):
         for j in range(len(mat)):
             for c in range(j + 1, len(mat)):
-                assert _form(normalize_relation(mat[c][j])) == _form(normalize_relation(mat[j][c]))
+                assert [_form(r) for r in canonicalize_relations((mat[c][j],))] == \
+                    [_form(r) for r in canonicalize_relations((mat[j][c],))]
 
 
 def test_builder_keeps_the_canonical_full_emission_on_every_spec_up_to_three():
@@ -535,9 +555,11 @@ def test_defining_relations_drop_the_plain_pair_only_where_reality_holds():
     # a builder's orthogonal u satisfies U = F Ubar F^-1 and Q = F*F
     p = k.build_presentation(one_block_spec(F(1, 2), 2, 1))
     assert len(defining_relations(p.u, p.q, p.f)) == _entry_count(4, 2)
-    # a reality entry u(1,2) + u(1,2)* is left nonzero
-    p = k.build_universal_orthogonal(hand_made_f())
-    assert len(defining_relations(p.u, p.q, p.f)) == _entry_count(4, 4)
+    # every reality entry u(j,k) - (d_j/d_k) u(j,k)* of a generic u is nonzero
+    f = ScalarMatrix.diagonal([1, -1])
+    rels = defining_relations(generator_matrix(2), ScalarMatrix.identity(2), f)
+    assert len(rels) == _entry_count(2, 4)
+    assert not any(r.is_zero() for r in rels[-4:])
     # every reality entry is zero, but Q is not F*F
     p = k.build_presentation(k.BlockSpec("case-II", ((F(1, 3), 1), (F(1, 2), 1))))
     q = ScalarMatrix.identity(4)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import cqgkac as k
 from cqgkac.presentations import canonicalize_relations
 
-from conftest import gen, one_block_spec, random_element
+from conftest import gen, ideal_membership_bounded, one_block_spec, random_element
 
 LETTERS = [gen(j, c, s) for j in range(2) for c in range(2) for s in (False, True)]
 
@@ -84,6 +84,6 @@ def test_ideal_membership_monotone_on_fixed_instances():
         for i, x in enumerate(instances):
             if x.degree() > d:
                 continue
-            history.setdefault(i, []).append(k.ideal_membership_bounded(x, rels, d))
+            history.setdefault(i, []).append(ideal_membership_bounded(x, rels, d))
     for outcomes in history.values():
         assert outcomes == sorted(outcomes)  # once true, stays true
