@@ -370,14 +370,6 @@ class ScalarMatrix:
             for k in range(self.cols)
         )
 
-    def is_monomial(self) -> bool:
-        """Exactly one nonzero entry per row and per column."""
-        if self.rows != self.cols:
-            return False
-        rc = [sum(1 for e in row if e) for row in self._entries]
-        cc = [sum(1 for j in range(self.rows) if self._entries[j][k]) for k in range(self.cols)]
-        return all(c == 1 for c in rc) and all(c == 1 for c in cc)
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             self._entries[j][k] == (1 if j == k else 0)

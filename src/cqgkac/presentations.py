@@ -108,10 +108,12 @@ class BlockSpec(_SpecFields):
                 q = 1 is allowed in the last block only.
 
     A validated NamedTuple: construction, `_make` and `_replace` check
-    every field and store `blocks` as a tuple of `Block`s.  The size N is
-    at most MAX_SIZE: `report` on unitary two-class specs took 3.6 s at
-    N = 24 and 13.3 s at N = 32 (2 shared vCPUs), growing about as N^4.5,
-    so some minutes at N = 64; the generator matrix alone has N^2 letters.
+    every field and store `blocks` as a tuple of `Block`s.  It owns every
+    value rule: a q that `rat` refuses is named `blocks[i].q`, with `rat`'s
+    message, an m not an int `blocks[i].m`.  The size N is at most
+    MAX_SIZE: `report` on unitary two-class specs took 3.6 s at N = 24 and
+    13.3 s at N = 32 (2 shared vCPUs), growing about as N^4.5, so some
+    minutes at N = 64; the generator matrix alone has N^2 letters.
     """
 
     __slots__ = ()
@@ -130,13 +132,13 @@ class BlockSpec(_SpecFields):
             try:
                 parsed.append(Block(rat(b[0]), b[1]))
             except (TypeError, ValueError) as exc:
-                raise SpecError("blocks", f"blocks[{i}].q: {exc}") from None
+                raise SpecError(f"blocks[{i}].q", str(exc)) from None
+            if not is_int(b[1]):
+                raise SpecError(f"blocks[{i}].m", "expected an integer")
         blocks = tuple(parsed)
         signs = (-1, 1) if kind == "one-block" else (1,)
         if not is_int(epsilon) or epsilon not in signs:
             raise SpecError("epsilon", f"{kind} spec takes epsilon in {signs}")
-        if not all(is_int(b.m) for b in blocks):
-            raise SpecError("blocks", "block multiplicities must be integers")
         if any(b.m < 1 for b in blocks):
             raise SpecError("blocks", "block multiplicities must be >= 1")
         qs = [b.q for b in blocks]
@@ -231,9 +233,15 @@ def symplectic_matrix(m: int) -> ScalarMatrix:
 
 def _monomial_decode(F: ScalarMatrix):
     """(pi, d) of a monomial F: row j holds its one nonzero d[j] in column
-    pi[j]."""
+    pi[j].  Every reader of F decodes it here, so this is the one check of
+    F's form: any other matrix raises ValueError."""
+    if F.rows != F.cols:
+        raise ValueError("F must be square")
     n = F.rows
-    pi = [next(k for k in range(n) if F.entry(j, k)) for j in range(n)]
+    rows = [[k for k in range(n) if F.entry(j, k)] for j in range(n)]
+    pi = [row[0] for row in rows if len(row) == 1]
+    if len(set(pi)) != n:
+        raise ValueError("non-monomial F is unsupported; reduce F to a standard form first")
     return pi, [F.entry(j, pj) for j, pj in enumerate(pi)]
 
 
@@ -407,8 +415,6 @@ def reality_substitution(F: ScalarMatrix):
     Returns (sigma, kept) where sigma sends each redundant plain generator
     to its expression over the kept ones.
     """
-    if not F.is_monomial():
-        raise ValueError("reality substitution needs a monomial matrix")
     pi, d = _monomial_decode(F)
     sigma = {}
     kept = []
@@ -447,10 +453,6 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     each position, and every relation entry is written in closed form over
     it; a reality entry of u left nonzero raises RuntimeError.
     """
-    if F.rows != F.cols:
-        raise ValueError("F must be square")
-    if not F.is_monomial():
-        raise ValueError("non-monomial F is unsupported; reduce F to a standard form first")
     pi, d = _monomial_decode(F)
     sign = d[0] * d[pi[0]]
     for j, pj in enumerate(pi):

@@ -43,12 +43,17 @@ def test_config_round_trip():
     }
     spec = cli.parse_config(case1)
     assert cli.parse_config(cli.config_json(spec)) == spec
+    # through JSON text, every spec of N <= 4 comes back as itself
+    specs = specs_up_to(4)
+    assert len(specs) == 187
+    for spec in specs:
+        assert cli.parse_config(json.loads(json.dumps(cli.config_json(spec)))) == spec
 
 
 def test_config_errors_point_at_fields():
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config({"blocks": []})
-    assert err.value.field == "kind"
+    assert str(err.value) == "config field 'kind': missing"
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config({"kind": "one-block", "blocks": [{"m": 1}]})
     assert err.value.field == "blocks[0].q"
@@ -128,6 +133,7 @@ CASE_I = {"kind": "case-I", "blocks": [{"q": "1/2", "m": 1}]}
     ({**CASE_I, "epsilon": 1}, "epsilon"),
     ({"kind": "unitary", "blocks": [{"q": "1", "m": 2}], "epsilon": -1}, "epsilon"),
     ({"kind": "case-II", "blocks": [{"q": "1/2", "m": 1}], "epsilon": 1}, "epsilon"),
+    ({**CASE_I, "kind": 3}, "kind"),
 ])
 def test_config_errors_name_kind_trailing_epsilon(doc, field):
     with pytest.raises(cli.ConfigError) as err:
@@ -364,6 +370,23 @@ def test_numeric_verb(tmp_path):
     assert numeric["classical_identity"]["max_residual"] <= 1e-10
     assert numeric["rep_search"]["found"] is True
     assert numeric["rep_search"]["max_residual"] < 1e-8
+
+
+def test_numeric_reports_an_exhausted_rep_search(monkeypatch):
+    # u(1,1) = 2 holds at no signed permutation matrix, so no character
+    # verifies: the section says so, and the verb still exits 0
+    build = cli.build_presentation
+
+    def with_u11_two(spec):
+        p = build(spec)
+        extra = AlgElement.generator(gen(0, 0)) - AlgElement.scalar(2)
+        return k.Presentation(p.generators, p.relations + (extra,), p.u, p.q, p.f, p.label)
+
+    monkeypatch.setattr(cli, "build_presentation", with_u11_two)
+    code, report = cli.run(cli.parse_config(ONE_BLOCK), "numeric")
+    assert code == cli.EXIT_OK
+    assert report["numeric"]["rep_search"] == {"found": False, "max_residual": None}
+    assert report["verdict"].endswith("rep search exhausted")
 
 
 def test_build_verb_lists_presentation(tmp_path):

@@ -66,8 +66,8 @@ def test_block_spec_validation():
     # ill-typed fields are refused, not coerced: m=1.5 once became m=1 and
     # trailing=1.5 gave size 3.5
     for kwargs, field in [
-        (dict(kind="case-II", blocks=((F(1, 2), 1.5),)), "blocks"),
-        (dict(kind="case-II", blocks=((F(1, 2), True),)), "blocks"),
+        (dict(kind="case-II", blocks=((F(1, 2), 1.5),)), "blocks[0].m"),
+        (dict(kind="case-II", blocks=((F(1, 2), True),)), "blocks[0].m"),
         (dict(kind="case-I", blocks=((F(1, 2), 1),), trailing=1.5), "trailing"),
         (dict(kind="case-I", blocks=((F(1, 2), 1),), trailing=True), "trailing"),
         (dict(kind="one-block", blocks=((F(1, 2), 1),), epsilon=True), "epsilon"),
@@ -80,9 +80,7 @@ def test_block_spec_validation():
 @pytest.mark.parametrize("blocks, message", [
     (((F(1, 2),),), r"^blocks\[0\] is not a \(q, m\) pair: \(Fraction\(1, 2\),\)$"),
     ((F(1, 2),), r"^blocks\[0\] is not a \(q, m\) pair: Fraction\(1, 2\)$"),
-    (((F(1, 4), 1), ("x", 1)), r"^blocks\[1\]\.q: "),
     (None, r"^blocks is not a sequence: None$"),
-    (((F(1, 4), 1), ("1/0", 1)), r"^blocks\[1\]\.q: '1/0' has a zero denominator$"),
 ])
 def test_block_spec_names_a_malformed_block(blocks, message):
     # a block given directly, not through a JSON config, is checked for
@@ -90,6 +88,17 @@ def test_block_spec_names_a_malformed_block(blocks, message):
     with pytest.raises(SpecError, match=message) as err:
         k.BlockSpec("unitary", blocks)
     assert err.value.field == "blocks"
+
+
+@pytest.mark.parametrize("q, message", [
+    ("x", r"^Invalid literal for Fraction: 'x'$"),
+    ("1/0", r"^'1/0' has a zero denominator$"),
+], ids=["x", "1/0"])
+def test_block_spec_names_a_refused_q(q, message):
+    # a q that `rat` refuses is named by its own field, with `rat`'s message
+    with pytest.raises(SpecError, match=message) as err:
+        k.BlockSpec("unitary", ((F(1, 4), 1), (q, 1)))
+    assert err.value.field == "blocks[1].q"
 
 
 @pytest.mark.parametrize("kind, blocks, trailing", [
@@ -339,6 +348,20 @@ def test_self_paired_positions_with_opposite_signs_are_refused(make, f):
     # imaginary scalar, so the first such position is named
     with pytest.raises(ValueError, match=r"^F with d_1 = -d_2 at the self-paired position "
                                          r"\(1,2\) is unsupported: "):
+        make(f)
+
+
+@pytest.mark.parametrize("f", [
+    ScalarMatrix([[F(3, 5), F(4, 5)], [F(4, 5), F(-3, 5)]]),  # F Fbar = I, not monomial
+    ScalarMatrix([[1, 0], [0, 0]]),  # a zero row
+    ScalarMatrix([[0, 1], [0, 1]]),  # two rows in one column
+], ids=["reflection", "zero-row", "shared-column"])
+@pytest.mark.parametrize("make", [k.reality_substitution, k.build_universal_orthogonal],
+                         ids=["substitution", "builder"])
+def test_non_monomial_f_is_refused_with_one_message(make, f):
+    # both read F through _monomial_decode, which alone checks F's form
+    with pytest.raises(ValueError, match=r"^non-monomial F is unsupported; "
+                                         r"reduce F to a standard form first$"):
         make(f)
 
 

@@ -169,10 +169,16 @@ def test_match_symmetric_under_inverse_renaming():
     assert forward.matched == backward.matched == True  # noqa: E712
 
 
-def test_match_rejects_partial_renaming():
+@pytest.mark.parametrize("rename, message", [
+    (lambda gens: {}, "not total on the derived generators"),
+    (lambda gens: {g: gens[0] for g in gens}, "not injective"),
+    (lambda gens: {g: g._replace(factor=1) for g in gens}, "not onto the target generators"),
+], ids=["partial", "non-injective", "not-onto"])
+def test_match_rejects_partial_renaming(rename, message):
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
-    with pytest.raises(ValueError):
-        k.match_presentations(p, p, {})
+    assert len(p.generators) > 1
+    with pytest.raises(ValueError, match=f"^renaming is {message}$"):
+        k.match_presentations(p, p, rename(p.generators))
 
 
 def test_ideal_membership_direct_and_cofactored():

@@ -3,6 +3,7 @@ itself."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -12,12 +13,12 @@ _spec.loader.exec_module(setup_ab)
 
 
 def test_one_pair_prints_both_sides_as_json(monkeypatch, capsys):
-    # main pins the BLAS variables in os.environ; setting them here first
-    # lets monkeypatch restore them for the tests that follow
+    # the BLAS variables are pinned in the children's environment only
     for var in setup_ab.run.BLAS_VARS:
-        monkeypatch.setenv(var, "1")
+        monkeypatch.delenv(var, raising=False)
     argv = [str(ROOT), str(ROOT), "--workload", "kac-large", "--pairs", "1"]
     assert setup_ab.main(argv) == 0
+    assert not any(var in os.environ for var in setup_ab.run.BLAS_VARS)
     result = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (result["workload"], result["pairs"]) == ("kac-large", 1)
     assert result["b_faster"] in (0, 1)

@@ -6,8 +6,10 @@ of CHECKOUT_A and that of CHECKOUT_B, and prints each side's median and
 quartiles and in how many pairs B was faster.  The child, the spec file
 and the workload's spec names come from this checkout's `perfbench/`, so
 both sides do the same work.  Each side first runs one untimed
-interpreter, as perfbench does; the environment is passed on as it is, so
-under PYTHONDONTWRITEBYTECODE=1 every interpreter compiles the package.
+interpreter, as perfbench does.  The children get this process's
+environment with perfbench's BLAS variables pinned to one thread; the
+caller's own environment is left as it was.  Under
+PYTHONDONTWRITEBYTECODE=1 every interpreter compiles the package.
 The last line is one JSON object with the samples of both sides.
 
     python tools/setup_ab.py CHECKOUT_A CHECKOUT_B --workload kac-large --pairs 30
@@ -15,6 +17,7 @@ The last line is one JSON object with the samples of both sides.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +28,12 @@ sys.path.insert(0, str(PERFBENCH))
 import run  # noqa: E402
 
 
-def setup_seconds(src, workload):
+def setup_seconds(src, workload, env):
     """One fresh interpreter's import-and-parse time against `src`."""
     argv = [sys.executable, "-c", run.SETUP_CHILD, str(src), str(PERFBENCH / "specs.json"),
             *workload.specs]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True)
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True,
+                          env=env)
     return float(done.stdout.strip().splitlines()[-1])
 
 
@@ -43,17 +47,18 @@ def main(argv=None):
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    run.pin_blas()
+    # the BLAS pinning of `run.pin_blas`, passed to each child only
+    env = {**os.environ, **{var: "1" for var in run.BLAS_VARS}}
     workload = run.WORKLOADS[args.workload]
     sides = {"A": args.checkout_a.resolve() / "src", "B": args.checkout_b.resolve() / "src"}
     for src in sides.values():
         if not (src / "cqgkac" / "__init__.py").is_file():
             parser.error(f"no cqgkac sources under {src}")
-        setup_seconds(src, workload)
+        setup_seconds(src, workload, env)
     times = {side: [] for side in sides}
     for i in range(args.pairs):
         for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
-            times[side].append(setup_seconds(sides[side], workload))
+            times[side].append(setup_seconds(sides[side], workload, env))
 
     summaries = {side: run.summary(times[side], "s") for side in sides}
     for side, s in summaries.items():
