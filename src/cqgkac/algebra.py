@@ -261,18 +261,6 @@ class AlgElement:
         """The *-operation; coefficients stay (all scalars are real)."""
         return AlgElement._wrap({word_adjoint(w): c for w, c in self._terms.items()})
 
-    def rename(self, letters: dict) -> "AlgElement":
-        """The *-homomorphic extension of a map of plain letters to
-        letters, with no multiplication: each word is renamed letter by
-        letter, a starred letter to the adjoint of its plain one's image.
-        Words that collide add their coefficients."""
-        image = {g.adjoint(): h.adjoint() for g, h in letters.items()}
-        image.update(letters)
-        get = image.get
-        return AlgElement._wrap(add_terms({}, (
-            (tuple([get(g, g) for g in w]), c) for w, c in self._terms.items()
-        )))
-
     def sort_key(self):
         """Deterministic total order key on elements."""
         return tuple(
@@ -301,6 +289,18 @@ class AlgElement:
                 parts.append(f"{rat_str(c)} {word_label(w)}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
+
+
+def renamer(letters: dict):
+    """The *-homomorphic extension of a map of plain letters to letters,
+    with no multiplication, as a function on elements; its starred image is
+    built once.  Each word is renamed letter by letter, a starred letter to
+    the adjoint of its plain one's image; words that collide add."""
+    image = {g.adjoint(): h.adjoint() for g, h in letters.items()}
+    image.update(letters)
+    get = image.get
+    return lambda a: AlgElement._wrap(add_terms({}, (
+        (tuple([get(g, g) for g in w]), c) for w, c in a.terms())))
 
 
 class AlgMatrix:

@@ -86,26 +86,24 @@ def config_json(spec: BlockSpec) -> dict:
     return doc
 
 
-def _kac_certificates(kac_report):
-    """The report's certificate entries, one per forced generator, all in
-    round 0.  Every certificate cites the one closed-form combination, so
-    its multipliers and coefficients are rendered once and shared."""
-    if not kac_report.certificates:
-        return []
+def _kac_certificate(kac_report):
+    """The report's one certificate, or None when nothing is forced: the
+    closed-form combination over the traced equations and its coefficients,
+    positive on exactly the tr[g g*] of the forced generators."""
+    cert = kac_report.certificate
+    if cert is None:
+        return None
     equations = kac_report.equations.equations
-    first = kac_report.certificates[0][1]
-    shared = {
+    return {
         "combination": [
             {"equation": idx, "provenance": equations[idx].provenance, "multiplier": rat_str(mult)}
-            for idx, mult in first.multipliers
+            for idx, mult in cert.multipliers
         ],
         "coefficients": {
             s.label(): rat_str(c)
-            for s, c in sorted(first.coefficients.items(), key=lambda kv: kv[0].sort_key())
+            for s, c in sorted(cert.coefficients.items(), key=lambda kv: kv[0].sort_key())
         },
     }
-    return [{"generator": g.label(), "target": cert.target.label(), "round": 0, **shared}
-            for g, cert in kac_report.certificates]
 
 
 VERBS = {
@@ -140,7 +138,10 @@ def run(spec: BlockSpec, verb: str):
     A character is a tracial state and a finite-dimensional representation,
     so each witness proves its generator survives in the Kac and the RFD
     quotient.  `kac.rounds` is 1 plus whether the closed-form round forced
-    anything, and every certificate's `round` is 0.
+    anything.  `kac.certificate` is null when nothing is forced, else the
+    one closed-form certificate: its `combination` lists each equation,
+    provenance and multiplier, and its `coefficients` are positive on the
+    tr[g g*] of exactly the generators in `kac.forced`.
     """
     report = {"input": config_json(spec), "verb": verb}
     if verb not in VERBS:
@@ -172,7 +173,7 @@ def run(spec: BlockSpec, verb: str):
             "forced": [g.label() for g in kac_report.forced],
             "rounds": kac_report.iterations,
             "undetermined": [s.label() for s in kac_report.undetermined],
-            "certificates": _kac_certificates(kac_report),
+            "certificate": _kac_certificate(kac_report),
         }
         kac_verdict = (
             f"forced {len(kac_report.forced)} generators in {kac_report.iterations} rounds"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .algebra import AlgElement, AlgMatrix, ScalarMatrix
+from .algebra import AlgElement, AlgMatrix, ScalarMatrix, renamer
 from .linalg import SparseEchelon, WordIndex
 from .presentations import (
     BlockSpec,
@@ -95,7 +95,7 @@ def expected_kac_target(spec: BlockSpec):
     rels, renaming = [], {}
     for tag, (part, o) in enumerate(zip(parts, spec.offsets)):
         retag = {g: g._replace(factor=tag) for g in part.generators}
-        rels.extend(r.rename(retag) for r in part.relations)
+        rels.extend(map(renamer(retag), part.relations))
         renaming.update((g._replace(row=o + g.row, col=o + g.col), h) for g, h in retag.items())
     label = " * ".join(p.label for p in parts)
     rels.sort(key=AlgElement.sort_key)  # canonical: each part is; retags keep letter order
@@ -122,7 +122,7 @@ def match_presentations(P, T, renaming) -> MatchVerdict:
         raise ValueError("renaming is not injective")
     if set(renaming.values()) != set(T.generators):
         raise ValueError("renaming is not onto the target generators")
-    renamed = canonicalize_relations(r.rename(renaming) for r in P.relations)
+    renamed = canonicalize_relations(map(renamer(renaming), P.relations))
     derived_keys = {r.sort_key(): r for r in renamed}
     target_keys = {r.sort_key(): r for r in T.relations}
     only_derived = tuple(derived_keys[k] for k in sorted(derived_keys.keys() - target_keys.keys()))

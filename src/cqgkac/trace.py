@@ -7,12 +7,13 @@ mentions, which Im = 0 always solves.  Symbols of the form
 tr[g g*] are nonnegative; the others are free.  Only relations with a
 constant term are traced: the closed form below reads no others.
 
-A generator g is certified to lie in the Kac ideal by a nonnegative
-combination of equations with constant 0, no free symbol, and a positive
-coefficient on tr[g g*]; `verify_certificate` re-checks it reading only
-the equations.  The Kac quotient needs one such combination, in closed
-form (S. Wang, Free products of compact quantum groups, 1995; Van Daele &
-Wang, Universal quantum groups, 1996).  With a_jk = tr[u_jk u_jk*] and Q
+A certificate is a nonnegative combination of equations with constant 0
+and no free symbol.  It proves that every tr[g g*] it is positive on
+vanishes for every tracial state, so g lies in the Kac ideal;
+`verify_certificate` re-checks it reading only the equations and returns
+those symbols.  The Kac quotient needs one certificate, in closed form
+(S. Wang, Free products of compact quantum groups, 1995; Van Daele & Wang,
+Universal quantum groups, 1996).  With a_jk = tr[u_jk u_jk*] and Q
 diagonal, the traced diagonal entries of the four unitarity identities
 read
 
@@ -21,9 +22,9 @@ read
 
 Weighting each row pair (twisted minus plain) by Q_j and each column pair
 (plain minus twisted) by Q_k gives constant 0 and the coefficient
-(Q_j - Q_k)^2 / Q_k >= 0 on a_jk, so every generator joining two different
-eigenvalues of Q dies at once.  That one closed-form round is the whole
-derivation, with no fixpoint: the exact characters of
+(Q_j - Q_k)^2 / Q_k >= 0 on a_jk, so that one certificate kills every
+generator joining two different eigenvalues of Q.  That one round is the
+whole derivation, with no fixpoint: the exact characters of
 `numeric.witness_characters` then cover the rest.  A character is a
 tracial state, so a generator it is nonzero on survives, and a survivor no
 character reaches is reported undetermined.
@@ -193,10 +194,9 @@ def derive_trace_equations(P: Presentation) -> TraceEquationSet:
 
 
 class Certificate(NamedTuple):
-    """An exact nonnegative combination of traced relations proving that a
-    nonnegative symbol vanishes for every tracial state."""
+    """An exact nonnegative combination of traced relations; it proves that
+    each symbol it is positive on vanishes for every tracial state."""
 
-    target: TraceSymbol
     multipliers: tuple  # ((equation index, int or Fraction), ...)
     constant: int | Fraction
     coefficients: dict  # TraceSymbol -> int or Fraction, the resulting combination
@@ -216,11 +216,12 @@ def _recombine(eqs: TraceEquationSet, multipliers):
     return const, coeffs
 
 
-def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> bool:
-    """Recombine the cited equations and re-check every sign condition.
+def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> frozenset:
+    """Recombine the cited equations, re-check every sign condition, and
+    return the symbols proven zero: those with a positive coefficient.
 
     Reads only the multipliers and the equations, never the LP: raises
-    CertificateError on any failure.
+    CertificateError on any failure, and when no symbol is positive.
     """
     const, coeffs = _recombine(eqs, cert.multipliers)
     if const != cert.constant or coeffs != cert.coefficients:
@@ -232,21 +233,22 @@ def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> bool:
             raise CertificateError(f"free symbol {s.label()} survives in the combination")
         if c < 0:
             raise CertificateError(f"negative coefficient on {s.label()}")
-    if coeffs.get(cert.target, 0) <= 0:
-        raise CertificateError("target symbol does not appear positively")
-    return True
+    if not coeffs:
+        raise CertificateError("combination is positive on no symbol")
+    return frozenset(coeffs)
 
 
 def _shared_certificates(eqs: TraceEquationSet, targets):
-    """({target: Certificate}, undetermined set) for nonnegative targets.
+    """(Certificate or None, the symbols it proves, undetermined set) for
+    nonnegative targets.
 
     The candidates are the targets the reduced rows mention; the rest are
     undetermined.  Each pass maximises the sum of the candidates' symbols.
     Candidates positive on the recession ray of an unbounded sum are
     unbounded alone, so undetermined; candidates positive at a positive
     optimum can stay positive, so dropped.  At optimum zero the dual is one
-    nonnegative combination of equations, positive on every candidate left,
-    and each of them gets it as a re-verified certificate.
+    nonnegative combination of equations, positive on every candidate left:
+    the certificate, verified once.
     """
     rows = eqs.reduced()
     variables = sorted({s for row in rows for s in row.coeffs}, key=TraceSymbol.sort_key)
@@ -275,24 +277,22 @@ def _shared_certificates(eqs: TraceEquationSet, targets):
                 add_terms(combo, ((idx, mult * m) for idx, m in row.combo.items()))
         multipliers = tuple(sorted(combo.items()))
         const, coeffs = _recombine(eqs, multipliers)
-        certs = {t: Certificate(t, multipliers, const, coeffs) for t in candidates}
-        for cert in certs.values():
-            verify_certificate(cert, eqs)
-        return certs, undetermined
-    return {}, undetermined
+        cert = Certificate(multipliers, const, coeffs)
+        return cert, verify_certificate(cert, eqs), undetermined
+    return None, frozenset(), undetermined
 
 
 def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
-    """Certificate that the target symbol is zero, or None if a tracial
+    """A certificate proving the target symbol zero, or None if a tracial
     state may keep it positive: the one-target case of the shared round.
     Raises Undetermined when the reduced system leaves the target
     unbounded or does not mention it."""
     if target not in eqs.nonneg:
         raise ValueError(f"{target.label()} is not in the nonnegative index")
-    certs, undetermined = _shared_certificates(eqs, [target])
+    cert, proven, undetermined = _shared_certificates(eqs, [target])
     if undetermined:
         raise Undetermined(target.label())
-    return certs.get(target)
+    return cert if target in proven else None
 
 
 def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
@@ -334,62 +334,56 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
     return tuple(sorted(combo.items()))
 
 
-def _closed_form_certificates(P: Presentation, eqs: TraceEquationSet):
-    """((generator, Certificate), ...) for the generators of P the
-    closed-form combination has a positive coefficient on, all sharing that
-    one combination, verified once."""
+def _closed_form_certificate(P: Presentation, eqs: TraceEquationSet):
+    """The closed-form combination as a Certificate, not yet verified; None
+    when it is not among the equations or is positive on no symbol (one
+    eigenvalue of Q)."""
     multipliers = _closed_form_multipliers(P, eqs)
     if multipliers is None:
-        return ()
+        return None
     const, coeffs = _recombine(eqs, multipliers)
-    symbols = ((g, generator_symbol(g)) for g in P.generators)
-    certs = tuple((g, Certificate(s, multipliers, const, coeffs))
-                  for g, s in symbols if coeffs.get(s, 0) > 0)
-    if certs:
-        verify_certificate(certs[0][1], eqs)
-    return certs
+    return Certificate(multipliers, const, coeffs) if coeffs else None
 
 
 class KacReport(NamedTuple):
-    """What `kac_fixpoint` concluded: the equations the certificates cite,
-    one certificate per forced generator, all citing the one closed-form
-    combination, the symbols of the survivors no character reaches, and
-    the `numeric.CharacterCover` of the survivors."""
+    """What `kac_fixpoint` concluded: the equations the certificate cites,
+    the one closed-form certificate (None when nothing is forced), the
+    generators whose tr[g g*] its verification returned, the symbols of the
+    survivors no character reaches, and their `numeric.CharacterCover`."""
 
     equations: TraceEquationSet
-    certificates: tuple  # ((GeneratorId, Certificate), ...)
+    certificate: Certificate | None
+    forced: tuple  # (GeneratorId, ...) in P's order
     undetermined: tuple
     cover: CharacterCover
-
-    @property
-    def forced(self):
-        return [g for g, _ in self.certificates]
 
     @property
     def iterations(self) -> int:
         """2 when the closed-form round forced something (it and the
         character cover), else 1."""
-        return 1 + bool(self.certificates)
+        return 1 + bool(self.forced)
 
 
 def kac_fixpoint(P: Presentation):
     """Force by the closed form, then witness the survivors by characters.
 
     One round, no fixpoint: the closed-form combination of the traced
-    diagonal entries is one certificate, shared by every generator it
-    forces; it forces nothing when those entries are not among P's
-    equations.  When something dies, P is quotiented.  Then
-    `witness_characters` looks for a verified character of P nonzero on
-    each survivor; a survivor none reaches (one outside P's fundamental
-    matrix among them) is undetermined.
+    diagonal entries is one certificate, verified once, and it forces every
+    generator whose tr[g g*] the verification returns; it forces nothing
+    when those entries are not among P's equations.  When something dies,
+    P is quotiented.  Then `witness_characters` looks for a verified
+    character of P nonzero on each survivor; a survivor none reaches (one
+    outside P's fundamental matrix among them) is undetermined.
     Sound by construction: every tracial state satisfies the derived
     equations, so certified symbols vanish and the quotient stays above the
     Kac quotient.  Returns (KacReport, final presentation).
     """
     eqs = derive_trace_equations(P)
-    certs = _closed_form_certificates(P, eqs)
-    final = quotient_by_zero(P, [g for g, _ in certs]) if certs else P
+    cert = _closed_form_certificate(P, eqs)
+    proven = verify_certificate(cert, eqs) if cert else frozenset()
+    forced = tuple(g for g in P.generators if generator_symbol(g) in proven)
+    final = quotient_by_zero(P, forced) if forced else P
     cover = witness_characters(P, final.generators)
     uncovered = set(cover.uncovered)
     undetermined = tuple(generator_symbol(g) for g in final.generators if g in uncovered)
-    return KacReport(eqs, certs, undetermined, cover), final
+    return KacReport(eqs, cert, forced, undetermined, cover), final

@@ -551,14 +551,13 @@ def transposition_candidates(P):
             yield V
 
 
-def certificate_json(gen, cert, rnd, equations):
-    """One generator's certificate entry of the report, rendered on its
-    own: its combination over the round's equations and its sorted
-    coefficients."""
+def certificate_json(cert, equations):
+    """The report's one certificate, rendered on its own: its combination
+    over the equations and its sorted coefficients; None for no
+    certificate."""
+    if cert is None:
+        return None
     return {
-        "generator": gen.label(),
-        "target": cert.target.label(),
-        "round": rnd,
         "combination": [
             {
                 "equation": idx,

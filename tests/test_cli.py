@@ -185,8 +185,9 @@ def test_match_verb_exit_zero(tmp_path):
     assert report["verdict"] == "matched Pol(U_1^+)"
     assert report["match"]["matched"] is True
     assert report["kac"]["forced"] == ["u(2,1)"]
-    for cert in report["kac"]["certificates"]:
-        assert cert["combination"]
+    certificate = report["kac"]["certificate"]
+    assert certificate["combination"]
+    assert list(certificate["coefficients"]) == ["tr[u(2,1) u(2,1)*]"]
 
 
 def test_self_match_verdict(tmp_path):
@@ -418,7 +419,8 @@ def test_report_schema_fields():
     for key in ("input", "sizes", "kac", "match", "survivors", "hopf", "numeric", "timings",
                 "verdict"):
         assert key in report
-    assert set(report["kac"]) == {"forced", "rounds", "undetermined", "certificates"}
+    assert set(report["kac"]) == {"forced", "rounds", "undetermined", "certificate"}
+    assert set(report["kac"]["certificate"]) == {"combination", "coefficients"}
     survivors = report["survivors"]
     assert set(survivors) == {"characters", "witnesses", "unwitnessed", "candidates"}
     assert set(survivors["witnesses"]) == set(report["match"]["renaming"])
@@ -451,13 +453,45 @@ def test_cli_import_loads_no_dataclasses_inspect_or_argparse():
     subprocess.run([sys.executable, "-S", "-c", code], check=True, timeout=60)
 
 
-def test_certificates_match_the_per_generator_rendering():
+def test_the_report_certificate_verifies_and_proves_exactly_the_forced():
+    # read back from the report's JSON and rebuilt from its p/q strings,
+    # the one certificate verifies against freshly traced equations and
+    # proves the tr[g g*] of exactly the forced generators
     specs = [*specs_up_to(3), *KAC_LARGE.values()]
     for spec in specs:
-        kac_report, _ = k.kac_fixpoint(k.build_presentation(spec))
-        want = [certificate_json(g, cert, 0, kac_report.equations.equations)
-                for g, cert in kac_report.certificates]
-        assert cli.run(spec, "kac")[1]["kac"]["certificates"] == want, spec
+        kac = json.loads(json.dumps(cli.run(spec, "kac")[1]))["kac"]
+        p = k.build_presentation(spec)
+        eqs = k.derive_trace_equations(p)
+        kac_report, _ = k.kac_fixpoint(p)
+        assert kac["certificate"] == certificate_json(kac_report.certificate, eqs.equations)
+        forced = {g for g in p.generators if g.label() in kac["forced"]}
+        assert len(forced) == len(kac["forced"]), spec
+        assert (kac["certificate"] is None) == (not forced), spec
+        if not forced:
+            continue
+        symbol = {s.label(): s for e in eqs.equations for s in e.coeffs}
+        assert len(symbol) == len({s for e in eqs.equations for s in e.coeffs})
+        combination = kac["certificate"]["combination"]
+        assert all(eqs.equations[c["equation"]].provenance == c["provenance"]
+                   for c in combination), spec
+        cert = k.Certificate(
+            tuple((c["equation"], k.rat(c["multiplier"])) for c in combination), 0,
+            {symbol[s]: k.rat(c) for s, c in kac["certificate"]["coefficients"].items()},
+        )
+        proven = k.verify_certificate(cert, eqs)
+        assert proven == {k.generator_symbol(g) for g in forced}, spec
+
+
+def test_the_kac_section_grows_as_n_squared():
+    # one certificate of 4N multipliers and N^2/2 coefficients; one copy
+    # of it per forced generator grew the section 10.6 times from 8 to 16
+    sizes = {}
+    for n in (8, 16):
+        spec = k.BlockSpec("unitary", ((F(1, 2), n // 2), (F(1), n // 2)))
+        kac = cli.run(spec, "kac")[1]["kac"]
+        assert len(kac["forced"]) == n * n // 2
+        sizes[n] = len(json.dumps(kac))
+    assert sizes[16] <= 5 * sizes[8]
 
 
 def test_summary_has_a_hopf_line(tmp_path, capsys, monkeypatch):

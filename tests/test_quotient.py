@@ -181,6 +181,22 @@ def test_match_rejects_partial_renaming(rename, message):
         k.match_presentations(p, p, rename(p.generators))
 
 
+def test_match_takes_each_letter_adjoint_a_bounded_number_of_times(monkeypatch):
+    # the starred image of the renaming is built once (2 adjoints a letter)
+    # and each relation word of degree <= 2 is oriented once (<= 2 a term);
+    # rebuilding the image per relation costs 15 times this at N = 8
+    spec = k.BlockSpec("unitary", ((F(1, 2), 4), (F(1), 4)))
+    _, final = k.kac_fixpoint(k.build_presentation(spec))
+    target, renaming = k.expected_kac_target(spec)
+    calls = []
+    adjoint = k.GeneratorId.adjoint
+    monkeypatch.setattr(k.GeneratorId, "adjoint", lambda g: calls.append(g) or adjoint(g))
+    assert k.match_presentations(final, target, renaming).matched
+    terms = sum(len(r.terms()) for r in final.relations)
+    assert max(r.degree() for r in final.relations) == 2
+    assert 0 < len(calls) <= 2 * (len(renaming) + terms)
+
+
 def test_ideal_membership_direct_and_cofactored():
     p = k.build_universal_unitary(ScalarMatrix.identity(2))
     rels = p.relations

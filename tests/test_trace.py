@@ -10,7 +10,7 @@ from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
 from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac.trace import (
-    TraceSymbol, _closed_form_certificates, _closed_form_multipliers, _recombine,
+    TraceSymbol, _closed_form_certificate, _closed_form_multipliers, _recombine,
     _shared_certificates,
 )
 
@@ -215,7 +215,7 @@ def test_forced_zero_one_block_certificate():
     target = k.generator_symbol(gen(1, 0))
     cert = k.forced_zero(eqs, target)
     assert cert is not None
-    assert k.verify_certificate(cert, eqs)
+    assert target in k.verify_certificate(cert, eqs)
     assert cert.coefficients[target] > 0
     assert cert.constant == 0
 
@@ -264,7 +264,7 @@ def test_verify_rejects_equation_index_out_of_range():
 @pytest.mark.parametrize("field", ["constant", "coefficients"])
 def test_verify_rejects_stored_combination_mismatch(field):
     cert, eqs = _one_block_certificate()
-    value = F(1) if field == "constant" else {cert.target: 2 * cert.coefficients[cert.target]}
+    value = F(1) if field == "constant" else {s: 2 * c for s, c in cert.coefficients.items()}
     bad = cert._replace(**{field: value})
     with pytest.raises(k.CertificateError, match="does not match the recombination"):
         k.verify_certificate(bad, eqs)
@@ -294,13 +294,19 @@ def test_verify_rejects_negative_coefficient():
         k.verify_certificate(bad, eqs)
 
 
-def test_verify_rejects_target_not_positive():
+def test_verify_refuses_a_combination_positive_on_no_symbol():
+    # it proves exactly the symbols it is positive on; one positive on none,
+    # empty or cancelling to zero, proves nothing and is refused
     cert, eqs = _one_block_certificate()
     other = k.generator_symbol(gen(0, 0))
     assert other in eqs.nonneg and other not in cert.coefficients
-    bad = cert._replace(target=other)
-    with pytest.raises(k.CertificateError, match="does not appear positively"):
-        k.verify_certificate(bad, eqs)
+    assert k.verify_certificate(cert, eqs) == {k.generator_symbol(gen(1, 0))}
+    cancelling = cert.multipliers + tuple((idx, -mult) for idx, mult in cert.multipliers)
+    for multipliers in ((), cancelling):
+        bad = _restamp(cert, eqs, multipliers)
+        assert bad.constant == 0 and not bad.coefficients
+        with pytest.raises(k.CertificateError, match="positive on no symbol"):
+            k.verify_certificate(bad, eqs)
 
 
 @pytest.mark.parametrize("spec", [
@@ -347,9 +353,9 @@ def test_forced_zero_rejects_free_symbol_targets():
 def test_kac_fixpoint_one_block_kills_c_in_first_round():
     p = k.build_presentation(one_block_spec(F(1, 2), 2, 1))
     report, final = k.kac_fixpoint(p)
-    first = {g for g, _ in report.certificates}
     c_block = {gen(j, c) for j in (2, 3) for c in (0, 1)}
-    assert first == c_block
+    proven = k.verify_certificate(report.certificate, report.equations)
+    assert proven == {k.generator_symbol(g) for g in c_block}
     assert set(report.forced) == c_block
     assert not report.undetermined
     assert set(final.generators) == {gen(j, c) for j in (0, 1) for c in (0, 1)}
@@ -456,11 +462,11 @@ def _reference_decision(eqs, symbol):
     return "forced" if res.value == 0 else "alive"
 
 
-def _assert_reference_decisions(eqs, generators, certificates, undetermined):
+def _assert_reference_decisions(eqs, generators, forced, undetermined):
     """The per-generator LPs over eqs force exactly the certified
     generators and leave exactly the undetermined symbols, in order."""
     decision = {g: _reference_decision(eqs, k.generator_symbol(g)) for g in generators}
-    assert {g for g, _ in certificates} == {g for g in generators if decision[g] == "forced"}
+    assert set(forced) == {g for g in generators if decision[g] == "forced"}
     assert list(undetermined) == [
         k.generator_symbol(g) for g in generators if decision[g] == "undetermined"
     ]
@@ -470,21 +476,21 @@ def _assert_shared_rounds_match_reference(p):
     report, final = k.kac_fixpoint(p)
     # the closed-form round cites the equations of p itself
     assert report.equations.equations == k.derive_trace_equations(p).equations
-    if report.certificates:
+    if report.forced:
         _assert_reference_decisions(trace_every_relation(p), p.generators,
-                                    report.certificates, ())
-    # one certificate, cited by every generator it forces
-    assert len({cert.multipliers for _, cert in report.certificates}) <= 1
-    for g, cert in report.certificates:
-        assert cert.target == k.generator_symbol(g)
-        assert k.verify_certificate(cert, report.equations)
+                                    report.forced, ())
+    # one certificate, proving exactly the symbols of the forced generators
+    assert (report.certificate is None) == (not report.forced)
+    if report.certificate is not None:
+        assert k.verify_certificate(report.certificate, report.equations) == {
+            k.generator_symbol(g) for g in report.forced}
     # the character cover cites no equations; the oracle traces every
     # relation of the final presentation itself, and they force nothing more
     forced = set(report.forced)
     survivors = [g for g in p.generators if g not in forced]
     _assert_reference_decisions(trace_every_relation(final), survivors, (),
                                 report.undetermined)
-    assert report.iterations == 1 + bool(report.certificates)
+    assert report.iterations == 1 + bool(report.forced)
     return report
 
 
@@ -496,17 +502,17 @@ def test_shared_certificate_matches_per_generator_lps_on_ladder(spec):
 
 def _lp_rounds(p):
     """The exact-LP fixpoint: per round the equations, the shared
-    certificates and the undetermined symbols, quotienting by the forced
-    generators until none dies."""
+    certificate, the symbols it proves and the undetermined symbols,
+    quotienting by the forced generators until none dies."""
     rounds = []
     while True:
         eqs = trace_every_relation(p)
         symbols = [k.generator_symbol(g) for g in p.generators]
-        certs, undetermined = _shared_certificates(eqs, symbols)
-        rounds.append((eqs, certs, undetermined))
-        if not certs:
+        cert, proven, undetermined = _shared_certificates(eqs, symbols)
+        rounds.append((eqs, cert, proven, undetermined))
+        if not proven:
             return rounds
-        p = k.quotient_by_zero(p, [g for g, s in zip(p.generators, symbols) if s in certs])
+        p = k.quotient_by_zero(p, [g for g, s in zip(p.generators, symbols) if s in proven])
 
 
 def test_shared_round_separates_unbounded_forced_alive_and_absent():
@@ -523,17 +529,18 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     symbols = [k.generator_symbol(g) for g in u]
     rounds = _lp_rounds(p)
     generators = list(u)
-    for eqs, certs, undetermined in rounds:
+    for eqs, cert, proven, undetermined in rounds:
         decision = {g: _reference_decision(eqs, k.generator_symbol(g)) for g in generators}
-        assert set(certs) == {k.generator_symbol(g) for g in generators if decision[g] == "forced"}
+        assert proven == {k.generator_symbol(g) for g in generators if decision[g] == "forced"}
         assert undetermined == {
             k.generator_symbol(g) for g in generators if decision[g] == "undetermined"
         }
-        for cert in certs.values():
-            assert k.verify_certificate(cert, eqs)
-        generators = [g for g in generators if k.generator_symbol(g) not in certs]
-    assert list(rounds[0][1]) == [symbols[2]]
-    assert rounds[-1][2] == {symbols[i] for i in (0, 1, 4)}
+        assert (cert is None) == (not proven)
+        if cert is not None:
+            assert k.verify_certificate(cert, eqs) == proven
+        generators = [g for g in generators if k.generator_symbol(g) not in proven]
+    assert rounds[0][2] == {symbols[2]}
+    assert rounds[-1][3] == {symbols[i] for i in (0, 1, 4)}
     assert len(rounds) == 2
     # the closed form needs the diagonal entries of the four identities,
     # which these relations are not, and no character of the N = 2 layout
@@ -613,6 +620,8 @@ def test_only_the_constant_term_relations_are_traced_and_they_suffice():
         assert [e.provenance for e in eqs.equations] == [
             f"rel[{i}]" for i in range(len(with_constant))]
         for equations in (eqs, trace_every_relation(p)):
-            closed = {g for g, _ in _closed_form_certificates(p, equations)}
+            cert = _closed_form_certificate(p, equations)
+            proven = k.verify_certificate(cert, equations) if cert else frozenset()
+            closed = {g for g in p.generators if k.generator_symbol(g) in proven}
             assert closed == {g for g in p.generators
                               if k.forced_zero(equations, k.generator_symbol(g))}

@@ -8,8 +8,8 @@ serialized with `json.dumps(report, sort_keys=True)` after its `timings`
 are removed and ended by a newline.
 Two checkouts that print the same `sha256` (match) digest gave the same
 answers, byte for byte, on every spec; the same `kac sha256` digest (the
-match reports with `kac.certificates` removed) means the same answers with
-possibly different Kac certificates; the same `build sha256` digest
+match reports with `kac.certificate` removed) means the same answers with
+possibly a different Kac certificate; the same `build sha256` digest
 means they built the same generators and relations; the same
 `hopf sha256` digest means the same Hopf verdicts; the same
 `numeric sha256` digest means the same float residuals, bit for bit; the
@@ -208,7 +208,7 @@ def main(argv=None):
             digests[verb].update(_line(report))
             if verb == "match":
                 certified = report["kac"]
-                report["kac"] = {k: v for k, v in certified.items() if k != "certificates"}
+                report["kac"] = {k: v for k, v in certified.items() if k != "certificate"}
                 kac.update(_line(report))
         terms_digest.update(terms)
         kinds[spec.kind] += 1
