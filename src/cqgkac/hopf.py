@@ -20,10 +20,10 @@ u[l,k] at every position.
     defining identity has a cofactor expansion, such as Δ(R_jk) = R_jk ⊗
     1 + Σ_{l,m} v_jl v_km* ⊗ R_lm for R = V V* − I, and likewise for
     V* V − I, the Q-twisted pair and V − F V̄ F⁻¹.  It carries over when
-    the relations are the canonicalized `defining_relations` of u, u is
+    the relations are the canonicalized `defining_relations` of u
+    (`Presentation.defining`, recorded by the builders), u is
     Δ-compatible, and Δ(g) = Δ(g)* for every self-adjoint letter g.
-    Otherwise every relation is inconclusive.  That relation test
-    compares with the same canonical set the builders store, in which the
+    Otherwise every relation is inconclusive.  In that canonical set the
     reality relation has folded the plain pair into the twisted pair
     (`presentations`).
 
@@ -31,9 +31,16 @@ Every builder presentation meets these conditions.  On a hand-made u they
 are sufficient, not necessary: u = [[2g]] is coassociative, but Δ(2g) =
 8 g ⊗ g is not u[1,1] ⊗ u[1,1], so coassociativity is reported False.
 
-Only the antipode laws use the relation ideal: they are decided modulo
-the ideal truncated at the degree D of the longest word they contain;
-items outside it are inconclusive.
+Only the antipode laws use the relation ideal.  For the generator g at
+(j,k), Δ(g) = Σ_l u[j,l] ⊗ u[l,k], so by linearity its two items are the
+S-image sums
+
+    m(S ⊗ id)Δ(g) − ε(g) = Σ_l S(u[j,l]) u[l,k] − δ_jk,
+    m(id ⊗ S)Δ(g) − ε(g) = Σ_l u[j,l] S(u[l,k]) − δ_jk,
+
+over any u, each one dot product over the matrix of S-images.  They are
+decided modulo the ideal truncated at the degree D of the longest word
+they contain; items outside it are inconclusive.
 
 Also here: the central morphism onto the order-two group algebra, for
 presentations over the standard symplectic form.
@@ -47,12 +54,7 @@ from .algebra import (
     AlgElement, GeneratorId, add_terms, exact, ratio, word_adjoint, word_key, word_label,
 )
 from .linalg import WordIndex
-from .presentations import (
-    Presentation,
-    canonicalize_relations,
-    defining_relations,
-    symplectic_matrix,
-)
+from .presentations import Presentation, symplectic_matrix
 from .quotient import _with_adjoints, bounded_ideal_echelon
 
 
@@ -133,10 +135,13 @@ def _letter_coproduct(P: Presentation, g: GeneratorId) -> TensorElement:
 def _coproduct(deltas: dict, a: AlgElement) -> TensorElement:
     acc = {}
     for w, c in a.terms():
-        out = TensorElement({((), ()): c})
-        for g in w:
-            out = out * deltas[g]
-        add_terms(acc, out.terms())
+        terms = ((((), ()), c),)
+        if w:
+            out = deltas[w[0]]
+            for g in w[1:]:
+                out = out * deltas[g]
+            terms = ((p, c * x) for p, x in out.terms())
+        add_terms(acc, terms)
     return TensorElement._wrap(acc)
 
 
@@ -168,16 +173,40 @@ def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
     return mirror.scale(ratio(P.q.entry(g.col, g.col), P.q.entry(g.row, g.row)))
 
 
-def antipode(P: Presentation, a: AlgElement) -> AlgElement:
-    """Anti-multiplicative with letter (j,k) |-> adjoint of letter (k,j);
-    starred letters pick up the Q-twist so S respects the relations."""
+def _antipode(images: dict, a: AlgElement) -> AlgElement:
+    """S(a), anti-multiplicative over the letter images `images`."""
     def image(w, c):
         factor = AlgElement.scalar(c)
         for g in reversed(w):
-            factor = factor * _letter_antipode(P, g)
+            factor = factor * images[g]
         return factor
 
     return AlgElement.sum(image(w, c) for w, c in a.terms())
+
+
+def antipode(P: Presentation, a: AlgElement) -> AlgElement:
+    """Anti-multiplicative with letter (j,k) |-> adjoint of letter (k,j);
+    starred letters pick up the Q-twist so S respects the relations."""
+    return _antipode({g: _letter_antipode(P, g) for g in a.letters()}, a)
+
+
+def _antipode_items(P: Presentation, letters) -> dict:
+    """Per generator label, the antipode items (m(S ⊗ id)Δ(g) − ε(g),
+    m(id ⊗ S)Δ(g) − ε(g)) as S-image sums (module docstring).  S is
+    computed once per letter of `letters`, which hold every letter of u,
+    and once per entry of u."""
+    u = P.u
+    images = {g: _letter_antipode(P, g) for g in letters}
+    e = [[u.entry(j, k) for k in range(u.cols)] for j in range(u.rows)]
+    s = [[_antipode(images, x) for x in row] for row in e]
+    span = range(u.rows)
+    return {
+        g.label(): (
+            AlgElement.dot(((s[g.row][l], e[l][g.col]) for l in span), int(g.row == g.col)),
+            AlgElement.dot(((e[g.row][l], s[l][g.col]) for l in span), int(g.row == g.col)),
+        )
+        for g in P.generators
+    }
 
 
 def _require_known_letters(P: Presentation, u, letters) -> None:
@@ -221,20 +250,25 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     relation ideal.  A letter of u or of a relation that is neither a
     generator nor the adjoint of one raises ValueError.
 
-    Per generator, both antipode sides are one-slot items.  The ideal is
-    truncated once, at the longest word D among them, and an item passes
-    if it lies in that bounded ideal.
+    Δ and S are computed once per letter; the relation certificate reads
+    `P.defining`.  Per generator, both antipode sides are one-slot items,
+    one dot product each over the S-images of u.  The ideal is truncated
+    once, at the longest word D among them, and an item passes if it lies
+    in that bounded ideal.
     """
     u = P.u
     letters = _with_adjoints(P.generators)
     _require_known_letters(P, u, letters)
-    deltas = {g: _letter_coproduct(P, g) for g in letters}
+    # a starred letter's coproduct is its plain twin's adjoint
+    deltas = {g: _letter_coproduct(P, g) for g in P.generators}
+    deltas.update([(g.adjoint(), d.adjoint()) for g, d in deltas.items() if not g.selfadjoint])
     positions = [(j, k) for j in range(u.rows) for k in range(u.cols)]
 
-    # the coproduct of the plain letter at (j,k), read over u, is Σ_l u[j,l] ⊗ u[l,k]
+    # the matrix coproduct at (j,k), Σ_l u[j,l] ⊗ u[l,k], is Δ of the plain letter there
     compatible = all(
-        _coproduct(deltas, u.entry(j, k)) == _letter_coproduct(P, GeneratorId(0, j, k))
-        for j, k in positions
+        _coproduct(deltas, u.entry(g.row, g.col))
+        == (deltas[g] if g in deltas else _letter_coproduct(P, g))
+        for g in (GeneratorId(0, j, k) for j, k in positions)
     )
     counit_ok = all(counit(P, u.entry(j, k)) == int(j == k) for j, k in positions) and all(
         u.entry(g.row, g.col) == AlgElement.generator(g) for g in P.generators
@@ -242,20 +276,10 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     certified = (
         compatible
         and all(deltas[g] == deltas[g].adjoint() for g in P.generators if g.selfadjoint)
-        and P.relations == canonicalize_relations(defining_relations(u, P.q, P.f))
+        and P.defining
     )
 
-    antipode_items = {}
-    for g in P.generators:
-        terms = deltas[g].terms()
-        eps = AlgElement.scalar(counit(P, AlgElement.generator(g)))
-        lhs = AlgElement.sum([-eps, *(
-            antipode(P, AlgElement.word(w1, c)) * AlgElement.word(w2) for (w1, w2), c in terms
-        )])
-        rhs = AlgElement.sum([-eps, *(
-            AlgElement.word(w1, c) * antipode(P, AlgElement.word(w2)) for (w1, w2), c in terms
-        )])
-        antipode_items[g.label()] = (lhs, rhs)
+    antipode_items = _antipode_items(P, letters)
 
     degree = max((x.degree() for sides in antipode_items.values() for x in sides), default=0)
     ideal = bounded_ideal_echelon(P.relations, letters, degree)

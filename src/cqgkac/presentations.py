@@ -111,9 +111,11 @@ class BlockSpec(_SpecFields):
     every field and store `blocks` as a tuple of `Block`s.  It owns every
     value rule: a q that `rat` refuses is named `blocks[i].q`, with `rat`'s
     message, an m not an int `blocks[i].m`.  The size N is at most
-    MAX_SIZE: `report` on unitary two-class specs took 3.6 s at N = 24 and
-    13.3 s at N = 32 (2 shared vCPUs), growing about as N^4.5, so some
-    minutes at N = 64; the generator matrix alone has N^2 letters.
+    MAX_SIZE: one in-process `report` on the unitary two-class spec
+    (q = 1/2 and 1, N/2 each) took 2.8 s at N = 24 and 7.2 s at N = 32,
+    the Hopf check about 75 % of it (2 shared vCPUs, Intel Xeon, Python
+    3.11); the time at N = 64 is left to ROADMAP item 9.  The generator
+    matrix alone has N^2 letters.
     """
 
     __slots__ = ()
@@ -307,17 +309,39 @@ class Presentation:
                  positions, eliminated positions substituted); always set.
     q          : the diagonal Q; always set.
     f          : F for the orthogonal kind, else None.
+    defining   : whether the relations are exactly the canonicalized
+                 `defining_relations(u, q, f)`.  The two builders write
+                 their relations from that list and record True; on any
+                 other presentation (a quotient, a hand-made one) it is
+                 computed on first read and kept.
+
+    Every field is read-only after construction: assignment raises
+    AttributeError, so `defining` cannot go stale.
     """
 
-    __slots__ = ("generators", "relations", "u", "q", "f", "label")
+    __slots__ = ("generators", "relations", "u", "q", "f", "label", "_defining")
 
     def __init__(self, generators, relations, u, q, f=None, label=""):
-        self.generators = tuple(sorted(generators))
-        self.relations = canonicalize_relations(relations)
-        self.u = u
-        self.q = q
-        self.f = f
-        self.label = label
+        put = object.__setattr__
+        put(self, "generators", tuple(sorted(generators)))
+        put(self, "relations", canonicalize_relations(relations))
+        put(self, "u", u)
+        put(self, "q", q)
+        put(self, "f", f)
+        put(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Presentation.{name} is read-only")
+
+    @property
+    def defining(self) -> bool:
+        try:
+            return self._defining
+        except AttributeError:
+            fact = self.relations == canonicalize_relations(
+                defining_relations(self.u, self.q, self.f))
+            object.__setattr__(self, "_defining", fact)
+            return fact
 
     @property
     def sizes(self):
@@ -326,6 +350,13 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation({self.label or 'anonymous'}: "
                 f"{len(self.generators)} generators, {len(self.relations)} relations)")
+
+
+def _defining_presentation(generators, rels, u, q, f=None, label="") -> Presentation:
+    """A builder's presentation: `rels` is `defining_relations(u, q, f)`."""
+    p = Presentation(generators, rels, u, q, f, label)
+    object.__setattr__(p, "_defining", True)
+    return p
 
 
 def generator_matrix(n: int) -> AlgMatrix:
@@ -346,8 +377,8 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     with only the entries j <= k: over any u, entry (k,j) is the scaled
     adjoint of entry (j,k) term by term, so canonicalization would fold it
     into that entry.  Then, when a monomial F is given, all N^2 reality
-    entries, row-major, zero or not.  Both builders and the Hopf check
-    canonicalize this list.
+    entries, row-major, zero or not.  Both builders canonicalize this
+    list, and `Presentation.defining` compares with it.
 
     The plain pair is left out when every reality entry is zero and
     q[pi(j)] = d_j^2 for every j (Q = F*F).  Each of its entries is then a
@@ -395,7 +426,7 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     n = Q.rows
     u = generator_matrix(n)
     gens = [GeneratorId(0, j, k) for j in range(n) for k in range(n)]
-    return Presentation(gens, defining_relations(u, Q), u, Q, label=unitary_label(Q))
+    return _defining_presentation(gens, defining_relations(u, Q), u, Q, label=unitary_label(Q))
 
 
 def reality_substitution(F: ScalarMatrix):
@@ -473,7 +504,7 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
         if not h.is_zero():
             j, k = divmod(i, n)
             raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
-    return Presentation(kept, rels, u, q, F, label=orthogonal_label(F))
+    return _defining_presentation(kept, rels, u, q, F, label=orthogonal_label(F))
 
 
 def build_presentation(spec: BlockSpec) -> Presentation:

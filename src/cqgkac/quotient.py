@@ -149,21 +149,20 @@ def bounded_ideal_echelon(rels, letters, d: int) -> SparseEchelon:
     """Echelon basis of the two-sided ideal of `rels` truncated at degree d.
 
     Columns are the ids of `WordIndex(letters)`; every relation letter must
-    be among `letters`.  Rows are tried in the order: relation, left word,
-    right word, with words of each length in `itertools.product` order
-    over `letters`.
+    be among `letters`.  The relations are taken in the given order, each
+    followed by its adjoint unless the two are equal; on canonical `rels`
+    no other two coincide, and a repeated row would be dependent, which
+    `SparseEchelon.add` rejects.  For each of them rows are tried in the
+    order: left word, right word, with words of each length in
+    `itertools.product` order over `letters`.
     """
     index = WordIndex(letters)
     n = index.n
     ech = SparseEchelon()
     closed = []
-    seen = set()
     for r in rels:
-        for s in (r, r.adjoint()):
-            key = s.sort_key()
-            if key not in seen:
-                seen.add(key)
-                closed.append(s)
+        star = r.adjoint()
+        closed += (r,) if star == r else (r, star)
     digits = [index.digit[g] for g in letters]
     values = [[0]]  # base-n values of the words of each length, in product order
     for r in closed:

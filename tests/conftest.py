@@ -426,6 +426,26 @@ def oracle_relation_verdicts(p):
             for i, t in enumerate(items)}
 
 
+def oracle_antipode_items(p):
+    """Per generator label, m(S ⊗ id)Δ(g) − ε(g) and m(id ⊗ S)Δ(g) − ε(g),
+    built term by term over the word pairs of Δ(g), with S applied to each
+    word through the public `antipode`."""
+    items = {}
+    for g in p.generators:
+        terms = _letter_coproduct(p, g).terms()
+        eps = k.AlgElement.scalar(k.counit(p, k.AlgElement.generator(g)))
+        lhs = k.AlgElement.sum([-eps, *(
+            k.antipode(p, k.AlgElement.word(w1, c)) * k.AlgElement.word(w2)
+            for (w1, w2), c in terms
+        )])
+        rhs = k.AlgElement.sum([-eps, *(
+            k.AlgElement.word(w1, c) * k.antipode(p, k.AlgElement.word(w2))
+            for (w1, w2), c in terms
+        )])
+        items[g.label()] = (lhs, rhs)
+    return items
+
+
 def truncated_presentation(p):
     """p without its last relation, keeping its generators, u, Q and F."""
     return k.Presentation(p.generators, p.relations[:-1], p.u, p.q, p.f, label=p.label)

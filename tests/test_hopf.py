@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, AlgMatrix, ScalarMatrix
-from cqgkac.hopf import TensorElement, _letter_coproduct
+import cqgkac.hopf as hopf
+import cqgkac.presentations as presentations
+from cqgkac.hopf import TensorElement, _antipode_items, _letter_coproduct
 from cqgkac.presentations import canonicalize_relations, defining_relations, generator_matrix
 from cqgkac.quotient import _with_adjoints
 
@@ -22,6 +24,7 @@ from conftest import (
     ideal_membership_bounded,
     letter,
     one_block_spec,
+    oracle_antipode_items,
     oracle_relation_verdicts,
     plain_pair_presentation,
     specs_up_to,
@@ -303,16 +306,20 @@ def test_a_self_adjoint_letter_with_a_non_self_adjoint_coproduct_is_not_certifie
     assert report.coassociativity and report.counit
 
 
+def _misplaced_letters():
+    """u[j,k] = v(k,j) over Q = I, its relations the defining entries of u."""
+    v = generator_matrix(2)
+    u = AlgMatrix([[v.entry(c, j) for c in range(2)] for j in range(2)])
+    q = ScalarMatrix.identity(2)
+    return k.Presentation([gen(j, c) for j in range(2) for c in range(2)],
+                          defining_relations(u, q), u, q)
+
+
 def test_a_fundamental_matrix_with_misplaced_letters_is_not_certified():
     # u[j,k] = v(k,j): the relations are the defining entries of u, but a
     # letter's coproduct follows its own position, so D(u[1,2]) differs
     # from u[1,1] (x) u[1,2] + u[1,2] (x) u[2,2]
-    v = generator_matrix(2)
-    u = AlgMatrix([[v.entry(c, j) for c in range(2)] for j in range(2)])
-    q = ScalarMatrix.identity(2)
-    p = k.Presentation([gen(j, c) for j in range(2) for c in range(2)],
-                       defining_relations(u, q), u, q)
-    report = k.hopf_axiom_check(p)
+    report = k.hopf_axiom_check(_misplaced_letters())
     assert set(report.relations.values()) == {"inconclusive"}
     assert not report.coassociativity and not report.counit
 
@@ -384,3 +391,48 @@ def test_hand_made_u_where_the_oracles_pass_and_the_letterwise_check_does_not():
     assert counit_laws_hold(zero)
     report = k.hopf_axiom_check(zero)
     assert report.coassociativity and not report.counit
+
+
+def test_antipode_items_equal_the_term_by_term_oracle():
+    # the S-image sums equal m(S (x) id)D(g) - eps(g) and m(id (x) S)D(g) -
+    # eps(g) built word pair by word pair, on builder and hand-made u alike
+    cases = [k.build_presentation(spec) for spec in specs_up_to(3)]
+    cases += [
+        plain_pair_presentation(hand_made_f()),
+        truncated_presentation(k.build_presentation(one_block_spec(F(1, 2), 1, 1))),
+        _misplaced_letters(),
+    ]
+    for p in cases:
+        items = _antipode_items(p, _with_adjoints(p.generators))
+        assert items == oracle_antipode_items(p), p
+
+
+def test_hopf_check_computes_each_input_once(monkeypatch):
+    # no relation rebuild; D once per generator (its adjoint is the starred
+    # letter's) and once per position without a generator; S once per letter
+    n = 4
+    p = k.build_universal_unitary(ScalarMatrix.identity(n))
+    calls = {}
+
+    def count(owner, name):
+        # wrapped wherever a module binds it, so an import by name counts too
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        for module in (presentations, hopf):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    for name in ("canonicalize_relations", "defining_relations"):
+        count(presentations, name)
+    for name in ("_letter_coproduct", "_letter_antipode"):
+        count(hopf, name)
+    assert k.hopf_axiom_check(p).all_pass
+    vacant = sum(1 for j in range(n) for c in range(n)
+                 if not any((g.row, g.col) == (j, c) for g in p.generators))
+    assert calls.get("canonicalize_relations", 0) == calls.get("defining_relations", 0) == 0
+    assert calls["_letter_coproduct"] <= len(p.generators) + vacant
+    assert calls["_letter_antipode"] <= len(_with_adjoints(p.generators))

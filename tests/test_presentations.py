@@ -32,6 +32,7 @@ from conftest import (
     specs_up_to,
     substitute,
     transpose,
+    truncated_presentation,
 )
 
 
@@ -615,3 +616,32 @@ def test_dot_is_the_sum_of_the_products_minus_the_constant(pairs, cancelled, c):
     assert _form(AlgElement.dot(pairs, c)) == _form(want)
     for x, y in pairs:
         assert _form(x * y) == _form(_product(x, y))
+
+
+def _recomputed_defining(p):
+    return p.relations == canonicalize_relations(defining_relations(p.u, p.q, p.f))
+
+
+def test_defining_is_recorded_by_the_builders_and_computed_elsewhere():
+    # True on every build and every Kac quotient of N <= 4; False once the
+    # relations are not the defining entries of u
+    for spec in specs_up_to(4):
+        p = k.build_presentation(spec)
+        assert p.defining and _recomputed_defining(p), spec
+        _, final = k.kac_fixpoint(p)
+        assert final.defining and _recomputed_defining(final), spec
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    truncated = truncated_presentation(p)
+    extended = k.Presentation(p.generators, [*p.relations, letter(0, 0) - letter(1, 1)],
+                              p.u, p.q, p.f, p.label)
+    for q in (truncated, extended):
+        assert not q.defining and not _recomputed_defining(q)
+
+
+@pytest.mark.parametrize("field", ["relations", "u", "q", "f", "defining"])
+def test_presentation_fields_are_read_only(field):
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    before = getattr(p, field)
+    with pytest.raises(AttributeError):
+        setattr(p, field, None)
+    assert getattr(p, field) == before
