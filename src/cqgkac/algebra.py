@@ -106,30 +106,27 @@ class GeneratorId(NamedTuple):
     """A letter of the free *-algebra: one coefficient u(row,col) of a
     fundamental matrix, or its adjoint; a `selfadjoint` letter is its own.
 
-    The field order gives the global letter order: factor tag, position,
-    then star (plain < star).
+    The field order gives the global letter order: position, then star
+    (plain < star).
     """
 
-    factor: int
     row: int
     col: int
     star: bool = False
     selfadjoint: bool = False
 
     def adjoint(self) -> "GeneratorId":
-        factor, row, col, star, selfadjoint = self
+        row, col, star, selfadjoint = self
         if selfadjoint:
             return self
-        return tuple.__new__(GeneratorId, (factor, row, col, not star, False))
+        return tuple.__new__(GeneratorId, (row, col, not star, False))
 
     def plain(self) -> "GeneratorId":
-        factor, row, col, star, _ = self
-        return tuple.__new__(GeneratorId, (factor, row, col, False, False)) if star else self
+        row, col, star, _ = self
+        return tuple.__new__(GeneratorId, (row, col, False, False)) if star else self
 
     def label(self) -> str:
-        head = f"{self.factor}." if self.factor else ""
-        tail = "*" if self.star else ""
-        return f"{head}u({self.row + 1},{self.col + 1}){tail}"
+        return f"u({self.row + 1},{self.col + 1}){'*' if self.star else ''}"
 
 
 Word = tuple  # tuple[GeneratorId, ...]; () is the unit

@@ -41,6 +41,17 @@ def _reject_unknown(doc: dict, known, prefix: str) -> None:
             raise ConfigError(f"{prefix}{key}", "unknown field")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key is a ConfigError, so the
+    config never silently keeps the key's last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(key, "repeated key")
+        doc[key] = value
+    return doc
+
+
 def parse_config(data) -> BlockSpec:
     """Build the block spec of a config document.
 
@@ -120,6 +131,11 @@ def run(spec: BlockSpec, verb: str):
     """Run a verb over a block spec; returns (exit code, report dict).
 
     An unknown verb gives EXIT_CONFIG and the message under "error".
+    `match` and `report` compare the Kac quotient with
+    `expected_kac_target`, which sits on the source letters: first the
+    generators, a difference being a "structural" mismatch that lists
+    `unexpected_survivors` and `missing_survivors`; then the relations as
+    exact sets, listing `unmatched_derived` and `unmatched_target`.
     `report` adds a "survivors" section: the exact characters the Kac
     layer's closing round found (`KacReport.cover`, from
     `numeric.witness_characters`), nonzero on the generators it leaves
@@ -186,9 +202,9 @@ def run(spec: BlockSpec, verb: str):
 
     if verb in ("match", "report") and code == EXIT_OK:
         start = time.perf_counter()
-        target, renaming = expected_kac_target(spec)
+        target = expected_kac_target(spec)
         survivors = set(final.generators)
-        expected = set(renaming)
+        expected = set(target.generators)
         if survivors != expected:
             extra = sorted(g.label() for g in survivors - expected)
             missing = sorted(g.label() for g in expected - survivors)
@@ -202,15 +218,11 @@ def run(spec: BlockSpec, verb: str):
             report["verdict"] = f"mismatch vs {target.label} (survivor sets differ)"
             code = EXIT_MISMATCH
         else:
-            verdict = match_presentations(final, target, renaming)
+            verdict = match_presentations(final, target)
             report["match"] = {
                 "matched": verdict.matched,
                 "mode": verdict.mode,
                 "target": target.label,
-                "renaming": {
-                    g.label(): h.label()
-                    for g, h in sorted(verdict.renaming.items())
-                },
                 "unmatched_derived": [repr(r) for r in verdict.unmatched_derived],
                 "unmatched_target": [repr(r) for r in verdict.unmatched_target],
             }
@@ -346,7 +358,8 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        spec = parse_config(data)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -355,8 +368,6 @@ def main(argv=None) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        spec = parse_config(data)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

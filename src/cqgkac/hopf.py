@@ -118,7 +118,7 @@ class TensorElement:
 def _layout_entry(P: Presentation, g: GeneratorId):
     """P's fundamental matrix; ValueError unless g is one of its letters."""
     u = P.u
-    if g.factor or not (0 <= g.row < u.rows and 0 <= g.col < u.cols):
+    if not (0 <= g.row < u.rows and 0 <= g.col < u.cols):
         raise ValueError(f"letter {g.label()} lies outside the fundamental layout")
     return u
 
@@ -268,7 +268,7 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     compatible = all(
         _coproduct(deltas, u.entry(g.row, g.col))
         == (deltas[g] if g in deltas else _letter_coproduct(P, g))
-        for g in (GeneratorId(0, j, k) for j, k in positions)
+        for g in (GeneratorId(j, k) for j, k in positions)
     )
     counit_ok = all(counit(P, u.entry(j, k)) == int(j == k) for j, k in positions) and all(
         u.entry(g.row, g.col) == AlgElement.generator(g) for g in P.generators

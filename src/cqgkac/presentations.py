@@ -362,7 +362,7 @@ def _defining_presentation(generators, rels, u, q, f=None, label="") -> Presenta
 def generator_matrix(n: int) -> AlgMatrix:
     return AlgMatrix(
         [
-            [AlgElement.generator(GeneratorId(0, j, k)) for k in range(n)]
+            [AlgElement.generator(GeneratorId(j, k)) for k in range(n)]
             for j in range(n)
         ]
     )
@@ -425,7 +425,7 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
         raise ValueError("Q must be positive")
     n = Q.rows
     u = generator_matrix(n)
-    gens = [GeneratorId(0, j, k) for j in range(n) for k in range(n)]
+    gens = [GeneratorId(j, k) for j in range(n) for k in range(n)]
     return _defining_presentation(gens, defining_relations(u, Q), u, Q, label=unitary_label(Q))
 
 
@@ -451,7 +451,7 @@ def reality_substitution(F: ScalarMatrix):
     kept = []
     for j, pj in enumerate(pi):
         for k, pk in enumerate(pi):
-            g = GeneratorId(0, j, k)
+            g = GeneratorId(j, k)
             if (pj, pk) == (j, k):
                 if d[j] != d[k]:
                     raise ValueError(
@@ -459,12 +459,12 @@ def reality_substitution(F: ScalarMatrix):
                         f"({j + 1},{k + 1}) is unsupported: u({j + 1},{k + 1}) = "
                         f"-u({j + 1},{k + 1})* needs an imaginary scalar"
                     )
-                kept.append(GeneratorId(0, j, k, selfadjoint=True))
+                kept.append(GeneratorId(j, k, selfadjoint=True))
                 sigma[g] = AlgElement.generator(kept[-1])
             elif (k, j) <= (pk, pj):
                 kept.append(g)
             else:
-                partner = GeneratorId(0, pj, pk, star=True)
+                partner = GeneratorId(pj, pk, star=True)
                 sigma[g] = AlgElement.word((partner,), ratio(d[j], d[k]))
     return sigma, sorted(kept)
 
@@ -497,7 +497,7 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     q = ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
     sigma, kept = reality_substitution(F)
     n = F.rows
-    ids = [[GeneratorId(0, j, k) for k in range(n)] for j in range(n)]
+    ids = [[GeneratorId(j, k) for k in range(n)] for j in range(n)]
     u = AlgMatrix([[sigma.get(g, AlgElement.generator(g)) for g in row] for row in ids])
     rels = defining_relations(u, q, F)
     for i, h in enumerate(rels[-n * n:]):

@@ -5,13 +5,12 @@ The paper's Kac-quotient theorem gives one free factor per diagonal block
 of the standard form: Pol(U_M^+) for a block with q < 1 and multiplicity
 M, Pol(O_J^+) for the q = 1 block of case II, Pol(O_t^+) for the trailing
 identity block of case I.  Each factor sits at its block's start row
-`BlockSpec.offsets[i]`, so the source letter u(o + j, o + k), o that
-offset, is renamed to the factor's letter u(j,k).  The target is a
-`KacTarget`, a relation set over factor-tagged letters, not a `Presentation`.
+`BlockSpec.offsets[i]`: its letter u(j,k) is the source letter
+u(o + j, o + k), o that offset.  The target is a `KacTarget`, a relation
+set over source letters, not a `Presentation`.
 
-Matching is exact: after the structural renaming both relation sets are
-canonicalized and compared as sets.  Relations left on either side are
-reported, and the match fails.
+Matching is exact: both canonical relation sets are compared as sets.
+Relations left on either side are reported, and the match fails.
 
 The bounded ideal of degree d is the span of the words-times-relations
 w·r·w' with |w| + deg r + |w'| <= d, over the relations and their
@@ -35,7 +34,6 @@ from .presentations import (
     Presentation,
     build_universal_orthogonal,
     build_universal_unitary,
-    canonicalize_relations,
     symplectic_matrix,
 )
 
@@ -64,15 +62,15 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
 
 
 class KacTarget(NamedTuple):
-    """The free product of the Kac factors, factor i's letters tagged i."""
+    """The free product of the Kac factors, each at its block's letters."""
 
     label: str
     generators: tuple
     relations: tuple
 
 
-def expected_kac_target(spec: BlockSpec):
-    """The free-product Kac target of a block spec, plus the renaming hint.
+def expected_kac_target(spec: BlockSpec) -> KacTarget:
+    """The free-product Kac target of a block spec.
 
     One free factor per block of the standard layout, in block order:
 
@@ -80,9 +78,10 @@ def expected_kac_target(spec: BlockSpec):
         q = 1 block of case II (`unit_block`), M      -> Pol(O_J^+), J of size 2M
         trailing identity block of case I, size t     -> Pol(O_t^+)
 
-    Factor i sits at row and column `spec.offsets[i]` of the source, so
-    the renaming sends u(offsets[i] + j, offsets[i] + k) to factor i's
-    letter u(j,k), keeping its kind (plain or self-adjoint).
+    Factor i sits at row and column `spec.offsets[i]` of the source: its
+    letter u(j,k) becomes u(offsets[i] + j, offsets[i] + k), keeping its
+    kind (plain or self-adjoint).  The shift keeps letter order, so each
+    factor's canonical relations stay canonical.
     """
     unit = spec.unit_block
     parts = [
@@ -92,15 +91,14 @@ def expected_kac_target(spec: BlockSpec):
     ]
     if spec.trailing:
         parts.append(build_universal_orthogonal(ScalarMatrix.identity(spec.trailing)))
-    rels, renaming = [], {}
-    for tag, (part, o) in enumerate(zip(parts, spec.offsets)):
-        retag = {g: g._replace(factor=tag) for g in part.generators}
-        rels.extend(map(renamer(retag), part.relations))
-        renaming.update((g._replace(row=o + g.row, col=o + g.col), h) for g, h in retag.items())
+    gens, rels = [], []
+    for part, o in zip(parts, spec.offsets):
+        shift = {g: g._replace(row=o + g.row, col=o + g.col) for g in part.generators}
+        gens.extend(shift.values())
+        rels.extend(map(renamer(shift), part.relations))
     label = " * ".join(p.label for p in parts)
-    rels.sort(key=AlgElement.sort_key)  # canonical: each part is; retags keep letter order
-    target = KacTarget(label, tuple(sorted(renaming.values())), tuple(rels))
-    return target, renaming
+    rels.sort(key=AlgElement.sort_key)
+    return KacTarget(label, tuple(sorted(gens)), tuple(rels))
 
 
 class MatchVerdict(NamedTuple):
@@ -108,27 +106,19 @@ class MatchVerdict(NamedTuple):
 
     matched: bool
     mode: str
-    renaming: dict
     unmatched_derived: tuple
     unmatched_target: tuple
 
 
-def match_presentations(P, T, renaming) -> MatchVerdict:
-    """Compare the canonical relation sets of P, renamed, and T; each side
-    is a `Presentation` or a `KacTarget`."""
-    if set(renaming) != set(P.generators):
-        raise ValueError("renaming is not total on the derived generators")
-    if sorted(renaming.values()) != sorted(set(renaming.values())):
-        raise ValueError("renaming is not injective")
-    if set(renaming.values()) != set(T.generators):
-        raise ValueError("renaming is not onto the target generators")
-    renamed = canonicalize_relations(map(renamer(renaming), P.relations))
-    derived_keys = {r.sort_key(): r for r in renamed}
+def match_presentations(P, T) -> MatchVerdict:
+    """Compare the canonical relation sets of P and T, each a
+    `Presentation` or a `KacTarget` over the same letters."""
+    derived_keys = {r.sort_key(): r for r in P.relations}
     target_keys = {r.sort_key(): r for r in T.relations}
     only_derived = tuple(derived_keys[k] for k in sorted(derived_keys.keys() - target_keys.keys()))
     only_target = tuple(target_keys[k] for k in sorted(target_keys.keys() - derived_keys.keys()))
     matched = not only_derived and not only_target
-    return MatchVerdict(matched, "exact-set", dict(renaming), only_derived, only_target)
+    return MatchVerdict(matched, "exact-set", only_derived, only_target)
 
 
 def _with_adjoints(plain):

@@ -15,12 +15,12 @@ from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
 from cqgkac.trace import TraceEquation, TraceEquationSet, generator_symbol, trace_of
 
 
-def gen(row, col, star=False, factor=0, selfadjoint=False):
-    return k.GeneratorId(factor, row, col, star, selfadjoint)
+def gen(row, col, star=False, selfadjoint=False):
+    return k.GeneratorId(row, col, star, selfadjoint)
 
 
-def letter(row, col, star=False, factor=0, selfadjoint=False):
-    return k.AlgElement.generator(gen(row, col, star, factor, selfadjoint))
+def letter(row, col, star=False, selfadjoint=False):
+    return k.AlgElement.generator(gen(row, col, star, selfadjoint))
 
 
 def one_block_spec(q, m, eps):
@@ -266,11 +266,11 @@ def layout_ranges(spec):
 
 
 def reference_kac_target(spec):
-    """The free-product Kac target and renaming of a block spec, built from
-    the named blocks of `layout_ranges`: each surviving block (name, target
-    factor, row offset) lands in its factor, its local rows shifted by the
-    offset.  Each factor's relations are retagged by substitution, then
-    canonicalized together."""
+    """The free-product Kac target of a block spec, built from the named
+    blocks of `layout_ranges`: each surviving block (name, target factor,
+    row offset) holds its factor's rows from that offset on, so each
+    factor's letters and relations are substituted into the source letters
+    of their blocks, then canonicalized together."""
     parts, survivors = [], []
     if spec.kind == "unitary":
         for i, b in enumerate(spec.blocks):
@@ -297,22 +297,22 @@ def reference_kac_target(spec):
             r = len(spec.blocks)
             survivors.append((f"A[{r},{r}]", len(unitary_blocks), 0))
             survivors.append((f"C[{r},{r}]", len(unitary_blocks), unit.m))
+    ranges = layout_ranges(spec)
     gens, rels = [], []
     for tag, part in enumerate(parts):
-        gens.extend(g._replace(factor=tag) for g in part.generators)
-        image = {g: letter(g.row, g.col, factor=tag, selfadjoint=g.selfadjoint)
-                 for g in part.generators}
-        rels.extend(substitute(r, image) for r in part.relations)
-    target = k.KacTarget(" * ".join(p.label for p in parts), tuple(sorted(gens)),
-                         canonicalize_relations(rels))
-    ranges = layout_ranges(spec)
-    renaming = {}
-    for name, tag, row_offset in survivors:
-        rows, cols = ranges[name]
-        for h in target.generators:
-            if h.factor == tag and 0 <= h.row - row_offset < len(rows):
-                renaming[h._replace(factor=0, row=rows[h.row - row_offset], col=cols[h.col])] = h
-    return target, renaming
+        image = {}
+        for name, factor, row_offset in survivors:
+            rows, cols = ranges[name]
+            if factor == tag:
+                image.update((g, gen(rows[g.row - row_offset], cols[g.col],
+                                     selfadjoint=g.selfadjoint))
+                             for g in part.generators if 0 <= g.row - row_offset < len(rows))
+        assert set(image) == set(part.generators)
+        gens.extend(image.values())
+        sigma = {g: AlgElement.generator(h) for g, h in image.items()}
+        rels.extend(substitute(r, sigma) for r in part.relations)
+    return k.KacTarget(" * ".join(p.label for p in parts), tuple(sorted(gens)),
+                       canonicalize_relations(rels))
 
 
 def block_positions(spec, name):

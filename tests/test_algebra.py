@@ -27,7 +27,6 @@ def test_selfadjoint_letter_is_its_own_adjoint_and_plain_letter():
     z = gen(2, 1, selfadjoint=True)
     assert z.adjoint() is z and z.plain() is z and not z.star
     assert z.label() == gen(2, 1).label() == "u(3,2)"
-    assert gen(2, 1, factor=1, selfadjoint=True).label() == "1.u(3,2)"
     assert z != gen(2, 1) and z.adjoint() != gen(2, 1, star=True)
     # the plain kind of a starred letter drops the star only
     assert gen(2, 1, star=True).plain() == gen(2, 1)
@@ -44,12 +43,12 @@ def test_word_adjoint_keeps_selfadjoint_letters():
 
 
 def test_selfadjoint_letters_order_by_position():
-    # the letter order is factor, row, col, star: a self-adjoint letter
+    # the letter order is row, col, star: a self-adjoint letter
     # sits at its position, after the plain and starred letters of
     # earlier positions and before those of later ones
     letters = [
         gen(0, 1), gen(0, 1, star=True), gen(1, 0, selfadjoint=True),
-        gen(1, 1), gen(0, 0, factor=1, selfadjoint=True),
+        gen(1, 1), gen(2, 0, selfadjoint=True),
     ]
     assert sorted(reversed(letters)) == letters
     assert gen(1, 0) < gen(1, 0, selfadjoint=True) < gen(1, 0, star=True)

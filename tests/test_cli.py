@@ -31,6 +31,7 @@ def _write(tmp_path, doc, name="config.json"):
 
 
 ONE_BLOCK = {"kind": "one-block", "blocks": [{"q": "1/2", "m": 1}], "epsilon": 1}
+MATCH_KEYS = {"matched", "mode", "target", "unmatched_derived", "unmatched_target"}
 
 
 def test_config_round_trip():
@@ -224,6 +225,21 @@ def test_deeply_nested_config_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config is not valid JSON:")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"kind":"unitary","blocks":[{"q":"1/2","m":1}],"blocks":[{"q":"1/3","m":2,"m":1}]}', "m"),
+    ('{"kind":"unitary","blocks":[{"q":"1/2","m":1}],"blocks":[{"q":"1/3","m":1}]}', "blocks"),
+    ('{"kind":"case-I","blocks":[],"trailing":1,"kind":"unitary"}', "kind"),
+], ids=["nested", "blocks", "kind"])
+def test_a_repeated_key_exits_one_and_names_it(tmp_path, capsys, text, key):
+    # the last value would otherwise win and build a different spec
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert cli.main(["build", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"config field {key!r}: repeated key\n"
+    assert not captured.out
+
+
 def test_unwritable_out_exit_one(tmp_path, capsys):
     path = _write(tmp_path, ONE_BLOCK)
     out = tmp_path / "absent" / "report.json"
@@ -258,6 +274,29 @@ def test_mismatch_exit_three(tmp_path, monkeypatch):
     assert cli.main(["match", "--config", path]) == 3
 
 
+def test_a_target_shifted_one_block_off_is_a_structural_mismatch(tmp_path, monkeypatch):
+    # the target's letters moved 2 rows and columns down: A[1,1] survives
+    # unexpected, and the shifted A[2,2] lies past the 4 x 4 layout
+    real = cli.expected_kac_target
+
+    def doctored(spec):
+        target = real(spec)
+        shifted = (g._replace(row=g.row + 2, col=g.col + 2) for g in target.generators)
+        return target._replace(generators=tuple(shifted))
+
+    monkeypatch.setattr(cli, "expected_kac_target", doctored)
+    path = _write(tmp_path, {"kind": "unitary", "blocks": [{"q": "1/2", "m": 2},
+                                                           {"q": "1", "m": 2}]})
+    out = tmp_path / "report.json"
+    assert cli.main(["match", "--config", path, "--out", str(out)]) == cli.EXIT_MISMATCH
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "mismatch vs Pol(U_2^+) * Pol(U_2^+) (survivor sets differ)"
+    match = report["match"]
+    assert not match["matched"] and match["mode"] == "structural"
+    assert match["unexpected_survivors"] == ["u(1,1)", "u(1,2)", "u(2,1)", "u(2,2)"]
+    assert match["missing_survivors"] == ["u(5,5)", "u(5,6)", "u(6,5)", "u(6,6)"]
+
+
 @pytest.mark.parametrize("change", ["dropped", "added"])
 def test_match_names_the_relations_left_on_either_side(tmp_path, monkeypatch, change):
     # the doctored target keeps its generators, so the survivor sets agree
@@ -267,9 +306,9 @@ def test_match_names_the_relations_left_on_either_side(tmp_path, monkeypatch, ch
     extra = canonicalize_relations((AlgElement.generator(gen(0, 0)) - AlgElement.one(),))[0]
 
     def doctored(spec):
-        target, renaming = real(spec)
+        target = real(spec)
         relations = target.relations[:-1] if change == "dropped" else (*target.relations, extra)
-        return target._replace(relations=relations), renaming
+        return target._replace(relations=relations)
 
     monkeypatch.setattr(cli, "expected_kac_target", doctored)
     path = _write(tmp_path, ONE_BLOCK)
@@ -423,9 +462,10 @@ def test_report_schema_fields():
     assert set(report["kac"]["certificate"]) == {"combination", "coefficients"}
     survivors = report["survivors"]
     assert set(survivors) == {"characters", "witnesses", "unwitnessed", "candidates"}
-    assert set(survivors["witnesses"]) == set(report["match"]["renaming"])
+    target = cli.expected_kac_target(spec)
+    assert set(survivors["witnesses"]) == {g.label() for g in target.generators}
     assert survivors["unwitnessed"] == []
-    assert {"matched", "mode", "target", "renaming"} <= set(report["match"])
+    assert set(report["match"]) == MATCH_KEYS
     assert set(report["numeric"]) == {"classical_identity", "rep_search"}
     assert set(report["numeric"]["rep_search"]) == {"found", "max_residual"}
 
@@ -492,6 +532,19 @@ def test_the_kac_section_grows_as_n_squared():
         assert len(kac["forced"]) == n * n // 2
         sizes[n] = len(json.dumps(kac))
     assert sizes[16] <= 5 * sizes[8]
+
+
+def test_the_match_section_does_not_grow_with_n():
+    # a fixed key set; the letters the target sits on are the survivors,
+    # listed nowhere in the section, so N = 8 and 16 give the same size
+    sizes = {}
+    for n in (8, 16):
+        spec = k.BlockSpec("unitary", ((F(1, 2), n // 2), (F(1), n // 2)))
+        code, report = cli.run(spec, "match")
+        assert code == cli.EXIT_OK and report["match"]["matched"]
+        assert set(report["match"]) == MATCH_KEYS
+        sizes[n] = len(json.dumps(report["match"]))
+    assert sizes[8] == sizes[16]
 
 
 def test_summary_has_a_hopf_line(tmp_path, capsys, monkeypatch):

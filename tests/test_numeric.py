@@ -308,21 +308,21 @@ def _verified(p, candidates):
 
 @pytest.mark.parametrize("spec", LARGE.values(), ids=LARGE.keys())
 def test_characters_cover_the_target_generators_of_large_specs(spec):
-    # The target's renamed generators are the Kac survivors whenever match
+    # The target's generators are the Kac survivors whenever match
     # succeeds, as it does on all six.  The enumeration has max |C|
     # candidates, one class shift per offset, and asking for every
     # generator drains it.
     p = k.build_presentation(spec)
-    _, renaming = k.expected_kac_target(spec)
+    survivors = set(k.expected_kac_target(spec).generators)
     bound = _largest_class(p)
-    cover = k.witness_characters(p, renaming)
-    assert not cover.uncovered and set(cover.witness) == set(renaming)
+    cover = k.witness_characters(p, survivors)
+    assert not cover.uncovered and set(cover.witness) == survivors
     assert cover.tried <= bound
     for V in cover.characters:
         assert k.verify_character(p, V)
     every = k.witness_characters(p, p.generators)
-    assert set(every.witness) == set(renaming)
-    assert set(every.uncovered) == set(p.generators) - set(renaming)
+    assert set(every.witness) == survivors
+    assert set(every.uncovered) == set(p.generators) - survivors
     assert every.tried <= bound
 
 
@@ -344,8 +344,7 @@ def test_every_generator_is_dead_or_witnessed_on_small_specs(spec):
         assert k.verify_character(p, V)
     alive = set(cover.witness)
     assert alive.isdisjoint(dead) and alive | dead == set(p.generators)
-    _, renaming = k.expected_kac_target(spec)
-    assert alive == set(final.generators) == set(renaming)
+    assert alive == set(final.generators) == set(k.expected_kac_target(spec).generators)
 
 
 def _value_reference(element, V):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import cqgkac as k
+from cqgkac import quotient
 from cqgkac.algebra import AlgElement, ScalarMatrix
 from cqgkac.presentations import canonicalize_relations
 
@@ -17,8 +18,7 @@ def test_quotient_one_block_leaves_unitary_relations():
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     q = k.quotient_by_zero(p, [gen(1, 0)])
     assert q.generators == (gen(0, 0),)
-    target, renaming = k.expected_kac_target(one_block_spec(F(1, 2), 1, 1))
-    verdict = k.match_presentations(q, target, renaming)
+    verdict = k.match_presentations(q, k.expected_kac_target(one_block_spec(F(1, 2), 1, 1)))
     assert verdict.matched and verdict.mode == "exact-set"
 
 
@@ -50,16 +50,18 @@ def test_unknown_id_of_the_other_kind_is_named():
         k.quotient_by_zero(p, [gen(5, 5)])
 
 
-def test_kac_target_renaming_is_the_offset_shift():
-    # the target built from `BlockSpec.offsets` equals the one built from the
-    # named blocks of `layout_ranges`, renaming included, on every small spec
-    for spec in specs_up_to(5):
-        target, renaming = k.expected_kac_target(spec)
-        ref_target, ref_renaming = reference_kac_target(spec)
-        assert renaming == ref_renaming, spec
-        assert target.relations == ref_target.relations, spec
-        assert target.generators == ref_target.generators, spec
-        assert target.label == ref_target.label, spec
+def test_kac_target_is_the_reference_at_its_blocks():
+    # the target shifted by `BlockSpec.offsets` equals the one substituted
+    # into the named blocks of `layout_ranges`, on every small spec
+    for spec in specs_up_to(4):
+        assert k.expected_kac_target(spec) == reference_kac_target(spec), spec
+
+
+def test_kac_target_generators_are_the_kac_survivors():
+    for spec in specs_up_to(4):
+        report, final = k.kac_fixpoint(k.build_presentation(spec))
+        assert not report.undetermined, spec
+        assert k.expected_kac_target(spec).generators == final.generators, spec
 
 
 def test_quotient_case_one_leaves_hermitian_tail():
@@ -68,8 +70,7 @@ def test_quotient_case_one_leaves_hermitian_tail():
     kill = [gen(*pos) for name in ("C[1,1]", "X[1]", "R[1]")
             for pos in block_positions(spec, name)]
     q = k.quotient_by_zero(p, kill)
-    target, renaming = k.expected_kac_target(spec)
-    verdict = k.match_presentations(q, target, renaming)
+    verdict = k.match_presentations(q, k.expected_kac_target(spec))
     assert verdict.matched and verdict.mode == "exact-set"
     # the tail is one self-adjoint letter z with z z = 1, no z - z* relation
     z = letter(2, 2, selfadjoint=True)
@@ -138,63 +139,57 @@ def test_canonicalize_idempotent_and_order_independent():
 
 
 def test_expected_targets():
-    target, _ = k.expected_kac_target(one_block_spec(F(1, 2), 2, 1))
+    target = k.expected_kac_target(one_block_spec(F(1, 2), 2, 1))
     assert target.label == "Pol(U_2^+)"
-    target, _ = k.expected_kac_target(
+    target = k.expected_kac_target(
         k.BlockSpec("case-I", ((F(1, 3), 1), (F(1, 2), 2)), trailing=1)
     )
     assert target.label == "Pol(U_1^+) * Pol(U_2^+) * Pol(O_1^+)"
     assert len(target.generators) == 1 + 4 + 1
-    target, _ = k.expected_kac_target(
+    target = k.expected_kac_target(
         k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1)))
     )
     assert target.label == "Pol(U_1^+) * Pol(O_J1^+)"
 
 
 def test_match_self_with_identity_renaming():
+    # the target sits on the source letters: a presentation matches itself
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
-    renaming = {g: g for g in p.generators}
-    verdict = k.match_presentations(p, p, renaming)
+    verdict = k.match_presentations(p, p)
     assert verdict.matched and verdict.mode == "exact-set"
 
 
 def test_match_symmetric_under_inverse_renaming():
+    # swapping the sides swaps the relations left over on each
     spec = one_block_spec(F(1, 2), 2, -1)
     p = k.build_presentation(spec)
     _, final = k.kac_fixpoint(p)
-    target, renaming = k.expected_kac_target(spec)
-    forward = k.match_presentations(final, target, renaming)
-    inverse = {v: kk for kk, v in renaming.items()}
-    backward = k.match_presentations(target, final, inverse)
+    target = k.expected_kac_target(spec)
+    forward = k.match_presentations(final, target)
+    backward = k.match_presentations(target, final)
     assert forward.matched == backward.matched == True  # noqa: E712
-
-
-@pytest.mark.parametrize("rename, message", [
-    (lambda gens: {}, "not total on the derived generators"),
-    (lambda gens: {g: gens[0] for g in gens}, "not injective"),
-    (lambda gens: {g: g._replace(factor=1) for g in gens}, "not onto the target generators"),
-], ids=["partial", "non-injective", "not-onto"])
-def test_match_rejects_partial_renaming(rename, message):
-    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
-    assert len(p.generators) > 1
-    with pytest.raises(ValueError, match=f"^renaming is {message}$"):
-        k.match_presentations(p, p, rename(p.generators))
+    forward = k.match_presentations(p, target)
+    backward = k.match_presentations(target, p)
+    assert not forward.matched and not backward.matched
+    assert forward.unmatched_derived == backward.unmatched_target != ()
+    assert forward.unmatched_target == backward.unmatched_derived
 
 
 def test_match_takes_each_letter_adjoint_a_bounded_number_of_times(monkeypatch):
-    # the starred image of the renaming is built once (2 adjoints a letter)
-    # and each relation word of degree <= 2 is oriented once (<= 2 a term);
-    # rebuilding the image per relation costs 15 times this at N = 8
+    # the target's starred image of each factor's shift is built once, 2
+    # adjoints a letter; rebuilding it per relation costs 40 times this
+    # at N = 8.  The factors are built before counting.
     spec = k.BlockSpec("unitary", ((F(1, 2), 4), (F(1), 4)))
-    _, final = k.kac_fixpoint(k.build_presentation(spec))
-    target, renaming = k.expected_kac_target(spec)
+    for name in ("build_universal_unitary", "build_universal_orthogonal"):
+        built, real = {}, getattr(quotient, name)
+        monkeypatch.setattr(quotient, name, lambda m, built=built, real=real:
+                            built.get(m.rows) or built.setdefault(m.rows, real(m)))
+    target = k.expected_kac_target(spec)
     calls = []
     adjoint = k.GeneratorId.adjoint
     monkeypatch.setattr(k.GeneratorId, "adjoint", lambda g: calls.append(g) or adjoint(g))
-    assert k.match_presentations(final, target, renaming).matched
-    terms = sum(len(r.terms()) for r in final.relations)
-    assert max(r.degree() for r in final.relations) == 2
-    assert 0 < len(calls) <= 2 * (len(renaming) + terms)
+    assert k.expected_kac_target(spec) == target
+    assert len(target.relations) > 2 and 0 < len(calls) <= 2 * len(target.generators)
 
 
 def test_ideal_membership_direct_and_cofactored():

@@ -383,10 +383,8 @@ def test_kac_fixpoint_unitary_cross_blocks():
     report, final = k.kac_fixpoint(p)
     cross = {gen(0, 1), gen(0, 2), gen(1, 0), gen(2, 0)}
     assert set(report.forced) == cross
-    target, renaming = k.expected_kac_target(
-        k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2)))
-    )
-    verdict = k.match_presentations(final, target, renaming)
+    target = k.expected_kac_target(k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2))))
+    verdict = k.match_presentations(final, target)
     assert verdict.matched
 
 
