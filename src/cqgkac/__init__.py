@@ -8,7 +8,6 @@ library."""
 
 from .algebra import (
     AlgElement,
-    AlgMatrix,
     GeneratorId,
     ScalarMatrix,
     ShapeError,

@@ -1,4 +1,4 @@
-"""Exact scalars, free *-algebra words/elements, and matrices over them.
+"""Exact scalars, free *-algebra words/elements, and exact scalar matrices.
 
 Every coefficient is exact: an `int` or a `fractions.Fraction`, never a
 float.  Constructors store an integral value as an `int` (`exact`), and so
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 
 class ShapeError(ValueError):
-    """Raised on an empty or ragged matrix."""
+    """Raised on an empty, ragged or wrongly sized matrix."""
 
 
 def is_int(value) -> bool:
@@ -298,37 +298,6 @@ def renamer(letters: dict):
     get = image.get
     return lambda a: AlgElement._wrap(add_terms({}, (
         (tuple([get(g, g) for g in w]), c) for w, c in a.terms())))
-
-
-class AlgMatrix:
-    """Rectangular matrix with AlgElement entries."""
-
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise ShapeError("empty matrix")
-        cols = len(entries[0])
-        if any(len(row) != cols for row in entries):
-            raise ShapeError("ragged rows")
-        self.rows = len(entries)
-        self.cols = cols
-        self._entries = entries
-
-    def entry(self, j: int, k: int) -> AlgElement:
-        return self._entries[j][k]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgMatrix)
-            and self._entries == other._entries
-        )
-
-    def __repr__(self):
-        return "[" + "; ".join(
-            ", ".join(repr(e) for e in row) for row in self._entries
-        ) + "]"
 
 
 class ScalarMatrix:

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .algebra import rat_str
+from .algebra import GeneratorId, rat_str
 from .hopf import central_morphism_check, hopf_axiom_check
 from .numeric import classical_point, eval_residual, rep_search
 from .presentations import BlockSpec, SpecError, build_presentation
@@ -132,10 +132,10 @@ def run(spec: BlockSpec, verb: str):
 
     An unknown verb gives EXIT_CONFIG and the message under "error".
     `match` and `report` compare the Kac quotient with
-    `expected_kac_target`, which sits on the source letters: first the
-    generators, a difference being a "structural" mismatch that lists
-    `unexpected_survivors` and `missing_survivors`; then the relations as
-    exact sets, listing `unmatched_derived` and `unmatched_target`.
+    `expected_kac_target` by `match_presentations`: generators first, then
+    relations as exact sets.  The "match" section has one shape; its
+    `unmatched_*` lists hold generator labels in mode "structural" (the
+    generator sets differ), relations in mode "exact-set".
     `report` adds a "survivors" section: the exact characters the Kac
     layer's closing round found (`KacReport.cover`, from
     `numeric.witness_characters`), nonzero on the generators it leaves
@@ -203,36 +203,24 @@ def run(spec: BlockSpec, verb: str):
     if verb in ("match", "report") and code == EXIT_OK:
         start = time.perf_counter()
         target = expected_kac_target(spec)
-        survivors = set(final.generators)
-        expected = set(target.generators)
-        if survivors != expected:
-            extra = sorted(g.label() for g in survivors - expected)
-            missing = sorted(g.label() for g in expected - survivors)
-            report["match"] = {
-                "matched": False,
-                "mode": "structural",
-                "target": target.label,
-                "unexpected_survivors": extra,
-                "missing_survivors": missing,
-            }
-            report["verdict"] = f"mismatch vs {target.label} (survivor sets differ)"
-            code = EXIT_MISMATCH
+        verdict = match_presentations(final, target)
+        structural = verdict.mode == "structural"
+        show = GeneratorId.label if structural else repr
+        report["match"] = {
+            "matched": verdict.matched,
+            "mode": verdict.mode,
+            "target": target.label,
+            "unmatched_derived": [show(x) for x in verdict.unmatched_derived],
+            "unmatched_target": [show(x) for x in verdict.unmatched_target],
+        }
+        if verdict.matched and not kac_report.forced:
+            report["verdict"] = "matched self (no forced zeros)"
+        elif verdict.matched:
+            report["verdict"] = f"matched {target.label}"
         else:
-            verdict = match_presentations(final, target)
-            report["match"] = {
-                "matched": verdict.matched,
-                "mode": verdict.mode,
-                "target": target.label,
-                "unmatched_derived": [repr(r) for r in verdict.unmatched_derived],
-                "unmatched_target": [repr(r) for r in verdict.unmatched_target],
-            }
-            if verdict.matched and not kac_report.forced:
-                report["verdict"] = "matched self (no forced zeros)"
-            elif verdict.matched:
-                report["verdict"] = f"matched {target.label}"
-            else:
-                report["verdict"] = f"mismatch vs {target.label}"
-                code = EXIT_MISMATCH
+            differ = " (survivor sets differ)" if structural else ""
+            report["verdict"] = f"mismatch vs {target.label}{differ}"
+            code = EXIT_MISMATCH
         timings["match"] = time.perf_counter() - start
 
     if verb == "report":
@@ -268,7 +256,7 @@ def run(spec: BlockSpec, verb: str):
 
     if verb in ("numeric", "report"):
         start = time.perf_counter()
-        n = presentation.u.rows
+        n = len(presentation.u)
         eye = [[float(j == k) for k in range(n)] for j in range(n)]
         identity_point = classical_point(presentation, eye)
         identity_residual = eval_residual(presentation, identity_point).max_residual

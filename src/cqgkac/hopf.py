@@ -118,7 +118,7 @@ class TensorElement:
 def _layout_entry(P: Presentation, g: GeneratorId):
     """P's fundamental matrix; ValueError unless g is one of its letters."""
     u = P.u
-    if not (0 <= g.row < u.rows and 0 <= g.col < u.cols):
+    if not (0 <= g.row < len(u) and 0 <= g.col < len(u)):
         raise ValueError(f"letter {g.label()} lies outside the fundamental layout")
     return u
 
@@ -126,8 +126,8 @@ def _layout_entry(P: Presentation, g: GeneratorId):
 def _letter_coproduct(P: Presentation, g: GeneratorId) -> TensorElement:
     u = _layout_entry(P, g)
     acc = {}
-    for l in range(u.rows):
-        add_terms(acc, TensorElement.of(u.entry(g.row, l), u.entry(l, g.col)).terms())
+    for x, row in zip(u[g.row], u):
+        add_terms(acc, TensorElement.of(x, row[g.col]).terms())
     out = TensorElement._wrap(acc)
     return out.adjoint() if g.star else out
 
@@ -165,7 +165,7 @@ def counit(P: Presentation, a: AlgElement):
 
 
 def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
-    mirror = _layout_entry(P, g).entry(g.col, g.row)
+    mirror = _layout_entry(P, g)[g.col][g.row]
     if not g.star:
         return mirror.adjoint()
     # starred letters carry the twist S(Ubar) = Q^-1 U^t Q; at Q = I this
@@ -197,23 +197,22 @@ def _antipode_items(P: Presentation, letters) -> dict:
     and once per entry of u."""
     u = P.u
     images = {g: _letter_antipode(P, g) for g in letters}
-    e = [[u.entry(j, k) for k in range(u.cols)] for j in range(u.rows)]
-    s = [[_antipode(images, x) for x in row] for row in e]
-    span = range(u.rows)
+    s = [[_antipode(images, x) for x in row] for row in u]
+    span = range(len(u))
     return {
         g.label(): (
-            AlgElement.dot(((s[g.row][l], e[l][g.col]) for l in span), int(g.row == g.col)),
-            AlgElement.dot(((e[g.row][l], s[l][g.col]) for l in span), int(g.row == g.col)),
+            AlgElement.dot(((s[g.row][l], u[l][g.col]) for l in span), int(g.row == g.col)),
+            AlgElement.dot(((u[g.row][l], s[l][g.col]) for l in span), int(g.row == g.col)),
         )
         for g in P.generators
     }
 
 
-def _require_known_letters(P: Presentation, u, letters) -> None:
+def _require_known_letters(P: Presentation, letters) -> None:
     """ValueError naming the first letter of u or of a relation that is
     neither a generator of P nor the adjoint of one."""
     known = set(letters)
-    places = [(f"u[{j + 1},{k + 1}]", u.entry(j, k)) for j in range(u.rows) for k in range(u.cols)]
+    places = [(f"u[{j + 1},{k + 1}]", x) for j, row in enumerate(P.u) for k, x in enumerate(row)]
     places += [(f"relation {i}", r) for i, r in enumerate(P.relations)]
     for where, x in places:
         stray = x.letters() - known
@@ -258,20 +257,20 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     """
     u = P.u
     letters = _with_adjoints(P.generators)
-    _require_known_letters(P, u, letters)
+    _require_known_letters(P, letters)
     # a starred letter's coproduct is its plain twin's adjoint
     deltas = {g: _letter_coproduct(P, g) for g in P.generators}
     deltas.update([(g.adjoint(), d.adjoint()) for g, d in deltas.items() if not g.selfadjoint])
-    positions = [(j, k) for j in range(u.rows) for k in range(u.cols)]
+    positions = [(j, k) for j in range(len(u)) for k in range(len(u))]
 
     # the matrix coproduct at (j,k), Σ_l u[j,l] ⊗ u[l,k], is Δ of the plain letter there
     compatible = all(
-        _coproduct(deltas, u.entry(g.row, g.col))
+        _coproduct(deltas, u[g.row][g.col])
         == (deltas[g] if g in deltas else _letter_coproduct(P, g))
         for g in (GeneratorId(j, k) for j, k in positions)
     )
-    counit_ok = all(counit(P, u.entry(j, k)) == int(j == k) for j, k in positions) and all(
-        u.entry(g.row, g.col) == AlgElement.generator(g) for g in P.generators
+    counit_ok = all(counit(P, u[j][k]) == int(j == k) for j, k in positions) and all(
+        u[g.row][g.col] == AlgElement.generator(g) for g in P.generators
     )
     certified = (
         compatible
@@ -314,17 +313,16 @@ def _gamma(a: AlgElement):
 
 def central_morphism_check(P: Presentation) -> bool:
     """Whether (gamma x id) Delta equals (gamma x id) flip Delta on every
-    fundamental position."""
+    fundamental position; gamma is taken once per entry of u."""
     _require_symplectic(P)
-    mat = P.u
-    n = mat.rows
-    for j in range(n):
-        for k in range(n):
-            zl = [_gamma(mat.entry(j, l)) for l in range(n)]
-            zr = [_gamma(mat.entry(l, k)) for l in range(n)]
+    u = P.u
+    span = range(len(u))
+    z = [[_gamma(x) for x in row] for row in u]
+    for j in span:
+        for k in span:
             for part in (0, 1):
-                lhs = AlgElement.sum(mat.entry(l, k).scale(zl[l][part]) for l in range(n))
-                rhs = AlgElement.sum(mat.entry(j, l).scale(zr[l][part]) for l in range(n))
+                lhs = AlgElement.sum(u[l][k].scale(z[j][l][part]) for l in span)
+                rhs = AlgElement.sum(u[j][l].scale(z[l][k][part]) for l in span)
                 if lhs != rhs:
                     return False
     return True

@@ -130,7 +130,7 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     NaN defect fails.  Rejections carry the violated condition and its
     measured defect.
     """
-    n = P.u.rows
+    n = len(P.u)
     try:
         V = [[complex(x) for x in row] for row in V]
     except TypeError as exc:
@@ -194,7 +194,7 @@ def verify_character(P: Presentation, V) -> bool:
     failing rel[i] or position, or a generator outside the N x N layout.
     """
     u = P.u
-    n = u.rows
+    n = len(u)
     if len(V) != n or any(len(row) != n for row in V):
         raise CharacterError(f"V is not {n}x{n}")
     for row in V:
@@ -212,7 +212,7 @@ def verify_character(P: Presentation, V) -> bool:
             raise CharacterError(f"rel[{i}] evaluates to {value}, not 0")
     for j in range(n):
         for k in range(n):
-            if _value(u.entry(j, k), V) != V[j][k]:
+            if _value(u[j][k], V) != V[j][k]:
                 raise CharacterError(f"fundamental entry ({j + 1},{k + 1}) differs from V")
     return True
 
@@ -288,7 +288,7 @@ def witness_characters(P: Presentation, wanted) -> CharacterCover:
     it; a candidate zero on every wanted generator still uncovered is not
     verified.  A generator outside P's fundamental matrix is never
     reached."""
-    n = P.u.rows
+    n = len(P.u)
     left = set(wanted)
     found, witness, tried = [], {}, 0
     for V in _candidates(P):

@@ -60,9 +60,9 @@ from typing import NamedTuple
 
 from .algebra import (
     AlgElement,
-    AlgMatrix,
     GeneratorId,
     ScalarMatrix,
+    ShapeError,
     is_int,
     rat,
     rat_str,
@@ -305,23 +305,33 @@ class Presentation:
 
     generators : kept plain or self-adjoint GeneratorIds, sorted.
     relations  : canonicalized AlgElements, each asserted = 0.
-    u          : the fundamental matrix (kept generators in their
-                 positions, eliminated positions substituted); always set.
-    q          : the diagonal Q; always set.
-    f          : F for the orthogonal kind, else None.
+    u          : the fundamental matrix, a tuple of N rows of N AlgElements
+                 read as u[j][k] (kept generators in their positions,
+                 eliminated positions substituted); always set.
+    q          : the diagonal Q, an N x N ScalarMatrix; always set.
+    f          : F, N x N, for the orthogonal kind, else None.
     defining   : whether the relations are exactly the canonicalized
                  `defining_relations(u, q, f)`.  The two builders write
                  their relations from that list and record True; on any
                  other presentation (a quotient, a hand-made one) it is
                  computed on first read and kept.
 
-    Every field is read-only after construction: assignment raises
+    The constructor owns the shape: it raises ShapeError unless u is
+    N x N with N >= 1, Q is N x N and F, when given, is N x N.  Every
+    field is read-only after construction: assignment raises
     AttributeError, so `defining` cannot go stale.
     """
 
     __slots__ = ("generators", "relations", "u", "q", "f", "label", "_defining")
 
     def __init__(self, generators, relations, u, q, f=None, label=""):
+        u = tuple(map(tuple, u))
+        n = len(u)
+        if not n or any(len(row) != n for row in u):
+            raise ShapeError(f"u is not N x N: row lengths {[len(row) for row in u]}")
+        for name, m in ({"Q": q} if f is None else {"Q": q, "F": f}).items():
+            if (getattr(m, "rows", None), getattr(m, "cols", None)) != (n, n):
+                raise ShapeError(f"{name} must be {n} x {n}, the size of u")
         put = object.__setattr__
         put(self, "generators", tuple(sorted(generators)))
         put(self, "relations", canonicalize_relations(relations))
@@ -359,17 +369,15 @@ def _defining_presentation(generators, rels, u, q, f=None, label="") -> Presenta
     return p
 
 
-def generator_matrix(n: int) -> AlgMatrix:
-    return AlgMatrix(
-        [
-            [AlgElement.generator(GeneratorId(j, k)) for k in range(n)]
-            for j in range(n)
-        ]
-    )
+def generator_matrix(n: int) -> tuple:
+    """The n x n matrix of the letters u(j,k), as a tuple of rows."""
+    return tuple(tuple(AlgElement.generator(GeneratorId(j, k)) for k in range(n))
+                 for j in range(n))
 
 
-def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
-    """Every entry of the defining identities over u, uncanonicalized.
+def defining_relations(u, q: ScalarMatrix, f: ScalarMatrix = None):
+    """Every entry of the defining identities over u, uncanonicalized; u
+    is given as its N rows of N elements, read as u[j][k].
 
     First the unitarity identities: the plain pair U U* - I, U* U - I,
     then the pair of the Q-twist t = Q Ubar Q^-1 (it states unitarity of
@@ -388,23 +396,22 @@ def defining_relations(u: AlgMatrix, q: ScalarMatrix, f: ScalarMatrix = None):
     class with its term order, are unchanged.  Otherwise, as for the
     unitary kind, all four identities are written.
     """
-    n = u.rows
-    e = [[u.entry(j, k) for k in range(n)] for j in range(n)]
-    s = [[x.adjoint() for x in row] for row in e]
+    n = len(u)
+    s = [[x.adjoint() for x in row] for row in u]
     d = [q.entry(j, j) for j in range(n)]
     t = [[x.scale(ratio(d[j], d[k])) for k, x in enumerate(row)] for j, row in enumerate(s)]
     reality, plain = [], True
     if f is not None:
         pi, df = _monomial_decode(f)
-        reality = [e[j][k] - s[pj][pk].scale(ratio(df[j], df[k]))
+        reality = [u[j][k] - s[pj][pk].scale(ratio(df[j], df[k]))
                    for j, pj in enumerate(pi) for k, pk in enumerate(pi)]
         plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
                  or not all(r.is_zero() for r in reality))
     entries = (
-        lambda j, k: ((e[j][a], s[k][a]) for a in range(n)),
-        lambda j, k: ((s[a][j], e[a][k]) for a in range(n)),
-        lambda j, k: ((e[a][j], t[a][k]) for a in range(n)),
-        lambda j, k: ((t[j][a], e[k][a]) for a in range(n)),
+        lambda j, k: ((u[j][a], s[k][a]) for a in range(n)),
+        lambda j, k: ((s[a][j], u[a][k]) for a in range(n)),
+        lambda j, k: ((u[a][j], t[a][k]) for a in range(n)),
+        lambda j, k: ((t[j][a], u[k][a]) for a in range(n)),
     )
     rels = [
         AlgElement.dot(entry(j, k), int(j == k))
@@ -498,7 +505,7 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     sigma, kept = reality_substitution(F)
     n = F.rows
     ids = [[GeneratorId(j, k) for k in range(n)] for j in range(n)]
-    u = AlgMatrix([[sigma.get(g, AlgElement.generator(g)) for g in row] for row in ids])
+    u = tuple(tuple(sigma.get(g, AlgElement.generator(g)) for g in row) for row in ids)
     rels = defining_relations(u, q, F)
     for i, h in enumerate(rels[-n * n:]):
         if not h.is_zero():

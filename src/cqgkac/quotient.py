@@ -9,8 +9,10 @@ identity block of case I.  Each factor sits at its block's start row
 u(o + j, o + k), o that offset.  The target is a `KacTarget`, a relation
 set over source letters, not a `Presentation`.
 
-Matching is exact: both canonical relation sets are compared as sets.
-Relations left on either side are reported, and the match fails.
+Matching is exact: the generator sets are compared first, and when they
+differ the match is "structural"; else the canonical relation sets are
+compared as sets.  Either way what is left on each side is reported, and
+the match fails unless nothing is.
 
 The bounded ideal of degree d is the span of the words-times-relations
 w·r·w' with |w| + deg r + |w'| <= d, over the relations and their
@@ -27,7 +29,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .algebra import AlgElement, AlgMatrix, ScalarMatrix, renamer
+from .algebra import AlgElement, ScalarMatrix, renamer
 from .linalg import SparseEchelon, WordIndex
 from .presentations import (
     BlockSpec,
@@ -53,11 +55,10 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     def keep(e):
         return AlgElement({w: c for w, c in e.terms() if dead.isdisjoint(w)})
 
-    u = AlgMatrix([[keep(P.u.entry(j, k)) for k in range(P.u.cols)] for j in range(P.u.rows)])
     return Presentation(
         [g for g in P.generators if g not in gens],
         [keep(r) for r in P.relations],
-        u, P.q, P.f, label=P.label,
+        [[keep(x) for x in row] for row in P.u], P.q, P.f, label=P.label,
     )
 
 
@@ -102,7 +103,8 @@ def expected_kac_target(spec: BlockSpec) -> KacTarget:
 
 
 class MatchVerdict(NamedTuple):
-    """Outcome of comparing a derived quotient with its target."""
+    """Outcome of comparing a derived quotient with its target; the
+    `unmatched_*` hold generators in mode "structural", else relations."""
 
     matched: bool
     mode: str
@@ -111,14 +113,16 @@ class MatchVerdict(NamedTuple):
 
 
 def match_presentations(P, T) -> MatchVerdict:
-    """Compare the canonical relation sets of P and T, each a
-    `Presentation` or a `KacTarget` over the same letters."""
-    derived_keys = {r.sort_key(): r for r in P.relations}
-    target_keys = {r.sort_key(): r for r in T.relations}
-    only_derived = tuple(derived_keys[k] for k in sorted(derived_keys.keys() - target_keys.keys()))
-    only_target = tuple(target_keys[k] for k in sorted(target_keys.keys() - derived_keys.keys()))
-    matched = not only_derived and not only_target
-    return MatchVerdict(matched, "exact-set", only_derived, only_target)
+    """Compare P and T, each a `Presentation` or a `KacTarget`: first the
+    generator sets, then the canonical relation sets.  Each side's
+    leftovers are sorted."""
+    mode, key, left, right = "structural", None, set(P.generators), set(T.generators)
+    if left == right:
+        mode, key = "exact-set", AlgElement.sort_key
+        left, right = set(P.relations), set(T.relations)
+    only_left = tuple(sorted(left - right, key=key))
+    only_right = tuple(sorted(right - left, key=key))
+    return MatchVerdict(not only_left and not only_right, mode, only_left, only_right)
 
 
 def _with_adjoints(plain):

@@ -308,10 +308,9 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
         if e.constant:
             scale = -e.constant
             index[frozenset((s, ratio(c, scale)) for s, c in e.coeffs.items())] = (i, scale)
-    n = P.u.rows
+    n = len(P.u)
     q = [P.q.entry(j, j) for j in range(n)]
-    a = [[trace_of(x * x.adjoint())[1] for x in (P.u.entry(j, k) for k in range(n))]
-         for j in range(n)]
+    a = [[trace_of(x * x.adjoint())[1] for x in row] for row in P.u]
 
     def entry(weights):
         return frozenset(add_terms({}, (

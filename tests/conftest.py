@@ -29,14 +29,14 @@ def one_block_spec(q, m, eps):
 
 def substitute(x, sigma):
     """The *-homomorphic extension of a map on plain letters, applied to an
-    AlgElement or entrywise to an AlgMatrix.
+    AlgElement or entrywise to a matrix given as rows, returned as a tuple
+    of row tuples.
 
     Starred letters substitute via the adjoint of the image; letters
     absent from sigma map to themselves.  Images are AlgElements.
     """
-    if isinstance(x, k.AlgMatrix):
-        return k.AlgMatrix([[substitute(x.entry(j, c), sigma) for c in range(x.cols)]
-                            for j in range(x.rows)])
+    if isinstance(x, (list, tuple)):
+        return tuple(tuple(substitute(e, sigma) for e in row) for row in x)
     out = AlgElement.zero()
     for w, c in x.terms():
         factor = AlgElement.scalar(c)
@@ -481,8 +481,7 @@ def plain_pair_presentation(f):
             else:
                 rows[j][c] = letter(pj, pc, star=True).scale(ratio(d[j], d[c]))
     q = k.ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
-    u = k.AlgMatrix(rows)
-    return k.Presentation(kept, defining_relations(u, q, f), u, q, f)
+    return k.Presentation(kept, defining_relations(rows, q, f), rows, q, f)
 
 
 def four_identity_relations(u, q, f=None):
@@ -491,16 +490,15 @@ def four_identity_relations(u, q, f=None):
     reality entries: the defining relations written out in full, whether
     or not the reality relation makes the plain pair repeat the twisted
     one."""
-    n = u.rows
-    e = [[u.entry(j, c) for c in range(n)] for j in range(n)]
-    s = [[x.adjoint() for x in row] for row in e]
+    n = len(u)
+    s = [[x.adjoint() for x in row] for row in u]
     d = [q.entry(j, j) for j in range(n)]
     t = [[x.scale(ratio(d[j], d[c])) for c, x in enumerate(row)] for j, row in enumerate(s)]
     entries = (
-        lambda j, c: (e[j][a] * s[c][a] for a in range(n)),
-        lambda j, c: (s[a][j] * e[a][c] for a in range(n)),
-        lambda j, c: (e[a][j] * t[a][c] for a in range(n)),
-        lambda j, c: (t[j][a] * e[c][a] for a in range(n)),
+        lambda j, c: (u[j][a] * s[c][a] for a in range(n)),
+        lambda j, c: (s[a][j] * u[a][c] for a in range(n)),
+        lambda j, c: (u[a][j] * t[a][c] for a in range(n)),
+        lambda j, c: (t[j][a] * u[c][a] for a in range(n)),
     )
     rels = [
         AlgElement.sum(entry(j, c)) - AlgElement.scalar(int(j == c))
@@ -510,7 +508,7 @@ def four_identity_relations(u, q, f=None):
     ]
     if f is not None:
         pi, df = _monomial_decode(f)
-        rels.extend(e[j][c] - s[pj][pc].scale(ratio(df[j], df[c]))
+        rels.extend(u[j][c] - s[pj][pc].scale(ratio(df[j], df[c]))
                     for j, pj in enumerate(pi) for c, pc in enumerate(pi))
     return rels
 

@@ -5,7 +5,7 @@ import pytest
 
 import cqgkac as k
 from cqgkac.algebra import (
-    AlgElement, AlgMatrix, ScalarMatrix, ShapeError, add_terms, word_adjoint,
+    AlgElement, ScalarMatrix, ShapeError, add_terms, word_adjoint,
 )
 
 from conftest import (
@@ -133,12 +133,11 @@ def test_symplectic_conjugation_matches_hand_expansion():
 
 
 def test_shape_errors():
-    # the constructors refuse ragged and empty rows
-    a = letter(0, 0)
-    for cls, x in ((AlgMatrix, a), (ScalarMatrix, F(1, 2))):
-        for rows in ([[x, x], [x]], [[x], [x, x]], [], [[]]):
-            with pytest.raises(ShapeError):
-                cls(rows)
+    # the constructor refuses ragged and empty rows
+    x = F(1, 2)
+    for rows in ([[x, x], [x]], [[x], [x, x]], [], [[]]):
+        with pytest.raises(ShapeError):
+            ScalarMatrix(rows)
 
 
 def test_rational_arithmetic_round_trips():

@@ -293,8 +293,8 @@ def test_a_target_shifted_one_block_off_is_a_structural_mismatch(tmp_path, monke
     assert report["verdict"] == "mismatch vs Pol(U_2^+) * Pol(U_2^+) (survivor sets differ)"
     match = report["match"]
     assert not match["matched"] and match["mode"] == "structural"
-    assert match["unexpected_survivors"] == ["u(1,1)", "u(1,2)", "u(2,1)", "u(2,2)"]
-    assert match["missing_survivors"] == ["u(5,5)", "u(5,6)", "u(6,5)", "u(6,6)"]
+    assert match["unmatched_derived"] == ["u(1,1)", "u(1,2)", "u(2,1)", "u(2,2)"]
+    assert match["unmatched_target"] == ["u(5,5)", "u(5,6)", "u(6,5)", "u(6,6)"]
 
 
 @pytest.mark.parametrize("change", ["dropped", "added"])

@@ -32,7 +32,7 @@ def test_every_coefficient_of_build_kac_and_match_is_exact_on_specs_up_to_four()
     assert len(specs) == 187
     for spec in specs:
         p = k.build_presentation(spec)
-        entries = [p.u.entry(j, c) for j in range(p.u.rows) for c in range(p.u.cols)]
+        entries = [x for row in p.u for x in row]
         assert all(map(_stored, _coefficients(p.relations))), spec
         assert all(map(_stored, _coefficients(entries))), spec
         kac, final = k.kac_fixpoint(p)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.algebra import AlgElement, AlgMatrix, ScalarMatrix
+from cqgkac.algebra import AlgElement, ScalarMatrix
 import cqgkac.hopf as hopf
 import cqgkac.presentations as presentations
 from cqgkac.hopf import TensorElement, _antipode_items, _letter_coproduct
@@ -173,9 +173,9 @@ def test_central_morphism_symplectic():
 def test_central_morphism_perturbed_fails():
     # a hand-made u with u[1,1] and u[1,2] swapped on O_J1^+
     p = k.build_universal_orthogonal(k.symplectic_matrix(1))
-    rows = [[p.u.entry(j, kk) for kk in range(2)] for j in range(2)]
+    rows = [list(row) for row in p.u]
     rows[0].reverse()
-    swapped = k.Presentation(p.generators, p.relations, AlgMatrix(rows), p.q, p.f, p.label)
+    swapped = k.Presentation(p.generators, p.relations, rows, p.q, p.f, p.label)
     assert not k.central_morphism_check(swapped)
 
 
@@ -202,7 +202,7 @@ def test_cofactor_identities_hold_over_generic_letters(n, seed):
     d = [F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)]
     f = ScalarMatrix([[d[j] if c == pi[j] else 0 for c in range(n)] for j in range(n)])
     p = k.build_universal_unitary(ScalarMatrix.identity(n))
-    v = [[p.u.entry(j, c) for c in range(n)] for j in range(n)]
+    v = p.u
     vs = transpose(bar(v))
     vt = transpose(v)
     t = dense_product(q, bar(v), dense_inverse(q))
@@ -309,7 +309,7 @@ def test_a_self_adjoint_letter_with_a_non_self_adjoint_coproduct_is_not_certifie
 def _misplaced_letters():
     """u[j,k] = v(k,j) over Q = I, its relations the defining entries of u."""
     v = generator_matrix(2)
-    u = AlgMatrix([[v.entry(c, j) for c in range(2)] for j in range(2)])
+    u = [[v[c][j] for c in range(2)] for j in range(2)]
     q = ScalarMatrix.identity(2)
     return k.Presentation([gen(j, c) for j in range(2) for c in range(2)],
                           defining_relations(u, q), u, q)
@@ -338,10 +338,9 @@ def test_opposite_signs_on_self_paired_positions_keep_coassociativity_and_the_co
 def _hand_made(rows):
     """The presentation of a hand-made u over Q = I: its generators are the
     plain letters of u, its relations the defining entries of u."""
-    u = AlgMatrix(rows)
     q = ScalarMatrix.identity(len(rows))
     generators = {g.plain() for row in rows for e in row for g in e.letters()}
-    return k.Presentation(generators, defining_relations(u, q), u, q)
+    return k.Presentation(generators, defining_relations(rows, q), rows, q)
 
 
 @st.composite

@@ -1,13 +1,15 @@
-"""Every module-level import of a `cqgkac` module is used in that module,
-so a deletion that leaves an import behind fails here."""
+"""Every module-level import of a `cqgkac` module, and of a script under
+`tools/`, is used in that file, so a deletion that leaves an import behind
+fails here."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cqgkac"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "cqgkac").glob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -24,7 +26,8 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TOOLS,
+                         ids=[p.name for p in MODULES] + [f"tools/{p.name}" for p in TOOLS])
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -32,7 +32,7 @@ def test_identity_point_every_standard_spec():
     ]
     for spec in specs:
         p = k.build_presentation(spec)
-        n = p.u.rows
+        n = len(p.u)
         point = k.classical_point(p, np.eye(n))
         assert k.eval_residual(p, point).max_residual == 0.0
 
@@ -361,7 +361,7 @@ def _value_reference(element, V):
 def test_integer_first_value_matches_fraction_reference_on_ladder(spec):
     p = k.build_presentation(spec)
     n = spec.size
-    entries = [p.u.entry(j, c) for j in range(n) for c in range(n)]
+    entries = [p.u[j][c] for j in range(n) for c in range(n)]
     nonzero = 0
     for V in (*transposition_candidates(p), *_candidates(p)):
         for element in (*p.relations, *entries):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.algebra import AlgElement, ScalarMatrix
+from cqgkac.algebra import AlgElement, ScalarMatrix, ShapeError
 import cqgkac.presentations as presentations
 from cqgkac.presentations import (
     SpecError,
@@ -251,24 +251,24 @@ def test_universal_orthogonal_rank_one_is_order_two_group():
     assert p.generators == (gen(0, 0, selfadjoint=True),)
     assert u.adjoint() == u
     assert p.relations == canonicalize_relations((u * u - AlgElement.one(),))
-    assert p.u.entry(0, 0) == u
+    assert p.u[0][0] == u
 
 
 def test_universal_orthogonal_symplectic_fundamental_shape():
     p = k.build_universal_orthogonal(k.symplectic_matrix(1))
     mat = p.u
     a, c = letter(0, 0), letter(1, 0)
-    assert mat.entry(0, 0) == a
-    assert mat.entry(0, 1) == -c.adjoint()
-    assert mat.entry(1, 0) == c
-    assert mat.entry(1, 1) == a.adjoint()
+    assert mat[0][0] == a
+    assert mat[0][1] == -c.adjoint()
+    assert mat[1][0] == c
+    assert mat[1][1] == a.adjoint()
 
 
 def test_universal_orthogonal_one_block_forcing():
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     mat = p.u
-    assert mat.entry(0, 1) == letter(1, 0, star=True).scale(F(1, 4))
-    assert mat.entry(1, 1) == letter(0, 0, star=True)
+    assert mat[0][1] == letter(1, 0, star=True).scale(F(1, 4))
+    assert mat[1][1] == letter(0, 0, star=True)
 
 
 def test_universal_orthogonal_rejects_bad_reality():
@@ -334,7 +334,7 @@ def test_reality_substitution_makes_trailing_letters_selfadjoint():
     assert z in kept and gen(2, 2) not in kept
     assert sigma[gen(2, 2)] == letter(2, 2, selfadjoint=True)
     p = k.build_presentation(spec)
-    assert p.generators[-1] == z and p.u.entry(2, 2) == letter(2, 2, selfadjoint=True)
+    assert p.generators[-1] == z and p.u[2][2] == letter(2, 2, selfadjoint=True)
     # no relation is hermitian-type: u(3,3) - u(3,3)* is zero, not listed
     assert all(r.degree() == 2 for r in p.relations)
     assert {g for r in p.relations for g in r.letters() if g.selfadjoint} == {z}
@@ -405,7 +405,8 @@ def test_block_decompose_one_block():
     p = k.build_presentation(spec)
     assert block_positions(spec, "A") == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert block_positions(spec, "C") == [(2, 0), (2, 1), (3, 0), (3, 1)]
-    assert p.u.entry(*block_positions(spec, "C")[0]) == letter(2, 0)
+    j, c = block_positions(spec, "C")[0]
+    assert p.u[j][c] == letter(2, 0)
 
 
 def test_block_decompose_case_one_tail():
@@ -463,7 +464,7 @@ def _expand_then_substitute(spec):
         rels += [u[j][c] - conj[j][c] for j in range(n) for c in range(n)]
         sigma, kept = k.reality_substitution(m)
     rels = [substitute(r, sigma) for r in rels]
-    return kept, canonicalize_relations(rels), substitute(k.AlgMatrix(u), sigma), q
+    return kept, canonicalize_relations(rels), substitute(u, sigma), q
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,8 +532,7 @@ def test_canonicalize_relations_matches_the_two_scale_reference(rels, scales):
 def _identity_entries(p):
     """Every entry of the four unitarity identities minus I, by dense
     products over p's fundamental matrix: four N x N lists of entries."""
-    n = p.u.rows
-    u = [[p.u.entry(j, c) for c in range(n)] for j in range(n)]
+    u = p.u
     ub, ut = bar(u), transpose(u)
     qinv = dense_inverse(p.q)
     mats = (dense_product(u, transpose(ub)), dense_product(transpose(ub), u),
@@ -645,3 +645,39 @@ def test_presentation_fields_are_read_only(field):
     with pytest.raises(AttributeError):
         setattr(p, field, None)
     assert getattr(p, field) == before
+
+
+_A = letter(0, 0)
+_I1, _I2, _I3 = (ScalarMatrix.identity(n) for n in (1, 2, 3))
+
+
+@pytest.mark.parametrize("u, q, f", [
+    ([[_A, _A], [_A]], _I2, None),
+    ([[_A], [_A, _A]], _I2, None),
+    ([], _I1, None),
+    ([[]], _I1, None),
+    ([[_A, _A]], _I1, None),
+    (generator_matrix(2), None, None),
+    (generator_matrix(2), _I1, None),
+    (generator_matrix(2), _I3, None),
+    (generator_matrix(2), _I2, _I1),
+    (generator_matrix(2), _I2, _I3),
+], ids=["ragged", "ragged-long-last", "empty", "empty-row", "non-square-u",
+        "missing-q", "smaller-q", "larger-q", "smaller-f", "larger-f"])
+def test_presentation_refuses_a_layout_that_is_not_n_by_n(u, q, f):
+    # every reader indexes u, Q and F by one N: a smaller Q or F would
+    # raise IndexError there, a larger one answer for another layout
+    with pytest.raises(ShapeError):
+        k.Presentation([], [], u, q, f)
+
+
+def test_u_is_a_tuple_of_n_row_tuples():
+    # on builder, quotient and hand-made presentations, however u was given
+    for spec in (one_block_spec(F(1, 2), 1, 1), k.BlockSpec("unitary", ((F(1, 2), 3),))):
+        p = k.build_presentation(spec)
+        hand = k.Presentation(p.generators, p.relations, [list(row) for row in p.u], p.q, p.f)
+        _, final = k.kac_fixpoint(p)
+        for x in (p, final, hand):
+            assert type(x.u) is tuple and len(x.u) == spec.size, spec
+            assert all(type(row) is tuple and len(row) == spec.size for row in x.u), spec
+        assert hand.u == p.u

@@ -121,7 +121,7 @@ def test_canonicalize_scales_and_dedupes():
     doubled = r.scale(2)
     p = k.Presentation(
         [gen(0, 0)], [r, doubled, r.adjoint()],
-        k.AlgMatrix([[letter(0, 0)]]), ScalarMatrix.identity(1),
+        [[letter(0, 0)]], ScalarMatrix.identity(1),
     )
     assert len(p.relations) == 1
 
@@ -173,6 +173,21 @@ def test_match_symmetric_under_inverse_renaming():
     assert not forward.matched and not backward.matched
     assert forward.unmatched_derived == backward.unmatched_target != ()
     assert forward.unmatched_target == backward.unmatched_derived
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["extra-in-target", "extra-in-derived"])
+def test_match_refuses_an_extra_generator_on_either_side(swap):
+    # u(1,2) added to one side's generators, in no relation: the relation
+    # sets still agree, and only the generator comparison sees it
+    spec = k.BlockSpec("unitary", ((F(1, 2), 1), (F(1), 1)))
+    _, final = k.kac_fixpoint(k.build_presentation(spec))
+    target = k.expected_kac_target(spec)
+    assert k.match_presentations(final, target).matched
+    wider = target._replace(generators=tuple(sorted((*target.generators, gen(0, 1)))))
+    verdict = k.match_presentations(*((wider, final) if swap else (final, wider)))
+    assert not verdict.matched and verdict.mode == "structural"
+    assert verdict.unmatched_derived == ((gen(0, 1),) if swap else ())
+    assert verdict.unmatched_target == (() if swap else (gen(0, 1),))
 
 
 def test_match_takes_each_letter_adjoint_a_bounded_number_of_times(monkeypatch):
