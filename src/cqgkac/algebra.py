@@ -2,11 +2,11 @@
 
 Every coefficient is exact: an `int` or a `fractions.Fraction`, never a
 float.  Constructors store an integral value as an `int` (`exact`), and so
-does the relation normal form; a product of Fractions may hold an integral
-Fraction until then.  So the common coefficients 1, -1 and small integers
-multiply as machine integers.  Int and Fraction compare and hash alike, so
-sort keys and relation sets do not see the difference.  `ratio` is the
-only division, and it is exact.
+do `mul`, the one product of coefficients, `ratio`, the one division, and
+the relation normal form; only a sum of Fractions may hold an integral
+Fraction until that normal form.  So the common coefficients 1, -1 and
+small integers multiply as machine integers.  Int and Fraction compare and
+hash alike, so sort keys and relation sets do not see the difference.
 Words are tuples of generator letters; the empty word is the unit.
 Row/column indices are 0-based throughout; labels print 1-based.
 """
@@ -68,13 +68,49 @@ def exact(x):
     return exact(Fraction(x))
 
 
+def _parts(x):
+    """(numerator, denominator) of an int or a Fraction; TypeError on
+    anything else, a float among them."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    raise TypeError(f"inexact coefficient {x!r}: pass an int or a Fraction")
+
+
+def _quotient(n: int, d: int):
+    """n/d of two ints in stored form: an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def mul(a, b):
+    """The exact product a*b of two ints or Fractions, in stored form: an
+    int when it is integral, else a Fraction.  Two ints multiply as ints,
+    a stored Fraction times 1 or -1 is itself or its negative, and any
+    other pair multiplies through numerators and denominators, never the
+    numbers ABCs.  A float is refused."""
+    if type(a) is int:
+        if type(b) is int:
+            return a * b
+        a, b = b, a
+    n, d = _parts(a)
+    if type(b) is int:
+        if (b == 1 or b == -1) and d != 1:
+            return a if b == 1 else -a
+        return _quotient(n * b, d)
+    m, e = _parts(b)
+    return _quotient(n * m, d * e)
+
+
 def ratio(a, b):
-    """The exact quotient a/b: a // b when both are ints and b divides a,
-    else `exact(Fraction(a, b))`, which refuses a float."""
+    """The exact quotient a/b of two ints or Fractions, in stored form, on
+    the typed path of `mul`; ZeroDivisionError when b is 0, TypeError on a
+    float."""
     if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return exact(Fraction(a, b))
+        return _quotient(a, b)
+    (n, d), (m, e) = _parts(a), _parts(b)
+    return _quotient(n * e, d * m)
 
 
 def rat_str(x) -> str:
@@ -132,9 +168,25 @@ class GeneratorId(NamedTuple):
 Word = tuple  # tuple[GeneratorId, ...]; () is the unit
 
 
+class _LetterAdjoints(dict):
+    """letter -> `GeneratorId.adjoint` of it, filled on first lookup.  The
+    adjoint is a pure function of the letter, so the table is never stale;
+    it holds one entry per letter seen."""
+
+    __slots__ = ()
+
+    def __missing__(self, g):
+        self[g] = h = g.adjoint()
+        return h
+
+
+_ADJOINT = _LetterAdjoints()
+
+
 def word_adjoint(w: Word) -> Word:
-    """Reverse the word and take every letter's adjoint; an involution."""
-    return tuple(g.adjoint() for g in reversed(w))
+    """Reverse the word and take every letter's adjoint, read from the
+    letter table; an involution."""
+    return tuple([_ADJOINT[g] for g in w[::-1]])
 
 
 def word_key(w: Word):
@@ -180,7 +232,7 @@ class AlgElement:
         repeat is summed on its own before it is added to a nonempty sum."""
         acc = {}
         for x, y in pairs:
-            terms = ((w1 + w2, c1 * c2)
+            terms = ((w1 + w2, mul(c1, c2))
                      for w1, c1 in x._terms.items() for w2, c2 in y._terms.items())
             if acc and len(x._terms) > 1 and len(y._terms) > 1:
                 terms = add_terms({}, terms).items()
@@ -252,7 +304,7 @@ class AlgElement:
             return self
         if not c:
             return AlgElement.zero()
-        return AlgElement._wrap({w: c * v for w, v in self._terms.items()})
+        return AlgElement._wrap({w: mul(c, v) for w, v in self._terms.items()})
 
     def adjoint(self) -> "AlgElement":
         """The *-operation; coefficients stay (all scalars are real)."""

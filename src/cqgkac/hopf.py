@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (
-    AlgElement, GeneratorId, add_terms, exact, ratio, word_adjoint, word_key, word_label,
+    AlgElement, GeneratorId, add_terms, exact, mul, ratio, word_adjoint, word_key, word_label,
 )
 from .linalg import WordIndex
 from .presentations import Presentation, symplectic_matrix
@@ -80,7 +80,7 @@ class TensorElement:
     @classmethod
     def of(cls, a: AlgElement, b: AlgElement) -> "TensorElement":
         return cls._wrap(add_terms({}, (
-            ((w1, w2), c1 * c2) for w1, c1 in a.terms() for w2, c2 in b.terms()
+            ((w1, w2), mul(c1, c2)) for w1, c1 in a.terms() for w2, c2 in b.terms()
         )))
 
     def terms(self):
@@ -93,7 +93,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         return TensorElement._wrap(add_terms({}, (
-            ((a1 + a2, b1 + b2), c1 * c2)
+            ((a1 + a2, b1 + b2), mul(c1, c2))
             for (a1, b1), c1 in self._terms.items()
             for (a2, b2), c2 in other._terms.items()
         )))
@@ -140,7 +140,7 @@ def _coproduct(deltas: dict, a: AlgElement) -> TensorElement:
             out = deltas[w[0]]
             for g in w[1:]:
                 out = out * deltas[g]
-            terms = ((p, c * x) for p, x in out.terms())
+            terms = ((p, mul(c, x)) for p, x in out.terms())
         add_terms(acc, terms)
     return TensorElement._wrap(acc)
 

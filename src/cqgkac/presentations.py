@@ -55,7 +55,8 @@ plain pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import (
@@ -64,6 +65,7 @@ from .algebra import (
     ScalarMatrix,
     ShapeError,
     is_int,
+    mul,
     rat,
     rat_str,
     ratio,
@@ -112,9 +114,10 @@ class BlockSpec(_SpecFields):
     value rule: a q that `rat` refuses is named `blocks[i].q`, with `rat`'s
     message, an m not an int `blocks[i].m`.  The size N is at most
     MAX_SIZE: one in-process `report` on the unitary two-class spec
-    (q = 1/2 and 1, N/2 each) took 2.8 s at N = 24 and 7.2 s at N = 32,
-    the Hopf check about 75 % of it (2 shared vCPUs, Intel Xeon, Python
-    3.11); the time at N = 64 is left to ROADMAP item 9.  The generator
+    (q = 1/2 and 1, N/2 each) took 1.6-2.3 s at N = 24 and 4.4-5.0 s at
+    N = 32 over three runs, the Hopf check about 80 % of it (2 shared
+    vCPUs, Intel Xeon, Python 3.11); the time at N = 64 is left to
+    ROADMAP item 9.  The generator
     matrix alone has N^2 letters.
     """
 
@@ -254,10 +257,11 @@ def _oriented(r: AlgElement):
     each divided by its lead coefficient, are compared term by term up to
     the first difference; the smaller orientation is kept, r on a tie (no
     scan when the two are equal, as on every diagonal identity entry).
-    It is scaled once by `ratio`, so an integral coefficient is stored as an
-    int; not at all when its lead coefficient is 1 and no coefficient is an
-    integral Fraction.  It keeps the term order of r, or of `r.adjoint()`
-    when r* is kept.
+    The kept one is scaled once, by `mul` with the inverse of its lead
+    coefficient, so every coefficient is stored (an integral one as an
+    int); not at all when its lead coefficient is 1 and no coefficient is
+    an integral Fraction.  It keeps the term order of r, or of
+    `r.adjoint()` when r* is kept.
     """
     terms = r.terms()
     adjoint = [(word_adjoint(w), c) for w, c in terms]
@@ -278,7 +282,8 @@ def _oriented(r: AlgElement):
     if lead == 1 and not any(type(c) is not int and c.denominator == 1 for _w, c in terms):
         element = AlgElement._wrap(dict(adjoint)) if flip else r
         return tuple(((n, w), c) for n, w, c in chosen), element
-    scaled = {w: ratio(c, lead) for w, c in (adjoint if flip else terms)}
+    inverse = ratio(1, lead)
+    scaled = {w: mul(c, inverse) for w, c in (adjoint if flip else terms)}
     return tuple(((n, w), scaled[w]) for n, w, _ in chosen), AlgElement._wrap(scaled)
 
 
@@ -290,14 +295,12 @@ def canonicalize_relations(rels):
     has coefficient 1, the one with the smaller `sort_key` (r on a tie).
     Adjoint and scalar multiples of one relation share one normal form,
     which keeps its terms in r's own order or, when r* is chosen, in the
-    order of `r.adjoint()`.
+    order of `r.adjoint()`.  The normal forms are sorted by (key, -index)
+    and the first of each run of equal keys is kept: the last one given.
     """
-    seen = {}
-    for r in rels:
-        if not r.is_zero():
-            key, n = _oriented(r)
-            seen[key] = n
-    return tuple(seen[k] for k in sorted(seen))
+    normal = sorted((key, -i, n) for i, r in enumerate(rels) if not r.is_zero()
+                    for key, n in (_oriented(r),))
+    return tuple(next(run)[2] for _key, run in groupby(normal, itemgetter(0)))
 
 
 class Presentation:

@@ -42,7 +42,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
-    AlgElement, GeneratorId, Word, add_terms, ratio, word_adjoint, word_key, word_label,
+    AlgElement, GeneratorId, Word, add_terms, exact, mul, ratio, word_adjoint, word_key,
+    word_label,
 )
 from .linalg import SparseEchelon
 from .numeric import CharacterCover, witness_characters
@@ -204,16 +205,17 @@ class Certificate(NamedTuple):
 
 def _recombine(eqs: TraceEquationSet, multipliers):
     """(constant, coefficients) of the sum of mult * equation over the
-    (equation index, mult) pairs; each index must name an equation."""
+    (equation index, mult) pairs, every product by `mul`, the constant in
+    stored form; each index must name an equation."""
     const = 0
     coeffs = {}
     for idx, mult in multipliers:
         if not 0 <= idx < len(eqs.equations):
             raise CertificateError(f"equation {idx} is out of range")
         eq = eqs.equations[idx]
-        const += mult * eq.constant
-        add_terms(coeffs, ((s, mult * c) for s, c in eq.coeffs.items()))
-    return const, coeffs
+        const += mul(mult, eq.constant)
+        add_terms(coeffs, ((s, mul(mult, c)) for s, c in eq.coeffs.items()))
+    return exact(const), coeffs
 
 
 def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> frozenset:
@@ -314,7 +316,7 @@ def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
 
     def entry(weights):
         return frozenset(add_terms({}, (
-            (s, w * c) for (j, k), w in weights for s, c in a[j][k].items()
+            (s, mul(w, c)) for (j, k), w in weights for s, c in a[j][k].items()
         )).items())
 
     combo = {}

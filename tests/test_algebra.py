@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import cqgkac as k
+from cqgkac import algebra
 from cqgkac.algebra import (
     AlgElement, ScalarMatrix, ShapeError, add_terms, word_adjoint,
 )
@@ -60,6 +61,25 @@ def test_word_adjoint_involution_sampled():
     for _ in range(200):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 5)))
         assert word_adjoint(word_adjoint(w)) == w
+
+
+def test_build_takes_each_letter_adjoint_once(monkeypatch):
+    # word_adjoint reads every letter's adjoint from one table, so a
+    # case-II N = 8 build computes the adjoint of each of the 64 letters
+    # of its u at most once; per word it took 1,216.  A fresh table is
+    # counted, the shared one is restored afterwards.
+    monkeypatch.setattr(algebra, "_ADJOINT", type(algebra._ADJOINT)())
+    calls = []
+    adjoint = k.GeneratorId.adjoint
+    monkeypatch.setattr(k.GeneratorId, "adjoint", lambda g: calls.append(g) or adjoint(g))
+    p = k.build_presentation(k.BlockSpec("case-II", ((F(1, 4), 1), (F(1, 2), 1), (F(1), 2))))
+    letters = {g for row in p.u for x in row for g in x.letters()}
+    assert len(letters) == 64 and 0 < len(calls) <= len(letters)
+    table = dict(algebra._ADJOINT)
+    assert all(type(g) is type(h) is k.GeneratorId for g, h in table.items())
+    assert all(table.get(h, g) == g for g, h in table.items())
+    for r in p.relations:
+        assert all(word_adjoint(word_adjoint(w)) == w for w in r.words())
 
 
 def test_elem_mul_single_words():

@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.algebra import AlgElement, ScalarMatrix, exact, ratio, renamer
+from cqgkac.algebra import AlgElement, ScalarMatrix, exact, mul, ratio, renamer
 from cqgkac.quotient import expected_kac_target, match_presentations
 
 from conftest import gen, letter, specs_up_to, substitute
-
-
-def _exact(c):
-    return type(c) in (int, F)
 
 
 def _stored(c):
@@ -39,15 +35,15 @@ def test_every_coefficient_of_build_kac_and_match_is_exact_on_specs_up_to_four()
         cert = kac.certificate
         assert (cert is None) == (not kac.forced), spec
         if cert is not None:
-            assert all(_exact(m) for _i, m in cert.multipliers), spec
-            assert all(map(_exact, cert.coefficients.values())), spec
-            assert _exact(cert.constant), spec
-        assert all(map(_exact, _coefficients(final.relations))), spec
+            assert all(_stored(m) for _i, m in cert.multipliers), spec
+            assert all(map(_stored, cert.coefficients.values())), spec
+            assert _stored(cert.constant), spec
+        assert all(map(_stored, _coefficients(final.relations))), spec
         if not kac.undetermined:
             target = expected_kac_target(spec)
             verdict = match_presentations(final, target)
             assert verdict.matched, spec
-            assert all(map(_exact, _coefficients(target.relations))), spec
+            assert all(map(_stored, _coefficients(target.relations))), spec
 
 
 @pytest.mark.parametrize("make", [
@@ -60,6 +56,10 @@ def test_every_coefficient_of_build_kac_and_match_is_exact_on_specs_up_to_four()
     lambda: ScalarMatrix.diagonal([1, 0.5]),
     lambda: ratio(0.5, 1),
     lambda: ratio(1, 0.5),
+    lambda: mul(0.5, 1),
+    lambda: mul(1, 0.5),
+    lambda: mul(-1, 0.5),
+    lambda: mul(F(1, 2), 0.5),
 ])
 def test_floats_are_refused(make):
     with pytest.raises(TypeError):
@@ -77,6 +77,34 @@ def test_exact_and_ratio_keep_integral_values_as_ints():
     assert ratio(2, F(3, 2)) == F(4, 3)
     with pytest.raises(ZeroDivisionError):
         ratio(1, 0)
+
+
+HUGE = 10 ** 400
+_near_huge = st.integers(HUGE - 3, HUGE + 3)
+# ints, small fractions (integral ones among them), +-1, 0, and values near
+# 10^400 and 10^-400 of either sign
+EXACT_VALUES = st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.integers(-6, 6),
+    st.fractions(-3, 3, max_denominator=6),
+    _near_huge,
+    _near_huge.map(lambda n: -n),
+    st.builds(F, st.integers(-3, 3), _near_huge),
+    st.builds(F, _near_huge, st.integers(-7, 7).filter(bool)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXACT_VALUES, EXACT_VALUES)
+def test_mul_and_ratio_equal_fraction_arithmetic_in_stored_form(a, b):
+    product = mul(a, b)
+    assert product == F(a) * b and _stored(product)
+    if b:
+        quotient = ratio(a, b)
+        assert quotient == F(a) / b and _stored(quotient)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            ratio(a, b)
 
 
 def test_scale_by_one_is_the_element_itself():

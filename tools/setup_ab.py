@@ -2,13 +2,13 @@
 
 Runs perfbench's own `SETUP_CHILD` (import `cqgkac.cli`, parse one
 workload's configs) in fresh interpreters, alternating between the `src/`
-of CHECKOUT_A and that of CHECKOUT_B, and prints each side's median and
-quartiles and in how many pairs B was faster.  The child, the spec file
-and the workload's spec names come from this checkout's `perfbench/`, so
-both sides do the same work.  Each side first runs one untimed
-interpreter, as perfbench does.  The children get this process's
-environment with perfbench's BLAS variables pinned to one thread; the
-caller's own environment is left as it was.  Under
+of CHECKOUT_A and that of CHECKOUT_B.  It prints each side's median and
+quartiles, in how many pairs each side was faster, and B's median change
+against A's.  The child, the spec file and the workload's spec names come
+from this checkout's `perfbench/`, so both sides do the same work.  Each
+side first runs one untimed interpreter, as perfbench does.  The children
+get this process's environment with perfbench's BLAS variables pinned to
+one thread; the caller's own environment is left as it was.  Under
 PYTHONDONTWRITEBYTECODE=1 every interpreter compiles the package.
 The last line is one JSON object with the samples of both sides.
 
@@ -37,8 +37,12 @@ def setup_seconds(src, workload, env):
     return float(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def compare(description, measure, argv=None):
+    """Parse CHECKOUT_A CHECKOUT_B --workload --pairs, run `measure(src,
+    workload, env)` once untimed per side, then in alternating pairs (A
+    first in even pairs), and print both sides' samples as described in
+    the module docstring."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("checkout_a", type=Path)
     parser.add_argument("checkout_b", type=Path)
     parser.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
@@ -54,21 +58,28 @@ def main(argv=None):
     for src in sides.values():
         if not (src / "cqgkac" / "__init__.py").is_file():
             parser.error(f"no cqgkac sources under {src}")
-        setup_seconds(src, workload, env)
+        measure(src, workload, env)
     times = {side: [] for side in sides}
     for i in range(args.pairs):
         for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
-            times[side].append(setup_seconds(sides[side], workload, env))
+            times[side].append(measure(sides[side], workload, env))
 
     summaries = {side: run.summary(times[side], "s") for side in sides}
     for side, s in summaries.items():
         print(f"{side} {sides[side].parent}: median {s['median']:.4f} s "
               f"(q1 {s['q1']:.4f}, q3 {s['q3']:.4f}, n={s['n']})")
-    faster = sum(b < a for a, b in zip(times["A"], times["B"]))
-    print(f"B faster in {faster} of {args.pairs} pairs")
-    print(json.dumps({"workload": workload.name, "pairs": args.pairs, "b_faster": faster,
-                      "summary": summaries, "samples": times}))
+    b_faster = sum(b < a for a, b in zip(times["A"], times["B"]))
+    a_faster = sum(a < b for a, b in zip(times["A"], times["B"]))
+    change = summaries["B"]["median"] / summaries["A"]["median"] - 1
+    print(f"B faster in {b_faster} of {args.pairs} pairs, A in {a_faster}; "
+          f"B's median {change:+.1%} against A's")
+    print(json.dumps({"workload": workload.name, "pairs": args.pairs, "b_faster": b_faster,
+                      "a_faster": a_faster, "summary": summaries, "samples": times}))
     return 0
+
+
+def main(argv=None):
+    return compare(__doc__.split("\n\n")[0], setup_seconds, argv)
 
 
 if __name__ == "__main__":
