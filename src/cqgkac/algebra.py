@@ -9,6 +9,11 @@ small integers multiply as machine integers.  Int and Fraction compare and
 hash alike, so sort keys and relation sets do not see the difference.
 Words are tuples of generator letters; the empty word is the unit.
 Row/column indices are 0-based throughout; labels print 1-based.
+
+`Combination` is the one container of exact sparse combinations, which
+`AlgElement` (over words) and `hopf.TensorElement` (over word pairs)
+derive from.  `AlgElement.at(V)` is the one value at a real scalar matrix:
+the counit's at the identity, a character's at a signed permutation.
 """
 
 from __future__ import annotations
@@ -198,11 +203,10 @@ def word_label(w: Word) -> str:
     return " ".join(g.label() for g in w) if w else "1"
 
 
-class AlgElement:
-    """A finite rational-linear combination of words (free *-algebra element).
-
-    Immutable; zero coefficients are never stored.
-    """
+class Combination:
+    """Immutable finite exact combination of keys, a dict of nonzero stored
+    coefficients (see `exact`) in order of first appearance; `+` and `==`
+    take only an operand of the same class, so subclasses never mix."""
 
     __slots__ = ("_terms",)
 
@@ -210,7 +214,7 @@ class AlgElement:
         self._terms = add_terms({}, ((w, exact(c)) for w, c in terms.items())) if terms else {}
 
     @classmethod
-    def _wrap(cls, terms: dict) -> "AlgElement":
+    def _wrap(cls, terms: dict):
         """Adopt a dict of nonzero exact coefficients (see `exact`) without
         copying it."""
         out = cls.__new__(cls)
@@ -218,12 +222,33 @@ class AlgElement:
         return out
 
     @classmethod
-    def sum(cls, elements) -> "AlgElement":
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def sum(cls, elements):
         """The sum of the elements, accumulated in one dict."""
         acc = {}
         for e in elements:
             add_terms(acc, e._terms.items())
         return cls._wrap(acc)
+
+    def terms(self):
+        return self._terms.items()
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._wrap(add_terms(dict(self._terms), other._terms.items()))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._terms == other._terms
+
+
+class AlgElement(Combination):
+    """A finite rational-linear combination of words (free *-algebra element)."""
+
+    __slots__ = ()
 
     @classmethod
     def dot(cls, pairs, constant=0) -> "AlgElement":
@@ -242,10 +267,6 @@ class AlgElement:
         return cls._wrap(acc)
 
     @classmethod
-    def zero(cls) -> "AlgElement":
-        return cls()
-
-    @classmethod
     def scalar(cls, c) -> "AlgElement":
         return cls({(): exact(c)})
 
@@ -260,9 +281,6 @@ class AlgElement:
     @classmethod
     def word(cls, w: Word, c=1) -> "AlgElement":
         return cls({tuple(w): exact(c)})
-
-    def terms(self):
-        return self._terms.items()
 
     def words(self):
         return self._terms.keys()
@@ -280,10 +298,20 @@ class AlgElement:
     def letters(self):
         return {g for w in self._terms for g in w}
 
-    def __add__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return AlgElement._wrap(add_terms(dict(self._terms), other._terms.items()))
+    def at(self, V):
+        """The value at u(j,k) -> V[j][k], V real rows of ints or Fractions, so
+        u(j,k)* goes to the same entry.  A word's letters multiply, stopping
+        at 0, and only a nonzero word touches its coefficient."""
+        total = 0
+        for w, c in self._terms.items():
+            x = 1
+            for g in w:
+                x *= V[g.row][g.col]
+                if not x:
+                    break
+            else:
+                total += x * c
+        return total
 
     def __sub__(self, other):
         return self + (-other)
@@ -315,9 +343,6 @@ class AlgElement:
         return tuple(
             (word_key(w), self._terms[w]) for w in sorted(self._terms, key=word_key)
         )
-
-    def __eq__(self, other):
-        return isinstance(other, AlgElement) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))

@@ -42,8 +42,12 @@ over any u, each one dot product over the matrix of S-images.  They are
 decided modulo the ideal truncated at the degree D of the longest word
 they contain; items outside it are inconclusive.
 
-Also here: the central morphism onto the order-two group algebra, for
-presentations over the standard symplectic form.
+The counit ε is the value at the identity matrix (`AlgElement.at`).
+
+Also here: the central morphism γ onto the group algebra of the order-two
+group {1, t}, for presentations over the standard symplectic form.  Its
+elements are equal exactly when both characters, t ↦ ±1, agree on them,
+and γ followed by those is the value at I and at −I.
 """
 
 from __future__ import annotations
@@ -51,43 +55,24 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (
-    AlgElement, GeneratorId, add_terms, exact, mul, ratio, word_adjoint, word_key, word_label,
+    AlgElement, Combination, GeneratorId, add_terms, mul, ratio, word_adjoint, word_key,
+    word_label,
 )
 from .linalg import WordIndex
 from .presentations import Presentation, symplectic_matrix
 from .quotient import _with_adjoints, bounded_ideal_echelon
 
 
-class TensorElement:
+class TensorElement(Combination):
     """Finite exact combination of word pairs (the tensor square)."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        self._terms = add_terms({}, ((p, exact(c)) for p, c in terms.items())) if terms else {}
-
-    @classmethod
-    def _wrap(cls, terms: dict) -> "TensorElement":
-        """Adopt a dict of nonzero exact coefficients without copying it."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def of(cls, a: AlgElement, b: AlgElement) -> "TensorElement":
         return cls._wrap(add_terms({}, (
             ((w1, w2), mul(c1, c2)) for w1, c1 in a.terms() for w2, c2 in b.terms()
         )))
-
-    def terms(self):
-        return self._terms.items()
-
-    def __add__(self, other):
-        return TensorElement._wrap(add_terms(dict(self._terms), other._terms.items()))
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
@@ -102,9 +87,6 @@ class TensorElement:
         return TensorElement._wrap({
             (word_adjoint(a), word_adjoint(b)): c for (a, b), c in self._terms.items()
         })
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self._terms == other._terms
 
     def __repr__(self):
         if not self._terms:
@@ -125,10 +107,7 @@ def _layout_entry(P: Presentation, g: GeneratorId):
 
 def _letter_coproduct(P: Presentation, g: GeneratorId) -> TensorElement:
     u = _layout_entry(P, g)
-    acc = {}
-    for x, row in zip(u[g.row], u):
-        add_terms(acc, TensorElement.of(x, row[g.col]).terms())
-    out = TensorElement._wrap(acc)
+    out = TensorElement.sum(TensorElement.of(x, row[g.col]) for x, row in zip(u[g.row], u))
     return out.adjoint() if g.star else out
 
 
@@ -150,18 +129,17 @@ def coproduct(P: Presentation, a: AlgElement) -> TensorElement:
     return _coproduct({g: _letter_coproduct(P, g) for g in a.letters()}, a)
 
 
+def _identity(n: int, c=1) -> tuple:
+    """c times the n x n identity, as rows for `AlgElement.at`."""
+    return tuple(tuple(c if j == k else 0 for k in range(n)) for j in range(n))
+
+
 def counit(P: Presentation, a: AlgElement):
-    """Multiplicative with value delta_(j,k) on the letter at (j,k)."""
-    total = 0
-    for w, c in a.terms():
-        v = c
-        for g in w:
-            _layout_entry(P, g)
-            if g.row != g.col:
-                v = 0
-                break
-        total += v
-    return total
+    """The value of a at the identity: delta_(j,k) on the letter at (j,k);
+    ValueError unless every letter of a lies in P's layout."""
+    for g in a.letters():
+        _layout_entry(P, g)
+    return a.at(_identity(len(P.u)))
 
 
 def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
@@ -269,7 +247,10 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
         == (deltas[g] if g in deltas else _letter_coproduct(P, g))
         for g in (GeneratorId(j, k) for j, k in positions)
     )
-    counit_ok = all(counit(P, u[j][k]) == int(j == k) for j, k in positions) and all(
+    # every letter of u is a generator or its adjoint, and the generators
+    # lie in the layout (their coproducts above), so ε is the value at I
+    eye = _identity(len(u))
+    counit_ok = all(u[j][k].at(eye) == int(j == k) for j, k in positions) and all(
         u[g.row][g.col] == AlgElement.generator(g) for g in P.generators
     )
     certified = (
@@ -300,29 +281,22 @@ def _require_symplectic(P: Presentation) -> None:
         raise ValueError("expected a presentation over the standard symplectic form")
 
 
-def _gamma(a: AlgElement):
-    """The central morphism onto the group algebra of the order-two group:
-    a diagonal letter maps to t, any other letter to 0; t is hermitian
-    with t^2 = 1.  Returns (coefficient of 1, coefficient of t)."""
-    total = [0, 0]
-    for w, c in a.terms():
-        if all(g.row == g.col for g in w):
-            total[len(w) % 2] += c
-    return total
-
-
 def central_morphism_check(P: Presentation) -> bool:
     """Whether (gamma x id) Delta equals (gamma x id) flip Delta on every
-    fundamental position; gamma is taken once per entry of u."""
+    fundamental position; gamma maps a diagonal letter to t, any other to
+    0, and is read by the characters t -> 1 and t -> -1, the values at I
+    and -I, each taken once per entry of u (module docstring)."""
     _require_symplectic(P)
     u = P.u
-    span = range(len(u))
-    z = [[_gamma(x) for x in row] for row in u]
-    for j in span:
-        for k in span:
-            for part in (0, 1):
-                lhs = AlgElement.sum(u[l][k].scale(z[j][l][part]) for l in span)
-                rhs = AlgElement.sum(u[j][l].scale(z[l][k][part]) for l in span)
+    n = len(u)
+    span = range(n)
+    for sign in (1, -1):
+        point = _identity(n, sign)
+        z = [[x.at(point) for x in row] for row in u]
+        for j in span:
+            for k in span:
+                lhs = AlgElement.sum(u[l][k].scale(z[j][l]) for l in span)
+                rhs = AlgElement.sum(u[j][l].scale(z[l][k]) for l in span)
                 if lhs != rhs:
                     return False
     return True

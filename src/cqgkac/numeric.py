@@ -11,9 +11,10 @@ in exactly one of the first |C| offsets, so the max |C| candidates are
 together nonzero on every such position, and no fewer can be: a row of a
 largest class has max |C| of them, and a permutation meets one.
 `verify_character` re-checks each one exactly over the integers, reading
-only the presentation and V.  A character nonzero on a generator witnesses
-that the generator survives in every quotient that keeps a character,
-the Kac and the RFD quotient among them.
+only the presentation and V; every value it reads is `AlgElement.at(V)`,
+the package's one evaluation at a scalar matrix.  A character nonzero on
+a generator witnesses that the generator survives in every quotient that
+keeps a character, the Kac and the RFD quotient among them.
 
 Floating point lives only in the rest of this module, in plain Python
 complex numbers.  Every assignment is one-dimensional: a complex value per
@@ -166,23 +167,6 @@ class CharacterError(Exception):
     """A character failed exact re-verification."""
 
 
-def _value(element, V):
-    """The element evaluated at u(j,k) -> V[j][k]; V is an integer matrix
-    (real, so u(j,k)* goes to the same entry).  Each word's letters multiply
-    as ints, stopping at 0, and only a nonzero word touches its
-    coefficient."""
-    total = 0
-    for w, c in element.terms():
-        x = 1
-        for g in w:
-            x *= V[g.row][g.col]
-            if not x:
-                break
-        else:
-            total += x * c
-    return total
-
-
 def verify_character(P: Presentation, V) -> bool:
     """Check exactly that u(j,k) -> V[j][k] is a character of P.
 
@@ -207,12 +191,12 @@ def verify_character(P: Presentation, V) -> bool:
         if not (g.row < n and g.col < n):
             raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
     for i, r in enumerate(P.relations):
-        value = _value(r, V)
+        value = r.at(V)
         if value:
             raise CharacterError(f"rel[{i}] evaluates to {value}, not 0")
     for j in range(n):
         for k in range(n):
-            if _value(u[j][k], V) != V[j][k]:
+            if u[j][k].at(V) != V[j][k]:
                 raise CharacterError(f"fundamental entry ({j + 1},{k + 1}) differs from V")
     return True
 

@@ -320,9 +320,10 @@ class Presentation:
                  computed on first read and kept.
 
     The constructor owns the shape: it raises ShapeError unless u is
-    N x N with N >= 1, Q is N x N and F, when given, is N x N.  Every
-    field is read-only after construction: assignment raises
-    AttributeError, so `defining` cannot go stale.
+    N x N with N >= 1, Q is N x N and F, when given, is N x N, and
+    ValueError unless Q is diagonal and positive.  Every field is
+    read-only after construction: assignment raises AttributeError, so
+    `defining` cannot go stale.
     """
 
     __slots__ = ("generators", "relations", "u", "q", "f", "label", "_defining")
@@ -335,6 +336,7 @@ class Presentation:
         for name, m in ({"Q": q} if f is None else {"Q": q, "F": f}).items():
             if (getattr(m, "rows", None), getattr(m, "cols", None)) != (n, n):
                 raise ShapeError(f"{name} must be {n} x {n}, the size of u")
+        _require_positive_diagonal(q)
         put = object.__setattr__
         put(self, "generators", tuple(sorted(generators)))
         put(self, "relations", canonicalize_relations(relations))
@@ -363,6 +365,18 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation({self.label or 'anonymous'}: "
                 f"{len(self.generators)} generators, {len(self.relations)} relations)")
+
+
+def _require_positive_diagonal(Q: ScalarMatrix) -> None:
+    """ValueError naming the rule unless Q is square, diagonal and positive,
+    as every reader of Q assumes; a nonpositive entry is named."""
+    if Q.rows != Q.cols:
+        raise ValueError("Q must be square")
+    if not Q.is_diagonal():
+        raise ValueError("Q must be diagonal")
+    for j in range(Q.rows):
+        if Q.entry(j, j) <= 0:
+            raise ValueError(f"Q must be positive: Q[{j + 1},{j + 1}] = {rat_str(Q.entry(j, j))}")
 
 
 def _defining_presentation(generators, rels, u, q, f=None, label="") -> Presentation:
@@ -426,13 +440,9 @@ def defining_relations(u, q: ScalarMatrix, f: ScalarMatrix = None):
 
 
 def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
-    """Presentation of the universal unitary algebra of a diagonal Q."""
-    if Q.rows != Q.cols:
-        raise ValueError("Q must be square")
-    if not Q.is_diagonal():
-        raise ValueError("Q must be diagonal")
-    if any(Q.entry(j, j) <= 0 for j in range(Q.rows)):
-        raise ValueError("Q must be positive")
+    """Presentation of the universal unitary algebra of a positive
+    diagonal Q."""
+    _require_positive_diagonal(Q)
     n = Q.rows
     u = generator_matrix(n)
     gens = [GeneratorId(j, k) for j in range(n) for k in range(n)]

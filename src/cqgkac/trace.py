@@ -62,10 +62,9 @@ class CertificateError(Exception):
 
 class TraceSymbol(NamedTuple):
     """A cyclic word class: the least rotation among the word's rotations
-    and its adjoint's; `selfadjoint` marks classes closed under *."""
+    and its adjoint's."""
 
     word: Word
-    selfadjoint: bool
 
     def sort_key(self):
         return word_key(self.word)
@@ -78,34 +77,24 @@ def _rotations(w: Word):
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def cyclic_canonical(w: Word):
-    """Canonical symbol of a word plus the sign of its imaginary part.
-
-    Sign -1 means the adjoint's class was strictly smaller, encoding
-    tr(w*) = conj(tr(w)).
-    """
+def cyclic_canonical(w: Word) -> TraceSymbol:
+    """Canonical symbol of a word: tr(w*) = conj(tr(w)) has the same real
+    part, so a word and its adjoint share one symbol."""
     if not w:
-        return TraceSymbol((), True), 1
-    m1 = min(_rotations(w))
-    m2 = min(_rotations(word_adjoint(w)))
-    if m1 == m2:
-        return TraceSymbol(m1, True), 1
-    if m1 < m2:
-        return TraceSymbol(m1, False), 1
-    return TraceSymbol(m2, False), -1
+        return TraceSymbol(())
+    return TraceSymbol(min(min(_rotations(w)), min(_rotations(word_adjoint(w)))))
 
 
 def generator_symbol(g: GeneratorId) -> TraceSymbol:
     """The nonnegative symbol tr[g g*] of a generator."""
-    sym, _ = cyclic_canonical((g.plain(), g.plain().adjoint()))
-    return sym
+    return cyclic_canonical((g.plain(), g.plain().adjoint()))
 
 
 def trace_of(a: AlgElement):
     """Real part of the formal trace of an element as (constant, {symbol:
     coefficient}): words collapse to cyclic symbols, the unit word feeds the
     constant (tr(1) = 1)."""
-    coeffs = add_terms({}, ((cyclic_canonical(w)[0], c) for w, c in a.terms() if w))
+    coeffs = add_terms({}, ((cyclic_canonical(w), c) for w, c in a.terms() if w))
     return a.coefficient(()), coeffs
 
 

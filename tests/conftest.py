@@ -412,6 +412,33 @@ def counit_laws_hold(p):
     return True
 
 
+def gamma_oracle(a):
+    """The central morphism onto the group algebra of the order-two group
+    {1, t}: a diagonal letter maps to t, any other letter to 0; t is
+    hermitian with t^2 = 1.  Returns (coefficient of 1, coefficient of t)."""
+    total = [0, 0]
+    for w, c in a.terms():
+        if all(g.row == g.col for g in w):
+            total[len(w) % 2] += c
+    return total
+
+
+def central_morphism_oracle(p):
+    """Whether (gamma x id) Delta equals (gamma x id) flip Delta on every
+    fundamental position, compared coefficient by coefficient of 1 and t."""
+    u = p.u
+    span = range(len(u))
+    z = [[gamma_oracle(x) for x in row] for row in u]
+    for j in span:
+        for c in span:
+            for part in (0, 1):
+                lhs = k.AlgElement.sum(u[l][c].scale(z[j][l][part]) for l in span)
+                rhs = k.AlgElement.sum(u[j][l].scale(z[l][c][part]) for l in span)
+                if lhs != rhs:
+                    return False
+    return True
+
+
 def oracle_relation_verdicts(p):
     """Per relation index, whether Δ(r) lies in I_D ⊗ A + A ⊗ I_D, with
     I_D the relation ideal truncated at the longest word D of any Δ(r):

@@ -15,6 +15,7 @@ from cqgkac.quotient import _with_adjoints
 
 from conftest import (
     bar,
+    central_morphism_oracle,
     coassociator,
     counit_laws_hold,
     dense_inverse,
@@ -70,6 +71,21 @@ def test_counit_values():
     assert k.counit(p, letter(0, 1)) == 0
     assert k.counit(p, letter(0, 0)) == 1
     assert k.counit(p, letter(0, 0) * letter(1, 1) - AlgElement.one()) == 0
+
+
+def test_counit_checks_every_letter_after_an_off_diagonal_one():
+    # u(1,2) alone would make the word's value 0; u(9,9) is still refused
+    with pytest.raises(ValueError, match=r"u\(9,9\)"):
+        k.counit(_u2(), letter(0, 1) * letter(8, 8))
+
+
+def test_tensor_and_algebra_elements_do_not_mix():
+    t = TensorElement.of(letter(0, 0), AlgElement.one())
+    with pytest.raises(TypeError):
+        t + letter(0, 1)
+    with pytest.raises(TypeError):
+        letter(0, 1) + t
+    assert t != AlgElement.generator(gen(0, 0)) and AlgElement.zero() != TensorElement.zero()
 
 
 def test_antipode_on_letters():
@@ -170,13 +186,25 @@ def test_central_morphism_symplectic():
     assert k.central_morphism_check(k.build_universal_orthogonal(k.symplectic_matrix(2)))
 
 
-def test_central_morphism_perturbed_fails():
-    # a hand-made u with u[1,1] and u[1,2] swapped on O_J1^+
-    p = k.build_universal_orthogonal(k.symplectic_matrix(1))
+def _swapped_symplectic(m):
+    """O_Jm^+ with the first row of u reversed: symplectic, not a builder's."""
+    p = k.build_universal_orthogonal(k.symplectic_matrix(m))
     rows = [list(row) for row in p.u]
     rows[0].reverse()
-    swapped = k.Presentation(p.generators, p.relations, rows, p.q, p.f, p.label)
-    assert not k.central_morphism_check(swapped)
+    return k.Presentation(p.generators, p.relations, rows, p.q, p.f, p.label)
+
+
+def test_central_morphism_perturbed_fails():
+    # a hand-made u with u[1,1] and u[1,2] swapped on O_J1^+
+    assert not k.central_morphism_check(_swapped_symplectic(1))
+
+
+@pytest.mark.parametrize("m, swapped", [(1, False), (2, False), (3, False), (1, True), (2, True)])
+def test_central_morphism_by_characters_matches_the_gamma_oracle(m, swapped):
+    # the check reads gamma through the characters t -> 1 and t -> -1; the
+    # oracle compares the coefficients of 1 and t
+    p = _swapped_symplectic(m) if swapped else k.build_universal_orthogonal(k.symplectic_matrix(m))
+    assert k.central_morphism_check(p) == central_morphism_oracle(p) == (not swapped)
 
 
 def test_central_morphism_requires_symplectic_shape():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import cqgkac as k
 import cqgkac.cli as cli
 from cqgkac.algebra import AlgElement, ScalarMatrix
-from cqgkac.numeric import NumAssignment, _candidates, _value
+from cqgkac.numeric import NumAssignment, _candidates
 
 from conftest import (
     LADDER, gen, letter, one_block_spec, small_specs, specs_up_to, transposition_candidates,
@@ -365,7 +365,7 @@ def test_integer_first_value_matches_fraction_reference_on_ladder(spec):
     nonzero = 0
     for V in (*transposition_candidates(p), *_candidates(p)):
         for element in (*p.relations, *entries):
-            value = _value(element, V)
+            value = element.at(V)
             assert value == _value_reference(element, V)
             nonzero += bool(value)
     assert nonzero  # some oracle candidate breaks some relation

@@ -234,6 +234,20 @@ def test_universal_unitary_rejects_bad_q():
         k.build_universal_unitary(ScalarMatrix.diagonal([1, -1]))
 
 
+@pytest.mark.parametrize("q, message", [
+    ([[0, 0], [0, 1]], r"Q must be positive: Q\[1,1\] = 0"),
+    ([[-1, 0], [0, 1]], r"Q must be positive: Q\[1,1\] = -1"),
+    ([[1, 1], [0, 1]], "Q must be diagonal"),
+])
+def test_presentation_refuses_a_q_that_is_not_positive_diagonal(q, message):
+    # every reader of Q (the trace certificate, the Hopf twist, `defining`)
+    # assumes a positive diagonal Q, so a hand-made presentation is refused
+    u = generator_matrix(2)
+    gens = [g for row in u for x in row for g in x.letters()]
+    with pytest.raises(ValueError, match=message):
+        k.Presentation(gens, [], u, ScalarMatrix(q))
+
+
 @pytest.mark.parametrize("build, message", [
     (k.build_universal_unitary, "Q must be square"),
     (k.build_universal_orthogonal, "F must be square"),

@@ -63,24 +63,22 @@ def span_echelon(eqs):
 def test_cyclic_canonical_length_two_rotation():
     w1 = (gen(0, 0, star=True), gen(0, 0))
     w2 = (gen(0, 0), gen(0, 0, star=True))
-    assert k.cyclic_canonical(w1)[0] == k.cyclic_canonical(w2)[0]
+    assert k.cyclic_canonical(w1) == k.cyclic_canonical(w2)
 
 
 def test_cyclic_canonical_empty_word_is_unit_symbol():
-    sym, sign = k.cyclic_canonical(())
-    assert sym.word == () and sym.selfadjoint and sign == 1
+    sym = k.cyclic_canonical(())
+    assert sym.word == () and _rotation_oracle(()) == ((), 0)
 
 
 def test_cyclic_canonical_adjoint_class():
     w = (gen(0, 1), gen(1, 0))
-    sym, sign = k.cyclic_canonical(w)
+    sym = k.cyclic_canonical(w)
     oracle_word, oracle_sign = _rotation_oracle(w)
     assert sym.word == oracle_word
-    if oracle_sign == -1:
-        assert sign == -1
     # the adjoint word maps to the same symbol with opposite orientation
-    sym2, sign2 = k.cyclic_canonical(word_adjoint(w))
-    assert sym2 == sym and sign2 == -sign
+    assert k.cyclic_canonical(word_adjoint(w)) == sym
+    assert _rotation_oracle(word_adjoint(w)) == (oracle_word, -oracle_sign)
 
 
 def test_cyclic_canonical_matches_rotation_oracle_sampled():
@@ -88,10 +86,11 @@ def test_cyclic_canonical_matches_rotation_oracle_sampled():
     letters = [gen(j, c, s) for j in range(2) for c in range(2) for s in (False, True)]
     for _ in range(300):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
-        sym, sign = k.cyclic_canonical(w)
-        oracle_word, _ = _rotation_oracle(w)
+        sym = k.cyclic_canonical(w)
+        oracle_word, sign = _rotation_oracle(w)
         assert sym.word == oracle_word
-        assert sign in (1, -1)
+        assert k.cyclic_canonical(word_adjoint(w)) == sym
+        assert _rotation_oracle(word_adjoint(w)) == (oracle_word, -sign)
 
 
 def test_trace_of_commutator_vanishes():
@@ -122,14 +121,17 @@ def test_trace_of_unitarity_entry():
 
 
 def _imaginary_part(a):
-    """Im tr(a) over the symbols, from cyclic_canonical: tr(w*) is the
-    conjugate of tr(w), so sign -1 flips the imaginary part, and a class
-    closed under * has a real trace.  The unit word is such a class, so a
-    constant would show up here under the unit symbol."""
+    """Im tr(a) over the symbols of cyclic_canonical, the orientation read
+    off the rotation oracle: tr(w*) is the conjugate of tr(w), so sign -1
+    flips the imaginary part, and a class closed under * (sign 0) has a
+    real trace.  The unit word is such a class, so a constant would show up
+    here under the unit symbol."""
     im = {}
     for w, c in a.terms():
-        sym, sign = k.cyclic_canonical(w)
-        if not sym.selfadjoint:
+        sym = k.cyclic_canonical(w)
+        oracle_word, sign = _rotation_oracle(w)
+        assert sym.word == oracle_word
+        if sign:
             im[sym] = im.get(sym, 0) + sign * c
     return {s: c for s, c in im.items() if c}
 
@@ -157,7 +159,7 @@ def test_imaginary_trace_parts_are_homogeneous(spec):
     # tr[g g*] among them) have real traces and must not appear in it
     p = k.build_presentation(spec)
     nonneg = k.derive_trace_equations(p).nonneg
-    unit, _ = k.cyclic_canonical(())
+    unit = k.cyclic_canonical(())
     mentioned = 0
     for r in p.relations:
         im = _imaginary_part(r)
@@ -345,7 +347,7 @@ def test_forced_zero_case_two_off_diagonal():
 def test_forced_zero_rejects_free_symbol_targets():
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     eqs = k.derive_trace_equations(p)
-    bogus = TraceSymbol((gen(0, 0),), False)
+    bogus = TraceSymbol((gen(0, 0),))
     with pytest.raises(ValueError):
         k.forced_zero(eqs, bogus)
 
