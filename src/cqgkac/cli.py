@@ -119,7 +119,7 @@ def _kac_certificate(kac_report):
 
 VERBS = {
     "build": "emit the presentation",
-    "kac": "run the Kac fixpoint derivation",
+    "kac": "certify the Kac quotient: one closed-form round, then characters",
     "match": "derive and compare against the free-product target",
     "hopf-check": "check the Hopf axioms: letterwise over u, the antipode in the bounded ideal",
     "numeric": "identity-point residual and an exact character's residual",

@@ -191,7 +191,10 @@ def verify_character(P: Presentation, V) -> bool:
         if not (g.row < n and g.col < n):
             raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
     for i, r in enumerate(P.relations):
-        value = r.at(V)
+        try:
+            value = r.at(V)
+        except IndexError:
+            raise CharacterError(f"rel[{i}] reads a letter outside the {n}x{n} layout") from None
         if value:
             raise CharacterError(f"rel[{i}] evaluates to {value}, not 0")
     for j in range(n):

@@ -319,11 +319,11 @@ class Presentation:
                  other presentation (a quotient, a hand-made one) it is
                  computed on first read and kept.
 
-    The constructor owns the shape: it raises ShapeError unless u is
-    N x N with N >= 1, Q is N x N and F, when given, is N x N, and
-    ValueError unless Q is diagonal and positive.  Every field is
-    read-only after construction: assignment raises AttributeError, so
-    `defining` cannot go stale.
+    The constructor owns the shape: ShapeError unless u is N x N with
+    N >= 1 and Q and F (when given) are N x N; ValueError unless Q is
+    diagonal and positive, or naming a starred generator or a second one
+    at a position.  Every field is read-only after construction:
+    assignment raises AttributeError, so `defining` cannot go stale.
     """
 
     __slots__ = ("generators", "relations", "u", "q", "f", "label", "_defining")
@@ -337,8 +337,15 @@ class Presentation:
             if (getattr(m, "rows", None), getattr(m, "cols", None)) != (n, n):
                 raise ShapeError(f"{name} must be {n} x {n}, the size of u")
         _require_positive_diagonal(q)
+        generators, positions = tuple(sorted(generators)), set()
+        for g in generators:
+            if g.star:
+                raise ValueError(f"generator {g.label()} is starred")
+            if (g.row, g.col) in positions:
+                raise ValueError(f"two generators at the position of {g.label()}")
+            positions.add((g.row, g.col))
         put = object.__setattr__
-        put(self, "generators", tuple(sorted(generators)))
+        put(self, "generators", generators)
         put(self, "relations", canonicalize_relations(relations))
         put(self, "u", u)
         put(self, "q", q)

@@ -7,15 +7,15 @@ mentions, which Im = 0 always solves.  Symbols of the form
 tr[g g*] are nonnegative; the others are free.  Only relations with a
 constant term are traced: the closed form below reads no others.
 
-A certificate is a nonnegative combination of equations with constant 0
-and no free symbol.  It proves that every tr[g g*] it is positive on
-vanishes for every tracial state, so g lies in the Kac ideal;
-`verify_certificate` re-checks it reading only the equations and returns
-those symbols.  The Kac quotient needs one certificate, in closed form
-(S. Wang, Free products of compact quantum groups, 1995; Van Daele & Wang,
-Universal quantum groups, 1996).  With a_jk = tr[u_jk u_jk*] and Q
-diagonal, the traced diagonal entries of the four unitarity identities
-read
+A certificate is a nonnegative combination of equations: its multipliers
+and the coefficients it claims.  It proves that every tr[g g*] it is
+positive on vanishes for every tracial state, so g lies in the Kac ideal;
+`verify_certificate` recombines it from the equations alone, checks the
+constant 0, the claim and the signs, and returns those symbols.  The Kac
+quotient needs one certificate, in closed form (S. Wang, Free products of
+compact quantum groups, 1995; Van Daele & Wang, Universal quantum groups,
+1996).  With a_jk = tr[u_jk u_jk*] and Q diagonal, the traced diagonal
+entries of the four unitarity identities read
 
   UU*-I[j,j]: sum_k a_jk - 1,   QUbarQ^-1U^t-I[j,j]: sum_k (Q_j/Q_k) a_jk - 1,
   U*U-I[k,k]: sum_j a_jk - 1,   U^tQUbarQ^-1-I[k,k]: sum_j (Q_j/Q_k) a_jk - 1.
@@ -23,11 +23,12 @@ read
 Weighting each row pair (twisted minus plain) by Q_j and each column pair
 (plain minus twisted) by Q_k gives constant 0 and the coefficient
 (Q_j - Q_k)^2 / Q_k >= 0 on a_jk, so that one certificate kills every
-generator joining two different eigenvalues of Q.  That one round is the
-whole derivation, with no fixpoint: the exact characters of
-`numeric.witness_characters` then cover the rest.  A character is a
-tracial state, so a generator it is nonzero on survives, and a survivor no
-character reaches is reported undetermined.
+generator joining two different eigenvalues of Q.  The certificate claims
+these coefficients, so its one recombination checks the formula against
+the traced relations.  That one round is the whole derivation, with no
+fixpoint: the exact characters of `numeric.witness_characters` then cover
+the rest.  A character is a tracial state, so a generator it is nonzero
+on survives, and a survivor no character reaches is reported undetermined.
 
 The exact LP search for such combinations (`_shared_certificates` over
 `TraceEquationSet.reduced`, simplex after Freund, Roundy & Todd 1985) is
@@ -184,12 +185,12 @@ def derive_trace_equations(P: Presentation) -> TraceEquationSet:
 
 
 class Certificate(NamedTuple):
-    """An exact nonnegative combination of traced relations; it proves that
-    each symbol it is positive on vanishes for every tracial state."""
+    """Multipliers of traced relations and the coefficients their exact
+    nonnegative combination claims, whose constant must be 0; it proves
+    each symbol it is positive on zero for every tracial state."""
 
     multipliers: tuple  # ((equation index, int or Fraction), ...)
-    constant: int | Fraction
-    coefficients: dict  # TraceSymbol -> int or Fraction, the resulting combination
+    coefficients: dict  # TraceSymbol -> int or Fraction, the claimed combination
 
 
 def _recombine(eqs: TraceEquationSet, multipliers):
@@ -208,17 +209,17 @@ def _recombine(eqs: TraceEquationSet, multipliers):
 
 
 def verify_certificate(cert: Certificate, eqs: TraceEquationSet) -> frozenset:
-    """Recombine the cited equations, re-check every sign condition, and
+    """Recombine the cited equations, check that the constant is 0 and the
+    coefficients are the claimed ones, re-check every sign condition, and
     return the symbols proven zero: those with a positive coefficient.
-
-    Reads only the multipliers and the equations, never the LP: raises
-    CertificateError on any failure, and when no symbol is positive.
+    Reads only the certificate and the equations, never how it was found:
+    raises CertificateError on any failure, and when no symbol is positive.
     """
     const, coeffs = _recombine(eqs, cert.multipliers)
-    if const != cert.constant or coeffs != cert.coefficients:
-        raise CertificateError("stored combination does not match the recombination")
     if const != 0:
         raise CertificateError("combination has a nonzero constant")
+    if coeffs != cert.coefficients:
+        raise CertificateError("stored combination does not match the recombination")
     for s, c in coeffs.items():
         if s not in eqs.nonneg:
             raise CertificateError(f"free symbol {s.label()} survives in the combination")
@@ -267,8 +268,7 @@ def _shared_certificates(eqs: TraceEquationSet, targets):
             if mult:
                 add_terms(combo, ((idx, mult * m) for idx, m in row.combo.items()))
         multipliers = tuple(sorted(combo.items()))
-        const, coeffs = _recombine(eqs, multipliers)
-        cert = Certificate(multipliers, const, coeffs)
+        cert = Certificate(multipliers, _recombine(eqs, multipliers)[1])
         return cert, verify_certificate(cert, eqs), undetermined
     return None, frozenset(), undetermined
 
@@ -286,53 +286,41 @@ def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
     return cert if target in proven else None
 
 
-def _closed_form_multipliers(P: Presentation, eqs: TraceEquationSet):
-    """The closed-form combination as (equation index, multiplier) pairs,
-    or None when some diagonal entry of the four identities is not (a
-    multiple of) an equation, as on a hand-made presentation.
-
-    Each entry is traced from a_jk = tr(u_jk u_jk*) over P's fundamental
-    matrix and found by its coefficients at constant -1: an equation with
-    constant c is keyed by coefficient / -c."""
-    index = {}
-    for i, e in enumerate(eqs.equations):
-        if e.constant:
-            scale = -e.constant
-            index[frozenset((s, ratio(c, scale)) for s, c in e.coeffs.items())] = (i, scale)
+def _closed_form_certificate(P: Presentation, eqs: TraceEquationSet):
+    """The closed-form certificate, not yet verified: its coefficients are
+    the sum of (Q_j - Q_k)^2 / Q_k a_jk over Q_j != Q_k, a_jk = tr(u_jk u_jk*)
+    over P's fundamental matrix.  None when that sum is empty (one
+    eigenvalue of Q) or a weighted diagonal entry is not an equation, as on
+    a hand-made presentation.  A canonical relation with a constant term
+    has constant 1 (its least word is the unit word), so an entry's
+    equation is 1 - entry, found by its coefficients, and its multiplier is
+    minus the weight; equations with another constant are not indexed."""
     n = len(P.u)
     q = [P.q.entry(j, j) for j in range(n)]
     a = [[trace_of(x * x.adjoint())[1] for x in row] for row in P.u]
 
-    def entry(weights):
-        return frozenset(add_terms({}, (
-            (s, mul(w, c)) for (j, k), w in weights for s, c in a[j][k].items()
-        )).items())
+    def combination(weights):
+        return add_terms({}, ((s, mul(w, c)) for (j, k), w in weights for s, c in a[j][k].items()))
 
-    combo = {}
-    for j in range(n):
-        plain_row = entry(((j, k), 1) for k in range(n))  # UU*-I[j,j]
-        twisted_row = entry(((j, k), ratio(q[j], q[k])) for k in range(n))  # QUbarQ^-1U^t-I[j,j]
-        plain_col = entry(((k, j), 1) for k in range(n))  # U*U-I[j,j]
-        twisted_col = entry(((k, j), ratio(q[k], q[j])) for k in range(n))  # U^tQUbarQ^-1-I[j,j]
-        for key, weight in (
-            (twisted_row, q[j]), (plain_row, -q[j]), (plain_col, q[j]), (twisted_col, -q[j]),
-        ):
-            if key not in index:
-                return None
-            i, scale = index[key]
-            add_terms(combo, ((i, ratio(weight, scale)),))
-    return tuple(sorted(combo.items()))
-
-
-def _closed_form_certificate(P: Presentation, eqs: TraceEquationSet):
-    """The closed-form combination as a Certificate, not yet verified; None
-    when it is not among the equations or is positive on no symbol (one
-    eigenvalue of Q)."""
-    multipliers = _closed_form_multipliers(P, eqs)
-    if multipliers is None:
+    coefficients = combination(((j, k), ratio(mul(q[j] - q[k], q[j] - q[k]), q[k]))
+                               for j in range(n) for k in range(n) if q[j] != q[k])
+    if not coefficients:
         return None
-    const, coeffs = _recombine(eqs, multipliers)
-    return Certificate(multipliers, const, coeffs) if coeffs else None
+    index = {frozenset((s, -c) for s, c in e.coeffs.items()): i
+             for i, e in enumerate(eqs.equations) if e.constant == 1}
+    multipliers = {}
+    for j in range(n):
+        for weights, weight in (
+            ([((j, k), ratio(q[j], q[k])) for k in range(n)], q[j]),  # QUbarQ^-1U^t-I[j,j]
+            ([((j, k), 1) for k in range(n)], -q[j]),  # UU*-I[j,j]
+            ([((k, j), 1) for k in range(n)], q[j]),  # U*U-I[j,j]
+            ([((k, j), ratio(q[k], q[j])) for k in range(n)], -q[j]),  # U^tQUbarQ^-1-I[j,j]
+        ):
+            i = index.get(frozenset(combination(weights).items()))
+            if i is None:
+                return None
+            add_terms(multipliers, ((i, -weight),))
+    return Certificate(tuple(sorted(multipliers.items())), coefficients)
 
 
 class KacReport(NamedTuple):
@@ -357,16 +345,17 @@ class KacReport(NamedTuple):
 def kac_fixpoint(P: Presentation):
     """Force by the closed form, then witness the survivors by characters.
 
-    One round, no fixpoint: the closed-form combination of the traced
-    diagonal entries is one certificate, verified once, and it forces every
-    generator whose tr[g g*] the verification returns; it forces nothing
-    when those entries are not among P's equations.  When something dies,
-    P is quotiented.  Then `witness_characters` looks for a verified
-    character of P nonzero on each survivor; a survivor none reaches (one
-    outside P's fundamental matrix among them) is undetermined.
-    Sound by construction: every tracial state satisfies the derived
-    equations, so certified symbols vanish and the quotient stays above the
-    Kac quotient.  Returns (KacReport, final presentation).
+    One round, no fixpoint: the closed-form certificate claims the
+    coefficients (Q_j - Q_k)^2 / Q_k and cites the traced diagonal entries;
+    its verification recombines them once, checks the claim and forces
+    every generator whose tr[g g*] it returns, none when Q has one
+    eigenvalue or those entries are not among P's equations.  When
+    something dies, P is quotiented.  Then `witness_characters` looks for
+    a verified character of P nonzero on each survivor; a survivor none
+    reaches (one outside P's fundamental matrix among them) is
+    undetermined.  Sound by construction: every tracial state satisfies
+    the derived equations, so certified symbols vanish and the quotient
+    stays above the Kac quotient.  Returns (KacReport, final presentation).
     """
     eqs = derive_trace_equations(P)
     cert = _closed_form_certificate(P, eqs)

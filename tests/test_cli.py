@@ -515,7 +515,7 @@ def test_the_report_certificate_verifies_and_proves_exactly_the_forced():
         assert all(eqs.equations[c["equation"]].provenance == c["provenance"]
                    for c in combination), spec
         cert = k.Certificate(
-            tuple((c["equation"], k.rat(c["multiplier"])) for c in combination), 0,
+            tuple((c["equation"], k.rat(c["multiplier"])) for c in combination),
             {symbol[s]: k.rat(c) for s, c in kac["certificate"]["coefficients"].items()},
         )
         proven = k.verify_certificate(cert, eqs)

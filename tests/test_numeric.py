@@ -413,6 +413,17 @@ def test_a_shift_that_breaks_a_relation_is_skipped():
     assert k.witness_characters(p, [gen(0, 1)]) == ((), {}, (gen(0, 1),), 2)
 
 
+def test_a_relation_letter_outside_the_layout_is_a_character_error():
+    # u(6,6) has no entry in the 1 x 1 fundamental matrix, so the relation
+    # has no value at any V: verification names it, and every candidate
+    # is refused, so no character and no witness is found
+    u = [[letter(0, 0)]]
+    p = k.Presentation([gen(0, 0)], [letter(5, 5) - AlgElement.one()], u, ScalarMatrix.identity(1))
+    _verify_fails(p, [[1]], r"^rel\[0\] reads a letter outside the 1x1 layout$")
+    assert list(k.characters(p)) == []
+    assert k.witness_characters(p, p.generators) == ((), {}, (gen(0, 0),), 1)
+
+
 def test_generators_outside_the_layout_are_never_witnessed():
     # u(1,3) has no entry in the 2 x 2 fundamental matrix
     p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))

@@ -248,6 +248,18 @@ def test_presentation_refuses_a_q_that_is_not_positive_diagonal(q, message):
         k.Presentation(gens, [], u, ScalarMatrix(q))
 
 
+@pytest.mark.parametrize("generators, message", [
+    ([gen(0, 0, star=True)], r"^generator u\(1,1\)\* is starred$"),
+    ([gen(0, 0), gen(0, 0)], r"^two generators at the position of u\(1,1\)$"),
+    ([gen(0, 0, selfadjoint=True), gen(0, 0)], r"^two generators at the position of u\(1,1\)$"),
+], ids=["starred", "repeated", "self-adjoint-twin"])
+def test_presentation_refuses_a_starred_or_repeated_generator(generators, message):
+    # a generator is the one plain or self-adjoint letter at its position;
+    # two there would be counted, kept and quotiented twice
+    with pytest.raises(ValueError, match=message):
+        k.Presentation(generators, [], [[letter(0, 0)]], ScalarMatrix.identity(1))
+
+
 @pytest.mark.parametrize("build, message", [
     (k.build_universal_unitary, "Q must be square"),
     (k.build_universal_orthogonal, "F must be square"),

@@ -9,14 +9,11 @@ import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
 from cqgkac.linalg import SparseEchelon
 from cqgkac.simplex import Unbounded, solve_lp_max
-from cqgkac.trace import (
-    TraceSymbol, _closed_form_certificate, _closed_form_multipliers, _recombine,
-    _shared_certificates,
-)
+from cqgkac import trace
+from cqgkac.trace import TraceSymbol, _closed_form_certificate, _recombine, _shared_certificates
 
 from conftest import (
     LADDER,
-    QS,
     block_positions,
     dense,
     dense_product,
@@ -219,7 +216,7 @@ def test_forced_zero_one_block_certificate():
     assert cert is not None
     assert target in k.verify_certificate(cert, eqs)
     assert cert.coefficients[target] > 0
-    assert cert.constant == 0
+    assert _recombine(eqs, cert.multipliers) == (0, cert.coefficients)
 
 
 def _combine(eqs, multipliers):
@@ -234,11 +231,10 @@ def _combine(eqs, multipliers):
 
 
 def _restamp(cert, eqs, multipliers):
-    """The certificate with new multipliers and the stored combination
+    """The certificate with new multipliers and the claimed coefficients
     recomputed to match them, so only the later checks can object."""
-    constant, coefficients = _combine(eqs, multipliers)
     return cert._replace(
-        multipliers=tuple(multipliers), constant=constant, coefficients=coefficients
+        multipliers=tuple(multipliers), coefficients=_combine(eqs, multipliers)[1]
     )
 
 
@@ -263,11 +259,13 @@ def test_verify_rejects_equation_index_out_of_range():
             k.verify_certificate(bad, eqs)
 
 
-@pytest.mark.parametrize("field", ["constant", "coefficients"])
-def test_verify_rejects_stored_combination_mismatch(field):
+@pytest.mark.parametrize("claim", [
+    pytest.param(lambda cs: {s: 2 * c for s, c in cs.items()}, id="coefficients"),
+    pytest.param(lambda cs: dict(list(cs.items())[1:]), id="dropped-symbol"),
+])
+def test_verify_rejects_stored_combination_mismatch(claim):
     cert, eqs = _one_block_certificate()
-    value = F(1) if field == "constant" else {s: 2 * c for s, c in cert.coefficients.items()}
-    bad = cert._replace(**{field: value})
+    bad = cert._replace(coefficients=claim(cert.coefficients))
     with pytest.raises(k.CertificateError, match="does not match the recombination"):
         k.verify_certificate(bad, eqs)
 
@@ -276,7 +274,7 @@ def test_verify_rejects_nonzero_constant():
     cert, eqs = _one_block_certificate()
     idx = _index(eqs, lambda e: e.constant)
     bad = _restamp(cert, eqs, cert.multipliers + ((idx, F(1)),))
-    assert bad.constant
+    assert _combine(eqs, bad.multipliers)[0]
     with pytest.raises(k.CertificateError, match="nonzero constant"):
         k.verify_certificate(bad, eqs)
 
@@ -306,7 +304,7 @@ def test_verify_refuses_a_combination_positive_on_no_symbol():
     cancelling = cert.multipliers + tuple((idx, -mult) for idx, mult in cert.multipliers)
     for multipliers in ((), cancelling):
         bad = _restamp(cert, eqs, multipliers)
-        assert bad.constant == 0 and not bad.coefficients
+        assert _combine(eqs, multipliers) == (0, {})
         with pytest.raises(k.CertificateError, match="positive on no symbol"):
             k.verify_certificate(bad, eqs)
 
@@ -559,44 +557,61 @@ def test_shared_certificate_matches_per_generator_lps_on_small_specs(spec):
 
 
 def _closed_form(p):
+    """The equations and the closed-form certificate's claimed coefficients,
+    {} when there is none; a certificate's claim must be the recombination
+    of its multipliers, with constant 0."""
     eqs = k.derive_trace_equations(p)
-    multipliers = _closed_form_multipliers(p, eqs)
-    assert multipliers is not None
-    return eqs, _recombine(eqs, multipliers)
+    cert = _closed_form_certificate(p, eqs)
+    if cert is None:
+        return eqs, {}
+    assert _recombine(eqs, cert.multipliers) == (0, cert.coefficients)
+    return eqs, cert.coefficients
 
 
-def _unitary_specs(n_max):
-    """Every unitary spec over QS with N <= n_max."""
-    for n in range(1, n_max + 1):
-        for count in range(1, n + 1):
-            for qs in itertools.combinations(QS, count):
-                for cuts in itertools.combinations(range(1, n), count - 1):
-                    ms = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
-                    yield k.BlockSpec("unitary", tuple(zip(qs, ms)))
-
-
-def test_closed_form_is_the_paper_combination_on_unitary_specs():
+def test_closed_form_is_the_paper_combination_on_specs_up_to_four():
     # weights +-Q_j on the row pairs and -+Q_k on the column pairs leave
-    # exactly (Q_j - Q_k)^2 / Q_k on tr[u_jk u_jk*] and nothing else
-    specs = list(_unitary_specs(4))
-    assert len(specs) == 125
+    # exactly (Q_j - Q_k)^2 / Q_k on tr[u_jk u_jk*] and nothing else, so an
+    # entry c g or c g* of u puts c^2 (Q_j - Q_k)^2 / Q_k on tr[g g*]; the
+    # claim is that sum and the recombination, over equations of constant 1
+    specs = specs_up_to(4)
+    assert len(specs) == 187
     for spec in specs:
         p = k.build_presentation(spec)
-        _, (const, coeffs) = _closed_form(p)
+        eqs, coeffs = _closed_form(p)
+        assert all(e.constant == 1 for e in eqs.equations), spec
         q = [p.q.entry(j, j) for j in range(spec.size)]
-        expected = {
-            k.generator_symbol(g): (q[g.row] - q[g.col]) ** 2 / q[g.col]
-            for g in p.generators if q[g.row] != q[g.col]
-        }
-        assert const == 0 and coeffs == expected
+        expected = {}
+        for j, l in itertools.product(range(spec.size), repeat=2):
+            (((g,), c),) = p.u[j][l].terms()
+            s = k.generator_symbol(g)
+            expected[s] = expected.get(s, 0) + F(c) ** 2 * (q[j] - q[l]) ** 2 / q[l]
+        assert coeffs == {s: c for s, c in expected.items() if c}, spec
+
+
+def test_kac_fixpoint_recombines_only_to_verify(monkeypatch):
+    # the closed form claims its coefficients, so the one recombination of
+    # a forcing round is verify_certificate's; a round that forces nothing
+    # has no certificate to recombine
+    calls = []
+    recombine = trace._recombine
+
+    def counted(eqs, multipliers):
+        calls.append(multipliers)
+        return recombine(eqs, multipliers)
+
+    monkeypatch.setattr(trace, "_recombine", counted)
+    report, _ = k.kac_fixpoint(k.build_presentation(one_block_spec(F(1, 2), 1, 1)))
+    assert report.forced and calls == [report.certificate.multipliers]
+    calls.clear()
+    report, _ = k.kac_fixpoint(k.build_universal_unitary(ScalarMatrix.identity(2)))
+    assert not report.forced and not calls
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_specs())
 def test_closed_form_support_joins_two_eigenvalues_on_small_specs(spec):
     p = k.build_presentation(spec)
-    eqs, (const, coeffs) = _closed_form(p)
-    assert const == 0
+    eqs, coeffs = _closed_form(p)
     assert set(coeffs) <= eqs.nonneg and all(c > 0 for c in coeffs.values())
     q = p.q.entry
     assert set(coeffs) == {
