@@ -155,9 +155,9 @@ def run(spec: BlockSpec, verb: str):
     so each witness proves its generator survives in the Kac and the RFD
     quotient.  `kac.rounds` is 1 plus whether the closed-form round forced
     anything.  `kac.certificate` is null when nothing is forced, else the
-    one closed-form certificate: its `combination` lists each equation,
-    provenance and multiplier, and its `coefficients` are positive on the
-    tr[g g*] of exactly the generators in `kac.forced`.
+    one closed-form certificate: its `combination` lists each equation, its
+    provenance (identity entry, as `QUbarQ^-1Ut-I[2,2]`) and multiplier, and
+    its `coefficients` are positive on the tr[g g*] of exactly `kac.forced`.
     """
     report = {"input": config_json(spec), "verb": verb}
     if verb not in VERBS:

@@ -11,10 +11,11 @@ in exactly one of the first |C| offsets, so the max |C| candidates are
 together nonzero on every such position, and no fewer can be: a row of a
 largest class has max |C| of them, and a permutation meets one.
 `verify_character` re-checks each one exactly over the integers, reading
-only the presentation and V; every value it reads is `AlgElement.at(V)`,
-the package's one evaluation at a scalar matrix.  A character nonzero on
-a generator witnesses that the generator survives in every quotient that
-keeps a character, the Kac and the RFD quotient among them.
+only the presentation and V: u by `AlgElement.at(V)`, the package's one
+evaluation at a scalar matrix, and the identities in closed form.  A
+character nonzero on a generator witnesses that the generator survives in
+every quotient that keeps a character, the Kac and the RFD quotient among
+them.
 
 Floating point lives only in the rest of this module, in plain Python
 complex numbers.  Every assignment is one-dimensional: a complex value per
@@ -170,12 +171,13 @@ class CharacterError(Exception):
 def verify_character(P: Presentation, V) -> bool:
     """Check exactly that u(j,k) -> V[j][k] is a character of P.
 
-    V must be an N x N signed permutation matrix of integers, N the size of
-    P's one fundamental matrix.  Every relation must vanish at V, and every
-    entry of the fundamental matrix (whose eliminated positions are
-    expressions in the kept generators) must evaluate to V's entry.  Reads
-    only P and V, never the enumerator: raises CharacterError naming the
-    failing rel[i] or position, or a generator outside the N x N layout.
+    V must be an N x N signed permutation matrix of integers, V[j][sigma(j)]
+    = s_j, P in builder form (`P.defining`), every entry of u must evaluate
+    to V's, and V must satisfy the identities, in closed form: the plain
+    pair always holds, the twisted pair iff Q_j = Q_sigma(j), V = F V F^-1
+    iff pi sigma = sigma pi and s_j d_sigma(j) = d_j s_pi(j), d_j =
+    F[j,pi(j)].  Reads only P and V, never the enumerator, and evaluates
+    no relation: raises CharacterError naming what fails.
     """
     u = P.u
     n = len(u)
@@ -190,17 +192,20 @@ def verify_character(P: Presentation, V) -> bool:
     for g in P.generators:
         if not (g.row < n and g.col < n):
             raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
-    for i, r in enumerate(P.relations):
-        try:
-            value = r.at(V)
-        except IndexError:
-            raise CharacterError(f"rel[{i}] reads a letter outside the {n}x{n} layout") from None
-        if value:
-            raise CharacterError(f"rel[{i}] evaluates to {value}, not 0")
+    if not P.defining:
+        raise CharacterError("P is not in builder form: its relations are not the defining ones")
     for j in range(n):
         for k in range(n):
             if u[j][k].at(V) != V[j][k]:
                 raise CharacterError(f"fundamental entry ({j + 1},{k + 1}) differs from V")
+    sigma = [next(k for k, x in enumerate(row) if x) for row in V]
+    pi, d = _monomial_decode(P.f) if P.f is not None else (None, None)
+    for j, sj in enumerate(sigma):
+        if P.q.entry(j, j) != P.q.entry(sj, sj):
+            raise CharacterError(f"V breaks QUbarQ^-1Ut-I[{j + 1},{j + 1}]: "
+                                 f"Q_{j + 1} != Q_{sj + 1}")
+        if d and (pi[sj] != sigma[pi[j]] or V[j][sj] * d[sj] != d[j] * V[pi[j]][sigma[pi[j]]]):
+            raise CharacterError(f"V breaks U-FUbarF^-1[{j + 1},{sj + 1}]: V F != F V")
     return True
 
 

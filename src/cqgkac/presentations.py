@@ -55,7 +55,7 @@ plain pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -74,6 +74,7 @@ from .algebra import (
 
 KINDS = ("unitary", "one-block", "case-I", "case-II")
 MAX_SIZE = 64  # largest dimension N a BlockSpec accepts
+IDENTITIES = ("UU*-I", "U*U-I", "UtQUbarQ^-1-I", "QUbarQ^-1Ut-I", "U-FUbarF^-1")
 
 
 class SpecError(ValueError):
@@ -298,9 +299,15 @@ def canonicalize_relations(rels):
     order of `r.adjoint()`.  The normal forms are sorted by (key, -index)
     and the first of each run of equal keys is kept: the last one given.
     """
+    return _canonical(rels)[0]
+
+
+def _canonical(rels):
+    """(`canonicalize_relations(rels)`, the index in rels of each stored one)."""
     normal = sorted((key, -i, n) for i, r in enumerate(rels) if not r.is_zero()
                     for key, n in (_oriented(r),))
-    return tuple(next(run)[2] for _key, run in groupby(normal, itemgetter(0)))
+    kept = [next(run) for _key, run in groupby(normal, itemgetter(0))]
+    return tuple(n for _key, _i, n in kept), tuple(-i for _key, i, _n in kept)
 
 
 class Presentation:
@@ -313,20 +320,23 @@ class Presentation:
                  eliminated positions substituted); always set.
     q          : the diagonal Q, an N x N ScalarMatrix; always set.
     f          : F, N x N, for the orthogonal kind, else None.
-    defining   : whether the relations are exactly the canonicalized
-                 `defining_relations(u, q, f)`.  The two builders write
-                 their relations from that list and record True; on any
-                 other presentation (a quotient, a hand-made one) it is
-                 computed on first read and kept.
+    defining   : whether P is in builder form: its relations are exactly
+                 the canonicalized `defining_relations(u, q, f)`.  The two
+                 builders record it; on any other presentation (a
+                 quotient, a hand-made one) it is computed on first read
+                 and kept.
+    record     : in builder form, (the `IDENTITIES` written; per relation,
+                 the (identity, j, k) of its kept entry), else None; only
+                 the index of each kept entry is stored.
 
     The constructor owns the shape: ShapeError unless u is N x N with
     N >= 1 and Q and F (when given) are N x N; ValueError unless Q is
-    diagonal and positive, or naming a starred generator or a second one
-    at a position.  Every field is read-only after construction:
-    assignment raises AttributeError, so `defining` cannot go stale.
+    diagonal and positive, naming a starred or second generator at a
+    position, or rel[i] and its letter outside the N x N layout.  Fields are
+    read-only: assignment raises AttributeError, so `defining` cannot go stale.
     """
 
-    __slots__ = ("generators", "relations", "u", "q", "f", "label", "_defining")
+    __slots__ = ("generators", "relations", "u", "q", "f", "label", "_kept", "_record")
 
     def __init__(self, generators, relations, u, q, f=None, label=""):
         u = tuple(map(tuple, u))
@@ -344,26 +354,39 @@ class Presentation:
             if (g.row, g.col) in positions:
                 raise ValueError(f"two generators at the position of {g.label()}")
             positions.add((g.row, g.col))
+        relations, kept = _canonical(relations)
+        letters = set(chain.from_iterable(chain.from_iterable(r.words() for r in relations)))
+        g = min((g for g in letters if not (0 <= g.row < n and 0 <= g.col < n)), default=None)
+        if g is not None:
+            i = next(i for i, r in enumerate(relations) if g in r.letters())
+            raise ValueError(f"rel[{i}] reads {g.label()}, outside the {n}x{n} layout")
         put = object.__setattr__
         put(self, "generators", generators)
-        put(self, "relations", canonicalize_relations(relations))
+        put(self, "relations", relations)
         put(self, "u", u)
         put(self, "q", q)
         put(self, "f", f)
         put(self, "label", label)
+        put(self, "_kept", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Presentation.{name} is read-only")
 
     @property
     def defining(self) -> bool:
-        try:
-            return self._defining
-        except AttributeError:
-            fact = self.relations == canonicalize_relations(
-                defining_relations(self.u, self.q, self.f))
-            object.__setattr__(self, "_defining", fact)
-            return fact
+        if not hasattr(self, "_record"):
+            identities, rels = _defining_entries(self.u, self.q, self.f)
+            relations, kept = _canonical(rels)
+            record = (identities, kept) if relations == self.relations else None
+            object.__setattr__(self, "_record", record)
+        return self._record is not None
+
+    @property
+    def record(self):
+        if not self.defining:
+            return None
+        labels = _entry_labels(len(self.u), self._record[0])
+        return self._record[0], tuple(labels[i] for i in self._record[1])
 
     @property
     def sizes(self):
@@ -386,10 +409,10 @@ def _require_positive_diagonal(Q: ScalarMatrix) -> None:
             raise ValueError(f"Q must be positive: Q[{j + 1},{j + 1}] = {rat_str(Q.entry(j, j))}")
 
 
-def _defining_presentation(generators, rels, u, q, f=None, label="") -> Presentation:
-    """A builder's presentation: `rels` is `defining_relations(u, q, f)`."""
-    p = Presentation(generators, rels, u, q, f, label)
-    object.__setattr__(p, "_defining", True)
+def _defining_presentation(generators, written, u, q, f=None, label="") -> Presentation:
+    """A builder's presentation: `written` is `_defining_entries(u, q, f)`."""
+    p = Presentation(generators, written[1], u, q, f, label)
+    object.__setattr__(p, "_record", (written[0], p._kept))
     return p
 
 
@@ -420,30 +443,37 @@ def defining_relations(u, q: ScalarMatrix, f: ScalarMatrix = None):
     class with its term order, are unchanged.  Otherwise, as for the
     unitary kind, all four identities are written.
     """
+    return _defining_entries(u, q, f)[1]
+
+
+def _entry_labels(n, identities):
+    """The (identity, j, k) of each entry `defining_relations` writes, in order."""
+    return [(name, j, k) for name in identities
+            for j in range(n) for k in range(0 if name == IDENTITIES[4] else j, n)]
+
+
+def _defining_entries(u, q, f):
+    """(the identities written, `defining_relations(u, q, f)`), each entry from its label."""
     n = len(u)
     s = [[x.adjoint() for x in row] for row in u]
     d = [q.entry(j, j) for j in range(n)]
     t = [[x.scale(ratio(d[j], d[k])) for k, x in enumerate(row)] for j, row in enumerate(s)]
-    reality, plain = [], True
+    identities = IDENTITIES[:4]
     if f is not None:
         pi, df = _monomial_decode(f)
-        reality = [u[j][k] - s[pj][pk].scale(ratio(df[j], df[k]))
-                   for j, pj in enumerate(pi) for k, pk in enumerate(pi)]
+        reality = [[u[j][k] - s[pj][pk].scale(ratio(df[j], df[k])) for k, pk in enumerate(pi)]
+                   for j, pj in enumerate(pi)]
         plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
-                 or not all(r.is_zero() for r in reality))
-    entries = (
-        lambda j, k: ((u[j][a], s[k][a]) for a in range(n)),
-        lambda j, k: ((s[a][j], u[a][k]) for a in range(n)),
-        lambda j, k: ((u[a][j], t[a][k]) for a in range(n)),
-        lambda j, k: ((t[j][a], u[k][a]) for a in range(n)),
-    )
-    rels = [
-        AlgElement.dot(entry(j, k), int(j == k))
-        for entry in (entries if plain else entries[2:])
-        for j in range(n)
-        for k in range(j, n)
-    ]
-    return rels + reality
+                 or not all(r.is_zero() for row in reality for r in row))
+        identities = (identities if plain else identities[2:]) + IDENTITIES[4:]
+    entry = dict(zip(IDENTITIES, (
+        lambda j, k: AlgElement.dot(((u[j][a], s[k][a]) for a in range(n)), int(j == k)),
+        lambda j, k: AlgElement.dot(((s[a][j], u[a][k]) for a in range(n)), int(j == k)),
+        lambda j, k: AlgElement.dot(((u[a][j], t[a][k]) for a in range(n)), int(j == k)),
+        lambda j, k: AlgElement.dot(((t[j][a], u[k][a]) for a in range(n)), int(j == k)),
+        lambda j, k: reality[j][k],
+    )))
+    return identities, [entry[name](j, k) for name, j, k in _entry_labels(n, identities)]
 
 
 def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
@@ -453,7 +483,7 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     n = Q.rows
     u = generator_matrix(n)
     gens = [GeneratorId(j, k) for j in range(n) for k in range(n)]
-    return _defining_presentation(gens, defining_relations(u, Q), u, Q, label=unitary_label(Q))
+    return _defining_presentation(gens, _defining_entries(u, Q, None), u, Q, None, unitary_label(Q))
 
 
 def reality_substitution(F: ScalarMatrix):
@@ -526,12 +556,12 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     n = F.rows
     ids = [[GeneratorId(j, k) for k in range(n)] for j in range(n)]
     u = tuple(tuple(sigma.get(g, AlgElement.generator(g)) for g in row) for row in ids)
-    rels = defining_relations(u, q, F)
-    for i, h in enumerate(rels[-n * n:]):
+    written = _defining_entries(u, q, F)
+    for i, h in enumerate(written[1][-n * n:]):
         if not h.is_zero():
             j, k = divmod(i, n)
             raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
-    return _defining_presentation(kept, rels, u, q, F, label=orthogonal_label(F))
+    return _defining_presentation(kept, written, u, q, F, label=orthogonal_label(F))
 
 
 def build_presentation(spec: BlockSpec) -> Presentation:

@@ -53,7 +53,7 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
     dead = gens | {g.adjoint() for g in gens}
 
     def keep(e):
-        return AlgElement({w: c for w, c in e.terms() if dead.isdisjoint(w)})
+        return AlgElement._wrap({w: c for w, c in e.terms() if dead.isdisjoint(w)})
 
     return Presentation(
         [g for g in P.generators if g not in gens],

@@ -24,11 +24,13 @@ Weighting each row pair (twisted minus plain) by Q_j and each column pair
 (plain minus twisted) by Q_k gives constant 0 and the coefficient
 (Q_j - Q_k)^2 / Q_k >= 0 on a_jk, so that one certificate kills every
 generator joining two different eigenvalues of Q.  The certificate claims
-these coefficients, so its one recombination checks the formula against
-the traced relations.  That one round is the whole derivation, with no
-fixpoint: the exact characters of `numeric.witness_characters` then cover
-the rest.  A character is a tracial state, so a generator it is nonzero
-on survives, and a survivor no character reaches is reported undetermined.
+these coefficients, summed from u, and reads its 4N entries by identity and
+position from `Presentation.record` (none without a record), so its one
+recombination checks the formula against the traced relations.  That one
+round is the whole derivation, with no fixpoint: the exact characters of
+`numeric.witness_characters` then cover the rest.  A character is a
+tracial state, so a generator it is nonzero on survives, and a survivor no
+character reaches is reported undetermined.
 
 The exact LP search for such combinations (`_shared_certificates` over
 `TraceEquationSet.reduced`, simplex after Freund, Roundy & Todd 1985) is
@@ -48,7 +50,7 @@ from .algebra import (
 )
 from .linalg import SparseEchelon
 from .numeric import CharacterCover, witness_characters
-from .presentations import Presentation
+from .presentations import IDENTITIES, Presentation, _monomial_decode
 from .quotient import quotient_by_zero
 from .simplex import Infeasible, Unbounded, solve_lp_max
 
@@ -74,16 +76,17 @@ class TraceSymbol(NamedTuple):
         return f"tr[{word_label(self.word)}]"
 
 
-def _rotations(w: Word):
-    return [w[i:] + w[:i] for i in range(len(w))]
-
-
 def cyclic_canonical(w: Word) -> TraceSymbol:
     """Canonical symbol of a word: tr(w*) = conj(tr(w)) has the same real
-    part, so a word and its adjoint share one symbol."""
-    if not w:
-        return TraceSymbol(())
-    return TraceSymbol(min(min(_rotations(w)), min(_rotations(word_adjoint(w)))))
+    part, so a word and its adjoint share one symbol, the least rotation
+    of either, found in one pass over the offsets."""
+    n, a = len(w), word_adjoint(w)
+    best, ww, aa = min(w, a), w + w, a + a
+    for i in range(1, n):
+        for r in (ww[i:i + n], aa[i:i + n]):
+            if r < best:
+                best = r
+    return TraceSymbol(best)
 
 
 def generator_symbol(g: GeneratorId) -> TraceSymbol:
@@ -169,17 +172,20 @@ def _eliminate_free(eqs: TraceEquationSet):
 
 
 def derive_trace_equations(P: Presentation) -> TraceEquationSet:
-    """Trace each relation with a constant term, the diagonal unitarity
-    entries the closed form reads; its real part becomes an equation with
-    provenance rel[i], and the canonical order puts these first, so equation
-    i is rel[i].  Imaginary parts are left out: they have constant 0 and
-    only Im-unknowns no real part and no nonneg tr[g g*] mentions, so Im = 0
-    solves them.  The nonnegative index holds tr[g g*] for every generator."""
+    """Trace each relation with a constant term (the diagonal unitarity
+    entries the closed form reads, first in canonical order, so equation i
+    is rel[i]), named as in `P.record` (QUbarQ^-1Ut-I[2,2]) or else rel[i].
+    Imaginary parts are left out: they have constant 0 and only Im-unknowns
+    no real part and no nonneg tr[g g*] mentions, so Im = 0 solves them.
+    The nonnegative index holds tr[g g*] for every generator."""
+    record = P.record
     equations = []
     for i, r in enumerate(P.relations):
         constant = r.coefficient(())
         if constant:
-            equations.append(TraceEquation(constant, trace_of(r)[1], f"rel[{i}]"))
+            o = record[1][i] if record else None
+            provenance = f"{o[0]}[{o[1] + 1},{o[2] + 1}]" if o else f"rel[{i}]"
+            equations.append(TraceEquation(constant, trace_of(r)[1], provenance))
     nonneg = {generator_symbol(g) for g in P.generators}
     return TraceEquationSet(equations, nonneg)
 
@@ -286,37 +292,36 @@ def forced_zero(eqs: TraceEquationSet, target: TraceSymbol):
     return cert if target in proven else None
 
 
-def _closed_form_certificate(P: Presentation, eqs: TraceEquationSet):
-    """The closed-form certificate, not yet verified: its coefficients are
-    the sum of (Q_j - Q_k)^2 / Q_k a_jk over Q_j != Q_k, a_jk = tr(u_jk u_jk*)
-    over P's fundamental matrix.  None when that sum is empty (one
-    eigenvalue of Q) or a weighted diagonal entry is not an equation, as on
-    a hand-made presentation.  A canonical relation with a constant term
-    has constant 1 (its least word is the unit word), so an entry's
-    equation is 1 - entry, found by its coefficients, and its multiplier is
-    minus the weight; equations with another constant are not indexed."""
+def _closed_form_certificate(P: Presentation):
+    """The closed-form certificate, not yet verified: it claims the sum of
+    (Q_j - Q_k)^2 / Q_k tr(u_jk u_jk*) over Q_j != Q_k, one weight per pair
+    of Q-classes, each tr(x x*) summed from the term pairs of x.  Its
+    multipliers sit on the diagonal entries `P.record` names, minus each
+    weight (equation i, 1 - entry, is rel[i]).  Where the plain pair is not
+    written, UU*-I[j,j] is QUbarQ^-1Ut-I[pi(j),pi(j)] and U*U-I[j,j] is
+    UtQUbarQ^-1-I[pi(j),pi(j)], at scale 1.  None when the claim is empty
+    (one eigenvalue of Q), P has no record or an entry is not stored."""
     n = len(P.u)
     q = [P.q.entry(j, j) for j in range(n)]
-    a = [[trace_of(x * x.adjoint())[1] for x in row] for row in P.u]
-
-    def combination(weights):
-        return add_terms({}, ((s, mul(w, c)) for (j, k), w in weights for s, c in a[j][k].items()))
-
-    coefficients = combination(((j, k), ratio(mul(q[j] - q[k], q[j] - q[k]), q[k]))
-                               for j in range(n) for k in range(n) if q[j] != q[k])
-    if not coefficients:
+    weights = {a: {b: ratio(mul(a - b, a - b), b) for b in set(q) if b != a} for a in set(q)}
+    coefficients = {}
+    for j, row in enumerate(P.u):
+        for w, x in ((weights[q[j]].get(q[k]), x) for k, x in enumerate(row)):
+            if w:
+                add_terms(coefficients, ((cyclic_canonical(a + word_adjoint(b)), mul(w, mul(c, e)))
+                                         for a, c in x.terms() for b, e in x.terms() if a or b))
+    record = P.record
+    if not coefficients or record is None:
         return None
-    index = {frozenset((s, -c) for s, c in e.coeffs.items()): i
-             for i, e in enumerate(eqs.equations) if e.constant == 1}
+    identities, origins = record
+    where = {o: i for i, o in enumerate(origins)}
+    uu, su, tw, tt = IDENTITIES[:4]
+    plain = uu in identities
     multipliers = {}
-    for j in range(n):
-        for weights, weight in (
-            ([((j, k), ratio(q[j], q[k])) for k in range(n)], q[j]),  # QUbarQ^-1U^t-I[j,j]
-            ([((j, k), 1) for k in range(n)], -q[j]),  # UU*-I[j,j]
-            ([((k, j), 1) for k in range(n)], q[j]),  # U*U-I[j,j]
-            ([((k, j), ratio(q[k], q[j])) for k in range(n)], -q[j]),  # U^tQUbarQ^-1-I[j,j]
-        ):
-            i = index.get(frozenset(combination(weights).items()))
+    for j, pj in enumerate(range(n) if plain else _monomial_decode(P.f)[0]):
+        for key, weight in (((tt, j, j), q[j]), ((uu, j, j) if plain else (tt, pj, pj), -q[j]),
+                            ((su, j, j) if plain else (tw, pj, pj), q[j]), ((tw, j, j), -q[j])):
+            i = where.get(key)
             if i is None:
                 return None
             add_terms(multipliers, ((i, -weight),))
@@ -349,7 +354,7 @@ def kac_fixpoint(P: Presentation):
     coefficients (Q_j - Q_k)^2 / Q_k and cites the traced diagonal entries;
     its verification recombines them once, checks the claim and forces
     every generator whose tr[g g*] it returns, none when Q has one
-    eigenvalue or those entries are not among P's equations.  When
+    eigenvalue or P has no record of those entries.  When
     something dies, P is quotiented.  Then `witness_characters` looks for
     a verified character of P nonzero on each survivor; a survivor none
     reaches (one outside P's fundamental matrix among them) is
@@ -358,7 +363,7 @@ def kac_fixpoint(P: Presentation):
     stays above the Kac quotient.  Returns (KacReport, final presentation).
     """
     eqs = derive_trace_equations(P)
-    cert = _closed_form_certificate(P, eqs)
+    cert = _closed_form_certificate(P)
     proven = verify_certificate(cert, eqs) if cert else frozenset()
     forced = tuple(g for g in P.generators if generator_symbol(g) in proven)
     final = quotient_by_zero(P, forced) if forced else P

@@ -5,14 +5,17 @@ from heapq import heapify, heappop, heappush
 from hypothesis import strategies as st
 
 import cqgkac as k
-from cqgkac.algebra import AlgElement, add_terms, rat_str, ratio, word_key
+from cqgkac.algebra import AlgElement, add_terms, mul, rat_str, ratio, word_key
 from cqgkac.hopf import _coproduct, _letter_coproduct
 from cqgkac.linalg import WordIndex
+from cqgkac.numeric import CharacterError
 from cqgkac.presentations import (
-    SpecError, _monomial_decode, canonicalize_relations, defining_relations,
+    IDENTITIES, SpecError, _monomial_decode, canonicalize_relations, defining_relations,
 )
 from cqgkac.quotient import _with_adjoints, bounded_ideal_echelon
-from cqgkac.trace import TraceEquation, TraceEquationSet, generator_symbol, trace_of
+from cqgkac.trace import (
+    Certificate, TraceEquation, TraceEquationSet, generator_symbol, trace_of,
+)
 
 
 def gen(row, col, star=False, selfadjoint=False):
@@ -538,6 +541,82 @@ def four_identity_relations(u, q, f=None):
         rels.extend(u[j][c] - s[pj][pc].scale(ratio(df[j], df[c]))
                     for j, pj in enumerate(pi) for c, pc in enumerate(pi))
     return rels
+
+
+def identity_entries(u, q, f=None):
+    """`four_identity_relations` by label: (identity, j, k) -> its entry,
+    the unitarity identities at j <= k, the reality entries at every
+    position when F is given."""
+    n = len(u)
+    labels = [(name, j, c) for name in IDENTITIES[:4] for j in range(n) for c in range(j, n)]
+    if f is not None:
+        labels += [(IDENTITIES[4], j, c) for j in range(n) for c in range(n)]
+    return dict(zip(labels, four_identity_relations(u, q, f)))
+
+
+def coefficient_set_certificate(p, eqs):
+    """The closed-form certificate found by search, an oracle for the one
+    read by position: the same claimed coefficients, from the table a_jk =
+    tr(u_jk u_jk*); each weighted diagonal entry of the four identities is
+    found among the equations of constant 1 by its negated coefficients,
+    with multiplier minus its weight.  None when the claim is empty or an
+    entry is not found."""
+    n = len(p.u)
+    q = [p.q.entry(j, j) for j in range(n)]
+    a = [[trace_of(x * x.adjoint())[1] for x in row] for row in p.u]
+
+    def combination(weights):
+        return add_terms({}, ((s, mul(w, c)) for (j, l), w in weights for s, c in a[j][l].items()))
+
+    coefficients = combination(((j, l), ratio(mul(q[j] - q[l], q[j] - q[l]), q[l]))
+                               for j in range(n) for l in range(n) if q[j] != q[l])
+    if not coefficients:
+        return None
+    index = {frozenset((s, -c) for s, c in e.coeffs.items()): i
+             for i, e in enumerate(eqs.equations) if e.constant == 1}
+    multipliers = {}
+    for j in range(n):
+        for weights, weight in (
+            ([((j, l), ratio(q[j], q[l])) for l in range(n)], q[j]),  # QUbarQ^-1Ut-I[j,j]
+            ([((j, l), 1) for l in range(n)], -q[j]),  # UU*-I[j,j]
+            ([((l, j), 1) for l in range(n)], q[j]),  # U*U-I[j,j]
+            ([((l, j), ratio(q[l], q[j])) for l in range(n)], -q[j]),  # UtQUbarQ^-1-I[j,j]
+        ):
+            i = index.get(frozenset(combination(weights).items()))
+            if i is None:
+                return None
+            add_terms(multipliers, ((i, -weight),))
+    return Certificate(tuple(sorted(multipliers.items())), coefficients)
+
+
+def verify_character_by_terms(p, V):
+    """Term-by-term check that u(j,k) -> V[j][k] is a character of p, an
+    oracle for `verify_character`: V an N x N signed permutation matrix of
+    integers, every generator in the layout, every relation zero at V and
+    every entry of u equal to V's.  Raises CharacterError naming the first
+    failing rel[i] or position; reads no builder form."""
+    u = p.u
+    n = len(u)
+    if len(V) != n or any(len(row) != n for row in V):
+        raise CharacterError(f"V is not {n}x{n}")
+    for row in V:
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
+            raise CharacterError("V has a non-integer entry")
+    for line in (*V, *zip(*V)):
+        if sorted(abs(x) for x in line) != [0] * (n - 1) + [1]:
+            raise CharacterError("V is not a signed permutation matrix")
+    for g in p.generators:
+        if not (g.row < n and g.col < n):
+            raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
+    for i, r in enumerate(p.relations):
+        value = r.at(V)
+        if value:
+            raise CharacterError(f"rel[{i}] evaluates to {value}, not 0")
+    for j in range(n):
+        for c in range(n):
+            if u[j][c].at(V) != V[j][c]:
+                raise CharacterError(f"fundamental entry ({j + 1},{c + 1}) differs from V")
+    return True
 
 
 def transposition_candidates(P):

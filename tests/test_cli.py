@@ -514,6 +514,10 @@ def test_the_report_certificate_verifies_and_proves_exactly_the_forced():
         combination = kac["certificate"]["combination"]
         assert all(eqs.equations[c["equation"]].provenance == c["provenance"]
                    for c in combination), spec
+        # each provenance names the diagonal identity entry its relation was kept from
+        for c in combination:
+            name, j, l = p.record[1][c["equation"]]
+            assert j == l and c["provenance"] == f"{name}[{j + 1},{j + 1}]", spec
         cert = k.Certificate(
             tuple((c["equation"], k.rat(c["multiplier"])) for c in combination),
             {symbol[s]: k.rat(c) for s, c in kac["certificate"]["coefficients"].items()},

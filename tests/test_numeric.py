@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 
 import cqgkac as k
 import cqgkac.cli as cli
+from cqgkac import numeric
 from cqgkac.algebra import AlgElement, ScalarMatrix
 from cqgkac.numeric import NumAssignment, _candidates
 
 from conftest import (
     LADDER, gen, letter, one_block_spec, small_specs, specs_up_to, transposition_candidates,
-    undetermined_presentation,
+    undetermined_presentation, verify_character_by_terms,
 )
 
 
@@ -243,11 +245,14 @@ def test_verify_character_rejects_the_wrong_shape():
 
 def test_verify_character_names_the_relation_a_cross_class_swap_breaks():
     # u(1,1) and u(2,2) lie in the eigenvalue classes 1/4 and 1 of Q; a
-    # transposition across them breaks the twisted unitarity of Q Ubar Q^-1
+    # transposition across them breaks the twisted unitarity of Q Ubar Q^-1:
+    # the closed form names the identity entry, the term-by-term oracle the
+    # relation
     p = k.build_presentation(k.BlockSpec("unitary", ((F(1, 4), 1), (F(1), 2))))
     V = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    _verify_fails(p, V, r"^V breaks QUbarQ\^-1Ut-I\[1,1\]: Q_1 != Q_2$")
     with pytest.raises(k.CharacterError, match=r"rel\[\d+\] evaluates to") as err:
-        k.verify_character(p, V)
+        verify_character_by_terms(p, V)
     i = int(str(err.value).split("[")[1].split("]")[0])
     # the float residuals agree: rel[i] is the first relation V breaks
     residuals = k.eval_residual(p, k.classical_point(p, np.eye(3))).residuals
@@ -398,9 +403,12 @@ def test_cover_size_at_n12(spec, count):
         assert k.verify_character(p, V)
 
 
-def test_a_shift_that_breaks_a_relation_is_skipped():
+def test_a_shift_that_breaks_a_relation_is_skipped(monkeypatch):
     # Q-classes {1,2} and {3}; the extra relation u(1,1) - 1 holds at the
-    # identity and fails at the offset-1 shift, which moves u(1,1) to 0
+    # identity and fails at the offset-1 shift, which moves u(1,1) to 0.
+    # Such a presentation is not in builder form, which verify_character
+    # refuses, so the enumeration runs on the term-by-term oracle
+    monkeypatch.setattr(numeric, "verify_character", verify_character_by_terms)
     p = k.build_presentation(k.BlockSpec("unitary", ((F(1, 2), 2), (F(1), 1))))
     p = k.Presentation(p.generators, [*p.relations, letter(0, 0) - AlgElement.one()], p.u, p.q)
     identity, shift = _candidates(p)
@@ -413,17 +421,6 @@ def test_a_shift_that_breaks_a_relation_is_skipped():
     assert k.witness_characters(p, [gen(0, 1)]) == ((), {}, (gen(0, 1),), 2)
 
 
-def test_a_relation_letter_outside_the_layout_is_a_character_error():
-    # u(6,6) has no entry in the 1 x 1 fundamental matrix, so the relation
-    # has no value at any V: verification names it, and every candidate
-    # is refused, so no character and no witness is found
-    u = [[letter(0, 0)]]
-    p = k.Presentation([gen(0, 0)], [letter(5, 5) - AlgElement.one()], u, ScalarMatrix.identity(1))
-    _verify_fails(p, [[1]], r"^rel\[0\] reads a letter outside the 1x1 layout$")
-    assert list(k.characters(p)) == []
-    assert k.witness_characters(p, p.generators) == ((), {}, (gen(0, 0),), 1)
-
-
 def test_generators_outside_the_layout_are_never_witnessed():
     # u(1,3) has no entry in the 2 x 2 fundamental matrix
     p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
@@ -432,6 +429,40 @@ def test_generators_outside_the_layout_are_never_witnessed():
     _verify_fails(p, [[1, 0], [0, 1]], r"u\(1,3\) lies outside the 2x2")
     cover = k.witness_characters(p, p.generators)
     assert cover.uncovered == tuple(p.generators) and not cover.characters
+
+
+def _accepts(verify, p, V):
+    try:
+        return verify(p, V)
+    except k.CharacterError:
+        return False
+
+
+def test_closed_form_characters_agree_with_the_term_by_term_oracle_up_to_four():
+    # on the sources and their Kac quotients (in builder form too), over
+    # every candidate of both enumerators and seeded random signed
+    # permutations, the closed form accepts exactly what the oracle accepts
+    rng = random.Random(38)
+    specs = specs_up_to(4)
+    assert len(specs) == 187
+    checks = accepted = 0
+    for spec in specs:
+        n = spec.size
+        p = k.build_presentation(spec)
+        final = k.kac_fixpoint(p)[1]
+        assert final.defining, spec
+        randoms = []
+        for _ in range(4):
+            perm = rng.sample(range(n), n)
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            randoms.append([[signs[j] * (c == perm[j]) for c in range(n)] for j in range(n)])
+        for P in (p, final):
+            for V in (*_candidates(P), *transposition_candidates(P), *randoms):
+                verdict = _accepts(k.verify_character, P, V)
+                assert verdict == _accepts(verify_character_by_terms, P, V), (spec, V)
+                checks += 1
+                accepted += verdict
+    assert accepted and checks - accepted
 
 
 @pytest.mark.parametrize("doc", [

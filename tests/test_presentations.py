@@ -260,6 +260,19 @@ def test_presentation_refuses_a_starred_or_repeated_generator(generators, messag
         k.Presentation(generators, [], [[letter(0, 0)]], ScalarMatrix.identity(1))
 
 
+def test_presentation_refuses_a_relation_letter_outside_the_layout():
+    # u(6,6) has no entry in the 1 x 1 fundamental matrix, so the relation
+    # has no value at any V and names no identity entry: the constructor
+    # names it and its letter
+    with pytest.raises(ValueError, match=r"^rel\[0\] reads u\(6,6\), outside the 1x1 layout$"):
+        k.Presentation([gen(0, 0)], [letter(5, 5) - AlgElement.one()], [[letter(0, 0)]],
+                       ScalarMatrix.identity(1))
+    # the first relation holding the least outside letter is named
+    rels = [letter(0, 0) - AlgElement.one(), letter(0, 1) * letter(1, 0)]
+    with pytest.raises(ValueError, match=r"^rel\[1\] reads u\(1,2\), outside the 1x1 layout$"):
+        k.Presentation([gen(0, 0)], rels, [[letter(0, 0)]], ScalarMatrix.identity(1))
+
+
 @pytest.mark.parametrize("build, message", [
     (k.build_universal_unitary, "Q must be square"),
     (k.build_universal_orthogonal, "F must be square"),

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqgkac as k
 from cqgkac.algebra import AlgElement, ScalarMatrix, word_adjoint
+from cqgkac.presentations import IDENTITIES, canonicalize_relations
 from cqgkac.linalg import SparseEchelon
 from cqgkac.simplex import Unbounded, solve_lp_max
 from cqgkac import trace
@@ -15,9 +17,11 @@ from cqgkac.trace import TraceSymbol, _closed_form_certificate, _recombine, _sha
 from conftest import (
     LADDER,
     block_positions,
+    coefficient_set_certificate,
     dense,
     dense_product,
     gen,
+    identity_entries,
     layout_ranges,
     letter,
     one_block_spec,
@@ -88,6 +92,17 @@ def test_cyclic_canonical_matches_rotation_oracle_sampled():
         assert sym.word == oracle_word
         assert k.cyclic_canonical(word_adjoint(w)) == sym
         assert _rotation_oracle(word_adjoint(w)) == (oracle_word, -sign)
+
+
+_LETTERS = st.sampled_from([gen(j, c, star) for j in range(2) for c in range(2)
+                            for star in (False, True)] + [gen(2, 2, selfadjoint=True)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LETTERS, min_size=1, max_size=6).map(tuple))
+def test_cyclic_canonical_is_the_least_rotation_of_the_word_or_its_adjoint(w):
+    # plain, starred and self-adjoint letters, words of length 1 to 6
+    assert k.cyclic_canonical(w).word == _rotation_oracle(w)[0]
 
 
 def test_trace_of_commutator_vanishes():
@@ -517,8 +532,9 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     # tr[u11 u11*] = tr[u12 u12*] is unbounded, tr[u13 u13*] = 0 is forced,
     # tr[u14 u14*] = 1 stays positive and u15 is in no relation: the summed
     # LP is unbounded first, then positive, then zero, and only the ray's
-    # support and the absent symbol are undetermined
-    spec = one_block_spec(F(1, 2), 1, 1)
+    # support and the absent symbol are undetermined; the N = 4 layout
+    # holds every relation letter
+    spec = one_block_spec(F(1, 2), 2, 1)
     base = k.build_presentation(spec)
     u = [gen(0, c) for c in range(5)]
     norm = [AlgElement.word((g, g.adjoint())) for g in u]
@@ -540,9 +556,9 @@ def test_shared_round_separates_unbounded_forced_alive_and_absent():
     assert rounds[0][2] == {symbols[2]}
     assert rounds[-1][3] == {symbols[i] for i in (0, 1, 4)}
     assert len(rounds) == 2
-    # the closed form needs the diagonal entries of the four identities,
-    # which these relations are not, and no character of the N = 2 layout
-    # satisfies them or reaches u13..u15: nothing is forced, all undetermined
+    # the closed form needs the record of the diagonal entries, which these
+    # relations are not, and no character verifies on them: nothing is
+    # forced, all undetermined
     report, final = k.kac_fixpoint(p)
     assert not report.forced
     assert report.undetermined == tuple(symbols)
@@ -561,7 +577,7 @@ def _closed_form(p):
     {} when there is none; a certificate's claim must be the recombination
     of its multipliers, with constant 0."""
     eqs = k.derive_trace_equations(p)
-    cert = _closed_form_certificate(p, eqs)
+    cert = _closed_form_certificate(p)
     if cert is None:
         return eqs, {}
     assert _recombine(eqs, cert.multipliers) == (0, cert.coefficients)
@@ -621,9 +637,10 @@ def test_closed_form_support_joins_two_eigenvalues_on_small_specs(spec):
 
 def test_only_the_constant_term_relations_are_traced_and_they_suffice():
     # the equations are the traces of exactly the relations with a constant
-    # term, which come first, so equation i is rel[i]; over them, as over
-    # every traced relation, the closed form forces what the per-generator
-    # LPs force, and no LP is left unbounded
+    # term, which come first, so equation i is rel[i], named by the
+    # diagonal unitarity entry its record gives; over them, as over every
+    # traced relation, the closed form forces what the per-generator LPs
+    # force, and no LP is left unbounded
     specs = specs_up_to(3)
     assert len(specs) == 79
     for spec in specs:
@@ -632,11 +649,66 @@ def test_only_the_constant_term_relations_are_traced_and_they_suffice():
         with_constant = [r for r in p.relations if r.coefficient(())]
         assert [(e.constant, e.coeffs) for e in eqs.equations] == [
             k.trace_of(r) for r in with_constant]
+        origins = p.record[1][:len(with_constant)]
+        assert all(j == c and name in IDENTITIES[:4] for name, j, c in origins), spec
         assert [e.provenance for e in eqs.equations] == [
-            f"rel[{i}]" for i in range(len(with_constant))]
+            f"{name}[{j + 1},{c + 1}]" for name, j, c in origins]
         for equations in (eqs, trace_every_relation(p)):
-            cert = _closed_form_certificate(p, equations)
+            cert = _closed_form_certificate(p)
             proven = k.verify_certificate(cert, equations) if cert else frozenset()
             closed = {g for g in p.generators if k.generator_symbol(g) in proven}
             assert closed == {g for g in p.generators
                               if k.forced_zero(equations, k.generator_symbol(g))}
+
+
+def test_closed_form_by_position_agrees_with_the_coefficient_set_lookup_up_to_four():
+    # the certificate read by identity and position verifies, proves the
+    # symbols and claims the coefficients of today's search by coefficient
+    # sets, and each relation it cites is the normal form of its own
+    # diagonal entry, written from u
+    specs = specs_up_to(4)
+    assert len(specs) == 187
+    certified = 0
+    for spec in specs:
+        p = k.build_presentation(spec)
+        eqs = k.derive_trace_equations(p)
+        cert, search = _closed_form_certificate(p), coefficient_set_certificate(p, eqs)
+        assert (cert is None) == (search is None), spec
+        if cert is None:
+            continue
+        certified += 1
+        assert k.verify_certificate(cert, eqs) == k.verify_certificate(search, eqs), spec
+        assert cert.coefficients == search.coefficients, spec
+        entries = identity_entries(p.u, p.q, p.f)
+        origins = p.record[1]
+        for i, _mult in cert.multipliers:
+            name, j, c = origins[i]
+            assert j == c and name in IDENTITIES[:4], spec
+            assert canonicalize_relations([entries[name, j, c]]) == (p.relations[i],), spec
+            assert eqs.equations[i].provenance == f"{name}[{j + 1},{j + 1}]"
+    assert certified == 161
+
+
+@pytest.mark.parametrize("spec", [
+    k.BlockSpec("unitary", ((F(1, 2), 1), (F(1), 1))),
+    one_block_spec(F(1, 2), 1, 1),
+], ids=["unitary-1/2-1", "one-block-1/2x1"])
+def test_a_presentation_not_in_builder_form_has_no_certificate_and_no_character(spec):
+    # the builder's relations plus u(1,1) - 1 are not the defining ones:
+    # no record, so no certificate and no verified character, and every
+    # generator is undetermined
+    p = k.build_presentation(spec)
+    assert p.record and _closed_form_certificate(p) and list(k.characters(p))
+    extra = k.Presentation(p.generators, [*p.relations, letter(0, 0) - AlgElement.one()],
+                           p.u, p.q, p.f, label=p.label)
+    assert not extra.defining and extra.record is None
+    assert _closed_form_certificate(extra) is None
+    assert {e.provenance for e in k.derive_trace_equations(extra).equations} <= {
+        f"rel[{i}]" for i in range(len(extra.relations))}
+    with pytest.raises(k.CharacterError, match="not in builder form"):
+        k.verify_character(extra, [[int(j == c) for c in range(spec.size)]
+                                   for j in range(spec.size)])
+    assert list(k.characters(extra)) == []
+    report, final = k.kac_fixpoint(extra)
+    assert report.certificate is None and not report.forced and final is extra
+    assert report.undetermined == tuple(k.generator_symbol(g) for g in extra.generators)
