@@ -59,7 +59,7 @@ from .algebra import (
     word_label,
 )
 from .linalg import WordIndex
-from .presentations import Presentation, symplectic_matrix
+from .presentations import Presentation, is_symplectic
 from .quotient import _with_adjoints, bounded_ideal_echelon
 
 
@@ -186,21 +186,6 @@ def _antipode_items(P: Presentation, letters) -> dict:
     }
 
 
-def _require_known_letters(P: Presentation, letters) -> None:
-    """ValueError naming the first letter of u or of a relation that is
-    neither a generator of P nor the adjoint of one."""
-    known = set(letters)
-    places = [(f"u[{j + 1},{k + 1}]", x) for j, row in enumerate(P.u) for k, x in enumerate(row)]
-    places += [(f"relation {i}", r) for i, r in enumerate(P.relations)]
-    for where, x in places:
-        stray = x.letters() - known
-        if stray:
-            raise ValueError(
-                f"{where} holds the letter {min(stray).label()}, which is neither a generator "
-                f"of {P.label or 'the presentation'} nor the adjoint of one"
-            )
-
-
 class HopfReport(NamedTuple):
     """Per-axiom outcome of the Hopf verification; `bound` is the degree
     at which the antipode items' relation ideal is truncated."""
@@ -224,8 +209,7 @@ class HopfReport(NamedTuple):
 def hopf_axiom_check(P: Presentation) -> HopfReport:
     """Coassociativity, the counit laws and the relations by the letterwise
     conditions of the module docstring, the antipode laws modulo the
-    relation ideal.  A letter of u or of a relation that is neither a
-    generator nor the adjoint of one raises ValueError.
+    relation ideal.
 
     Δ and S are computed once per letter; the relation certificate reads
     `P.defining`.  Per generator, both antipode sides are one-slot items,
@@ -235,7 +219,6 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     """
     u = P.u
     letters = _with_adjoints(P.generators)
-    _require_known_letters(P, letters)
     # a starred letter's coproduct is its plain twin's adjoint
     deltas = {g: _letter_coproduct(P, g) for g in P.generators}
     deltas.update([(g.adjoint(), d.adjoint()) for g, d in deltas.items() if not g.selfadjoint])
@@ -247,8 +230,8 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
         == (deltas[g] if g in deltas else _letter_coproduct(P, g))
         for g in (GeneratorId(j, k) for j, k in positions)
     )
-    # every letter of u is a generator or its adjoint, and the generators
-    # lie in the layout (their coproducts above), so ε is the value at I
+    # every letter of u is a generator or its adjoint in the layout
+    # (`Presentation`), so ε is the value at I
     eye = _identity(len(u))
     counit_ok = all(u[j][k].at(eye) == int(j == k) for j, k in positions) and all(
         u[g.row][g.col] == AlgElement.generator(g) for g in P.generators
@@ -275,18 +258,14 @@ def hopf_axiom_check(P: Presentation) -> HopfReport:
     return HopfReport(compatible, counit_ok, antipode_report, relation_report, degree)
 
 
-def _require_symplectic(P: Presentation) -> None:
-    f = P.f
-    if f is None or f.rows % 2 or f != symplectic_matrix(f.rows // 2):
-        raise ValueError("expected a presentation over the standard symplectic form")
-
-
 def central_morphism_check(P: Presentation) -> bool:
     """Whether (gamma x id) Delta equals (gamma x id) flip Delta on every
     fundamental position; gamma maps a diagonal letter to t, any other to
     0, and is read by the characters t -> 1 and t -> -1, the values at I
-    and -I, each taken once per entry of u (module docstring)."""
-    _require_symplectic(P)
+    and -I, each taken once per entry of u (module docstring).  ValueError
+    unless P's F `is_symplectic`."""
+    if not is_symplectic(P.f):
+        raise ValueError("expected a presentation over the standard symplectic form")
     u = P.u
     n = len(u)
     span = range(n)

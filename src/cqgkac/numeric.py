@@ -23,11 +23,12 @@ generator.  Residuals measure how far an assignment is from satisfying
 every relation (the absolute value of each relation's sum); classical
 points evaluate the fundamental matrix at a scalar matrix V, accepted when
 its Frobenius-norm defects are below the threshold.  The twist m conj(V)
-m^-1 they check, m = F or Q, is read off m's nonzeros d_j = m[j,pi(j)] (pi
-is the identity for the diagonal Q): entry (j,k) is (d_j/d_k)
-conj(V[pi(j)][pi(k)]), the reality entry's formula.  `rep_search` returns
-the first verified character as such an assignment, so its residual is
-exactly 0.  Acceptance threshold 1e-10, witness threshold 1e-8.
+m^-1 they check, m = F or Q, is read off m's nonzeros d_j = m[j,pi(j)]
+(`Presentation.monomial`; pi is the identity for the diagonal Q): entry
+(j,k) is (d_j/d_k) conj(V[pi(j)][pi(k)]), the reality entry's formula.
+`rep_search` returns the first verified character as such an assignment,
+so its residual is exactly 0.  Acceptance threshold 1e-10, witness
+threshold 1e-8.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from numbers import Integral, Number
 from typing import NamedTuple
 
-from .presentations import Presentation, _monomial_decode
+from .presentations import Presentation
 
 ACCEPT_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -59,9 +60,7 @@ def eval_residual(P: Presentation, assignment: NumAssignment) -> ResidualReport:
     summed in order, then |x - conj(x)| for each self-adjoint generator.
     Only a word with a nonzero value touches its coefficient, so a
     coefficient too large for a float counts only where it matters."""
-    needed = {g.plain() for r in P.relations for g in r.letters()}
-    needed |= set(P.generators)
-    missing = sorted(g.label() for g in needed if g not in assignment.values)
+    missing = sorted(g.label() for g in P.generators if g not in assignment.values)
     if missing:
         raise ValueError(f"assignment misses generators: {missing}")
     values = {}
@@ -93,13 +92,14 @@ def _adjoint(a):
     return [[x.conjugate() for x in col] for col in zip(*a)]
 
 
-def _twist(m, V):
-    """m conj(V) m^-1 for a monomial exact m (F, or the diagonal Q): entry
-    (j,k) is (d_j/d_k) conj(V[pi(j)][pi(k)]), d_j = m[j,pi(j)].  Where that V
-    entry is 0 the entry is 0, and d_j/d_k, maybe too large for a float, is
-    not formed; elsewhere a d_j/d_k past the float range reads as inf, so a
-    defect built on it is inf or NaN and fails."""
-    pi, d = _monomial_decode(m)
+def _twist(monomial, V):
+    """m conj(V) m^-1 for a monomial exact m given as (pi, d), d_j = m[j,pi(j)]
+    (`Presentation.monomial`, or the identity and Q's diagonal): entry (j,k)
+    is (d_j/d_k) conj(V[pi(j)][pi(k)]).  Where that V entry is 0 the entry is
+    0, and d_j/d_k, maybe too large for a float, is not formed; elsewhere a
+    d_j/d_k past the float range reads as inf, so a defect built on it is inf
+    or NaN and fails."""
+    pi, d = monomial
 
     def scale(j, k):
         try:
@@ -146,13 +146,13 @@ def classical_point(P: Presentation, V) -> NumAssignment:
     if not defect <= ACCEPT_TOL:
         raise ValueError(f"V is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}")
     if P.f is not None:
-        defect = _distance(V, _twist(P.f, V))
+        defect = _distance(V, _twist(P.monomial, V))
         if not defect <= ACCEPT_TOL:
             raise ValueError(
                 f"V fails the reality condition V = F conj(V) F^-1: defect {defect:.3e}"
             )
     else:
-        defect = _unitary_defect(_twist(P.q, V), eye)
+        defect = _unitary_defect(_twist((range(n), [P.q.entry(j, j) for j in range(n)]), V), eye)
         if not defect <= ACCEPT_TOL:
             raise ValueError(
                 f"Q conj(V) Q^-1 is not unitary: defect {defect:.3e} exceeds {ACCEPT_TOL:.1e}"
@@ -181,7 +181,11 @@ def verify_character(P: Presentation, V) -> bool:
     """
     u = P.u
     n = len(u)
-    if len(V) != n or any(len(row) != n for row in V):
+    try:
+        square = len(V) == n and all(len(row) == n for row in V)
+    except TypeError:
+        square = False
+    if not square:
         raise CharacterError(f"V is not {n}x{n}")
     for row in V:
         if any(isinstance(x, bool) or not isinstance(x, Integral) for x in row):
@@ -189,9 +193,6 @@ def verify_character(P: Presentation, V) -> bool:
     for line in (*V, *zip(*V)):
         if sorted(abs(x) for x in line) != [0] * (n - 1) + [1]:
             raise CharacterError("V is not a signed permutation matrix")
-    for g in P.generators:
-        if not (g.row < n and g.col < n):
-            raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
     if not P.defining:
         raise CharacterError("P is not in builder form: its relations are not the defining ones")
     for j in range(n):
@@ -199,7 +200,7 @@ def verify_character(P: Presentation, V) -> bool:
             if u[j][k].at(V) != V[j][k]:
                 raise CharacterError(f"fundamental entry ({j + 1},{k + 1}) differs from V")
     sigma = [next(k for k, x in enumerate(row) if x) for row in V]
-    pi, d = _monomial_decode(P.f) if P.f is not None else (None, None)
+    pi, d = P.monomial or (None, None)
     for j, sj in enumerate(sigma):
         if P.q.entry(j, j) != P.q.entry(sj, sj):
             raise CharacterError(f"V breaks QUbarQ^-1Ut-I[{j + 1},{j + 1}]: "
@@ -226,9 +227,8 @@ def _candidates(P: Presentation):
     pi(r), d(j) = F[j, pi(j)], which is what V F = F V needs once sigma
     commutes with pi.
     """
-    q, f = P.q, P.f
-    n = q.rows
-    pi, d = _monomial_decode(f) if f else (list(range(n)), None)
+    q, n = P.q, len(P.u)
+    pi, d = P.monomial or (range(n), None)
     classes = {}
     for j in range(n):
         classes.setdefault(q.entry(j, j), []).append(j)
@@ -278,16 +278,18 @@ class CharacterCover(NamedTuple):
 def witness_characters(P: Presentation, wanted) -> CharacterCover:
     """Enumerate until every wanted generator has a character nonzero on
     it; a candidate zero on every wanted generator still uncovered is not
-    verified.  A generator outside P's fundamental matrix is never
-    reached."""
-    n = len(P.u)
+    verified.  A wanted letter that is no generator of P raises
+    ValueError naming it."""
     left = set(wanted)
+    unknown = left - set(P.generators)
+    if unknown:
+        raise ValueError(f"unknown generators: {sorted(g.label() for g in unknown)}")
     found, witness, tried = [], {}, 0
     for V in _candidates(P):
         if not left:
             break
         tried += 1
-        hits = {g for g in left if g.row < n and g.col < n and V[g.row][g.col]}
+        hits = {g for g in left if V[g.row][g.col]}
         if not hits:
             continue
         try:

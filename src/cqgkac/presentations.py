@@ -237,6 +237,11 @@ def symplectic_matrix(m: int) -> ScalarMatrix:
     return standard_form_matrix(BlockSpec("case-II", ((Fraction(1), m),)))
 
 
+def is_symplectic(F) -> bool:
+    """Whether F, a ScalarMatrix or None, is a standard symplectic matrix."""
+    return F is not None and not F.rows % 2 and F == symplectic_matrix(F.rows // 2)
+
+
 def _monomial_decode(F: ScalarMatrix):
     """(pi, d) of a monomial F: row j holds its one nonzero d[j] in column
     pi[j].  Every reader of F decodes it here, so this is the one check of
@@ -245,10 +250,10 @@ def _monomial_decode(F: ScalarMatrix):
         raise ValueError("F must be square")
     n = F.rows
     rows = [[k for k in range(n) if F.entry(j, k)] for j in range(n)]
-    pi = [row[0] for row in rows if len(row) == 1]
+    pi = tuple(row[0] for row in rows if len(row) == 1)
     if len(set(pi)) != n:
         raise ValueError("non-monomial F is unsupported; reduce F to a standard form first")
-    return pi, [F.entry(j, pj) for j, pj in enumerate(pi)]
+    return pi, tuple(F.entry(j, pj) for j, pj in enumerate(pi))
 
 
 def _oriented(r: AlgElement):
@@ -320,6 +325,8 @@ class Presentation:
                  eliminated positions substituted); always set.
     q          : the diagonal Q, an N x N ScalarMatrix; always set.
     f          : F, N x N, for the orthogonal kind, else None.
+    monomial   : (pi, d) of F, decoded once: d[j] = F[j,pi[j]] is the one
+                 nonzero of row j; None for the unitary kind.
     defining   : whether P is in builder form: its relations are exactly
                  the canonicalized `defining_relations(u, q, f)`.  The two
                  builders record it; on any other presentation (a
@@ -329,14 +336,20 @@ class Presentation:
                  the (identity, j, k) of its kept entry), else None; only
                  the index of each kept entry is stored.
 
-    The constructor owns the shape: ShapeError unless u is N x N with
-    N >= 1 and Q and F (when given) are N x N; ValueError unless Q is
-    diagonal and positive, naming a starred or second generator at a
-    position, or rel[i] and its letter outside the N x N layout.  Fields are
-    read-only: assignment raises AttributeError, so `defining` cannot go stale.
+    The constructor owns the whole rule, and no reader checks it again.
+    ShapeError unless u is N x N with N >= 1 and Q and F (when given) are
+    N x N.  ValueError, naming the offender, unless
+      * Q is diagonal and positive, and F is monomial;
+      * each generator is unstarred, alone at its position and inside the
+        N x N layout;
+      * every letter of u and of the relations is a generator or the
+        adjoint of one (the least other letter is named with the first
+        u[j,k], else rel[i], holding it).
+    Fields are read-only: assignment raises AttributeError, so `defining`
+    cannot go stale.
     """
 
-    __slots__ = ("generators", "relations", "u", "q", "f", "label", "_kept", "_record")
+    __slots__ = ("generators", "relations", "u", "q", "f", "monomial", "label", "_kept", "_record")
 
     def __init__(self, generators, relations, u, q, f=None, label=""):
         u = tuple(map(tuple, u))
@@ -347,25 +360,33 @@ class Presentation:
             if (getattr(m, "rows", None), getattr(m, "cols", None)) != (n, n):
                 raise ShapeError(f"{name} must be {n} x {n}, the size of u")
         _require_positive_diagonal(q)
+        monomial = None if f is None else _monomial_decode(f)
         generators, positions = tuple(sorted(generators)), set()
         for g in generators:
             if g.star:
                 raise ValueError(f"generator {g.label()} is starred")
             if (g.row, g.col) in positions:
                 raise ValueError(f"two generators at the position of {g.label()}")
+            if not (0 <= g.row < n and 0 <= g.col < n):
+                raise ValueError(f"generator {g.label()} lies outside the {n}x{n} layout")
             positions.add((g.row, g.col))
         relations, kept = _canonical(relations)
-        letters = set(chain.from_iterable(chain.from_iterable(r.words() for r in relations)))
-        g = min((g for g in letters if not (0 <= g.row < n and 0 <= g.col < n)), default=None)
-        if g is not None:
-            i = next(i for i, r in enumerate(relations) if g in r.letters())
-            raise ValueError(f"rel[{i}] reads {g.label()}, outside the {n}x{n} layout")
+        places = (*chain.from_iterable(u), *relations)
+        words = chain.from_iterable(x.words() for x in places)
+        stray = set(chain.from_iterable(words)).difference(generators, word_adjoint(generators))
+        if stray:
+            g = min(stray)
+            i = next(i for i, x in enumerate(places) if g in x.letters())
+            where = f"u[{i // n + 1},{i % n + 1}]" if i < n * n else f"rel[{i - n * n}]"
+            raise ValueError(f"{where} holds the letter {g.label()}, which is neither "
+                             "a generator nor the adjoint of one")
         put = object.__setattr__
         put(self, "generators", generators)
         put(self, "relations", relations)
         put(self, "u", u)
         put(self, "q", q)
         put(self, "f", f)
+        put(self, "monomial", monomial)
         put(self, "label", label)
         put(self, "_kept", kept)
 
@@ -375,7 +396,7 @@ class Presentation:
     @property
     def defining(self) -> bool:
         if not hasattr(self, "_record"):
-            identities, rels = _defining_entries(self.u, self.q, self.f)
+            identities, rels = _defining_entries(self.u, self.q, self.monomial)
             relations, kept = _canonical(rels)
             record = (identities, kept) if relations == self.relations else None
             object.__setattr__(self, "_record", record)
@@ -443,7 +464,7 @@ def defining_relations(u, q: ScalarMatrix, f: ScalarMatrix = None):
     class with its term order, are unchanged.  Otherwise, as for the
     unitary kind, all four identities are written.
     """
-    return _defining_entries(u, q, f)[1]
+    return _defining_entries(u, q, None if f is None else _monomial_decode(f))[1]
 
 
 def _entry_labels(n, identities):
@@ -452,15 +473,16 @@ def _entry_labels(n, identities):
             for j in range(n) for k in range(0 if name == IDENTITIES[4] else j, n)]
 
 
-def _defining_entries(u, q, f):
-    """(the identities written, `defining_relations(u, q, f)`), each entry from its label."""
+def _defining_entries(u, q, monomial):
+    """(the identities written, `defining_relations(u, q, f)`), each entry
+    from its label; `monomial` is (pi, d) of F, or None."""
     n = len(u)
     s = [[x.adjoint() for x in row] for row in u]
     d = [q.entry(j, j) for j in range(n)]
     t = [[x.scale(ratio(d[j], d[k])) for k, x in enumerate(row)] for j, row in enumerate(s)]
     identities = IDENTITIES[:4]
-    if f is not None:
-        pi, df = _monomial_decode(f)
+    if monomial is not None:
+        pi, df = monomial
         reality = [[u[j][k] - s[pj][pk].scale(ratio(df[j], df[k])) for k, pk in enumerate(pi)]
                    for j, pj in enumerate(pi)]
         plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
@@ -556,7 +578,7 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     n = F.rows
     ids = [[GeneratorId(j, k) for k in range(n)] for j in range(n)]
     u = tuple(tuple(sigma.get(g, AlgElement.generator(g)) for g in row) for row in ids)
-    written = _defining_entries(u, q, F)
+    written = _defining_entries(u, q, (pi, d))
     for i, h in enumerate(written[1][-n * n:]):
         if not h.is_zero():
             j, k = divmod(i, n)
@@ -583,7 +605,6 @@ def unitary_label(Q: ScalarMatrix) -> str:
 def orthogonal_label(F: ScalarMatrix) -> str:
     if F.is_identity():
         return f"Pol(O_{F.rows}^+)"
-    n = F.rows
-    if n % 2 == 0 and F == symplectic_matrix(n // 2):
-        return f"Pol(O_J{n // 2}^+)"
-    return f"Pol(O_F^+)[N={n}]"
+    if is_symplectic(F):
+        return f"Pol(O_J{F.rows // 2}^+)"
+    return f"Pol(O_F^+)[N={F.rows}]"

@@ -50,7 +50,7 @@ from .algebra import (
 )
 from .linalg import SparseEchelon
 from .numeric import CharacterCover, witness_characters
-from .presentations import IDENTITIES, Presentation, _monomial_decode
+from .presentations import IDENTITIES, Presentation
 from .quotient import quotient_by_zero
 from .simplex import Infeasible, Unbounded, solve_lp_max
 
@@ -318,7 +318,7 @@ def _closed_form_certificate(P: Presentation):
     uu, su, tw, tt = IDENTITIES[:4]
     plain = uu in identities
     multipliers = {}
-    for j, pj in enumerate(range(n) if plain else _monomial_decode(P.f)[0]):
+    for j, pj in enumerate(range(n) if plain else P.monomial[0]):
         for key, weight in (((tt, j, j), q[j]), ((uu, j, j) if plain else (tt, pj, pj), -q[j]),
                             ((su, j, j) if plain else (tw, pj, pj), q[j]), ((tw, j, j), -q[j])):
             i = where.get(key)
@@ -352,15 +352,14 @@ def kac_fixpoint(P: Presentation):
 
     One round, no fixpoint: the closed-form certificate claims the
     coefficients (Q_j - Q_k)^2 / Q_k and cites the traced diagonal entries;
-    its verification recombines them once, checks the claim and forces
-    every generator whose tr[g g*] it returns, none when Q has one
-    eigenvalue or P has no record of those entries.  When
-    something dies, P is quotiented.  Then `witness_characters` looks for
-    a verified character of P nonzero on each survivor; a survivor none
-    reaches (one outside P's fundamental matrix among them) is
-    undetermined.  Sound by construction: every tracial state satisfies
-    the derived equations, so certified symbols vanish and the quotient
-    stays above the Kac quotient.  Returns (KacReport, final presentation).
+    its verification recombines them once, checks the claim and forces every
+    generator whose tr[g g*] it returns, none when Q has one eigenvalue or P
+    has no record of those entries.  When something dies, P is quotiented.
+    Then `witness_characters` looks for a verified character of P nonzero on
+    each survivor; a survivor none reaches is undetermined.  Sound by
+    construction: every tracial state satisfies the derived equations, so
+    certified symbols vanish and the quotient stays above the Kac quotient.
+    Returns (KacReport, final presentation).
     """
     eqs = derive_trace_equations(P)
     cert = _closed_form_certificate(P)

@@ -103,15 +103,26 @@ def reference_canonicalize(rels):
     return tuple(seen[key] for key in sorted(seen))
 
 
-def undetermined_presentation(spec):
-    """Spec's presentation cut down to u(1,1), u(1,2), u(1,3) and the one
-    relation u11 u11* - u12 u12*, keeping spec's u, Q and F: tr[u11 u11*]
-    = tr[u12 u12*] leaves both unbounded, and tr[u13 u13*] is in no
-    equation."""
-    p = k.build_presentation(spec)
-    u = [gen(0, c) for c in range(3)]
-    rel = k.AlgElement.word((u[0], u[0].adjoint())) - k.AlgElement.word((u[1], u[1].adjoint()))
-    return k.Presentation(u, [rel], p.u, p.q, p.f, label=p.label)
+def diagonal_presentation(n, relations):
+    """The diagonal u = diag(u(1,1), ..., u(n,n)) over Q = I_n, as in the
+    quotient of Pol(U_n^+) by its off-diagonal generators, with the given
+    relations: its generators are exactly the letters of u."""
+    gens = [gen(j, j) for j in range(n)]
+    u = [[letter(j, j) if c == j else AlgElement.zero() for c in range(n)] for j in range(n)]
+    return k.Presentation(gens, relations, u, k.ScalarMatrix.identity(n))
+
+
+def norms(n):
+    """u(j,j) u(j,j)* for j = 1 .. n, the letters of `diagonal_presentation(n, ...)`."""
+    return [AlgElement.word((gen(j, j), gen(j, j, star=True))) for j in range(n)]
+
+
+def undetermined_presentation():
+    """`diagonal_presentation(3, ...)` with the one relation u11 u11* -
+    u22 u22*: tr[u11 u11*] = tr[u22 u22*] leaves both unbounded, and
+    tr[u33 u33*] is in no equation."""
+    norm = norms(3)
+    return diagonal_presentation(3, [norm[0] - norm[1]])
 
 
 def trace_every_relation(p):
@@ -592,9 +603,9 @@ def coefficient_set_certificate(p, eqs):
 def verify_character_by_terms(p, V):
     """Term-by-term check that u(j,k) -> V[j][k] is a character of p, an
     oracle for `verify_character`: V an N x N signed permutation matrix of
-    integers, every generator in the layout, every relation zero at V and
-    every entry of u equal to V's.  Raises CharacterError naming the first
-    failing rel[i] or position; reads no builder form."""
+    integers, every relation zero at V and every entry of u equal to V's.
+    Raises CharacterError naming the first failing rel[i] or position;
+    reads no builder form."""
     u = p.u
     n = len(u)
     if len(V) != n or any(len(row) != n for row in V):
@@ -605,9 +616,6 @@ def verify_character_by_terms(p, V):
     for line in (*V, *zip(*V)):
         if sorted(abs(x) for x in line) != [0] * (n - 1) + [1]:
             raise CharacterError("V is not a signed permutation matrix")
-    for g in p.generators:
-        if not (g.row < n and g.col < n):
-            raise CharacterError(f"{g.label()} lies outside the {n}x{n} fundamental matrix")
     for i, r in enumerate(p.relations):
         value = r.at(V)
         if value:

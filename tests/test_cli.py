@@ -251,11 +251,11 @@ def test_unwritable_out_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["kac", "match"])
 def test_undetermined_exits_two_with_verdict(monkeypatch, verb):
-    monkeypatch.setattr(cli, "build_presentation", undetermined_presentation)
+    monkeypatch.setattr(cli, "build_presentation", lambda spec: undetermined_presentation())
     code, report = cli.run(cli.parse_config(ONE_BLOCK), verb)
     assert code == 2
-    assert report["kac"]["undetermined"] == ["tr[u(1,1) u(1,1)*]", "tr[u(1,2) u(1,2)*]",
-                                             "tr[u(1,3) u(1,3)*]"]
+    assert report["kac"]["undetermined"] == ["tr[u(1,1) u(1,1)*]", "tr[u(2,2) u(2,2)*]",
+                                             "tr[u(3,3) u(3,3)*]"]
     assert report["kac"]["forced"] == []
     assert "match" not in report
     assert report["verdict"] == "forced 0 generators in 1 rounds; 3 undetermined"
@@ -349,6 +349,23 @@ def test_hopf_check_hand_made_f_exits_two(tmp_path, monkeypatch):
     hopf = json.loads(out.read_text())["hopf"]
     assert hopf["coassociativity"] is False
     assert set(hopf["relations"].values()) == {"inconclusive"}
+
+
+def test_central_morphism_is_decided_by_the_form_not_by_an_error(monkeypatch):
+    # case II (1)x1 is over the standard symplectic form, so the check runs
+    # there, and an error inside it propagates instead of reading as null
+    spec = k.BlockSpec("case-II", ((F(1), 1),))
+    assert cli.run(spec, "hopf-check")[1]["hopf"]["central_morphism"] is True
+
+    def broken(p):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(cli, "central_morphism_check", broken)
+    with pytest.raises(ValueError, match="^broken check$"):
+        cli.run(spec, "hopf-check")
+    # off the symplectic form the check is not run, and the report says null
+    code, report = cli.run(cli.parse_config(ONE_BLOCK), "hopf-check")
+    assert code == 0 and report["hopf"]["central_morphism"] is None
 
 
 def test_hopf_check_case_one_passes(tmp_path):

@@ -1,6 +1,7 @@
 """Every module-level import of a `cqgkac` module, and of a script under
 `tools/`, is used in that file, so a deletion that leaves an import behind
-fails here."""
+fails here.  Only `presentations` decodes F: every other module reads
+`Presentation.monomial`."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,25 @@ def test_module_imports_are_used(path):
 ])
 def test_unused_imports_finds_each_unread_name(source, unused):
     assert unused_imports(source) == unused
+
+
+def calls_of(source: str, name: str):
+    """Lines of the module's calls to `name`, by its bare name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_presentations_decodes_f(path):
+    if path.name != "presentations.py":
+        assert calls_of(path.read_text(encoding="utf-8"), "_monomial_decode") == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("from .presentations import _monomial_decode\n_monomial_decode(f)\n", [2]),
+    ("from . import presentations\nx = presentations._monomial_decode(f)[0]\n", [2]),
+    ("decode = P.monomial\n", []),
+])
+def test_calls_of_finds_each_call(source, lines):
+    assert calls_of(source, "_monomial_decode") == lines

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -15,7 +16,7 @@ from cqgkac.numeric import NumAssignment, _candidates
 
 from conftest import (
     LADDER, gen, letter, one_block_spec, small_specs, specs_up_to, transposition_candidates,
-    undetermined_presentation, verify_character_by_terms,
+    verify_character_by_terms,
 )
 
 
@@ -422,13 +423,30 @@ def test_a_shift_that_breaks_a_relation_is_skipped(monkeypatch):
 
 
 def test_generators_outside_the_layout_are_never_witnessed():
-    # u(1,3) has no entry in the 2 x 2 fundamental matrix
-    p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
-    outside = gen(0, 2)
-    assert outside in p.generators
-    _verify_fails(p, [[1, 0], [0, 1]], r"u\(1,3\) lies outside the 2x2")
-    cover = k.witness_characters(p, p.generators)
-    assert cover.uncovered == tuple(p.generators) and not cover.characters
+    # u(1,3) has no entry in the 2 x 2 fundamental matrix: construction
+    # refuses it, so no character is ever asked about it
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    with pytest.raises(ValueError, match=r"^generator u\(1,3\) lies outside the 2x2 layout$"):
+        k.Presentation([*p.generators, gen(0, 2)], p.relations, p.u, p.q, p.f)
+
+
+@pytest.mark.parametrize("wanted", [gen(1, 1), gen(0, 0, star=True), gen(0, 5)],
+                         ids=["eliminated", "starred", "outside"])
+def test_witness_characters_refuses_a_wanted_letter_that_is_no_generator(wanted):
+    # one-block (1/2) keeps u(1,1) and u(2,1): u(2,2) holds u(1,1)*, which
+    # the counit would "witness", and u(1,6) lies outside the 2 x 2 layout
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    assert wanted not in p.generators
+    message = rf"^unknown generators: \['{re.escape(wanted.label())}'\]$"
+    with pytest.raises(ValueError, match=message):
+        k.witness_characters(p, [gen(0, 0), wanted])
+
+
+@pytest.mark.parametrize("V", [5, [1, 2], [[1, 0], 7], None],
+                         ids=["scalar", "flat", "row-not-a-sequence", "none"])
+def test_verify_character_names_a_v_that_is_not_n_by_n(V):
+    p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
+    _verify_fails(p, V, r"^V is not 2x2$")
 
 
 def _accepts(verify, p, V):

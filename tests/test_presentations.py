@@ -9,6 +9,7 @@ from cqgkac.algebra import AlgElement, ScalarMatrix, ShapeError
 import cqgkac.presentations as presentations
 from cqgkac.presentations import (
     SpecError,
+    _monomial_decode,
     canonicalize_relations,
     defining_relations,
     generator_matrix,
@@ -252,7 +253,8 @@ def test_presentation_refuses_a_q_that_is_not_positive_diagonal(q, message):
     ([gen(0, 0, star=True)], r"^generator u\(1,1\)\* is starred$"),
     ([gen(0, 0), gen(0, 0)], r"^two generators at the position of u\(1,1\)$"),
     ([gen(0, 0, selfadjoint=True), gen(0, 0)], r"^two generators at the position of u\(1,1\)$"),
-], ids=["starred", "repeated", "self-adjoint-twin"])
+    ([gen(0, 0), gen(0, 1)], r"^generator u\(1,2\) lies outside the 1x1 layout$"),
+], ids=["starred", "repeated", "self-adjoint-twin", "outside"])
 def test_presentation_refuses_a_starred_or_repeated_generator(generators, message):
     # a generator is the one plain or self-adjoint letter at its position;
     # two there would be counted, kept and quotiented twice
@@ -260,16 +262,27 @@ def test_presentation_refuses_a_starred_or_repeated_generator(generators, messag
         k.Presentation(generators, [], [[letter(0, 0)]], ScalarMatrix.identity(1))
 
 
+def test_presentation_refuses_a_u_letter_that_is_no_generator():
+    # the least stray letter of u is named with the first entry holding it,
+    # also where it lies outside the layout (test_hopf names an in-layout
+    # letter of the generic u)
+    u = [[letter(0, 0), letter(2, 2)], [letter(2, 2).adjoint(), letter(1, 1)]]
+    with pytest.raises(ValueError, match=r"^u\[1,2\] holds the letter u\(3,3\), which is "
+                                         r"neither a generator nor the adjoint of one$"):
+        k.Presentation([gen(0, 0), gen(1, 1)], [], u, ScalarMatrix.identity(2))
+
+
 def test_presentation_refuses_a_relation_letter_outside_the_layout():
-    # u(6,6) has no entry in the 1 x 1 fundamental matrix, so the relation
-    # has no value at any V and names no identity entry: the constructor
-    # names it and its letter
-    with pytest.raises(ValueError, match=r"^rel\[0\] reads u\(6,6\), outside the 1x1 layout$"):
+    # u(6,6) has no entry in the 1 x 1 fundamental matrix, so it is no
+    # generator and the relation has no value at any V and names no
+    # identity entry: the constructor names the relation and its letter
+    with pytest.raises(ValueError, match=r"^rel\[0\] holds the letter u\(6,6\), which is "
+                                         r"neither a generator nor the adjoint of one$"):
         k.Presentation([gen(0, 0)], [letter(5, 5) - AlgElement.one()], [[letter(0, 0)]],
                        ScalarMatrix.identity(1))
-    # the first relation holding the least outside letter is named
+    # the first relation holding the least such letter is named
     rels = [letter(0, 0) - AlgElement.one(), letter(0, 1) * letter(1, 0)]
-    with pytest.raises(ValueError, match=r"^rel\[1\] reads u\(1,2\), outside the 1x1 layout$"):
+    with pytest.raises(ValueError, match=r"^rel\[1\] holds the letter u\(1,2\), which"):
         k.Presentation([gen(0, 0)], rels, [[letter(0, 0)]], ScalarMatrix.identity(1))
 
 
@@ -396,10 +409,14 @@ def test_self_paired_positions_with_opposite_signs_are_refused(make, f):
     ScalarMatrix([[1, 0], [0, 0]]),  # a zero row
     ScalarMatrix([[0, 1], [0, 1]]),  # two rows in one column
 ], ids=["reflection", "zero-row", "shared-column"])
-@pytest.mark.parametrize("make", [k.reality_substitution, k.build_universal_orthogonal],
-                         ids=["substitution", "builder"])
+@pytest.mark.parametrize("make", [
+    k.reality_substitution,
+    k.build_universal_orthogonal,
+    lambda f: k.Presentation([gen(j, c) for j in range(2) for c in range(2)], [],
+                             generator_matrix(2), ScalarMatrix.identity(2), f),
+], ids=["substitution", "builder", "presentation"])
 def test_non_monomial_f_is_refused_with_one_message(make, f):
-    # both read F through _monomial_decode, which alone checks F's form
+    # all read F through _monomial_decode, which alone checks F's form
     with pytest.raises(ValueError, match=r"^non-monomial F is unsupported; "
                                          r"reduce F to a standard form first$"):
         make(f)
@@ -671,13 +688,25 @@ def test_defining_is_recorded_by_the_builders_and_computed_elsewhere():
         assert final.defining and _recomputed_defining(final), spec
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     truncated = truncated_presentation(p)
-    extended = k.Presentation(p.generators, [*p.relations, letter(0, 0) - letter(1, 1)],
+    extended = k.Presentation(p.generators, [*p.relations, letter(0, 0) - letter(1, 0)],
                               p.u, p.q, p.f, p.label)
     for q in (truncated, extended):
         assert not q.defining and not _recomputed_defining(q)
 
 
-@pytest.mark.parametrize("field", ["relations", "u", "q", "f", "defining"])
+def test_monomial_is_f_decoded_once_and_none_for_the_unitary_kind():
+    # the builders and quotient_by_zero keep the decoded (pi, d) of F
+    for spec in specs_up_to(4):
+        p = k.build_presentation(spec)
+        _, final = k.kac_fixpoint(p)
+        want = None if p.f is None else tuple(map(tuple, _monomial_decode(p.f)))
+        assert p.monomial == final.monomial == want, spec
+    # case II (1/2)x1: F = ((0, 1/2), (-2, 0)), so pi swaps 1 and 2
+    p = k.build_presentation(k.BlockSpec("case-II", ((F(1, 2), 1),)))
+    assert p.monomial == ((1, 0), (F(1, 2), -2))
+
+
+@pytest.mark.parametrize("field", ["relations", "u", "q", "f", "monomial", "defining"])
 def test_presentation_fields_are_read_only(field):
     p = k.build_presentation(one_block_spec(F(1, 2), 1, 1))
     before = getattr(p, field)

@@ -20,10 +20,12 @@ from conftest import (
     coefficient_set_certificate,
     dense,
     dense_product,
+    diagonal_presentation,
     gen,
     identity_entries,
     layout_ranges,
     letter,
+    norms,
     one_block_spec,
     random_element,
     small_specs,
@@ -425,7 +427,7 @@ def test_lp_never_unbounded_on_engine_presentations():
 
 
 def test_undetermined_on_unbounded_and_absent_symbols():
-    p = undetermined_presentation(one_block_spec(F(1, 2), 1, 1))
+    p = undetermined_presentation()
     eqs = trace_every_relation(p)
     in_rows = {s for row in eqs.reduced() for s in row.coeffs}
     symbols = [k.generator_symbol(g) for g in p.generators]
@@ -529,17 +531,14 @@ def _lp_rounds(p):
 
 
 def test_shared_round_separates_unbounded_forced_alive_and_absent():
-    # tr[u11 u11*] = tr[u12 u12*] is unbounded, tr[u13 u13*] = 0 is forced,
-    # tr[u14 u14*] = 1 stays positive and u15 is in no relation: the summed
-    # LP is unbounded first, then positive, then zero, and only the ray's
-    # support and the absent symbol are undetermined; the N = 4 layout
-    # holds every relation letter
-    spec = one_block_spec(F(1, 2), 2, 1)
-    base = k.build_presentation(spec)
-    u = [gen(0, c) for c in range(5)]
-    norm = [AlgElement.word((g, g.adjoint())) for g in u]
-    rels = [norm[0] - norm[1], norm[2], norm[3] - AlgElement.one()]
-    p = k.Presentation(u, rels, base.u, base.q, base.f, label=base.label)
+    # on u = diag(u11, ..., u55): tr[u11 u11*] = tr[u22 u22*] is
+    # unbounded, tr[u33 u33*] = 0 is forced, tr[u44 u44*] = 1 stays
+    # positive and u55 is in no relation: the summed LP is unbounded first,
+    # then positive, then zero, and only the ray's support and the absent
+    # symbol are undetermined
+    norm = norms(5)
+    p = diagonal_presentation(5, [norm[0] - norm[1], norm[2], norm[3] - AlgElement.one()])
+    u = p.generators
     symbols = [k.generator_symbol(g) for g in u]
     rounds = _lp_rounds(p)
     generators = list(u)
