@@ -133,7 +133,9 @@ def run(spec: BlockSpec, verb: str):
     An unknown verb gives EXIT_CONFIG and the message under "error".
     `match` and `report` compare the Kac quotient with
     `expected_kac_target` by `match_presentations`: generators first, then
-    relations as exact sets.  The "match" section has one shape; its
+    relations as exact sets.  Both sides stay in builder form: equal sets
+    are decided block by block from u, Q and F, and relations are written
+    only to list a difference.  The "match" section has one shape; its
     `unmatched_*` lists hold generator labels in mode "structural" (the
     generator sets differ), relations in mode "exact-set".
     `report` adds a "survivors" section: the exact characters the Kac

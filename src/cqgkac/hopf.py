@@ -97,16 +97,17 @@ class TensorElement(Combination):
         )
 
 
-def _layout_entry(P: Presentation, g: GeneratorId):
-    """P's fundamental matrix; ValueError unless g is one of its letters."""
-    u = P.u
-    if not (0 <= g.row < len(u) and 0 <= g.col < len(u)):
-        raise ValueError(f"letter {g.label()} lies outside the fundamental layout")
-    return u
+def _in_layout(P: Presentation, a: AlgElement):
+    """ValueError unless every letter of a lies in P's layout; the letters
+    of P itself do by construction (`Presentation`)."""
+    n = len(P.u)
+    for g in a.letters():
+        if not (0 <= g.row < n and 0 <= g.col < n):
+            raise ValueError(f"letter {g.label()} lies outside the fundamental layout")
 
 
 def _letter_coproduct(P: Presentation, g: GeneratorId) -> TensorElement:
-    u = _layout_entry(P, g)
+    u = P.u
     out = TensorElement.sum(TensorElement.of(x, row[g.col]) for x, row in zip(u[g.row], u))
     return out.adjoint() if g.star else out
 
@@ -125,7 +126,9 @@ def _coproduct(deltas: dict, a: AlgElement) -> TensorElement:
 
 
 def coproduct(P: Presentation, a: AlgElement) -> TensorElement:
-    """Unital *-homomorphic extension of U |-> U x U."""
+    """Unital *-homomorphic extension of U |-> U x U; ValueError unless
+    every letter of a lies in P's layout."""
+    _in_layout(P, a)
     return _coproduct({g: _letter_coproduct(P, g) for g in a.letters()}, a)
 
 
@@ -137,13 +140,12 @@ def _identity(n: int, c=1) -> tuple:
 def counit(P: Presentation, a: AlgElement):
     """The value of a at the identity: delta_(j,k) on the letter at (j,k);
     ValueError unless every letter of a lies in P's layout."""
-    for g in a.letters():
-        _layout_entry(P, g)
+    _in_layout(P, a)
     return a.at(_identity(len(P.u)))
 
 
 def _letter_antipode(P: Presentation, g: GeneratorId) -> AlgElement:
-    mirror = _layout_entry(P, g)[g.col][g.row]
+    mirror = P.u[g.col][g.row]
     if not g.star:
         return mirror.adjoint()
     # starred letters carry the twist S(Ubar) = Q^-1 U^t Q; at Q = I this
@@ -164,7 +166,9 @@ def _antipode(images: dict, a: AlgElement) -> AlgElement:
 
 def antipode(P: Presentation, a: AlgElement) -> AlgElement:
     """Anti-multiplicative with letter (j,k) |-> adjoint of letter (k,j);
-    starred letters pick up the Q-twist so S respects the relations."""
+    starred letters pick up the Q-twist so S respects the relations.
+    ValueError unless every letter of a lies in P's layout."""
+    _in_layout(P, a)
     return _antipode({g: _letter_antipode(P, g) for g in a.letters()}, a)
 
 

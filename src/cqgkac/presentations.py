@@ -50,6 +50,17 @@ and every entry is written over that matrix.  A self-paired position
 (pi(j) = j, pi(k) = k; the trailing block of case I) holds a self-adjoint
 letter: its reality entry is zero, and there the twisted pair repeats the
 plain pair.
+
+A builder's u holds one letter, scaled, at each position, so every entry
+it writes has words of length 2 and, on the diagonal, the constant.  The
+builders store their entries by rule, with no `_oriented` comparison
+(`_ruled`): terms sort by word; an entry is kept as written except on the
+orthogonal kinds, for j < k, at UtQUbarQ^-1-I[j,k] where pi(j) > k and
+pi(k) < j, and at QUbarQ^-1Ut-I[j,k] there and where pi swaps j and k,
+which keep its adjoint; the kept one is scaled by its lead, the constant
+-1 on the diagonal.  The stored tuple, its term order and the record are
+those of `canonicalize_relations` over the same entries (a test checks
+every spec with N <= 4 and the benchmark's kac-large specs).
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ from .algebra import (
     GeneratorId,
     ScalarMatrix,
     ShapeError,
+    _parts,
+    _quotient,
     is_int,
     mul,
     rat,
@@ -221,20 +234,22 @@ def standard_form_matrix(spec: BlockSpec) -> ScalarMatrix:
     if spec.kind == "unitary":
         return ScalarMatrix.diagonal([b.q for b in spec.blocks for _ in range(b.m)])
     n = spec.size
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     sign = -1 if spec.kind == "case-II" else spec.epsilon
     for pos, b in zip(spec.offsets, spec.blocks):
-        for i in range(b.m):
-            rows[pos + i][pos + b.m + i] = b.q
-            rows[pos + b.m + i][pos + i] = sign / b.q
+        q, p = b.q, ratio(sign, b.q)
+        for i in range(pos, pos + b.m):
+            rows[i][i + b.m] = q
+            rows[i + b.m][i] = p
     for i in range(spec.offsets[-1], n):
-        rows[i][i] = Fraction(1)
+        rows[i][i] = 1
     return ScalarMatrix(rows)
 
 
 def symplectic_matrix(m: int) -> ScalarMatrix:
     """The standard symplectic matrix: ((0, I_m), (-I_m, 0))."""
-    return standard_form_matrix(BlockSpec("case-II", ((Fraction(1), m),)))
+    return ScalarMatrix([[(k == j + m) - (j == k + m) for k in range(2 * m)]
+                         for j in range(2 * m)])
 
 
 def is_symplectic(F) -> bool:
@@ -257,40 +272,44 @@ def _monomial_decode(F: ScalarMatrix):
 
 
 def _oriented(r: AlgElement):
-    """(sort key, element) of the normal form of a nonzero relation.
+    """(sort key, element) of the normal form of a nonzero relation: of r
+    and r*, each scaled by `_scaled`, the one with the smaller key, r on a
+    tie.  It keeps the term order of r, or of `r.adjoint()`."""
+    return min(_scaled(r), _scaled(r.adjoint()), key=itemgetter(0))
 
-    The words of r and of r* are sorted once each.  The two sequences,
-    each divided by its lead coefficient, are compared term by term up to
-    the first difference; the smaller orientation is kept, r on a tie (no
-    scan when the two are equal, as on every diagonal identity entry).
-    The kept one is scaled once, by `mul` with the inverse of its lead
-    coefficient, so every coefficient is stored (an integral one as an
-    int); not at all when its lead coefficient is 1 and no coefficient is
-    an integral Fraction.  It keeps the term order of r, or of
-    `r.adjoint()` when r* is kept.
-    """
-    terms = r.terms()
-    adjoint = [(word_adjoint(w), c) for w, c in terms]
-    own = sorted((len(w), w, c) for w, c in terms)
-    star = sorted((len(w), w, c) for w, c in adjoint)
-    lead_own, lead_star = own[0][2], star[0][2]
-    flip = False
-    if own != star:
-        for (n, w, c), (m, v, e) in zip(own, star):
-            if w != v:
-                flip = (m, v) < (n, w)
-                break
-            x, y = ratio(c, lead_own), ratio(e, lead_star)
-            if x != y:
-                flip = y < x
-                break
-    chosen, lead = (star, lead_star) if flip else (own, lead_own)
-    if lead == 1 and not any(type(c) is not int and c.denominator == 1 for _w, c in terms):
-        element = AlgElement._wrap(dict(adjoint)) if flip else r
-        return tuple(((n, w), c) for n, w, c in chosen), element
+
+def _scaled(x: AlgElement):
+    """(sort key, element) of x scaled once, by `mul` with the inverse of
+    its lead coefficient (that of its least word), in x's term order, so
+    every coefficient is stored (an integral one as an int); x itself when
+    its lead is 1 and no coefficient is an integral Fraction.  The key is
+    its terms in word order, as ((length, word), coefficient)."""
+    chosen = sorted((len(w), w, c) for w, c in x.terms())
+    lead = chosen[0][2]
+    if lead == 1 and not any(type(c) is not int and c.denominator == 1 for _w, c in x.terms()):
+        return tuple(((n, w), c) for n, w, c in chosen), x
     inverse = ratio(1, lead)
-    scaled = {w: mul(c, inverse) for w, c in (adjoint if flip else terms)}
+    scaled = {w: mul(c, inverse) for w, c in x.terms()}
     return tuple(((n, w), scaled[w]) for n, w, _ in chosen), AlgElement._wrap(scaled)
+
+
+def _ruled(r: AlgElement, flip, products):
+    """(sort key, element) of the normal form of a builder's nonzero entry
+    r: r* where the builders' rule says `flip`, else r, scaled as by
+    `_scaled`.  Its words have length 2 or 0, so its terms sort by word
+    and its key is that sequence.  Each scaled coefficient n/d is read
+    from `products`, keyed by (n, d) unreduced, or made once."""
+    x = r.adjoint() if flip else r
+    terms = sorted(x.terms())
+    if terms[0][1] != 1:
+        m, e = _parts(ratio(1, terms[0][1]))
+        scaled = {}
+        for w, c in x.terms():
+            n, d = (c * m, e) if type(c) is int else (c.numerator * m, c.denominator * e)
+            scaled[w] = products.get((n, d)) or products.setdefault((n, d), _quotient(n, d))
+        x = AlgElement._wrap(scaled)
+        terms = [(w, scaled[w]) for w, _c in terms]
+    return tuple(terms), x
 
 
 def canonicalize_relations(rels):
@@ -307,10 +326,14 @@ def canonicalize_relations(rels):
     return _canonical(rels)[0]
 
 
-def _canonical(rels):
-    """(`canonicalize_relations(rels)`, the index in rels of each stored one)."""
+def _canonical(rels, flips=None):
+    """(`canonicalize_relations(rels)`, the index in rels of each stored
+    one); with `flips`, the builders' rule, r* is kept where it says so,
+    with no `_oriented` comparison."""
+    products = {}
     normal = sorted((key, -i, n) for i, r in enumerate(rels) if not r.is_zero()
-                    for key, n in (_oriented(r),))
+                    for key, n in ((_oriented(r) if flips is None
+                                    else _ruled(r, flips[i], products)),))
     kept = [next(run) for _key, run in groupby(normal, itemgetter(0))]
     return tuple(n for _key, _i, n in kept), tuple(-i for _key, i, _n in kept)
 
@@ -328,13 +351,16 @@ class Presentation:
     monomial   : (pi, d) of F, decoded once: d[j] = F[j,pi[j]] is the one
                  nonzero of row j; None for the unitary kind.
     defining   : whether P is in builder form: its relations are exactly
-                 the canonicalized `defining_relations(u, q, f)`.  The two
-                 builders record it; on any other presentation (a
-                 quotient, a hand-made one) it is computed on first read
-                 and kept.
+                 the canonicalized `defining_relations(u, q, f)`.
     record     : in builder form, (the `IDENTITIES` written; per relation,
-                 the (identity, j, k) of its kept entry), else None; only
-                 the index of each kept entry is stored.
+                 the (identity, j, k) of its kept entry), else None; built
+                 once, when first read.
+
+    Given `relations` None, P is in builder form by construction, as the
+    builders and `quotient.quotient_by_zero` make it: (generators, u, Q,
+    F), with its relations and record written when first read.  Given a
+    relation list, P stores it canonicalized, and `defining` is computed on
+    first read and kept.
 
     The constructor owns the whole rule, and no reader checks it again.
     ShapeError unless u is N x N with N >= 1 and Q and F (when given) are
@@ -342,14 +368,16 @@ class Presentation:
       * Q is diagonal and positive, and F is monomial;
       * each generator is unstarred, alone at its position and inside the
         N x N layout;
-      * every letter of u and of the relations is a generator or the
+      * every letter of u and of the given relations is a generator or the
         adjoint of one (the least other letter is named with the first
-        u[j,k], else rel[i], holding it).
+        u[j,k], else rel[i], holding it); builder-form relations hold only
+        letters of u.
     Fields are read-only: assignment raises AttributeError, so `defining`
     cannot go stale.
     """
 
-    __slots__ = ("generators", "relations", "u", "q", "f", "monomial", "label", "_kept", "_record")
+    __slots__ = ("generators", "u", "q", "f", "monomial", "label", "_ruled", "_relations",
+                 "_record", "_labels")
 
     def __init__(self, generators, relations, u, q, f=None, label=""):
         u = tuple(map(tuple, u))
@@ -370,8 +398,11 @@ class Presentation:
             if not (0 <= g.row < n and 0 <= g.col < n):
                 raise ValueError(f"generator {g.label()} lies outside the {n}x{n} layout")
             positions.add((g.row, g.col))
-        relations, kept = _canonical(relations)
-        places = (*chain.from_iterable(u), *relations)
+        put = object.__setattr__
+        places = tuple(chain.from_iterable(u))
+        if relations is not None:
+            put(self, "_relations", _canonical(relations)[0])
+            places += self._relations
         words = chain.from_iterable(x.words() for x in places)
         stray = set(chain.from_iterable(words)).difference(generators, word_adjoint(generators))
         if stray:
@@ -380,34 +411,58 @@ class Presentation:
             where = f"u[{i // n + 1},{i % n + 1}]" if i < n * n else f"rel[{i - n * n}]"
             raise ValueError(f"{where} holds the letter {g.label()}, which is neither "
                              "a generator nor the adjoint of one")
-        put = object.__setattr__
         put(self, "generators", generators)
-        put(self, "relations", relations)
         put(self, "u", u)
         put(self, "q", q)
         put(self, "f", f)
         put(self, "monomial", monomial)
         put(self, "label", label)
-        put(self, "_kept", kept)
+        put(self, "_ruled", None if relations is not None else False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Presentation.{name} is read-only")
 
+    def _write(self):
+        """Write a builder form's relations and record; returns the record.
+        A builder's u is oriented by the rule (module docstring), any
+        other u by `_oriented`."""
+        identities = None
+        if self._ruled:
+            identities = IDENTITIES[:4] if self.monomial is None else IDENTITIES[2:]
+        identities, entries = _defining_entries(self.u, self.q, self.monomial, identities)
+        flips = _flips(len(self.u), identities, self.monomial) if self._ruled else None
+        relations, kept = _canonical(entries, flips)
+        object.__setattr__(self, "_relations", relations)
+        object.__setattr__(self, "_record", (identities, kept))
+        return self._record
+
+    @property
+    def relations(self):
+        if not hasattr(self, "_relations"):
+            self._write()
+        return self._relations
+
     @property
     def defining(self) -> bool:
+        if self._ruled is not None:
+            return True
         if not hasattr(self, "_record"):
             identities, rels = _defining_entries(self.u, self.q, self.monomial)
             relations, kept = _canonical(rels)
-            record = (identities, kept) if relations == self.relations else None
+            record = (identities, kept) if relations == self._relations else None
             object.__setattr__(self, "_record", record)
         return self._record is not None
 
     @property
     def record(self):
-        if not self.defining:
-            return None
-        labels = _entry_labels(len(self.u), self._record[0])
-        return self._record[0], tuple(labels[i] for i in self._record[1])
+        if not hasattr(self, "_labels"):
+            labels = None
+            if self.defining:
+                identities, kept = getattr(self, "_record", None) or self._write()
+                every = _entry_labels(len(self.u), identities)
+                labels = identities, tuple(every[i] for i in kept)
+            object.__setattr__(self, "_labels", labels)
+        return self._labels
 
     @property
     def sizes(self):
@@ -430,16 +485,17 @@ def _require_positive_diagonal(Q: ScalarMatrix) -> None:
             raise ValueError(f"Q must be positive: Q[{j + 1},{j + 1}] = {rat_str(Q.entry(j, j))}")
 
 
-def _defining_presentation(generators, written, u, q, f=None, label="") -> Presentation:
-    """A builder's presentation: `written` is `_defining_entries(u, q, f)`."""
-    p = Presentation(generators, written[1], u, q, f, label)
-    object.__setattr__(p, "_record", (written[0], p._kept))
+def _builder_made(generators, u, q, f=None, label="") -> Presentation:
+    """A builder's presentation, in builder form over a builder's u, so its
+    entries are oriented by the rule when written."""
+    p = Presentation(generators, None, u, q, f, label)
+    object.__setattr__(p, "_ruled", True)
     return p
 
 
 def generator_matrix(n: int) -> tuple:
     """The n x n matrix of the letters u(j,k), as a tuple of rows."""
-    return tuple(tuple(AlgElement.generator(GeneratorId(j, k)) for k in range(n))
+    return tuple(tuple(AlgElement._wrap({(GeneratorId(j, k),): 1}) for k in range(n))
                  for j in range(n))
 
 
@@ -473,29 +529,56 @@ def _entry_labels(n, identities):
             for j in range(n) for k in range(0 if name == IDENTITIES[4] else j, n)]
 
 
-def _defining_entries(u, q, monomial):
+def _flips(n, identities, monomial):
+    """Per entry `_defining_entries` writes over a builder's u, whether its
+    normal form keeps the adjoint (module docstring)."""
+    pi = range(n) if monomial is None else monomial[0]
+    return [pi[j] > k and pi[k] < j or name == IDENTITIES[3] and j < k == pi[j]
+            for name, j, k in _entry_labels(n, identities)]
+
+
+def _defining_entries(u, q, monomial, identities=None):
     """(the identities written, `defining_relations(u, q, f)`), each entry
-    from its label; `monomial` is (pi, d) of F, or None."""
+    from its label; `monomial` is (pi, d) of F, or None.  Given the
+    `identities` a builder writes, its reality entries are 0 (checked when
+    it was built) and are not computed."""
     n = len(u)
     s = [[x.adjoint() for x in row] for row in u]
     d = [q.entry(j, j) for j in range(n)]
     t = [[x.scale(ratio(d[j], d[k])) for k, x in enumerate(row)] for j, row in enumerate(s)]
-    identities = IDENTITIES[:4]
-    if monomial is not None:
-        pi, df = monomial
-        reality = [[u[j][k] - s[pj][pk].scale(ratio(df[j], df[k])) for k, pk in enumerate(pi)]
-                   for j, pj in enumerate(pi)]
-        plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
-                 or not all(r.is_zero() for row in reality for r in row))
-        identities = (identities if plain else identities[2:]) + IDENTITIES[4:]
+    reality = None
+    if identities is None:
+        identities = IDENTITIES[:4]
+        if monomial is not None:
+            pi, df = monomial
+            reality = [[u[j][k] - _image(u, monomial, j, k) for k in range(n)] for j in range(n)]
+            plain = (any(d[pj] != df[j] * df[j] for j, pj in enumerate(pi))
+                     or not all(r.is_zero() for row in reality for r in row))
+            identities = (identities if plain else identities[2:]) + IDENTITIES[4:]
+    zero = AlgElement.zero()
     entry = dict(zip(IDENTITIES, (
         lambda j, k: AlgElement.dot(((u[j][a], s[k][a]) for a in range(n)), int(j == k)),
         lambda j, k: AlgElement.dot(((s[a][j], u[a][k]) for a in range(n)), int(j == k)),
         lambda j, k: AlgElement.dot(((u[a][j], t[a][k]) for a in range(n)), int(j == k)),
         lambda j, k: AlgElement.dot(((t[j][a], u[k][a]) for a in range(n)), int(j == k)),
-        lambda j, k: reality[j][k],
+        lambda j, k: reality[j][k] if reality else zero,
     )))
     return identities, [entry[name](j, k) for name, j, k in _entry_labels(n, identities)]
+
+
+def _image(u, monomial, j, k):
+    """(d_j/d_k) u(pi(j),pi(k))*, what the reality relation makes u(j,k)."""
+    pi, d = monomial
+    return u[pi[j]][pi[k]].adjoint().scale(ratio(d[j], d[k]))
+
+
+def _unreal(u, monomial, positions=None):
+    """The first (j, k) of `positions` (default: all, row-major) whose
+    reality entry is nonzero over u, or None."""
+    pi, span = monomial[0], range(len(u))
+    return next(((j, k) for j, k in positions or ((j, k) for j in span for k in span)
+                 if not (u[j][k].is_zero() and u[pi[j]][pi[k]].is_zero())
+                 and u[j][k] != _image(u, monomial, j, k)), None)
 
 
 def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
@@ -505,7 +588,7 @@ def build_universal_unitary(Q: ScalarMatrix) -> Presentation:
     n = Q.rows
     u = generator_matrix(n)
     gens = [GeneratorId(j, k) for j in range(n) for k in range(n)]
-    return _defining_presentation(gens, _defining_entries(u, Q, None), u, Q, None, unitary_label(Q))
+    return _builder_made(gens, u, Q, None, unitary_label(Q))
 
 
 def reality_substitution(F: ScalarMatrix):
@@ -539,12 +622,12 @@ def reality_substitution(F: ScalarMatrix):
                         f"-u({j + 1},{k + 1})* needs an imaginary scalar"
                     )
                 kept.append(GeneratorId(j, k, selfadjoint=True))
-                sigma[g] = AlgElement.generator(kept[-1])
+                sigma[g] = AlgElement._wrap({(kept[-1],): 1})
             elif (k, j) <= (pk, pj):
                 kept.append(g)
             else:
                 partner = GeneratorId(pj, pk, star=True)
-                sigma[g] = AlgElement.word((partner,), ratio(d[j], d[k]))
+                sigma[g] = AlgElement._wrap({(partner,): ratio(d[j], d[k])})
     return sigma, sorted(kept)
 
 
@@ -576,14 +659,14 @@ def build_universal_orthogonal(F: ScalarMatrix) -> Presentation:
     q = ScalarMatrix.diagonal([d[pj] * d[pj] for pj in pi])
     sigma, kept = reality_substitution(F)
     n = F.rows
-    ids = [[GeneratorId(j, k) for k in range(n)] for j in range(n)]
-    u = tuple(tuple(sigma.get(g, AlgElement.generator(g)) for g in row) for row in ids)
-    written = _defining_entries(u, q, (pi, d))
-    for i, h in enumerate(written[1][-n * n:]):
-        if not h.is_zero():
-            j, k = divmod(i, n)
-            raise RuntimeError(f"unresolvable reality entry at ({j},{k}): {h}")
-    return _defining_presentation(kept, written, u, q, F, label=orthogonal_label(F))
+    u = tuple(tuple(sigma.get(g) or AlgElement._wrap({(g,): 1}) for g in row)
+              for row in ([GeneratorId(j, k) for k in range(n)] for j in range(n)))
+    # the entries at the positions of kept letters are the adjoints, scaled,
+    # of those at their partners', as d_j d_pi(j) is one sign
+    broken = _unreal(u, (pi, d), [(g.row, g.col) for g in sigma])
+    if broken:
+        raise RuntimeError(f"unresolvable reality entry at {broken}")
+    return _builder_made(kept, u, q, F, orthogonal_label(F))
 
 
 def build_presentation(spec: BlockSpec) -> Presentation:

@@ -6,13 +6,41 @@ of the standard form: Pol(U_M^+) for a block with q < 1 and multiplicity
 M, Pol(O_J^+) for the q = 1 block of case II, Pol(O_t^+) for the trailing
 identity block of case I.  Each factor sits at its block's start row
 `BlockSpec.offsets[i]`: its letter u(j,k) is the source letter
-u(o + j, o + k), o that offset.  The target is a `KacTarget`, a relation
-set over source letters, not a `Presentation`.
+u(o + j, o + k), o that offset.  The target is a `KacTarget`: its
+factors in builder form, (generators, u, Q, F), at their offsets; its
+relations over source letters are written only when read.
+
+A presentation in builder form has as relations the canonical entries of
+its identities over u (`presentations`); when every reality entry is 0,
+its relation classes are those of the four unitarity identities' entries.
+
+  (a) Sending letters to 0 is a *-algebra map that commutes with taking
+      entries of identities over u: for P in builder form,
+      `quotient_by_zero(P, gens)` is the builder form of the zeroed u,
+      with P's Q and F.
+  (b) Let P and the factors of T be in builder form.  A factor of size m
+      at offset o has the block of rows [o, o + m) and, when P has F and
+      the factor has none, the partner rows pi([o, o + m)).  P and T have
+      one relation set when
+        * if P has F: pi is an involution, Q = F*F, and every reality
+          entry u(j,k) - (d_j/d_k) u(pi(j),pi(k))* of P's u is 0 (the
+          reality partners, with their scale);
+        * on each block, P's u is the factor's u shifted, and P's Q, and
+          its F where the factor has one (pi keeping the block), are the
+          factor's up to a scalar;
+        * blocks and partner rows partition the rows, and u is 0 where
+          row and column lie in different parts.
+      Then every identity entry across two parts is 0.  On a block the
+      entries are the factor's: they read Q through its ratios only, and
+      the reality entries F through the ratios of d.  On partner rows each
+      is a nonzero multiple of one on its block, by the conjugation of the
+      `presentations` docstring.
 
 Matching is exact: the generator sets are compared first, and when they
 differ the match is "structural"; else the canonical relation sets are
-compared as sets.  Either way what is left on each side is reported, and
-the match fails unless nothing is.
+compared, equal sets decided by (b) with no relation written.  On any
+difference both sets are written and compared, so what is left on each
+side is reported, and the match fails unless nothing is.
 
 The bounded ideal of degree d is the span of the words-times-relations
 w·r·w' with |w| + deg r + |w'| <= d, over the relations and their
@@ -29,11 +57,12 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .algebra import AlgElement, ScalarMatrix, renamer
+from .algebra import AlgElement, GeneratorId, ScalarMatrix, mul, renamer
 from .linalg import SparseEchelon, WordIndex
 from .presentations import (
     BlockSpec,
     Presentation,
+    _unreal,
     build_universal_orthogonal,
     build_universal_unitary,
     symplectic_matrix,
@@ -42,7 +71,9 @@ from .presentations import (
 
 def quotient_by_zero(P: Presentation, gens) -> Presentation:
     """Send the listed generators (and their adjoints) to zero: drop every
-    word containing one of their letters, then re-canonicalize."""
+    word containing one of their letters.  A P in builder form gives the
+    builder form of the zeroed u, with P's Q and F (module docstring, (a));
+    any other P has its zeroed relations re-canonicalized."""
     gens = {g.plain() for g in gens}
     unknown = gens - set(P.generators)
     if unknown:
@@ -57,17 +88,32 @@ def quotient_by_zero(P: Presentation, gens) -> Presentation:
 
     return Presentation(
         [g for g in P.generators if g not in gens],
-        [keep(r) for r in P.relations],
+        None if P.defining else [keep(r) for r in P.relations],
         [[keep(x) for x in row] for row in P.u], P.q, P.f, label=P.label,
     )
 
 
 class KacTarget(NamedTuple):
-    """The free product of the Kac factors, each at its block's letters."""
+    """The free product of the Kac factors: each factor in builder form,
+    with the offset of its block."""
 
     label: str
     generators: tuple
-    relations: tuple
+    factors: tuple  # ((offset, Presentation), ...)
+
+    @property
+    def relations(self):
+        """The factors' relations at their blocks' letters, sorted; written
+        on every read."""
+        rels = []
+        for o, part in self.factors:
+            rels.extend(map(renamer(_shift(part, o)), part.relations))
+        return tuple(sorted(rels, key=AlgElement.sort_key))
+
+
+def _shift(part, o):
+    """The letter map of a factor at offset o: u(j,k) to u(o + j, o + k)."""
+    return {g: GeneratorId(o + g.row, o + g.col, False, g.selfadjoint) for g in part.generators}
 
 
 def expected_kac_target(spec: BlockSpec) -> KacTarget:
@@ -82,7 +128,9 @@ def expected_kac_target(spec: BlockSpec) -> KacTarget:
     Factor i sits at row and column `spec.offsets[i]` of the source: its
     letter u(j,k) becomes u(offsets[i] + j, offsets[i] + k), keeping its
     kind (plain or self-adjoint).  The shift keeps letter order, so each
-    factor's canonical relations stay canonical.
+    factor's canonical relations stay canonical.  The factors come from
+    their builders, independently of any source, and write no relations
+    until `relations` is read.
     """
     unit = spec.unit_block
     parts = [
@@ -92,14 +140,9 @@ def expected_kac_target(spec: BlockSpec) -> KacTarget:
     ]
     if spec.trailing:
         parts.append(build_universal_orthogonal(ScalarMatrix.identity(spec.trailing)))
-    gens, rels = [], []
-    for part, o in zip(parts, spec.offsets):
-        shift = {g: g._replace(row=o + g.row, col=o + g.col) for g in part.generators}
-        gens.extend(shift.values())
-        rels.extend(map(renamer(shift), part.relations))
-    label = " * ".join(p.label for p in parts)
-    rels.sort(key=AlgElement.sort_key)
-    return KacTarget(label, tuple(sorted(gens)), tuple(rels))
+    factors = tuple(zip(spec.offsets, parts))
+    gens = sorted(h for o, part in factors for h in _shift(part, o).values())
+    return KacTarget(" * ".join(p.label for p in parts), tuple(gens), factors)
 
 
 class MatchVerdict(NamedTuple):
@@ -114,15 +157,57 @@ class MatchVerdict(NamedTuple):
 
 def match_presentations(P, T) -> MatchVerdict:
     """Compare P and T, each a `Presentation` or a `KacTarget`: first the
-    generator sets, then the canonical relation sets.  Each side's
+    generator sets, then the canonical relation sets.  When the generators
+    agree, a builder-form presentation and a target whose blocks split it
+    by (b) (module docstring) have equal relation sets, and none is
+    written; otherwise the sets are written and compared.  Each side's
     leftovers are sorted."""
     mode, key, left, right = "structural", None, set(P.generators), set(T.generators)
     if left == right:
         mode, key = "exact-set", AlgElement.sort_key
+        if _splits(P, T) or _splits(T, P):
+            return MatchVerdict(True, mode, (), ())
         left, right = set(P.relations), set(T.relations)
     only_left = tuple(sorted(left - right, key=key))
     only_right = tuple(sorted(right - left, key=key))
     return MatchVerdict(not only_left and not only_right, mode, only_left, only_right)
+
+
+def _splits(P, T) -> bool:
+    """Whether T's blocks split the builder-form P by (b) (module
+    docstring), so that P and T have one relation set."""
+    if not (isinstance(P, Presentation) and isinstance(T, KacTarget) and P.defining):
+        return False
+    u, n = P.u, len(P.u)
+    q = [P.q.entry(j, j) for j in range(n)]
+    pi, d = P.monomial or (None, None)
+    if pi is not None and (_unreal(u, P.monomial) or not all(
+            pi[pj] == j and q[pj] == mul(d[j], d[j]) for j, pj in enumerate(pi))):
+        return False
+    region = [None] * n
+    for i, (o, part) in enumerate(T.factors):
+        m, shift = len(part.u), renamer(_shift(part, o))
+        rows = range(o, o + m)
+        if not 0 <= o <= n - m or not part.defining or any(
+                u[o + j][o + k] != shift(x) for j, row in enumerate(part.u)
+                for k, x in enumerate(row)) or any(
+                mul(q[o + j], part.q.entry(0, 0)) != mul(q[o], part.q.entry(j, j))
+                for j in range(m)):
+            return False
+        claimed = [(j, i) for j in rows]
+        if part.monomial is not None:
+            sigma, e = part.monomial
+            if pi is None or any(pi[o + j] != o + sigma[j] or mul(d[o + j], e[0]) != mul(d[o], e[j])
+                                 for j in range(m)):
+                return False
+        elif pi is not None:
+            claimed += [(pi[j], ~i) for j in rows]
+        for j, owner in claimed:
+            if region[j] is not None:
+                return False
+            region[j] = owner
+    return None not in region and all(
+        region[j] == region[k] or x.is_zero() for j, row in enumerate(u) for k, x in enumerate(row))
 
 
 def _with_adjoints(plain):

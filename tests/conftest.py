@@ -284,7 +284,8 @@ def reference_kac_target(spec):
     blocks of `layout_ranges`: each surviving block (name, target factor,
     row offset) holds its factor's rows from that offset on, so each
     factor's letters and relations are substituted into the source letters
-    of their blocks, then canonicalized together."""
+    of their blocks, then canonicalized together.  Returns (label,
+    generators, relations)."""
     parts, survivors = [], []
     if spec.kind == "unitary":
         for i, b in enumerate(spec.blocks):
@@ -325,8 +326,8 @@ def reference_kac_target(spec):
         gens.extend(image.values())
         sigma = {g: AlgElement.generator(h) for g, h in image.items()}
         rels.extend(substitute(r, sigma) for r in part.relations)
-    return k.KacTarget(" * ".join(p.label for p in parts), tuple(sorted(gens)),
-                       canonicalize_relations(rels))
+    return (" * ".join(p.label for p in parts), tuple(sorted(gens)),
+            canonicalize_relations(rels))
 
 
 def block_positions(spec, name):

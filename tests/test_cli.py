@@ -9,6 +9,7 @@ import pytest
 
 import cqgkac as k
 import cqgkac.cli as cli
+import cqgkac.presentations as presentations
 from cqgkac.algebra import AlgElement
 from cqgkac.presentations import canonicalize_relations
 
@@ -301,14 +302,18 @@ def test_a_target_shifted_one_block_off_is_a_structural_mismatch(tmp_path, monke
 def test_match_names_the_relations_left_on_either_side(tmp_path, monkeypatch, change):
     # the doctored target keeps its generators, so the survivor sets agree
     # and the exact relation sets differ: a relation dropped from the
-    # target is left over on the derived side, one added on the target side
+    # target's one factor is left over on the derived side, one added on
+    # the target side; the factor, given as a relation list, is no longer
+    # in builder form
     real = cli.expected_kac_target
     extra = canonicalize_relations((AlgElement.generator(gen(0, 0)) - AlgElement.one(),))[0]
 
     def doctored(spec):
         target = real(spec)
-        relations = target.relations[:-1] if change == "dropped" else (*target.relations, extra)
-        return target._replace(relations=relations)
+        ((o, part),) = target.factors
+        relations = part.relations[:-1] if change == "dropped" else (*part.relations, extra)
+        part = k.Presentation(part.generators, relations, part.u, part.q, part.f, part.label)
+        return target._replace(factors=((o, part),))
 
     monkeypatch.setattr(cli, "expected_kac_target", doctored)
     path = _write(tmp_path, ONE_BLOCK)
@@ -321,6 +326,23 @@ def test_match_names_the_relations_left_on_either_side(tmp_path, monkeypatch, ch
     left = {"dropped": ["1 - u(1,1)* u(1,1)"], "added": []}[change]
     assert match["unmatched_derived"] == left
     assert match["unmatched_target"] == ([] if left else [repr(extra)])
+
+
+@pytest.mark.parametrize("name", KAC_LARGE)
+def test_a_match_run_writes_only_the_source_relations(monkeypatch, name):
+    # the quotient and the target stay in builder form and match decides
+    # blockwise, so the entries are written once, over the source's u, and
+    # oriented by the builders' rule, never by comparison
+    spec = KAC_LARGE[name]
+    calls = []
+    for fn in ("_defining_entries", "_canonical", "_oriented"):
+        real = getattr(presentations, fn)
+        monkeypatch.setattr(presentations, fn,
+                            lambda *args, fn=fn, real=real: calls.append((fn, args)) or real(*args))
+    code, report = cli.run(spec, "match")
+    assert code == 0 and report["match"]["matched"]
+    assert [fn for fn, _args in calls] == ["_defining_entries", "_canonical"]
+    assert calls[0][1][0] == k.build_presentation(spec).u
 
 
 def test_hopf_check_inconclusive_exit_two(tmp_path, monkeypatch):

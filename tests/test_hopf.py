@@ -79,6 +79,16 @@ def test_counit_checks_every_letter_after_an_off_diagonal_one():
         k.counit(_u2(), letter(0, 1) * letter(8, 8))
 
 
+@pytest.mark.parametrize("name", ["coproduct", "counit", "antipode"])
+def test_the_public_maps_refuse_a_letter_outside_the_layout(name):
+    # they take any element, so each checks its letters; inside
+    # hopf_axiom_check every letter is one of P's and lies in the layout
+    with pytest.raises(ValueError, match=r"^letter u\(9,9\) lies outside the fundamental layout$"):
+        getattr(k, name)(_u2(), letter(0, 1) * letter(8, 8))
+    with pytest.raises(ValueError, match=r"^letter u\(3,1\)\* lies outside"):
+        getattr(k, name)(_u2(), letter(2, 0, star=True))
+
+
 def test_tensor_and_algebra_elements_do_not_mix():
     t = TensorElement.of(letter(0, 0), AlgElement.one())
     with pytest.raises(TypeError):
@@ -440,6 +450,9 @@ def test_hopf_check_computes_each_input_once(monkeypatch):
     # letter's) and once per position without a generator; S once per letter
     n = 4
     p = k.build_universal_unitary(ScalarMatrix.identity(n))
+    # a builder's relations are written on first read, as `cli.run` reads
+    # them through `sizes` before any check
+    assert p.relations
     calls = {}
 
     def count(owner, name):

@@ -16,6 +16,7 @@ from cqgkac.presentations import (
 )
 
 from conftest import (
+    KAC_LARGE,
     bar,
     block_positions,
     dense,
@@ -676,6 +677,34 @@ def test_dot_is_the_sum_of_the_products_minus_the_constant(pairs, cancelled, c):
 
 def _recomputed_defining(p):
     return p.relations == canonicalize_relations(defining_relations(p.u, p.q, p.f))
+
+
+def _typed(r):
+    """The stored terms of a relation, in order, each with its coefficient's type."""
+    return [(w, type(c), c) for w, c in r.terms()]
+
+
+def test_builders_emit_the_canonical_entries_byte_for_byte():
+    # the builders orient, scale and order their entries by rule (module
+    # docstring), with no `_oriented`; the relation tuples, with their
+    # stored term order and coefficient types, and the record are those of
+    # `_canonical` over every written entry
+    for spec in [*specs_up_to(4), *KAC_LARGE.values()]:
+        p = k.build_presentation(spec)
+        identities, entries = presentations._defining_entries(p.u, p.q, p.monomial)
+        relations, kept = presentations._canonical(entries)
+        assert [_typed(r) for r in p.relations] == [_typed(r) for r in relations], spec
+        labels = presentations._entry_labels(len(p.u), identities)
+        assert p.record == (identities, tuple(labels[i] for i in kept)), spec
+
+
+def test_the_record_is_built_once_on_builds_and_quotients():
+    for spec in KAC_LARGE.values():
+        p = k.build_presentation(spec)
+        _, final = k.kac_fixpoint(p)
+        assert final is not p, spec
+        for x in (p, final):
+            assert x.record is x.record and x.record[1], spec
 
 
 def test_defining_is_recorded_by_the_builders_and_computed_elsewhere():

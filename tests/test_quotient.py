@@ -54,7 +54,9 @@ def test_kac_target_is_the_reference_at_its_blocks():
     # the target shifted by `BlockSpec.offsets` equals the one substituted
     # into the named blocks of `layout_ranges`, on every small spec
     for spec in specs_up_to(4):
-        assert k.expected_kac_target(spec) == reference_kac_target(spec), spec
+        target = k.expected_kac_target(spec)
+        assert (target.label, target.generators, target.relations) == \
+            reference_kac_target(spec), spec
 
 
 def test_kac_target_generators_are_the_kac_survivors():
@@ -114,6 +116,102 @@ def test_quotient_by_zero_equals_substitution_by_zero(spec):
         assert q.generators == ref.generators
         assert q.relations == ref.relations
         assert q.u == ref.u
+
+
+def _old_quotient_relations(p, gens):
+    """The relations the filter-and-canonicalize path gives: every word
+    with a letter of gens dropped from p's relations, re-canonicalized."""
+    dead = {h for g in gens for h in (g, g.adjoint())}
+    return canonicalize_relations([AlgElement._wrap({w: c for w, c in r.terms()
+                                                     if dead.isdisjoint(w)})
+                                   for r in p.relations])
+
+
+def test_kac_quotients_are_the_builder_form_of_the_zeroed_u():
+    # (a): each Kac quotient of N <= 4 is in builder form, and its relations,
+    # written on first read, are those of the old path, term order included
+    forcing = 0
+    for spec in specs_up_to(4):
+        p = k.build_presentation(spec)
+        report, final = k.kac_fixpoint(p)
+        if not report.forced:
+            continue
+        forcing += 1
+        assert final.defining and final.q == p.q and final.f == p.f, spec
+        old = _old_quotient_relations(p, report.forced)
+        assert [list(r.terms()) for r in final.relations] == [list(r.terms()) for r in old], spec
+        assert final.record[0] == p.record[0], spec
+    assert forcing == 161
+    # a hand-made presentation in builder form takes the same path
+    p = k.build_presentation(k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 1))))
+    hand = k.Presentation(p.generators, p.relations, p.u, p.q, p.f)
+    gens = k.kac_fixpoint(p)[0].forced
+    assert hand.defining and gens
+    for x in (p, hand):
+        assert k.quotient_by_zero(x, gens).relations == _old_quotient_relations(p, gens)
+
+
+def test_match_decides_blockwise_as_the_exact_sets_do():
+    # (b) holds between each Kac quotient of N <= 4 and its target, whose
+    # relation sets are equal; the unquotiented source of a forcing spec
+    # fails both
+    for spec in specs_up_to(4):
+        p = k.build_presentation(spec)
+        report, final = k.kac_fixpoint(p)
+        target = k.expected_kac_target(spec)
+        assert quotient._splits(final, target), spec
+        assert set(final.relations) == set(target.relations), spec
+        if report.forced:
+            assert not quotient._splits(p, target), spec
+
+
+def _builder_form(p, u=None, q=None, f=False):
+    """p's builder form, with u, Q or F replaced where given."""
+    return k.Presentation(p.generators, None, p.u if u is None else u, q or p.q,
+                          p.f if f is False else f, p.label)
+
+
+def _with_entry(u, j, c, x):
+    rows = [list(row) for row in u]
+    rows[j][c] = x
+    return rows
+
+
+def _doctored(case):
+    """(derived, target) of one doctored case: each side stays in builder form."""
+    if case in ("block-u", "q-ratio", "off-block"):
+        spec = k.BlockSpec("unitary", ((F(1, 2), 2), (F(1), 2)))
+    elif case == "f":
+        spec = k.BlockSpec("case-II", ((F(1, 2), 1), (F(1), 2)))
+    else:
+        spec = one_block_spec(F(1, 2), 2, 1)
+    _, final = k.kac_fixpoint(k.build_presentation(spec))
+    target = k.expected_kac_target(spec)
+    (o, part), *rest = target.factors
+    if case == "block-u":
+        part = _builder_form(part, u=_with_entry(part.u, 0, 1, part.u[0][1].scale(2)))
+    elif case == "q-ratio":
+        part = k.build_universal_unitary(ScalarMatrix.diagonal([1, 2]))
+    elif case == "f":
+        (o, part), = rest
+        f = ScalarMatrix([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
+        part, rest = _builder_form(part, f=f), [target.factors[0]]
+        return final, target._replace(factors=(*rest, (o, part)))
+    elif case == "off-block":
+        final = _builder_form(final, u=_with_entry(final.u, 0, 2, final.u[0][0]))
+    else:  # u(4,3), the partner of u(2,1), scaled by 2
+        final = _builder_form(final, u=_with_entry(final.u, 3, 2, final.u[3][2].scale(2)))
+    return final, target._replace(factors=((o, part), *rest))
+
+
+@pytest.mark.parametrize("case", ["block-u", "q-ratio", "f", "off-block", "partner-scale"])
+def test_doctored_targets_fail_the_blockwise_test_and_the_exact_sets(case):
+    derived, target = _doctored(case)
+    assert derived.generators == target.generators
+    assert not quotient._splits(derived, target) and not quotient._splits(target, derived)
+    assert set(derived.relations) != set(target.relations)
+    verdict = k.match_presentations(derived, target)
+    assert not verdict.matched and verdict.mode == "exact-set"
 
 
 def test_canonicalize_scales_and_dedupes():
